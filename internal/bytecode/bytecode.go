@@ -13,6 +13,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"sync/atomic"
 
 	"messengers/internal/value"
 )
@@ -172,6 +173,11 @@ type Program struct {
 	// lowerCaches holds the lazily built direct instruction streams
 	// (see lower.go); derived like meta, reset by Validate.
 	lowerCaches
+
+	// hash memoises Hash for a verified program (every remote hop and
+	// create stamps it on the message); derived like meta, reset by
+	// Validate. Atomic because daemons share registered programs.
+	hash atomic.Pointer[Hash]
 }
 
 // Hash returns the content hash identifying this program in the shared
@@ -181,10 +187,25 @@ type Hash [16]byte
 // String renders the hash in hex.
 func (h Hash) String() string { return fmt.Sprintf("%x", h[:]) }
 
-// Hash computes the program's content hash over its encoded form
+// Hash returns the program's content hash over its encoded form
 // (excluding Source, so formatting changes to comments do not matter... the
 // encoded form includes code, consts, and names only).
+//
+// A verified program is not mutated without a re-Validate, so its hash is
+// computed once; an unverified program is hashed afresh on every call.
 func (p *Program) Hash() Hash {
+	if !p.verified {
+		return p.computeHash()
+	}
+	if h := p.hash.Load(); h != nil {
+		return *h
+	}
+	h := p.computeHash()
+	p.hash.Store(&h)
+	return h
+}
+
+func (p *Program) computeHash() Hash {
 	sum := sha256.Sum256(p.encodeForHash())
 	var h Hash
 	copy(h[:], sum[:16])

@@ -80,6 +80,46 @@ func TestHashStability(t *testing.T) {
 	}
 }
 
+// TestHashMemo: a verified program computes its hash once (every remote hop
+// stamps it on the message), an unverified one never trusts a memo, and
+// Validate — the only legal way back to verified after a mutation — drops
+// the stale value.
+func TestHashMemo(t *testing.T) {
+	p := sampleProgram()
+	fresh := p.Hash() // unverified: computed, not stored
+	if p.hash.Load() != nil {
+		t.Fatal("unverified program memoised its hash")
+	}
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if first, again := p.Hash(), p.Hash(); first != fresh || again != fresh || p.hash.Load() == nil {
+		t.Errorf("verified Hash = %s then %s (memo %v), want %s both times", first, again, p.hash.Load(), fresh)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { _ = p.Hash() }); allocs != 0 {
+		t.Errorf("memoised Hash allocates %.0f times per call", allocs)
+	}
+
+	p.Funcs[0].Code[0].A = 1 // still a valid constant index
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	mutated := sampleProgram()
+	mutated.Funcs[0].Code[0].A = 1
+	if got := p.Hash(); got == fresh || got != mutated.Hash() {
+		t.Errorf("mutate-then-Validate served hash %s, want %s (stale would be %s)", got, mutated.Hash(), fresh)
+	}
+
+	// A program that fails re-validation is unverified again: no memo.
+	p.Funcs = nil
+	if p.Validate() == nil {
+		t.Fatal("empty program validated")
+	}
+	if p.Hash() == mutated.Hash() || p.hash.Load() != nil {
+		t.Error("unverified program served or stored a memoised hash")
+	}
+}
+
 func TestWireSizeExcludesSource(t *testing.T) {
 	p := sampleProgram()
 	base := p.WireSize()

@@ -95,6 +95,7 @@ func (p *Program) Validate() error {
 	p.verified = false
 	p.meta = nil
 	p.resetLowered()
+	p.hash.Store(nil)
 	if len(p.Funcs) == 0 {
 		return fmt.Errorf("bytecode: program %q has no main body", p.Name)
 	}

@@ -307,11 +307,13 @@ func (m *Msg) WireSize() int {
 }
 
 // DecodeMsg deserializes a message produced by Encode. The returned Msg
-// aliases buf — Snapshot and ProgBytes are subslices of it — so the caller
-// must keep buf untouched (and must not recycle it into a pool) for as long
-// as the message or state decoded from it is live. Consumers that retain
-// data past that point (value.Decode, bytecode decoding) copy what they
-// keep.
+// aliases buf — Snapshot and ProgBytes (its own and its batch members') are
+// subslices of it — so buf's owner must keep it untouched until the message
+// has been consumed. On the TCP engine that is a lifetime rule: the
+// transport owns the (pooled) frame until HandleMsg returns and recycles it
+// then, so nothing reachable after HandleMsg may keep a subslice of
+// Snapshot or ProgBytes. The consumers, vm.Restore and bytecode.Decode, run
+// inside HandleMsg and copy what they keep.
 func DecodeMsg(buf []byte) (*Msg, error) {
 	return decodeMsg(buf, 0)
 }
@@ -456,7 +458,7 @@ func (r *msgReader) bytes() []byte {
 		return nil
 	}
 	// Alias the frame instead of copying: decode consumers copy whatever
-	// they retain, and the frame buffer stays live per the DecodeMsg
+	// they retain, and the frame buffer outlives them per the DecodeMsg
 	// contract. The capped subslice keeps appends from clobbering the rest
 	// of the frame.
 	b := r.buf[r.pos : r.pos+n : r.pos+n]

@@ -104,9 +104,7 @@ func (p *Proc) PkInt(vs ...int64) {
 func (p *Proc) PkDouble(vs ...float64) {
 	p.checkKilled()
 	b := p.send()
-	for _, v := range vs {
-		b.data = binary.LittleEndian.AppendUint64(b.data, math.Float64bits(v))
-	}
+	b.data = wire.AppendF64s(b.data, vs)
 	p.chargeCopy(8*len(vs), func(cm *lan.CostModel) sim.Time { return cm.PVMPackPerByte }, false)
 }
 
@@ -128,9 +126,7 @@ func (p *Proc) PkMat(m *value.Mat) {
 	b := p.send()
 	b.data = binary.LittleEndian.AppendUint32(b.data, uint32(m.Rows))
 	b.data = binary.LittleEndian.AppendUint32(b.data, uint32(m.Cols))
-	for _, f := range m.Data {
-		b.data = binary.LittleEndian.AppendUint64(b.data, math.Float64bits(f))
-	}
+	b.data = wire.AppendF64s(b.data, m.Data)
 	p.chargeCopy(8*len(m.Data), func(cm *lan.CostModel) sim.Time { return cm.PVMPackPerByte }, false)
 }
 
@@ -180,10 +176,9 @@ func (p *Proc) UpkMat(b *Buffer) *value.Mat {
 	if rows < 0 || cols < 0 || rows*cols > 1<<26 {
 		panic(fmt.Sprintf("pvm: unpack matrix %dx%d", rows, cols))
 	}
+	src := p.upkN(b, 8*rows*cols)
 	m := value.NewMat(rows, cols)
-	for i := range m.Data {
-		m.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(p.upkN(b, 8)))
-	}
+	wire.ReadF64s(m.Data, src)
 	p.chargeCopy(8*len(m.Data), func(cm *lan.CostModel) sim.Time { return cm.PVMUnpackPerByte }, true)
 	return m
 }

@@ -8,7 +8,8 @@
 // path (vm snapshots, program hashes, link identities, GVT control
 // messages) is exercised for real. Daemons listen on per-daemon TCP
 // addresses (loopback by default) and dial peers lazily, with exponential
-// backoff on redials.
+// backoff on redials. Dialed sockets ask for window-based congestion
+// control (sockopt_linux.go): a hop is a burst, not a stream.
 //
 // For chaos testing the engine supports fault injection on the send path
 // (SetFaultHook), daemon kill/revive (KillDaemon/ReviveDaemon), and
@@ -63,23 +64,54 @@ func WriteFrame(w io.Writer, payload []byte) error {
 	return nil
 }
 
-// ReadFrame reads one frame written by WriteFrame (or by Msg.EncodeFrame).
-// The returned payload is a fresh slice the caller owns — decoded messages
-// may alias it, so it is never pooled.
+// ReadFrame reads one frame written by WriteFrame (or by Msg.EncodeFrame)
+// into a fresh slice the caller owns outright: hello frames and out-of-band
+// readers use it. The engine's own message path reads pooled frames instead
+// (readPooledFrame) and owns them under the lifetime rule stated there.
 func ReadFrame(r io.Reader) ([]byte, error) {
 	var hdr [wire.FrameHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
-	if binary.LittleEndian.Uint16(hdr[0:]) != frameMagic {
-		return nil, fmt.Errorf("transport: bad frame magic %#x", hdr[:2])
-	}
-	n := binary.LittleEndian.Uint32(hdr[4:])
-	if n > maxFrame {
-		return nil, fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
+	n, err := wire.ParseFrameHeader(hdr[:])
+	if err != nil {
+		return nil, fmt.Errorf("transport: %w", err)
 	}
 	payload := make([]byte, n)
 	if _, err := io.ReadFull(r, payload); err != nil {
+		return nil, fmt.Errorf("transport: read frame body: %w", err)
+	}
+	return payload, nil
+}
+
+// readPooledFrame reads one frame into a wire.GetBuf buffer, taken only once
+// a header has arrived so an idle connection pins nothing. The transport
+// owns the returned payload until the daemon's HandleMsg for the message
+// decoded from it has returned, then hands it back with wire.PutBuf: decoded
+// messages alias the frame (Snapshot, ProgBytes, batch members), so nothing
+// that outlives HandleMsg may keep a subslice of it.
+func readPooledFrame(r *bufio.Reader) ([]byte, error) {
+	hdr, err := r.Peek(wire.FrameHeaderLen)
+	if err != nil {
+		return nil, err
+	}
+	n, err := wire.ParseFrameHeader(hdr)
+	if err != nil {
+		return nil, fmt.Errorf("transport: %w", err)
+	}
+	if _, err := r.Discard(wire.FrameHeaderLen); err != nil {
+		return nil, err
+	}
+	payload := wire.GetBuf()
+	if cap(payload) < n {
+		// The pool holds whatever sizes its users grew their buffers to;
+		// the undersized one is dropped and the frame-sized one takes its
+		// place on PutBuf, so the pool converges on the traffic's sizes.
+		payload = make([]byte, n)
+	}
+	payload = payload[:n]
+	if _, err := io.ReadFull(r, payload); err != nil {
+		wire.PutBuf(payload)
 		return nil, fmt.Errorf("transport: read frame body: %w", err)
 	}
 	return payload, nil
@@ -364,7 +396,8 @@ func (e *TCPEngine) conn(src, dst int) (*peerConn, error) {
 	addr := e.addrs[dst]
 	e.mu.Unlock()
 
-	c, err := net.DialTimeout("tcp", addr, 5*time.Second)
+	dialer := net.Dialer{Timeout: 5 * time.Second, Control: dialControl}
+	c, err := dialer.Dial("tcp", addr)
 	if err == nil {
 		// Identify the destination daemon on this listener (one listener
 		// per daemon, so the hello frame only carries the sender for
@@ -449,16 +482,18 @@ func (e *TCPEngine) acceptLoop(d int, l net.Listener) {
 				return // bad hello
 			}
 			for {
-				payload, err := ReadFrame(r)
+				payload, err := readPooledFrame(r)
 				if err != nil {
 					return // peer closed or stream desynced
 				}
 				msg, err := core.DecodeMsg(payload)
 				if err != nil {
+					wire.PutBuf(payload)
 					e.recordError(fmt.Errorf("transport: daemon %d: %w", d, err))
 					continue
 				}
 				if msg.Kind == core.MsgHeartbeat {
+					wire.PutBuf(payload)
 					e.noteHeartbeat(d, msg.From)
 					continue
 				}
@@ -466,7 +501,12 @@ func (e *TCPEngine) acceptLoop(d int, l net.Listener) {
 					e.tr.Instant(d, "net", "net.recv",
 						obs.I("from", int64(msg.From)), obs.I("bytes", int64(len(payload))))
 				}
-				e.executors[d].Put(core.LaneFor(msg.Kind), func() { e.daemons[d].HandleMsg(msg) })
+				// The frame goes back to the pool only after HandleMsg has
+				// consumed everything msg aliases (see readPooledFrame).
+				e.executors[d].Put(core.LaneFor(msg.Kind), func() {
+					e.daemons[d].HandleMsg(msg)
+					wire.PutBuf(payload)
+				})
 			}
 		}()
 	}

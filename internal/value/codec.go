@@ -148,11 +148,8 @@ func Decode(buf []byte) (Value, int, error) {
 			return Nil(), 0, fmt.Errorf("value: decode matrix: %dx%d exceeds buffer", r, c)
 		}
 		m := NewMat(r, c)
-		for i := range m.Data {
-			m.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[p:]))
-			p += 8
-		}
-		return Matrix(m), p, nil
+		wire.ReadF64s(m.Data, buf[p:])
+		return Matrix(m), p + 8*len(m.Data), nil
 	default:
 		return Nil(), 0, fmt.Errorf("value: decode: unknown kind tag %d", buf[0])
 	}

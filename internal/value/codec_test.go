@@ -112,6 +112,40 @@ func TestDecodeErrors(t *testing.T) {
 	}
 }
 
+// TestMatrixBlockIsBitExact: the matrix payload moves as one block (wire's
+// bulk float copy), so what arrives is the sender's bits — NaN payloads and
+// negative zero included — wherever the value sits in its buffer, and one
+// missing byte anywhere in the block is a decode error, not a short copy.
+func TestMatrixBlockIsBitExact(t *testing.T) {
+	m := NewMat(2, 3)
+	bits := []uint64{0x7ff8000000000001, 0xfff0000000000001, 1 << 63, 1, 0x3ff8000000000000, 0x7ff0000000000000}
+	for i, b := range bits {
+		m.Data[i] = math.Float64frombits(b)
+	}
+	for off := 0; off < 8; off++ {
+		buf, err := Append(make([]byte, off), Matrix(m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, n, err := Decode(buf[off:])
+		if err != nil || n != len(buf)-off {
+			t.Fatalf("offset %d: Decode consumed %d of %d bytes, err %v", off, n, len(buf)-off, err)
+		}
+		got := v.AsMat()
+		if got.Rows != 2 || got.Cols != 3 {
+			t.Fatalf("offset %d: dims %dx%d", off, got.Rows, got.Cols)
+		}
+		for i, b := range bits {
+			if math.Float64bits(got.Data[i]) != b {
+				t.Errorf("offset %d, element %d: bits %#x, want %#x", off, i, math.Float64bits(got.Data[i]), b)
+			}
+		}
+		if _, _, err := Decode(buf[off : len(buf)-1]); err == nil {
+			t.Errorf("offset %d: matrix short by one byte decoded", off)
+		}
+	}
+}
+
 func TestEnvRoundTrip(t *testing.T) {
 	env := map[string]Value{
 		"x":     Int(1),

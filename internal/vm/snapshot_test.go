@@ -116,6 +116,25 @@ func FuzzSnapshotRestore(f *testing.F) {
 	m, snap := pausedDeepVM(f)
 	prog := m.Program()
 	f.Add(snap)
+	// A matrix whose float block starts at an odd offset of the snapshot:
+	// Restore moves it with one bulk copy, which must not care about
+	// alignment (and under -race, checkptr watches the cast that does it).
+	mat := value.NewMat(2, 3)
+	for i := range mat.Data {
+		mat.Data[i] = 1.5 + float64(i)
+	}
+	odd := New(prog, map[string]value.Value{"mm": value.Matrix(mat)})
+	if res, err := odd.Run(newTestHost(), 0); err != nil || res.Pause != PauseHop {
+		f.Fatalf("odd-offset seed: pause %v, err %v", res.Pause, err)
+	}
+	oddSnap, err := odd.Snapshot()
+	if err != nil {
+		f.Fatal(err)
+	}
+	if at := bytes.Index(oddSnap, wire.AppendF64s(nil, mat.Data)); at < 0 || at%2 == 0 {
+		f.Fatalf("seed matrix block at offset %d, want an odd one", at)
+	}
+	f.Add(oddSnap)
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 1, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -12,10 +12,18 @@
 // Ownership contract: a pooled Encoder is owned by the caller of NewEncoder
 // until Release or Detach. Release recycles the buffer — no slice derived
 // from Bytes() may be used afterwards. Detach transfers the buffer out of
-// the pool's custody (it is garbage-collected normally). Frames read from
-// the network are caller-owned plain slices; DecodeMsg-style consumers may
-// alias them, so a frame buffer must stay untouched for as long as any
-// message decoded from it is live.
+// the pool's custody (it is garbage-collected normally).
+//
+// Inbound frames are pooled too, under a lifetime rule: the TCP transport
+// reads each frame into a GetBuf buffer and owns it until the daemon's
+// HandleMsg for the decoded message has returned, then PutBufs it.
+// DecodeMsg-style consumers alias the frame, so nothing that outlives
+// HandleMsg may keep a subslice of it — consumers that retain data
+// (value.Decode, vm.Restore, bytecode.Decode) copy what they keep.
+//
+// Float blocks (matrix payloads, PVM double arrays) move as one memmove on
+// little-endian hosts — see AppendF64s and ReadF64s in f64s.go, the only
+// place the package uses unsafe.
 package wire
 
 import (
@@ -230,18 +238,15 @@ func (e *Encoder) U64(v uint64) {
 func (e *Encoder) F64(v float64) { e.U64(math.Float64bits(v)) }
 
 // F64s appends a float64 slice, byte-identical to calling F64 per element,
-// with one capacity check for the whole block — the bulk path matrix
-// payloads encode through on every hop snapshot.
+// with one capacity check and (on little-endian hosts) one memmove for the
+// whole block — the bulk path matrix payloads encode through on every hop
+// snapshot.
 func (e *Encoder) F64s(vs []float64) {
 	if e.err != nil {
 		return
 	}
 	e.Grow(8 * len(vs))
-	off := len(e.buf)
-	e.buf = e.buf[:off+8*len(vs)]
-	for i, v := range vs {
-		binary.LittleEndian.PutUint64(e.buf[off+8*i:], math.Float64bits(v))
-	}
+	e.buf = AppendF64s(e.buf, vs)
 }
 
 // Str appends a uint32 length prefix and the string bytes, rejecting

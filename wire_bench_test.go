@@ -6,6 +6,7 @@ package messengers
 // headline number the pooled wire layer is accountable to.
 
 import (
+	"sync"
 	"testing"
 
 	"messengers/internal/core"
@@ -64,34 +65,57 @@ func BenchmarkWireEncode(b *testing.B) {
 	b.SetBytes(int64(n))
 }
 
-// BenchmarkWireHop measures the full hop path between two daemons on the
-// real (goroutine) engine: VM state transfer, message construction,
-// delivery, and resumption. allocs/op is per round trip (two hops).
+// BenchmarkWireHop measures the full hop path between two daemons: VM state
+// transfer, message construction, delivery, and resumption. allocs/op is
+// per round trip (two hops). inproc is the real (goroutine) engine, where
+// the VM travels by ownership; tcp_32k carries a 64x64 matrix over loopback
+// sockets, so its B/op is what the encode, the pooled inbound frame and the
+// restore cost per hop pair — the arriving matrix and little else.
 func BenchmarkWireHop(b *testing.B) {
-	sys, err := NewRealSystem(Config{Daemons: 2})
+	b.Run("inproc", func(b *testing.B) {
+		sys, err := NewRealSystem(Config{Daemons: 2})
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchWireHop(b, sys, 16)
+	})
+	b.Run("tcp_32k", func(b *testing.B) {
+		sys, err := NewTCPSystem(Config{Daemons: 2}, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchWireHop(b, sys, 64)
+	})
+}
+
+func benchWireHop(b *testing.B, sys *System, matN int) {
+	defer sys.Close()
+	err := sys.BuildNetwork(NetSpec{
+		Nodes: []NetNode{{Name: "a", Daemon: 0}, {Name: "b", Daemon: 1}},
+		Links: []NetLink{{A: "a", B: "b", Name: "ab"}},
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer sys.Close()
 	err = sys.CompileAndRegister("wirehop", `
-		blk = payload;
-		for (i = 0; i < hops; i++) { hop(ll = $last); }
+		for (i = 0; i < hops; i++) { hop(ll = "ab"); }
 	`)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := sys.CompileAndRegister("mklink", `create(ALL);`); err != nil {
-		b.Fatal(err)
+	// Registration is queued on each daemon, and over TCP the first arrival
+	// can overtake it: let both run before the walker leaves.
+	var registered sync.WaitGroup
+	for d := 0; d < sys.NumDaemons(); d++ {
+		registered.Add(1)
+		sys.Do(d, func(*core.Daemon) { registered.Done() })
 	}
-	if err := sys.Inject(0, "mklink", nil); err != nil {
-		b.Fatal(err)
-	}
-	sys.Wait()
+	registered.Wait()
 	b.ReportAllocs()
 	b.ResetTimer()
-	err = sys.Inject(0, "wirehop", map[string]Value{
+	err = sys.InjectAt(0, "wirehop", "a", map[string]Value{
 		"hops":    IntValue(int64(2 * b.N)),
-		"payload": MatrixValue(NewMat(16, 16)),
+		"payload": MatrixValue(NewMat(matN, matN)),
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -100,5 +124,8 @@ func BenchmarkWireHop(b *testing.B) {
 	b.StopTimer()
 	if errs := sys.Errors(); len(errs) > 0 {
 		b.Fatal(errs[0])
+	}
+	if got := sys.TotalStats().RemoteHops; got != int64(2*b.N) {
+		b.Fatalf("%d remote hops, want %d", got, 2*b.N)
 	}
 }
