@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-serve bench-gvt bench-gvt-short bench-vm bench-vm-short bench-protocols bench-protocols-short figures figures-short examples vet lint clean
+.PHONY: all build test race bench mbench mbench-pair bench-serve bench-gvt bench-gvt-short bench-vm bench-vm-short bench-protocols bench-protocols-short figures figures-short examples vet lint clean
 
 all: vet lint test
 
@@ -25,6 +25,41 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem -run=NONE .
+
+# The repository's benchmark (BENCHMARK.json, cmd/mbench/README.md): eight
+# workloads, three end-to-end metrics each; exits nonzero on a failed
+# correctness check. Pass flags through MBENCH, e.g.
+# `make mbench MBENCH="-workload hop_small -trace 1"`.
+MBENCH ?=
+mbench:
+	$(GO) run ./cmd/mbench $(MBENCH)
+
+# A perf claim is a paired run (ROADMAP, standing measurement rules): fresh
+# clones of PARENT and of HEAD (committed files only), PAIRS alternating
+# pairs of `mbench -out` with seeds SEED, SEED+1, ... (the side that runs
+# first alternates too), then `mbench -compare`. Run nothing else meanwhile.
+#   make mbench-pair PARENT=HEAD~1 MBENCH="-workload hop_small"
+PARENT ?=
+PAIRS ?= 10
+SEED ?= 1
+PAIR_DIR ?= .bench_build/pair
+mbench-pair:
+	@test -n "$(PARENT)" || { echo "usage: make mbench-pair PARENT=<rev> [PAIRS=10] [SEED=1] [MBENCH=...]"; exit 2; }
+	rm -rf $(PAIR_DIR) && mkdir -p $(PAIR_DIR)
+	git clone -q . $(PAIR_DIR)/parent && git -C $(PAIR_DIR)/parent checkout -q --detach $(PARENT)
+	git clone -q . $(PAIR_DIR)/change
+	cd $(PAIR_DIR)/parent && $(GO) build -o ../mbench.parent ./cmd/mbench
+	cd $(PAIR_DIR)/change && $(GO) build -o ../mbench.change ./cmd/mbench
+	@set -e; i=0; while [ $$i -lt $(PAIRS) ]; do \
+		seed=$$(( $(SEED) + i )); \
+		if [ $$(( i % 2 )) -eq 0 ]; then order="parent change"; else order="change parent"; fi; \
+		for side in $$order; do \
+			echo "== pair $$(( i + 1 ))/$(PAIRS), seed $$seed: $$side"; \
+			( cd $(PAIR_DIR)/$$side && ../mbench.$$side $(MBENCH) -seed $$seed -out ../$$side.jsonl >/dev/null ); \
+		done; \
+		i=$$(( i + 1 )); \
+	done
+	$(GO) run ./cmd/mbench -compare $(PAIR_DIR)/parent.jsonl $(PAIR_DIR)/change.jsonl
 
 # Load-test the multi-tenant admission service (internal/serve) on both
 # engines and record the service perf trajectory: throughput, latency

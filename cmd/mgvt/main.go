@@ -15,11 +15,6 @@
 //     events/second.
 //   - tcp: a ≥16-daemon run over real TCP sockets with distributed GVT,
 //     wall-clock round latency and hop throughput.
-//   - hop_batching: WithHopBatching measured off vs. on over TCP on two
-//     workloads — a fan-out star (where coalescing has maximal opportunity)
-//     and the serial ring walk (where it has none, so the delta is pure
-//     outbox overhead) — with the default-setting verdict recorded; see
-//     docs/GVT.md.
 //
 // mgvt exits nonzero if the ring protocol exceeds its 2-control-messages-
 // per-daemon-per-round budget (excluding quiescence notifications), or if
@@ -38,7 +33,6 @@ import (
 
 	"messengers"
 	"messengers/internal/core"
-	"messengers/internal/obs"
 	"messengers/internal/sim"
 	"messengers/internal/value"
 )
@@ -85,43 +79,11 @@ type scaleResult struct {
 }
 
 type queueResult struct {
-	Impl      string  `json:"impl"`
-	Hosts     int     `json:"hosts"`
-	Events    int64   `json:"events"`
-	WallS     float64 `json:"wall_s"`
-	EventsPerS float64 `json:"events_per_s"`
-}
-
-// batchSide is one arm of a hop-batching A/B run.
-type batchSide struct {
-	NetMsgs    int64   `json:"net_msgs"` // frames on the wire
-	NetBytes   int64   `json:"net_bytes"`
-	NetBatches int64   `json:"net_batches"` // MsgBatch frames among them
-	Hops       int64   `json:"hops"`
+	Impl       string  `json:"impl"`
+	Hosts      int     `json:"hosts"`
+	Events     int64   `json:"events"`
 	WallS      float64 `json:"wall_s"`
-	HopsPerS   float64 `json:"hops_per_s"`
-}
-
-// batchRunResult is one workload's off-vs-on comparison.
-type batchRunResult struct {
-	Workload string    `json:"workload"`
-	Daemons  int       `json:"daemons"`
-	Fan      int       `json:"fan,omitempty"`
-	Epochs   int       `json:"epochs"`
-	Off      batchSide `json:"off"`
-	On       batchSide `json:"on"`
-	// FrameRatio is off.NetMsgs / on.NetMsgs: how many wire frames
-	// coalescing saved (1.0 = none).
-	FrameRatio float64 `json:"frame_ratio"`
-	// Speedup is on.HopsPerS / off.HopsPerS.
-	Speedup float64 `json:"speedup"`
-}
-
-// batchVerdict is the recorded default-setting decision.
-type batchVerdict struct {
-	Runs    []batchRunResult `json:"runs"`
-	Default string           `json:"default"`
-	Verdict string           `json:"verdict"`
+	EventsPerS float64 `json:"events_per_s"`
 }
 
 type benchFile struct {
@@ -130,7 +92,6 @@ type benchFile struct {
 	KHost       []scaleResult `json:"khost"`
 	Queue       []queueResult `json:"queue"`
 	TCP         []scaleResult `json:"tcp"`
-	HopBatching *batchVerdict `json:"hop_batching,omitempty"`
 }
 
 func main() {
@@ -206,12 +167,6 @@ func main() {
 			fmt.Printf("tcp  %-11s n=%-4d rounds=%-5d ctl/d0/round=%-8.1f ctl/max/round=%-6.2f round=%.3fms hops/s=%.0f\n",
 				impl, n, r.Rounds, r.CtlDaemon0PerRound, r.CtlMaxPerDaemonRound, r.RoundMs, r.HopsPerS)
 		}
-
-		v, err := batchVerdictRun(*short)
-		if err != nil {
-			fatal(err)
-		}
-		file.HopBatching = v
 	}
 
 	buf, err := json.MarshalIndent(&file, "", "  ")
@@ -412,136 +367,6 @@ func queueRun(impl string, hosts int, events int64) queueResult {
 		q.EventsPerS = float64(fired) / wall
 	}
 	return q
-}
-
-// fanWalk is the hop-batching stress: at the hub the hop replicates the
-// Messenger to every leaf of the "out" star — all co-located on the next
-// daemon, so one executor turn emits `fan` same-destination messages, the
-// exact shape WithHopBatching coalesces. One designated survivor hops back
-// to keep the lane going; the rest terminate on arrival.
-const fanWalk = `
-	for (k = 0; k < epochs; k++) {
-		hop(ll = "out", ldir = +);
-		if ($node != stay) { return; }
-		hop(ll = "back", ldir = +);
-	}
-`
-
-// fanSpec lays one hub per daemon whose `fan` leaves all live on the next
-// daemon, plus a return link from leaf 0 back to the hub.
-func fanSpec(n, fan int) messengers.NetSpec {
-	spec := messengers.NetSpec{}
-	for d := 0; d < n; d++ {
-		hub := fmt.Sprintf("h%d", d)
-		spec.Nodes = append(spec.Nodes, messengers.NetNode{Name: hub, Daemon: d})
-		next := (d + 1) % n
-		for j := 0; j < fan; j++ {
-			leaf := fmt.Sprintf("f%d_%d", d, j)
-			spec.Nodes = append(spec.Nodes, messengers.NetNode{Name: leaf, Daemon: next})
-			spec.Links = append(spec.Links, messengers.NetLink{A: hub, B: leaf, Name: "out", Dir: 1})
-		}
-		spec.Links = append(spec.Links, messengers.NetLink{
-			A: fmt.Sprintf("f%d_0", d), B: hub, Name: "back", Dir: 1,
-		})
-	}
-	return spec
-}
-
-// batchSideRun executes one workload over TCP with batching off or on and
-// reads the wire counters back out of the metrics registry.
-func batchSideRun(workload string, n, fan, epochs int, batch bool) (batchSide, error) {
-	met := obs.NewMetrics()
-	sys, err := messengers.NewTCPSystem(messengers.Config{
-		Daemons:     n,
-		HopBatching: batch,
-		Metrics:     met,
-		GVTInterval: messengers.SimTime(2 * time.Millisecond),
-	}, nil)
-	if err != nil {
-		return batchSide{}, err
-	}
-	defer sys.Close()
-	var spec messengers.NetSpec
-	var script string
-	if workload == "fanout" {
-		spec, script = fanSpec(n, fan), fanWalk
-	} else {
-		spec, script = ringSpec(n), ringWalk
-	}
-	if err := sys.BuildNetwork(spec); err != nil {
-		return batchSide{}, err
-	}
-	if err := sys.CompileAndRegister("walk", script); err != nil {
-		return batchSide{}, err
-	}
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		vars := map[string]value.Value{"epochs": value.Int(int64(epochs))}
-		at := fmt.Sprintf("r%d", i)
-		if workload == "fanout" {
-			at = fmt.Sprintf("h%d", i)
-			vars["stay"] = value.Str(fmt.Sprintf("f%d_0", i))
-		}
-		if err := sys.InjectAt(i, "walk", at, vars); err != nil {
-			return batchSide{}, err
-		}
-	}
-	sys.Wait()
-	wall := time.Since(start).Seconds()
-	if errs := sys.Errors(); len(errs) > 0 {
-		return batchSide{}, fmt.Errorf("batch %s n=%d batch=%v: %v", workload, n, batch, errs[0])
-	}
-	s := batchSide{
-		NetMsgs:    met.Counter("net.msgs").Value(),
-		NetBytes:   met.Counter("net.bytes").Value(),
-		NetBatches: met.Counter("net.batches").Value(),
-		Hops:       met.Counter("msgr.hops.remote").Value(),
-		WallS:      wall,
-	}
-	if wall > 0 {
-		s.HopsPerS = float64(s.Hops) / wall
-	}
-	return s, nil
-}
-
-// batchVerdictRun runs the off/on comparison on both workloads and records
-// the default-setting verdict. The default itself (Config.HopBatching,
-// zero value off) is asserted here so the benchmark fails loudly if the
-// recorded verdict and the shipped default ever drift apart.
-func batchVerdictRun(short bool) (*batchVerdict, error) {
-	n, fan, epochs := 8, 32, 200
-	if short {
-		fan, epochs = 16, 40
-	}
-	v := &batchVerdict{Default: "off"}
-	for _, w := range []struct {
-		name string
-		fan  int
-	}{{"fanout", fan}, {"ring", 0}} {
-		r := batchRunResult{Workload: w.name, Daemons: n, Fan: w.fan, Epochs: epochs}
-		var err error
-		if r.Off, err = batchSideRun(w.name, n, w.fan, epochs, false); err != nil {
-			return nil, err
-		}
-		if r.On, err = batchSideRun(w.name, n, w.fan, epochs, true); err != nil {
-			return nil, err
-		}
-		if r.On.NetMsgs > 0 {
-			r.FrameRatio = float64(r.Off.NetMsgs) / float64(r.On.NetMsgs)
-		}
-		if r.Off.HopsPerS > 0 {
-			r.Speedup = r.On.HopsPerS / r.Off.HopsPerS
-		}
-		v.Runs = append(v.Runs, r)
-		fmt.Printf("batch %-7s n=%d fan=%-3d frames %d -> %d (%.1fx)  hops/s %.0f -> %.0f (%.2fx)\n",
-			w.name, n, w.fan, r.Off.NetMsgs, r.On.NetMsgs, r.FrameRatio, r.Off.HopsPerS, r.On.HopsPerS, r.Speedup)
-	}
-	v.Verdict = "batching wins on fan-out replication (fewer frames, higher hop " +
-		"throughput) but coalesces nothing on serial one-hop-per-turn workloads, " +
-		"where the outbox detour costs a few percent. The default stays off: the " +
-		"paper-calibration experiments model the 1997 one-message-per-hop runtime, " +
-		"and fan-out-heavy apps opt in (mandel/matmul -batch). See docs/GVT.md."
-	return v, nil
 }
 
 func fatal(err error) {

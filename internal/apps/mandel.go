@@ -45,8 +45,6 @@ type MandelParams struct {
 	// MESSENGERS run (the differential tests compare its committed GVT
 	// sequence against the default coordinator's).
 	DistributedGVT bool
-	// HopBatching coalesces same-destination hop traffic into batch frames.
-	HopBatching bool
 }
 
 // PaperMandelParams returns the paper's configuration for a given image
@@ -109,9 +107,6 @@ func MandelMessengers(cm *lan.CostModel, p MandelParams) (*MandelResult, error) 
 	opts := []core.Option{core.WithTracer(p.Trace), core.WithMetrics(metrics)}
 	if p.DistributedGVT {
 		opts = append(opts, core.WithDistributedGVT())
-	}
-	if p.HopBatching {
-		opts = append(opts, core.WithHopBatching())
 	}
 	if p.Faults != nil {
 		if err := p.Faults.Validate(n); err != nil {

@@ -41,8 +41,6 @@ type MatmulParams struct {
 	// DistributedGVT selects the ring-reduction GVT protocol for the
 	// MESSENGERS run.
 	DistributedGVT bool
-	// HopBatching coalesces same-destination hop traffic into batch frames.
-	HopBatching bool
 }
 
 // N returns the full matrix dimension.
@@ -109,9 +107,6 @@ func MatmulMessengers(cm *lan.CostModel, p MatmulParams) (*MatmulResult, error) 
 	opts := []core.Option{core.WithTracer(p.Trace), core.WithMetrics(metrics)}
 	if p.DistributedGVT {
 		opts = append(opts, core.WithDistributedGVT())
-	}
-	if p.HopBatching {
-		opts = append(opts, core.WithHopBatching())
 	}
 	sys := core.NewSystem(core.NewSimEngine(cluster), core.FullMesh(n), opts...)
 

@@ -1,0 +1,199 @@
+package core
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+	"time"
+
+	"messengers/internal/compile"
+	"messengers/internal/value"
+	"messengers/internal/vm"
+)
+
+// TestExecLaneReusesItsArray: a lane that fills and drains, as a daemon's
+// lanes do once per burst, keeps one backing array; popping used to walk the
+// slice off it, so put reallocated about 1.6 times per hop.
+func TestExecLaneReusesItsArray(t *testing.T) {
+	var l execLane
+	var ran int
+	fn := func() { ran++ }
+	cycle := func() {
+		for i := 0; i < 8; i++ {
+			l.put(fn)
+		}
+		for {
+			f, ok := l.pop()
+			if !ok {
+				break
+			}
+			f()
+		}
+	}
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Errorf("a fill-and-drain cycle of a warm lane allocates %v times, want 0", n)
+	}
+	if ran != 8*102 {
+		t.Errorf("ran %d items, want %d", ran, 8*102)
+	}
+
+	// A lane that never empties must not grow without bound either, and
+	// must stay FIFO while its pending tail slides down the array.
+	var steady execLane
+	next, want := 0, 0
+	put := func() {
+		n := next
+		next++
+		steady.put(func() {
+			if n != want {
+				t.Fatalf("popped item %d, want %d", n, want)
+			}
+			want++
+		})
+	}
+	for i := 0; i < 4; i++ {
+		put()
+	}
+	for i := 0; i < 10000; i++ {
+		put()
+		f, _ := steady.pop()
+		f()
+	}
+	if c := cap(steady.items); c > 64 {
+		t.Errorf("a lane holding 4 items grew its array to %d slots", c)
+	}
+}
+
+// TestExecQueueIdleHook: the hook runs on the executor each time the queue
+// runs dry, again when Wake asks for it, and a last time as Run returns.
+func TestExecQueueIdleHook(t *testing.T) {
+	q := NewExecQueue()
+	idles := make(chan int, 64) // far more than the handful of idle calls below
+	items, sawClosed := 0, false
+	q.OnIdle(func() {
+		sawClosed = sawClosed || q.closed.Load()
+		idles <- items
+	})
+	done := make(chan struct{})
+	go func() {
+		q.Run()
+		close(done)
+	}()
+	if got := <-idles; got != 0 {
+		t.Fatalf("first idle saw %d items", got)
+	}
+	q.Put(LaneLocal, func() { items++ })
+	for got := range idles {
+		if got == 1 {
+			break
+		}
+	}
+	// Let the Put's own wake-up be spent, so the next idle call is Wake's.
+	for drained := false; !drained; {
+		select {
+		case <-idles:
+		case <-time.After(20 * time.Millisecond):
+			drained = true
+		}
+	}
+	q.Wake()
+	select {
+	case <-idles:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Wake did not bring the idle hook round again")
+	}
+	q.Close()
+	<-done
+	if !sawClosed {
+		t.Error("Run returned without a last idle call")
+	}
+}
+
+// TestReservedTailRejected: the frame's last u32 is reserved zero; a frame
+// that carries anything else there is refused, not read as a batch.
+func TestReservedTailRejected(t *testing.T) {
+	msg := &Msg{Kind: MsgMessenger, From: 1, Snapshot: []byte{1, 2, 3}, Last: "ring"}
+	buf := msg.Encode()
+	if len(buf) != msg.EncodedSize() {
+		t.Fatalf("encoded %d bytes, EncodedSize says %d", len(buf), msg.EncodedSize())
+	}
+	if _, err := DecodeMsg(buf); err != nil {
+		t.Fatal(err)
+	}
+	buf[len(buf)-4] = 2
+	if _, err := DecodeMsg(buf); err == nil || !strings.Contains(err.Error(), "reserved") {
+		t.Errorf("nonzero reserved tail: err = %v", err)
+	}
+}
+
+// TestBerthsRecycleUnderRecovery drives the one berth path the in-process
+// engines have: under recovery a departing Messenger is snapshotted in ship,
+// its VM parked there, and the arrival's restore drains the list. The walk's
+// books must balance, berths must actually circulate, and the list must
+// stay bounded.
+func TestBerthsRecycleUnderRecovery(t *testing.T) {
+	const daemons, walkers, hops = 2, 12, 200
+	sys := chanSystem(t, daemons, WithRecovery(RecoveryConfig{}))
+	spec := NetSpec{}
+	for i := 0; i < daemons; i++ {
+		spec.Nodes = append(spec.Nodes, NetNode{Name: fmt.Sprintf("r%d", i), Daemon: i})
+		spec.Links = append(spec.Links, NetLink{A: fmt.Sprintf("r%d", i), B: fmt.Sprintf("r%d", (i+1)%daemons), Name: "ring", Dir: 1})
+	}
+	if err := sys.BuildNetwork(spec); err != nil {
+		t.Fatal(err)
+	}
+	sys.Register(compile.MustCompile("walker", `
+		for (k = 0; k < hops; k++) {
+			node.visits = node.visits + 1;
+			tail = tail + "x";
+			hop(ll = "ring", ldir = +);
+		}
+	`))
+	// Register only enqueues on each daemon, and a walker arriving from the
+	// peer can overtake it (ROADMAP open item 1): wait until both have run.
+	for d := 0; d < daemons; d++ {
+		registered := make(chan struct{})
+		sys.Do(d, func(*Daemon) { close(registered) })
+		<-registered
+	}
+	for i := 0; i < walkers; i++ {
+		vars := map[string]value.Value{"hops": value.Int(hops), "tail": value.Str("")}
+		if i%2 == 1 {
+			vars["extra"] = value.Arr([]value.Value{value.Int(int64(i))})
+		}
+		if err := sys.InjectAt(i%daemons, "walker", fmt.Sprintf("r%d", i%daemons), vars); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitDone(t, sys)
+	var visits int64
+	for d := 0; d < daemons; d++ {
+		vars, _ := sys.ReadNodeVars(d, fmt.Sprintf("r%d", d))
+		visits += vars["visits"].AsInt()
+		parked := make(chan int)
+		sys.Do(d, func(dae *Daemon) { parked <- len(dae.berths) })
+		if n := <-parked; n == 0 || n > maxBerths {
+			t.Errorf("daemon %d ended with %d berths parked, want 1..%d", d, n, maxBerths)
+		}
+	}
+	if visits != walkers*hops {
+		t.Errorf("node.visits sum to %d, want %d", visits, walkers*hops)
+	}
+}
+
+// TestParkVMBounded: the free list takes maxBerths and drops the rest.
+func TestParkVMBounded(t *testing.T) {
+	sys := chanSystem(t, 1)
+	prog := compile.MustCompile("p", `x = 1;`)
+	done := make(chan int)
+	sys.Do(0, func(d *Daemon) {
+		for i := 0; i < 3*maxBerths; i++ {
+			d.ParkVM(vm.New(prog, nil))
+		}
+		done <- len(d.berths)
+	})
+	if n := <-done; n != maxBerths {
+		t.Errorf("%d berths parked, want %d", n, maxBerths)
+	}
+}

@@ -36,6 +36,10 @@ type Messenger struct {
 	Tenant  string
 	Session uint64
 	gate    SessionGate
+
+	// host is the vm.Host of the segment in progress, rebound by step; it
+	// lives here so a segment allocates no adapter.
+	host msgrHost
 }
 
 // NativeFunc is a registered native-mode function (the paper's dynamically
@@ -139,12 +143,12 @@ type Daemon struct {
 	coord *coordinator // non-nil on daemon 0 (centralized GVT)
 	ring  *ringGVT     // non-nil under WithDistributedGVT
 
-	// Hop batching (WithHopBatching; nil otherwise): outbox[dst] collects
-	// the Messenger-carrying messages this executor turn emits toward dst;
-	// a flush scheduled behind the turn wraps each non-trivial group in one
-	// MsgBatch frame. Executor-confined like all daemon state.
-	outbox     [][]*Msg
-	flushArmed bool
+	// berths are spent VMs kept for their storage: fed where this daemon
+	// has just serialised a departing Messenger, drained by restore. At most
+	// maxBerths, executor-confined like all daemon state.
+	berths []*vm.Berth
+	// flush is the engine's Flush when it buffers outbound frames (TCP).
+	flush flusher
 
 	// Fault recovery (nil unless the system was built WithRecovery).
 	// downFlag marks a crashed daemon; epoch counts incarnations so that
@@ -189,9 +193,7 @@ func newDaemon(id int, eng Engine, topo *Topology, sys *System) *Daemon {
 	} else if id == 0 {
 		d.coord = &coordinator{d: d}
 	}
-	if sys.hopBatch {
-		d.outbox = make([][]*Msg, eng.NumDaemons())
-	}
+	d.flush, _ = eng.(flusher)
 	return d
 }
 
@@ -254,22 +256,7 @@ func msgrID(id uint64) obs.Field {
 }
 
 // netSend ships a message to another daemon, accounting wire traffic.
-// Under WithHopBatching, Messenger-carrying messages detour through the
-// per-destination outbox and leave in a coalesced frame at end of turn.
 func (d *Daemon) netSend(dst int, msg *Msg) {
-	if d.outbox != nil && dst != d.id && batchableKind(msg.Kind) {
-		d.outbox[dst] = append(d.outbox[dst], msg)
-		if !d.flushArmed {
-			d.flushArmed = true
-			d.exec(0, d.flushOutbox)
-		}
-		return
-	}
-	d.netSendNow(dst, msg)
-}
-
-// netSendNow puts one message on the wire immediately.
-func (d *Daemon) netSendNow(dst int, msg *Msg) {
 	if d.om != nil {
 		d.om.netMsgs.Inc()
 		d.om.netBytes.Add(int64(msg.WireSize()))
@@ -277,37 +264,20 @@ func (d *Daemon) netSendNow(dst int, msg *Msg) {
 	d.eng.Send(d.id, dst, msg)
 }
 
-// batchableKind reports whether a message may ride in a MsgBatch frame:
-// the Messenger-carrying hop traffic, whose per-message overhead batching
-// amortizes. Control messages (GVT, acks, heartbeats) stay un-coalesced —
-// they are latency-sensitive and already pay only fixed costs.
-func batchableKind(k MsgKind) bool {
-	return k == MsgMessenger || k == MsgCreate
-}
+// maxBerths bounds the free list of spent VMs: the depth of a burst of
+// departures a daemon can turn into arrivals without allocating, and the
+// most storage an idle daemon pins (a berth holds no Value, only slabs
+// sized by its program's verifier proof).
+const maxBerths = 8
 
-// flushOutbox ships every destination's accumulated messages: alone when a
-// group has one member, wrapped in a single MsgBatch frame otherwise.
-// Destinations flush in ascending order for determinism on the sim engine.
-func (d *Daemon) flushOutbox() {
-	d.flushArmed = false
-	for dst := range d.outbox {
-		group := d.outbox[dst]
-		if len(group) == 0 {
-			continue
-		}
-		d.outbox[dst] = nil
-		if len(group) == 1 {
-			d.netSendNow(dst, group[0])
-			continue
-		}
-		if d.om != nil {
-			d.om.netBatches.Inc()
-		}
-		if d.tr != nil {
-			d.tr.Instant(d.id, "net", "net.batch",
-				obs.I("to", int64(dst)), obs.I("count", int64(len(group))))
-		}
-		d.netSendNow(dst, &Msg{Kind: MsgBatch, From: d.id, Batch: group})
+// ParkVM takes a VM whose state has just been serialised (the Messenger
+// left in a frame or a retained snapshot) and keeps its storage for the
+// next arrival. Engines that serialise on Send call it from the sending
+// daemon's executor, the only place a daemon's Send runs; mvm must not be
+// used afterwards.
+func (d *Daemon) ParkVM(mvm *vm.VM) {
+	if len(d.berths) < maxBerths {
+		d.berths = append(d.berths, mvm.Release())
 	}
 }
 
@@ -368,14 +338,20 @@ func (d *Daemon) step(m *Messenger) {
 		d.die(m)
 		return
 	}
-	host := &msgrHost{d: d, m: m, node: node}
+	if d.flush != nil {
+		// Frames sent earlier in this executor run wait behind other sends
+		// only, never behind computation: a segment, or the native call it
+		// pauses for, may run long.
+		d.flush.Flush(d.id)
+	}
+	m.host = msgrHost{d: d, m: m, node: node}
 	m.VM.SetProfile(d.prof)
 	m.VM.SetMeter(m.gate)
 	var segStart int64
 	if d.tr != nil {
 		segStart = int64(d.eng.Now())
 	}
-	res, err := m.VM.Run(host, maxSegmentSteps)
+	res, err := m.VM.Run(&m.host, maxSegmentSteps)
 	if err != nil {
 		if errors.Is(err, vm.ErrStepBudget) {
 			d.evict(m, err)
@@ -893,14 +869,6 @@ func (d *Daemon) HandleMsg(msg *Msg) {
 			d.ring.handleToken(msg)
 		}
 
-	case MsgBatch:
-		// Unpack in order: each member takes the full inbound path itself
-		// (dedup, transient counting, admission), so a batch is semantically
-		// just its members arriving back to back in one frame.
-		for _, sub := range msg.Batch {
-			d.HandleMsg(sub)
-		}
-
 	case MsgGVTQuery:
 		d.sendGVT(msg.From, &Msg{
 			Kind:    MsgGVTReport,
@@ -944,7 +912,12 @@ func (d *Daemon) restore(msg *Msg) (*vm.VM, error) {
 	if !ok {
 		return nil, fmt.Errorf("program %s not in registry", msg.ProgHash)
 	}
-	return vm.Restore(prog, msg.Snapshot)
+	var berth *vm.Berth
+	if n := len(d.berths); n > 0 {
+		berth, d.berths[n-1] = d.berths[n-1], nil
+		d.berths = d.berths[:n-1]
+	}
+	return vm.RestoreInto(berth, prog, msg.Snapshot)
 }
 
 func (d *Daemon) handleArrival(msg *Msg) {

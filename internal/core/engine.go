@@ -40,6 +40,14 @@ type binder interface {
 	Bind(daemons []*Daemon)
 }
 
+// flusher is implemented by engines whose Send buffers frames (the TCP
+// transport): Flush puts everything daemon d has sent so far on the wire.
+// The engine flushes on its own when d's executor runs dry; the daemon
+// calls it before work that may run long.
+type flusher interface {
+	Flush(d int)
+}
+
 // --- Simulated engine ---
 
 // SimEngine runs daemons as event-driven state machines on a simulated
@@ -73,7 +81,7 @@ func (e *SimEngine) Send(src, dst int, msg *Msg) {
 	cm := e.Cluster.Model
 	size := msg.WireSize()
 	var sendCost, recvCost sim.Time
-	if msg.CarriesMessenger() || msg.Kind == MsgProgram || msg.Kind == MsgBatch {
+	if msg.CarriesMessenger() || msg.Kind == MsgProgram {
 		sendCost = sim.Time(size) * cm.MsgrSendPerByte
 		recvCost = sim.Time(size)*cm.MsgrRecvPerByte + cm.CallFixed
 	} else {

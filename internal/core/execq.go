@@ -27,6 +27,7 @@ type ExecQueue struct {
 	ready  chan struct{}
 	done   chan struct{}
 	closed atomic.Bool
+	idle   func()
 }
 
 // ExecLane classifies work for an ExecQueue. Lower values drain first.
@@ -38,7 +39,7 @@ const (
 	// probes, and timer callbacks (watchdogs, retransmissions).
 	LaneControl ExecLane = iota
 	// LaneNet: inbound messages that carry computation or mutate the
-	// logical network (Messengers, creates, create acks, programs, batches).
+	// logical network (Messengers, creates, create acks, programs).
 	// Strict FIFO — cross-daemon ordering invariants all live here.
 	LaneNet
 	// LaneLocal: the daemon's own continuations (VM segment retirement,
@@ -58,13 +59,24 @@ func LaneFor(k MsgKind) ExecLane {
 	}
 }
 
+// execLane is one FIFO: items[head:] are pending. Popping advances head
+// instead of reslicing, so the backing array is reused from its base once
+// the lane empties and put allocates only when the backlog outgrows it.
 type execLane struct {
 	mu    sync.Mutex
 	items []func()
+	head  int
 }
 
 func (l *execLane) put(fn func()) {
 	l.mu.Lock()
+	if len(l.items) == cap(l.items) && l.head > len(l.items)/2 {
+		// A lane that never quite empties: slide the pending tail down over
+		// the popped half instead of growing behind it.
+		n := copy(l.items, l.items[l.head:])
+		clear(l.items[n:])
+		l.items, l.head = l.items[:n], 0
+	}
 	l.items = append(l.items, fn)
 	l.mu.Unlock()
 }
@@ -72,12 +84,15 @@ func (l *execLane) put(fn func()) {
 func (l *execLane) pop() (func(), bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if len(l.items) == 0 {
+	if l.head == len(l.items) {
 		return nil, false
 	}
-	fn := l.items[0]
-	l.items[0] = nil
-	l.items = l.items[1:]
+	fn := l.items[l.head]
+	l.items[l.head] = nil
+	l.head++
+	if l.head == len(l.items) {
+		l.items, l.head = l.items[:0], 0
+	}
 	return fn, true
 }
 
@@ -90,16 +105,28 @@ func NewExecQueue() *ExecQueue {
 	}
 }
 
+// OnIdle installs fn to run on the executor goroutine each time the queue
+// runs dry, before it blocks, and once more as Run returns. The TCP
+// transport flushes the frames the drained items sent there. Call before
+// Run.
+func (q *ExecQueue) OnIdle(fn func()) { q.idle = fn }
+
+// Wake makes a blocked Run re-scan, and so run its idle hook again: for
+// work handed to the hook from another goroutine.
+func (q *ExecQueue) Wake() {
+	select {
+	case q.ready <- struct{}{}:
+	default:
+	}
+}
+
 // Put enqueues fn on the given lane. Puts after Close are dropped.
 func (q *ExecQueue) Put(lane ExecLane, fn func()) {
 	if q.closed.Load() {
 		return
 	}
 	q.lanes[lane].put(fn)
-	select {
-	case q.ready <- struct{}{}:
-	default: // a wake-up is already pending; the consumer re-scans anyway
-	}
+	q.Wake() // if one is already pending the consumer re-scans anyway
 }
 
 // next pops the highest-priority pending item.
@@ -120,6 +147,9 @@ func (q *ExecQueue) Run() {
 		if fn, ok := q.next(); ok {
 			fn()
 			continue
+		}
+		if q.idle != nil {
+			q.idle()
 		}
 		if q.closed.Load() {
 			return

@@ -15,8 +15,16 @@ import (
 // HandleMsg returns, so nothing HandleMsg leaves behind — the registered
 // program, the restored Messenger's variables — may still point into it.
 // The frame is scribbled over between HandleMsg and the Messenger's next
-// segment; every variable kind that carries a reference must survive.
+// segment; every variable kind that carries a reference must survive. The
+// restore runs both ways: into a fresh VM, and into a berth another VM of
+// the program left, where variable names come from the berth's intern table
+// and must not alias the frame either.
 func TestInboundFrameDeadAfterHandleMsg(t *testing.T) {
+	t.Run("fresh", func(t *testing.T) { inboundFrameDeadAfterHandleMsg(t, false) })
+	t.Run("berth", func(t *testing.T) { inboundFrameDeadAfterHandleMsg(t, true) })
+}
+
+func inboundFrameDeadAfterHandleMsg(t *testing.T, viaBerth bool) {
 	k, sys := simSystem(t, 1)
 	err := sys.BuildNetwork(NetSpec{
 		Nodes: []NetNode{{Name: "a", Daemon: 0}, {Name: "b", Daemon: 0}},
@@ -69,8 +77,14 @@ func TestInboundFrameDeadAfterHandleMsg(t *testing.T) {
 	}
 
 	d.HandleMsg(progMsg) // the program reaches the registry only this way
-	sys.workAdded(1)     // the in-flight transfer the sender would have counted
+	if viaBerth {
+		d.ParkVM(vm.New(d.programs[prog.Hash()], map[string]value.Value{"s": value.Str("the last occupant"), "z": value.Int(1)}))
+	}
+	sys.workAdded(1) // the in-flight transfer the sender would have counted
 	d.HandleMsg(msgrMsg)
+	if viaBerth && len(d.berths) != 0 {
+		t.Fatal("the arrival did not take the parked berth")
+	}
 	for i := range frame {
 		frame[i] = 0xff
 	}

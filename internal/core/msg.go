@@ -49,9 +49,6 @@ const (
 	// the daemon ring accumulating the global minimum and transient counters
 	// (pass 1, GPass=1), then again committing the new GVT (pass 2, GPass=2).
 	MsgGVTToken
-	// MsgBatch carries several same-destination messages coalesced into one
-	// frame (hop batching); the receiver unpacks and handles each in order.
-	MsgBatch
 )
 
 // String names the kind.
@@ -62,7 +59,7 @@ func (k MsgKind) String() string {
 		MsgGVTQuery: "gvt-query", MsgGVTReport: "gvt-report",
 		MsgGVTAdvance: "gvt-advance", MsgHalt: "halt",
 		MsgHopAck: "hop-ack", MsgHeartbeat: "heartbeat",
-		MsgGVTToken: "gvt-token", MsgBatch: "batch",
+		MsgGVTToken: "gvt-token",
 	}
 	if s, ok := names[k]; ok {
 		return s
@@ -127,10 +124,6 @@ type Msg struct {
 	// 2 commits.
 	GPass uint8
 
-	// Batch holds the coalesced sub-messages of a MsgBatch. Sub-messages
-	// never nest (a batch member is always a leaf kind).
-	Batch []*Msg
-
 	// HopSeq is the sender's per-daemon reliable-transfer sequence number
 	// (recovery mode; zero otherwise). Together with From it keys duplicate
 	// suppression and MsgHopAck matching.
@@ -188,17 +181,7 @@ func (m *Msg) EncodedSize() int {
 		6*8 + 1 + // GVT fields, GPass
 		8 + // HopSeq
 		4 + len(m.Tenant) + 8 + 8 + 8 + // Tenant, Session, Budget, AckFloor
-		m.batchSize()
-}
-
-// batchSize is the encoded length of the batch tail: a count plus one
-// length-prefixed sub-encoding per member.
-func (m *Msg) batchSize() int {
-	n := 4
-	for _, sub := range m.Batch {
-		n += 4 + sub.EncodedSize()
-	}
-	return n
+		4 // reserved tail
 }
 
 // AppendTo serializes the message into e in one pass. A Messenger carried
@@ -247,18 +230,9 @@ func (m *Msg) AppendTo(e *wire.Encoder) {
 	e.U64(m.Session)
 	e.U64(uint64(m.Budget))
 	e.U64(m.AckFloor)
-	e.U32(uint32(len(m.Batch)))
-	for _, sub := range m.Batch {
-		off := e.Reserve(4)
-		start := e.Len()
-		sub.AppendTo(e)
-		n := e.Len() - start
-		if n > wire.MaxLen {
-			e.Fail(fmt.Errorf("core: batched message of %d bytes exceeds limit (%d)", n, wire.MaxLen))
-			return
-		}
-		e.PatchU32(off, uint32(n))
-	}
+	// Reserved tail: always zero, and DecodeMsg rejects anything else. It
+	// keeps frames byte-identical with the committed wire goldens.
+	e.U32(0)
 }
 
 // Encode serializes the message into a standalone slice, allocated at its
@@ -293,32 +267,20 @@ func (m *Msg) WireSize() int {
 		return 48 + m.SnapshotLen() + len(m.Last) + len(m.CreateName) + len(m.LinkName) + len(m.ProgBytes) + len(m.Tenant)
 	case MsgProgram:
 		return 32 + len(m.ProgBytes)
-	case MsgBatch:
-		// One frame header amortized over the members; each member still
-		// pays its own payload bytes.
-		n := 16
-		for _, sub := range m.Batch {
-			n += sub.WireSize()
-		}
-		return n
 	default:
 		return 64
 	}
 }
 
 // DecodeMsg deserializes a message produced by Encode. The returned Msg
-// aliases buf — Snapshot and ProgBytes (its own and its batch members') are
-// subslices of it — so buf's owner must keep it untouched until the message
+// aliases buf — Snapshot and ProgBytes are subslices of it — so buf's owner
+// must keep it untouched until the message
 // has been consumed. On the TCP engine that is a lifetime rule: the
 // transport owns the (pooled) frame until HandleMsg returns and recycles it
 // then, so nothing reachable after HandleMsg may keep a subslice of
 // Snapshot or ProgBytes. The consumers, vm.Restore and bytecode.Decode, run
 // inside HandleMsg and copy what they keep.
 func DecodeMsg(buf []byte) (*Msg, error) {
-	return decodeMsg(buf, 0)
-}
-
-func decodeMsg(buf []byte, depth int) (*Msg, error) {
 	r := &msgReader{buf: buf}
 	m := &Msg{}
 	m.Kind = MsgKind(r.u8())
@@ -351,24 +313,8 @@ func decodeMsg(buf []byte, depth int) (*Msg, error) {
 	m.Session = r.u64()
 	m.Budget = int64(r.u64())
 	m.AckFloor = r.u64()
-	if n := int(r.u32()); n > 0 && r.err == nil {
-		// Untrusted input: members are never nested, and each needs at
-		// least its 4-byte length prefix, which bounds a plausible count.
-		if depth > 0 || n > (len(buf)-r.pos)/4 {
-			return nil, fmt.Errorf("core: decode batch: implausible batch (depth %d, count %d, %d bytes left)", depth, n, len(buf)-r.pos)
-		}
-		m.Batch = make([]*Msg, 0, n)
-		for i := 0; i < n; i++ {
-			sub := r.bytes()
-			if r.err != nil {
-				break
-			}
-			sm, err := decodeMsg(sub, depth+1)
-			if err != nil {
-				return nil, fmt.Errorf("core: decode batch member %d: %w", i, err)
-			}
-			m.Batch = append(m.Batch, sm)
-		}
+	if n := r.u32(); n != 0 && r.err == nil {
+		return nil, fmt.Errorf("core: decode %v message: reserved tail is %d, want 0", m.Kind, n)
 	}
 	if r.err != nil {
 		return nil, fmt.Errorf("core: decode %v message: %w", m.Kind, r.err)

@@ -202,6 +202,7 @@ func (d *Daemon) ship(dst int, msg *Msg, counted bool) {
 			}
 			return
 		}
+		d.ParkVM(msg.XferVM)
 		msg.Snapshot = snap
 		msg.XferVM = nil
 	}
@@ -554,10 +555,6 @@ func (d *Daemon) crashCleanup() {
 	d.rec.adopted = map[logical.Addr]logical.NodeID{}
 	d.active = map[uint64]*Messenger{}
 	d.waitQ.Reset()
-	for i := range d.outbox {
-		d.outbox[i] = nil // unsent batches die with the process
-	}
-	d.flushArmed = false
 	d.notified = false
 	d.sent, d.recv = 0, 0
 	d.store = logical.NewStore(d.id)

@@ -38,7 +38,6 @@ type System struct {
 	recCfg      *RecoveryConfig // non-nil enables fault recovery (WithRecovery)
 	gate        Gate            // admission gate (SetAdmission); nil outside service mode
 	distGVT     bool            // ring-reduction GVT instead of the coordinator
-	hopBatch    bool            // coalesce same-destination hops into MsgBatch frames
 
 	// live and injectSeq are atomics, not s.mu fields: every remote hop
 	// under recovery and every inject touches them, and on the real engines
@@ -51,8 +50,8 @@ type System struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	outputs []string
-	outW      io.Writer
-	errs      []error
+	outW    io.Writer
+	errs    []error
 	// commits is daemon 0's strictly increasing sequence of installed GVT
 	// values — the differential-testing signal that the coordinator and the
 	// ring compute the same virtual-time history.
@@ -83,18 +82,6 @@ func WithDistributedGVT() Option {
 	return func(s *System) { s.distGVT = true }
 }
 
-// WithHopBatching coalesces the Messenger-carrying messages a daemon emits
-// in one executor turn, per destination, into a single MsgBatch frame: a
-// fan-out hop to k co-located destinations pays one frame header and one
-// per-message fixed cost instead of k. The receiver unpacks and handles
-// each member exactly as if it had arrived alone (GVT transient counting,
-// reliable-delivery dedup, and admission charging are all per member).
-// Off by default: the paper-calibration experiments model the 1997 runtime,
-// which shipped hops one message at a time.
-func WithHopBatching() Option {
-	return func(s *System) { s.hopBatch = true }
-}
-
 // WithTracer attaches a tracer: daemons emit messenger-lifecycle, VM
 // segment/native, and GVT events onto it, one track per daemon. A nil
 // tracer (the default) costs one untaken branch per emission site.
@@ -118,7 +105,7 @@ type sysObs struct {
 	evicted                                *obs.Counter
 	suspends, gvtRounds                    *obs.Counter
 	gvtTokenHops, gvtCommits, gvtCtlMsgs   *obs.Counter
-	netMsgs, netBytes, netBatches          *obs.Counter
+	netMsgs, netBytes                      *obs.Counter
 	retx, dedup, respawns, adoptions       *obs.Counter
 	deaths, restarts, peerDowns, peerUps   *obs.Counter
 	dispThreaded, dispSwitch, fusedSteps   *obs.Counter
@@ -149,7 +136,6 @@ func newSysObs(m *obs.Metrics) *sysObs {
 		gvtCtlMsgs:   m.Counter("gvt.ctl.msgs"),
 		netMsgs:      m.Counter("net.msgs"),
 		netBytes:     m.Counter("net.bytes"),
-		netBatches:   m.Counter("net.batches"),
 		retx:         m.Counter("msgr.retx"),
 		dedup:        m.Counter("msgr.dedup"),
 		respawns:     m.Counter("msgr.respawns"),

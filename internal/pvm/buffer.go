@@ -26,8 +26,10 @@ type Buffer struct {
 	tag  int
 	// refs counts live references to pooled backing storage — Mcast shares
 	// one data slice across every destination's Buffer — and is nil for
-	// unpooled buffers. The last release recycles data into the wire pool.
+	// unpooled buffers. The last release recycles data into the wire pool,
+	// in the box it was drawn in.
 	refs *atomic.Int32
+	box  *[]byte
 }
 
 // release drops this buffer's claim on pooled storage, recycling it once no
@@ -38,15 +40,17 @@ func (b *Buffer) release() {
 		return
 	}
 	if b.refs.Add(-1) == 0 {
-		wire.PutBuf(b.data)
+		*b.box = b.data
+		wire.PutBuf(b.box)
 	}
-	b.refs = nil
+	b.refs, b.box = nil, nil
 	b.data = nil
 }
 
 // newSendBuf draws a pack buffer from the wire pool, holding one reference.
 func newSendBuf() *Buffer {
-	b := &Buffer{data: wire.GetBuf(), refs: new(atomic.Int32)}
+	box := wire.GetBuf()
+	b := &Buffer{data: *box, refs: new(atomic.Int32), box: box}
 	b.refs.Store(1)
 	return b
 }

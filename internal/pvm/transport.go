@@ -15,7 +15,7 @@ func (p *Proc) Send(dst TID, tag int) {
 	buf := p.send()
 	// The message inherits the send buffer's pool reference; the receiver's
 	// side releases it (next Recv) and recycles the storage.
-	msg := &Buffer{data: buf.data, src: p.tid, tag: tag, refs: buf.refs}
+	msg := &Buffer{data: buf.data, src: p.tid, tag: tag, refs: buf.refs, box: buf.box}
 	p.sendBuf = nil
 	p.deliver(dst, msg)
 }
@@ -47,7 +47,7 @@ func (p *Proc) Mcast(dsts []TID, tag int) {
 		if dst == p.tid {
 			continue
 		}
-		msg := &Buffer{data: buf.data, src: p.tid, tag: tag, refs: buf.refs}
+		msg := &Buffer{data: buf.data, src: p.tid, tag: tag, refs: buf.refs, box: buf.box}
 		p.deliver(dst, msg)
 	}
 }

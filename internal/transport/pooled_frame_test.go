@@ -53,8 +53,8 @@ func TestPooledFrameReaderMatchesReadFrame(t *testing.T) {
 				}
 				break
 			}
-			if !bytes.Equal(a, tc.want[i]) || !bytes.Equal(b, tc.want[i]) {
-				t.Fatalf("%s, frame %d: payloads differ (%d / %d / want %d bytes)", tc.name, i, len(a), len(b), len(tc.want[i]))
+			if !bytes.Equal(a, tc.want[i]) || !bytes.Equal(*b, tc.want[i]) {
+				t.Fatalf("%s, frame %d: payloads differ (%d / %d / want %d bytes)", tc.name, i, len(a), len(*b), len(tc.want[i]))
 			}
 			wire.PutBuf(b)
 		}

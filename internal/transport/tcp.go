@@ -11,6 +11,14 @@
 // backoff on redials. Dialed sockets ask for window-based congestion
 // control (sockopt_linux.go): a hop is a burst, not a stream.
 //
+// Sends are coalesced, with no option: a frame goes into its connection's
+// buffered writer and leaves when the sending daemon's executor runs dry,
+// before that daemon starts a VM segment, or when the buffer fills,
+// whichever comes first — so a frame waits behind other sends only, never
+// behind computation. One Messenger in flight costs one write per hop;
+// a burst of departures costs one write per connection (docs/WIRE.md,
+// "A hop is a burst").
+//
 // For chaos testing the engine supports fault injection on the send path
 // (SetFaultHook), daemon kill/revive (KillDaemon/ReviveDaemon), and
 // heartbeat-based peer failure detection (StartHeartbeats) that feeds the
@@ -24,6 +32,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"messengers/internal/backoff"
@@ -85,12 +94,12 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 }
 
 // readPooledFrame reads one frame into a wire.GetBuf buffer, taken only once
-// a header has arrived so an idle connection pins nothing. The transport
-// owns the returned payload until the daemon's HandleMsg for the message
-// decoded from it has returned, then hands it back with wire.PutBuf: decoded
-// messages alias the frame (Snapshot, ProgBytes, batch members), so nothing
-// that outlives HandleMsg may keep a subslice of it.
-func readPooledFrame(r *bufio.Reader) ([]byte, error) {
+// a header has arrived so an idle connection pins nothing, and returns the
+// pool box holding the payload. The transport owns it until the daemon's
+// HandleMsg for the message decoded from it has returned, then hands it back
+// with wire.PutBuf: decoded messages alias the frame (Snapshot, ProgBytes),
+// so nothing that outlives HandleMsg may keep a subslice of it.
+func readPooledFrame(r *bufio.Reader) (*[]byte, error) {
 	hdr, err := r.Peek(wire.FrameHeaderLen)
 	if err != nil {
 		return nil, err
@@ -102,19 +111,19 @@ func readPooledFrame(r *bufio.Reader) ([]byte, error) {
 	if _, err := r.Discard(wire.FrameHeaderLen); err != nil {
 		return nil, err
 	}
-	payload := wire.GetBuf()
-	if cap(payload) < n {
+	box := wire.GetBuf()
+	if cap(*box) < n {
 		// The pool holds whatever sizes its users grew their buffers to;
 		// the undersized one is dropped and the frame-sized one takes its
 		// place on PutBuf, so the pool converges on the traffic's sizes.
-		payload = make([]byte, n)
+		*box = make([]byte, n)
 	}
-	payload = payload[:n]
-	if _, err := io.ReadFull(r, payload); err != nil {
-		wire.PutBuf(payload)
+	*box = (*box)[:n]
+	if _, err := io.ReadFull(r, *box); err != nil {
+		wire.PutBuf(box)
 		return nil, fmt.Errorf("transport: read frame body: %w", err)
 	}
-	return payload, nil
+	return box, nil
 }
 
 // FaultVerdict is the outcome of consulting the fault hook for one frame.
@@ -152,20 +161,32 @@ type TCPEngine struct {
 	start time.Time
 	tr    *obs.Tracer
 
+	// Send-path state, read without e.mu: the killed flags, the fault hook,
+	// and the established connection of each ordered pair (a dedicated
+	// connection per pair preserves FIFO delivery). Dial and teardown write
+	// the slots under e.mu.
+	killed []atomic.Bool
+	fault  atomic.Pointer[FaultHook]
+	slots  [][]atomic.Pointer[peerConn] // [src][dst]
+	// outs[src] lists the connections holding frames daemon src has sent
+	// and nobody has flushed yet.
+	outs []outbound
+
 	mu        sync.Mutex
 	listeners []net.Listener
-	conns     map[connKey]*peerConn
-	killed    []bool
 	dials     map[connKey]*dialState
-	fault     FaultHook
 	errs      []error
 	errsNext  int
 	errsLost  int64
 
 	hb *heartbeats
 
-	// errsDropped/reconnects are nil-safe obs counters (SetMetrics).
+	// Nil-safe obs counters, resolved at SetMetrics. frames counts frames
+	// handed to a connection's writer and writes the Write calls that
+	// reached a socket: writes/frames is the coalescing ratio, read where
+	// the work happens.
 	errsDropped, reconnects *obs.Counter
+	frames, writes          *obs.Counter
 
 	closed  chan struct{}
 	closeMu sync.Once
@@ -177,10 +198,38 @@ type TCPEngine struct {
 
 type connKey struct{ from, to int }
 
+// peerConn is one dialed connection. mu serialises writers (the source's
+// executor, the heartbeat ticker, fault-delay timers) on w.
 type peerConn struct {
+	src, dst int
+
 	mu sync.Mutex
 	w  *bufio.Writer
 	c  net.Conn
+	// dirty: w holds frames and the connection is on its source's outbound
+	// list. Guarded by mu.
+	dirty bool
+	// dead is set before c is closed on purpose (dropConn, KillDaemon,
+	// Close): what w still holds is dropped, as it would be in a dead
+	// socket's queue, and a write that fails on it is not an error.
+	dead atomic.Bool
+}
+
+// outbound is one source daemon's list of connections awaiting a flush.
+type outbound struct {
+	mu    sync.Mutex
+	dirty []*peerConn
+}
+
+// socketWriter counts the writes that reach a connection's socket.
+type socketWriter struct {
+	c net.Conn
+	e *TCPEngine
+}
+
+func (w socketWriter) Write(p []byte) (int, error) {
+	w.e.writes.Inc()
+	return w.c.Write(p)
 }
 
 // dialState is per-ordered-pair redial backoff.
@@ -194,9 +243,10 @@ type dialState struct {
 func NewTCPEngine(addrs []string) (*TCPEngine, error) {
 	e := &TCPEngine{
 		addrs:     make([]string, len(addrs)),
-		conns:     map[connKey]*peerConn{},
 		dials:     map[connKey]*dialState{},
-		killed:    make([]bool, len(addrs)),
+		killed:    make([]atomic.Bool, len(addrs)),
+		slots:     make([][]atomic.Pointer[peerConn], len(addrs)),
+		outs:      make([]outbound, len(addrs)),
 		closed:    make(chan struct{}),
 		executors: make([]*core.ExecQueue, len(addrs)),
 		listeners: make([]net.Listener, len(addrs)),
@@ -211,6 +261,8 @@ func NewTCPEngine(addrs []string) (*TCPEngine, error) {
 		e.listeners[i] = l
 		e.addrs[i] = l.Addr().String()
 		e.executors[i] = core.NewExecQueue()
+		e.executors[i].OnIdle(func() { e.Flush(i) })
+		e.slots[i] = make([]atomic.Pointer[peerConn], len(addrs))
 	}
 	for i := range addrs {
 		i := i
@@ -243,18 +295,23 @@ func (e *TCPEngine) Bind(daemons []*core.Daemon) { e.daemons = daemons }
 func (e *TCPEngine) SetTracer(t *obs.Tracer) { e.tr = t }
 
 // SetMetrics attaches a registry for the transport's own counters
-// (transport.errors.dropped, net.reconnects). Call before traffic flows.
+// (transport.frames, transport.writes, transport.errors.dropped,
+// net.reconnects). Call before traffic flows.
 func (e *TCPEngine) SetMetrics(m *obs.Metrics) {
 	e.errsDropped = m.Counter("transport.errors.dropped")
 	e.reconnects = m.Counter("net.reconnects")
+	e.frames = m.Counter("transport.frames")
+	e.writes = m.Counter("transport.writes")
 }
 
 // SetFaultHook installs a fault-injection hook consulted for every outbound
 // frame. Call before traffic flows; pass nil to restore clean delivery.
 func (e *TCPEngine) SetFaultHook(h FaultHook) {
-	e.mu.Lock()
-	e.fault = h
-	e.mu.Unlock()
+	if h == nil {
+		e.fault.Store(nil)
+		return
+	}
+	e.fault.Store(&h)
 }
 
 // Now implements core.Engine with monotonic wall time since engine start.
@@ -285,12 +342,14 @@ func (e *TCPEngine) SetTimer(d int, delay sim.Time, fn func()) {
 
 // Send implements core.Engine: encode header and payload into one pooled
 // frame (a Messenger carried by XferVM is serialized here, in a single
-// pass, with no intermediate snapshot slice) and ship it over the (cached)
-// connection from src to dst. Frames to or from a killed daemon vanish, as
-// they would with a dead process; a write failure tears the connection down
-// so the next send redials.
+// pass, with no intermediate snapshot slice, and its spent VM goes back to
+// the sending daemon as a berth) and hand it to the (cached) connection
+// from src to dst, where it waits for the flush described in the package
+// comment. Frames to or from a killed daemon vanish, as they would with a
+// dead process; a write failure tears the connection down so the next send
+// redials.
 func (e *TCPEngine) Send(src, dst int, msg *core.Msg) {
-	if e.isKilled(src) || e.isKilled(dst) {
+	if e.killed[src].Load() || e.killed[dst].Load() {
 		return
 	}
 	enc := wire.NewEncoder()
@@ -299,9 +358,18 @@ func (e *TCPEngine) Send(src, dst int, msg *core.Msg) {
 		e.recordError(fmt.Errorf("transport: encode %v message to daemon %d: %w", msg.Kind, dst, err))
 		return
 	}
+	if msg.XferVM != nil {
+		// Daemons send from their own executor, which is where a berth may
+		// be parked.
+		e.daemons[src].ParkVM(msg.XferVM)
+		msg.XferVM = nil
+	}
+	// Heartbeats come from the ticker's goroutine, not from an executor
+	// that will run dry: they leave at once.
+	now := msg.Kind == core.MsgHeartbeat
 	size := enc.Len() - wire.FrameHeaderLen
-	if h := e.faultHook(); h != nil {
-		v := h(int64(e.Now()), src, dst, size)
+	if h := e.fault.Load(); h != nil {
+		v := (*h)(int64(e.Now()), src, dst, size)
 		switch {
 		case v.Drop:
 			return
@@ -320,59 +388,128 @@ func (e *TCPEngine) Send(src, dst int, msg *core.Msg) {
 					return
 				default:
 				}
-				e.writeFrame(src, dst, frame)
 				if dup {
-					e.writeFrame(src, dst, frame)
+					e.writeFrame(src, dst, frame, false)
 				}
+				e.writeFrame(src, dst, frame, true)
 			})
 			return
 		}
 		if v.Dup {
-			e.writeFrame(src, dst, enc.Bytes())
+			e.writeFrame(src, dst, enc.Bytes(), now)
 		}
 	}
 	if e.tr != nil && msg.Kind != core.MsgHeartbeat {
 		e.tr.Instant(src, "net", "net.send", obs.I("to", int64(dst)), obs.I("bytes", int64(size)))
 	}
-	e.writeFrame(src, dst, enc.Bytes())
+	e.writeFrame(src, dst, enc.Bytes(), now)
 }
 
-func (e *TCPEngine) faultHook() FaultHook {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.fault
-}
-
-// writeFrame ships one already-encoded frame over the cached connection,
-// tearing the connection down on failure so the next send redials.
-func (e *TCPEngine) writeFrame(src, dst int, frame []byte) {
+// writeFrame hands one already-encoded frame to the cached connection's
+// writer. With now it is on the wire when writeFrame returns; otherwise it
+// leaves with the next Flush(src), which src's executor is poked to run.
+// A failed write tears the connection down so the next send redials.
+func (e *TCPEngine) writeFrame(src, dst int, frame []byte, now bool) {
 	pc, err := e.conn(src, dst)
 	if err != nil {
 		e.recordError(err)
 		return
 	}
 	pc.mu.Lock()
-	// bufio either copies into its buffer or writes straight through before
-	// returning, so the pooled frame can be recycled after the flush.
-	_, werr := pc.w.Write(frame)
-	if werr == nil {
+	if pc.dead.Load() {
+		pc.mu.Unlock()
+		return
+	}
+	e.frames.Inc()
+	var werr error
+	if len(frame) > pc.w.Available() && pc.w.Buffered() > 0 {
+		// What is waiting leaves first, as one write, so that a frame
+		// larger than the buffer goes to the socket in one direct Write
+		// instead of being cut at the buffer's edge and copied.
 		werr = pc.w.Flush()
+	}
+	if werr == nil {
+		// bufio either copies into its buffer or writes straight through
+		// before returning, so the pooled frame can be recycled.
+		_, werr = pc.w.Write(frame)
+	}
+	if werr == nil && now {
+		werr = pc.w.Flush()
+	}
+	listed := false
+	if werr == nil && !pc.dirty && pc.w.Buffered() > 0 {
+		pc.dirty, listed = true, true
 	}
 	pc.mu.Unlock()
 	if werr != nil {
-		e.recordError(fmt.Errorf("transport: write frame %d->%d: %w", src, dst, werr))
-		e.dropConn(src, dst)
+		e.writeFailed(pc, werr)
+		return
+	}
+	if listed {
+		out := &e.outs[src]
+		out.mu.Lock()
+		out.dirty = append(out.dirty, pc)
+		out.mu.Unlock()
+		// src's own executor reaches its idle hook anyway; a frame from any
+		// other goroutine would wait for src's next message without this.
+		e.executors[src].Wake()
 	}
 }
 
-// conn returns the cached connection src->dst, dialing it if needed. A
-// dedicated connection per ordered pair preserves FIFO delivery. Failed
+// Flush puts every frame daemon src has sent so far on the wire: one write
+// per connection that holds any. It runs when src's executor runs dry and,
+// through core's flusher hook, before src starts a VM segment.
+func (e *TCPEngine) Flush(src int) {
+	out := &e.outs[src]
+	out.mu.Lock()
+	for i, pc := range out.dirty {
+		out.dirty[i] = nil
+		pc.mu.Lock()
+		pc.dirty = false
+		var werr error
+		if !pc.dead.Load() {
+			werr = pc.w.Flush()
+		}
+		pc.mu.Unlock()
+		if werr != nil {
+			e.writeFailed(pc, werr)
+		}
+	}
+	out.dirty = out.dirty[:0]
+	out.mu.Unlock()
+}
+
+// writeFailed records a write error on pc (unless pc was closed on purpose)
+// and discards it so the next send redials.
+func (e *TCPEngine) writeFailed(pc *peerConn, werr error) {
+	if pc.dead.Load() {
+		return
+	}
+	e.recordError(fmt.Errorf("transport: write frame %d->%d: %w", pc.src, pc.dst, werr))
+	e.mu.Lock()
+	e.slots[pc.src][pc.dst].CompareAndSwap(pc, nil)
+	e.mu.Unlock()
+	pc.close()
+}
+
+// close tears the connection down on purpose: frames still in its writer
+// are dropped with it.
+func (pc *peerConn) close() {
+	pc.dead.Store(true)
+	pc.c.Close()
+}
+
+// conn returns the cached connection src->dst, dialing it if needed. Failed
 // dials back off exponentially with per-pair jitter (50ms doubling to 2s);
 // a successful redial after failures counts as a reconnect.
 func (e *TCPEngine) conn(src, dst int) (*peerConn, error) {
+	slot := &e.slots[src][dst]
+	if pc := slot.Load(); pc != nil {
+		return pc, nil
+	}
 	key := connKey{from: src, to: dst}
 	e.mu.Lock()
-	if pc, ok := e.conns[key]; ok {
+	if pc := slot.Load(); pc != nil {
 		e.mu.Unlock()
 		return pc, nil
 	}
@@ -419,7 +556,7 @@ func (e *TCPEngine) conn(src, dst int) (*peerConn, error) {
 			backoff.Jittered(50*time.Millisecond, 2*time.Second, ds.fails, backoff.Key(src, dst, ds.fails, 0)))
 		return nil, fmt.Errorf("transport: dial daemon %d: %w", dst, err)
 	}
-	if other, ok := e.conns[key]; ok {
+	if other := slot.Load(); other != nil {
 		// A concurrent Send dialed the same pair; keep the first.
 		c.Close()
 		return other, nil
@@ -434,23 +571,21 @@ func (e *TCPEngine) conn(src, dst int) (*peerConn, error) {
 		ds.fails = 0
 		e.reconnects.Inc()
 	}
-	pc := &peerConn{c: c, w: bufio.NewWriter(c)}
-	e.conns[key] = pc
+	pc := &peerConn{src: src, dst: dst, c: c, w: bufio.NewWriter(socketWriter{c: c, e: e})}
+	slot.Store(pc)
 	return pc, nil
 }
 
 // dropConn discards the cached connection src->dst (if any) so the next
-// send redials.
+// send redials. Frames it had not flushed are lost with it, like frames in
+// a dead socket's queue; under recovery they are unacknowledged and
+// retransmitted.
 func (e *TCPEngine) dropConn(src, dst int) {
-	key := connKey{from: src, to: dst}
 	e.mu.Lock()
-	pc, ok := e.conns[key]
-	if ok {
-		delete(e.conns, key)
-	}
+	pc := e.slots[src][dst].Swap(nil)
 	e.mu.Unlock()
-	if ok {
-		pc.c.Close()
+	if pc != nil {
+		pc.close()
 	}
 }
 
@@ -467,7 +602,7 @@ func (e *TCPEngine) acceptLoop(d int, l net.Listener) {
 				return
 			default:
 			}
-			if e.isKilled(d) {
+			if e.killed[d].Load() {
 				return // KillDaemon closed the listener
 			}
 			e.recordError(fmt.Errorf("transport: daemon %d accept: %w", d, err))
@@ -482,30 +617,30 @@ func (e *TCPEngine) acceptLoop(d int, l net.Listener) {
 				return // bad hello
 			}
 			for {
-				payload, err := readPooledFrame(r)
+				box, err := readPooledFrame(r)
 				if err != nil {
 					return // peer closed or stream desynced
 				}
-				msg, err := core.DecodeMsg(payload)
+				msg, err := core.DecodeMsg(*box)
 				if err != nil {
-					wire.PutBuf(payload)
+					wire.PutBuf(box)
 					e.recordError(fmt.Errorf("transport: daemon %d: %w", d, err))
 					continue
 				}
 				if msg.Kind == core.MsgHeartbeat {
-					wire.PutBuf(payload)
+					wire.PutBuf(box)
 					e.noteHeartbeat(d, msg.From)
 					continue
 				}
 				if e.tr != nil {
 					e.tr.Instant(d, "net", "net.recv",
-						obs.I("from", int64(msg.From)), obs.I("bytes", int64(len(payload))))
+						obs.I("from", int64(msg.From)), obs.I("bytes", int64(len(*box))))
 				}
 				// The frame goes back to the pool only after HandleMsg has
 				// consumed everything msg aliases (see readPooledFrame).
 				e.executors[d].Put(core.LaneFor(msg.Kind), func() {
 					e.daemons[d].HandleMsg(msg)
-					wire.PutBuf(payload)
+					wire.PutBuf(box)
 				})
 			}
 		}()
@@ -547,29 +682,26 @@ func (e *TCPEngine) ErrorsDropped() int64 {
 
 // --- daemon kill / revive (chaos support) ---
 
-func (e *TCPEngine) isKilled(d int) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.killed[d]
-}
-
 // KillDaemon severs daemon d from the network: its listener closes and
 // every connection touching it is torn down. Frames to or from it vanish.
 // The daemon's executor keeps running (the core's down flag gates it); call
 // core's Crash alongside. No-op if already killed.
 func (e *TCPEngine) KillDaemon(d int) {
 	e.mu.Lock()
-	if e.killed[d] {
+	if e.killed[d].Load() {
 		e.mu.Unlock()
 		return
 	}
-	e.killed[d] = true
+	e.killed[d].Store(true)
 	l := e.listeners[d]
 	var drop []*peerConn
-	for key, pc := range e.conns {
-		if key.from == d || key.to == d {
-			drop = append(drop, pc)
-			delete(e.conns, key)
+	for src := range e.slots {
+		for dst := range e.slots[src] {
+			if src == d || dst == d {
+				if pc := e.slots[src][dst].Swap(nil); pc != nil {
+					drop = append(drop, pc)
+				}
+			}
 		}
 	}
 	e.mu.Unlock()
@@ -577,7 +709,7 @@ func (e *TCPEngine) KillDaemon(d int) {
 		l.Close()
 	}
 	for _, pc := range drop {
-		pc.c.Close()
+		pc.close()
 	}
 	if e.hb != nil {
 		e.hb.reset(d)
@@ -588,13 +720,10 @@ func (e *TCPEngine) KillDaemon(d int) {
 // address and heartbeats resume, which is what lets the survivors' failure
 // detectors declare it back. Call core's Restart alongside.
 func (e *TCPEngine) ReviveDaemon(d int) error {
-	e.mu.Lock()
-	if !e.killed[d] {
-		e.mu.Unlock()
+	if !e.killed[d].Load() {
 		return nil
 	}
 	addr := e.addrs[d]
-	e.mu.Unlock()
 
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -603,7 +732,7 @@ func (e *TCPEngine) ReviveDaemon(d int) error {
 
 	e.mu.Lock()
 	e.listeners[d] = l
-	e.killed[d] = false
+	e.killed[d].Store(false)
 	for key, ds := range e.dials {
 		if key.from == d || key.to == d {
 			ds.fails = 0
@@ -729,7 +858,7 @@ func (e *TCPEngine) hbTick() {
 	var deaths []event
 	hb.mu.Lock()
 	for key, seen := range hb.lastSeen {
-		if hb.down[key] || e.isKilled(key.observer) {
+		if hb.down[key] || e.killed[key.observer].Load() {
 			continue
 		}
 		if now.Sub(seen) > hb.deadAfter {
@@ -745,8 +874,9 @@ func (e *TCPEngine) hbTick() {
 }
 
 // Close shuts down the engine: executors first — queued daemon work drains
-// while the network is still up, so in-flight handler sends still go out —
-// then listeners, connections, and the network goroutines.
+// while the network is still up, so in-flight handler sends still go out,
+// and each executor's last act is the flush of what it sent — then
+// listeners, connections, and the network goroutines.
 func (e *TCPEngine) Close() {
 	e.closeMu.Do(func() {
 		close(e.closed)
@@ -756,13 +886,21 @@ func (e *TCPEngine) Close() {
 			}
 		}
 		e.execWG.Wait()
+		// Frames buffered by other goroutines since the executors' last
+		// flush (nothing in production sends that way).
+		for src := range e.outs {
+			e.Flush(src)
+		}
 		e.mu.Lock()
 		listeners := append([]net.Listener(nil), e.listeners...)
-		conns := make([]*peerConn, 0, len(e.conns))
-		for _, pc := range e.conns {
-			conns = append(conns, pc)
+		var conns []*peerConn
+		for src := range e.slots {
+			for dst := range e.slots[src] {
+				if pc := e.slots[src][dst].Swap(nil); pc != nil {
+					conns = append(conns, pc)
+				}
+			}
 		}
-		e.conns = map[connKey]*peerConn{}
 		e.mu.Unlock()
 		for _, l := range listeners {
 			if l != nil {
@@ -770,7 +908,7 @@ func (e *TCPEngine) Close() {
 			}
 		}
 		for _, pc := range conns {
-			pc.c.Close()
+			pc.close()
 		}
 		e.netWG.Wait()
 	})

@@ -13,9 +13,10 @@ import "unsafe"
 // handed out are zeroed; exhaustion falls back to ordinary heap allocation
 // (the pre-arena behavior), so a deeply recursive or long-lived Messenger
 // degrades gracefully instead of growing an unbounded slab — important
-// when a server holds 100k+ paused sessions. There is no Reset: slices
-// escape into VM state with independent lifetimes, and Go's GC reclaims
-// the slab when the VM dies.
+// when a server holds 100k+ paused sessions. Slices escape into VM state
+// with independent lifetimes, so the only way back is Reset, which an owner
+// calls once it has dropped them all; otherwise Go's GC reclaims the slab
+// when the VM dies.
 //
 // An Arena is owned by a single VM and inherits the VM's concurrency
 // contract (execution is daemon-confined); it is not safe for concurrent
@@ -57,6 +58,17 @@ func (a *Arena) Values(n int) []Value {
 	s := a.slab[a.used : a.used+n : a.used+n]
 	a.used += n
 	return s
+}
+
+// Reset makes the whole slab available again, zeroing what was handed out
+// so that a slab waiting for reuse pins nothing its Values referenced. The
+// owner must have dropped every slice Values gave it.
+func (a *Arena) Reset() {
+	if a == nil {
+		return
+	}
+	clear(a.slab[:a.used])
+	a.used = 0
 }
 
 // Used reports how many Values have been served from the slab.

@@ -181,6 +181,15 @@ func AppendEnv(buf []byte, env map[string]Value) ([]byte, error) {
 
 // DecodeEnv reads a variable map encoded by AppendEnv.
 func DecodeEnv(buf []byte) (map[string]Value, int, error) {
+	return DecodeEnvInto(nil, nil, buf)
+}
+
+// DecodeEnvInto is DecodeEnv into a map the caller supplies empty (nil: a
+// fresh one sized to the entry count). A key that intern holds is taken
+// from there instead of being copied out of buf, so decoding the variables
+// of a known program into a reused map allocates no key strings. On error
+// env may hold some of the entries.
+func DecodeEnvInto(env map[string]Value, intern map[string]string, buf []byte) (map[string]Value, int, error) {
 	if len(buf) < 4 {
 		return nil, 0, fmt.Errorf("value: decode env: short buffer")
 	}
@@ -190,7 +199,9 @@ func DecodeEnv(buf []byte) (map[string]Value, int, error) {
 	if n > maxWireLen || n > (len(buf)-p)/5 {
 		return nil, 0, fmt.Errorf("value: decode env: %d entries exceed buffer", n)
 	}
-	env := make(map[string]Value, n)
+	if env == nil {
+		env = make(map[string]Value, n)
+	}
 	for i := 0; i < n; i++ {
 		if len(buf) < p+4 {
 			return nil, 0, fmt.Errorf("value: decode env key %d: short buffer", i)
@@ -200,7 +211,10 @@ func DecodeEnv(buf []byte) (map[string]Value, int, error) {
 		if kl > maxWireLen || len(buf) < p+kl {
 			return nil, 0, fmt.Errorf("value: decode env key %d: length %d exceeds buffer", i, kl)
 		}
-		key := string(buf[p : p+kl])
+		key, ok := intern[string(buf[p:p+kl])]
+		if !ok {
+			key = string(buf[p : p+kl])
+		}
 		p += kl
 		v, c, err := Decode(buf[p:])
 		if err != nil {

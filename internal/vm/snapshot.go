@@ -78,10 +78,75 @@ func (m *VM) WireSize() int { return m.SnapshotSize() }
 // taken at any hop therefore restores by construction, and anything else
 // is rejected here instead of crashing the VM mid-run.
 func Restore(prog *bytecode.Program, buf []byte) (*VM, error) {
-	vars, p, err := value.DecodeEnv(buf)
-	if err != nil {
-		return nil, fmt.Errorf("vm: restore vars: %w", err)
+	return RestoreInto(nil, prog, buf)
+}
+
+// Berth is a released VM: no Messenger state, only the storage one left
+// behind. What migrates is a continuation and its environment; the machine
+// that receives it is furniture, and a daemon that has just serialised a
+// departing Messenger keeps its berth for the next arrival.
+type Berth VM
+
+// Release ends the VM's life as a Messenger and returns its storage as a
+// Berth: the variable map (emptied), the frame slice, the arena slab and the
+// threaded loop's scratch. Every Value is cleared here, not at reuse, so a
+// parked berth pins nothing the Messenger carried. m must not be used
+// afterwards.
+func (m *VM) Release() *Berth {
+	clear(m.vars)
+	clear(m.frames)
+	clear(m.mslots)
+	clear(m.mdirty)
+	m.arena.Reset()
+	if m.tx != nil {
+		*m.tx = texec{}
 	}
+	// Everything not named here starts over: locals and stack that spilled
+	// to the heap, the profile and meter of the last daemon, the dispatch
+	// mode, the slot cache's validity.
+	*m = VM{prog: m.prog, vars: m.vars, frames: m.frames[:0], arena: m.arena,
+		mslots: m.mslots, mdirty: m.mdirty, tx: m.tx, intern: m.intern}
+	return (*Berth)(m)
+}
+
+// RestoreInto is Restore into the storage of berth, which it consumes: the
+// result is the berth's VM, indistinguishable from a freshly restored one
+// (same checks, same errors) but built without allocating when the snapshot
+// fits what the last occupant used. Variable names the program mentions are
+// taken from a per-berth intern table, never from buf, so nothing restored
+// aliases the snapshot bytes. A nil berth, or one released by a VM of a
+// different program (its slab was sized by another verifier proof), means a
+// fresh VM. When the restore fails the berth is released again: reusable,
+// never half-filled.
+func RestoreInto(berth *Berth, prog *bytecode.Program, buf []byte) (*VM, error) {
+	m := (*VM)(berth)
+	if m == nil || m.prog != prog {
+		// The arena is sized by the verifier's metadata for the main body —
+		// for the dominant single-frame hop snapshot, the restored locals
+		// and operand stack land in one contiguous slab (deeper snapshots
+		// spill to the heap transparently).
+		m = &VM{prog: prog, arena: newArenaFor(prog)}
+	} else if m.intern == nil {
+		m.intern = make(map[string]string, len(prog.Names))
+		for _, name := range prog.Names {
+			m.intern[name] = name
+		}
+	}
+	if err := m.restore(buf); err != nil {
+		m.Release()
+		return nil, err
+	}
+	return m, nil
+}
+
+// restore fills a VM that holds no state from a snapshot.
+func (m *VM) restore(buf []byte) error {
+	prog := m.prog
+	vars, p, err := value.DecodeEnvInto(m.vars, m.intern, buf)
+	if err != nil {
+		return fmt.Errorf("vm: restore vars: %w", err)
+	}
+	m.vars = vars
 	u32 := func() (int, error) {
 		if p+4 > len(buf) {
 			return 0, fmt.Errorf("vm: truncated snapshot")
@@ -92,75 +157,71 @@ func Restore(prog *bytecode.Program, buf []byte) (*VM, error) {
 	}
 	nframes, err := u32()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if nframes < 1 || nframes > maxCallDepth {
-		return nil, fmt.Errorf("vm: snapshot frame count %d out of range", nframes)
+		return fmt.Errorf("vm: snapshot frame count %d out of range", nframes)
 	}
-	// The arena is sized by the verifier's metadata for the main body —
-	// for the dominant single-frame hop snapshot, the restored locals and
-	// operand stack land in one contiguous slab (deeper snapshots spill to
-	// the heap transparently).
-	m := &VM{prog: prog, vars: vars, frames: make([]frame, nframes), arena: newArenaFor(prog)}
+	if cap(m.frames) < nframes {
+		m.frames = make([]frame, 0, nframes)
+	}
 	for i := 0; i < nframes; i++ {
 		fn, err := u32()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		pc, err := u32()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		nloc, err := u32()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if fn >= len(prog.Funcs) {
-			return nil, fmt.Errorf("vm: snapshot references function %d of %d", fn, len(prog.Funcs))
+			return fmt.Errorf("vm: snapshot references function %d of %d", fn, len(prog.Funcs))
 		}
 		if pc > len(prog.Funcs[fn].Code) {
-			return nil, fmt.Errorf("vm: snapshot pc %d beyond code of %q", pc, prog.Funcs[fn].Name)
+			return fmt.Errorf("vm: snapshot pc %d beyond code of %q", pc, prog.Funcs[fn].Name)
 		}
 		if nloc != prog.Funcs[fn].NumLocals {
-			return nil, fmt.Errorf("vm: snapshot carries %d locals for %q declaring %d",
+			return fmt.Errorf("vm: snapshot carries %d locals for %q declaring %d",
 				nloc, prog.Funcs[fn].Name, prog.Funcs[fn].NumLocals)
 		}
 		if nloc > 1<<20 || nloc > len(buf)-p {
-			return nil, fmt.Errorf("vm: snapshot local count %d exceeds buffer", nloc)
+			return fmt.Errorf("vm: snapshot local count %d exceeds buffer", nloc)
 		}
 		fr := frame{fn: fn, pc: pc, locals: m.allocValues(nloc)}
 		for j := 0; j < nloc; j++ {
 			v, n, err := value.Decode(buf[p:])
 			if err != nil {
-				return nil, fmt.Errorf("vm: restore local: %w", err)
+				return fmt.Errorf("vm: restore local: %w", err)
 			}
 			fr.locals[j] = v
 			p += n
 		}
-		m.frames[i] = fr
+		m.frames = append(m.frames, fr)
 	}
 	nstack, err := u32()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if nstack > 1<<20 || nstack > len(buf)-p {
-		return nil, fmt.Errorf("vm: snapshot stack size %d exceeds buffer", nstack)
+		return fmt.Errorf("vm: snapshot stack size %d exceeds buffer", nstack)
 	}
 	m.stack = m.allocValues(nstack)
 	for i := 0; i < nstack; i++ {
 		v, n, err := value.Decode(buf[p:])
 		if err != nil {
-			return nil, fmt.Errorf("vm: restore stack: %w", err)
+			return fmt.Errorf("vm: restore stack: %w", err)
 		}
 		m.stack[i] = v
 		p += n
 	}
 	if prog.Verified() {
-		if err := m.checkResumeState(); err != nil {
-			return nil, err
-		}
+		return m.checkResumeState()
 	}
-	return m, nil
+	return nil
 }
 
 // checkResumeState proves a restored VM consistent with the verifier's

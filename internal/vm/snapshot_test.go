@@ -111,7 +111,9 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 
 // FuzzSnapshotRestore feeds arbitrary bytes to Restore; whatever it
 // accepts must re-snapshot deterministically and restore again (decode →
-// encode → decode is a fixed point), and must never panic.
+// encode → decode is a fixed point), and must never panic. The same bytes
+// go through a used berth, one for the whole run, which must accept and
+// refuse exactly what a fresh Restore does, with the same error.
 func FuzzSnapshotRestore(f *testing.F) {
 	m, snap := pausedDeepVM(f)
 	prog := m.Program()
@@ -137,8 +139,13 @@ func FuzzSnapshotRestore(f *testing.F) {
 	f.Add(oddSnap)
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 1, 0, 0, 0})
+	berth := m.Release()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m1, err := Restore(prog, data)
+		mb, berr := RestoreInto(berth, prog, data)
+		if (err == nil) != (berr == nil) || (err != nil && err.Error() != berr.Error()) {
+			t.Fatalf("fresh Restore says %v, through a used berth %v", err, berr)
+		}
 		if err != nil {
 			return
 		}
@@ -146,6 +153,10 @@ func FuzzSnapshotRestore(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-snapshot of accepted snapshot failed: %v", err)
 		}
+		if viaBerth, err := mb.Snapshot(); err != nil || !bytes.Equal(viaBerth, again) {
+			t.Fatalf("restored into a used berth the VM snapshots differently (err %v)", err)
+		}
+		berth = mb.Release()
 		m2, err := Restore(prog, again)
 		if err != nil {
 			t.Fatalf("re-restore of accepted snapshot failed: %v", err)

@@ -153,6 +153,11 @@ type VM struct {
 	slotsClean bool
 	tx         *texec
 
+	// intern maps the program's names to themselves: a VM restored into a
+	// berth (snapshot.go) takes its variable names from here instead of
+	// copying them out of the snapshot. Nil until the VM's storage is reused.
+	intern map[string]string
+
 	// segThreaded/segFused count source instructions the last Run segment
 	// executed on the threaded path and inside fused superinstructions.
 	segThreaded int64

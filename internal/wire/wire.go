@@ -101,21 +101,25 @@ var bufPool = sync.Pool{
 	},
 }
 
-// GetBuf returns a zero-length pooled buffer (for callers that append
-// directly, like PVM pack buffers). Return it with PutBuf when done.
-func GetBuf() []byte {
+// GetBuf returns a zero-length pooled buffer in the box it is pooled in
+// (for callers that append directly, like PVM pack buffers). The caller
+// works on *p, storing a regrown slice back into it, and returns the same
+// box with PutBuf: the pool holds pointers, so a box that makes the round
+// trip costs no allocation either way.
+func GetBuf() *[]byte {
 	poolGets.Add(1)
-	return (*(bufPool.Get().(*[]byte)))[:0]
+	p := bufPool.Get().(*[]byte)
+	*p = (*p)[:0]
+	return p
 }
 
-// PutBuf recycles a buffer obtained from GetBuf (or any buffer the caller
-// owns outright). The caller must not touch b afterwards.
-func PutBuf(b []byte) {
-	if cap(b) == 0 || cap(b) > maxPooledCap {
+// PutBuf recycles a box obtained from GetBuf with whatever buffer it holds
+// now. The caller must not touch p or *p afterwards.
+func PutBuf(p *[]byte) {
+	if cap(*p) == 0 || cap(*p) > maxPooledCap {
 		return
 	}
-	b = b[:0]
-	bufPool.Put(&b)
+	bufPool.Put(p)
 }
 
 var encPool = sync.Pool{New: func() any { return new(Encoder) }}
@@ -125,18 +129,20 @@ var encPool = sync.Pool{New: func() any { return new(Encoder) }}
 // pooled one. Errors are sticky: after any failed append the encoder stops
 // writing and Err reports the first failure.
 type Encoder struct {
-	buf    []byte
-	err    error
-	pooled bool
+	buf []byte
+	err error
+	// box is the pool box buf came in (nil for an unpooled encoder); Release
+	// hands the buffer back in it.
+	box *[]byte
 }
 
 // NewEncoder returns an encoder over a pooled buffer. Pair with Release
 // (recycle) or Detach (keep the bytes).
 func NewEncoder() *Encoder {
 	e := encPool.Get().(*Encoder)
-	e.buf = GetBuf()
+	e.box = GetBuf()
+	e.buf = *e.box
 	e.err = nil
-	e.pooled = true
 	return e
 }
 
@@ -150,11 +156,10 @@ func AppendingTo(buf []byte) *Encoder {
 // Bytes may be used afterwards.
 func (e *Encoder) Release() {
 	bytesEncoded.Add(int64(len(e.buf)))
-	if e.pooled {
-		PutBuf(e.buf)
-		e.buf = nil
-		e.err = nil
-		e.pooled = false
+	if e.box != nil {
+		*e.box = e.buf
+		PutBuf(e.box)
+		e.buf, e.err, e.box = nil, nil, nil
 		encPool.Put(e)
 	}
 }
@@ -164,10 +169,9 @@ func (e *Encoder) Release() {
 func (e *Encoder) Detach() []byte {
 	b := e.buf
 	bytesEncoded.Add(int64(len(b)))
-	if e.pooled {
-		e.buf = nil
-		e.err = nil
-		e.pooled = false
+	if e.box != nil {
+		// The box leaves with the bytes: it is garbage, like them.
+		e.buf, e.err, e.box = nil, nil, nil
 		encPool.Put(e)
 	}
 	return b
@@ -193,11 +197,10 @@ func (e *Encoder) Bytes() []byte { return e.buf }
 // Grow reserves capacity for at least n more bytes.
 func (e *Encoder) Grow(n int) {
 	if need := len(e.buf) + n; need > cap(e.buf) {
+		// The outgrown buffer is dropped; the grown one returns to the pool
+		// in its box, so the pool converges on the traffic's sizes.
 		nb := make([]byte, len(e.buf), need)
 		copy(nb, e.buf)
-		if e.pooled {
-			PutBuf(e.buf)
-		}
 		e.buf = nb
 	}
 }

@@ -145,12 +145,39 @@ func TestDetachKeepsBytes(t *testing.T) {
 }
 
 func TestGetPutBuf(t *testing.T) {
-	b := GetBuf()
-	if len(b) != 0 {
-		t.Fatalf("GetBuf returned %d bytes", len(b))
+	p := GetBuf()
+	if len(*p) != 0 {
+		t.Fatalf("GetBuf returned %d bytes", len(*p))
 	}
-	b = append(b, 1, 2, 3)
-	PutBuf(b)
+	*p = append(*p, 1, 2, 3)
+	PutBuf(p)
+	if q := GetBuf(); len(*q) != 0 {
+		t.Fatalf("a recycled box came back holding %d bytes", len(*q))
+	}
 	// Oversized buffers must be dropped, not pooled.
-	PutBuf(make([]byte, 0, maxPooledCap+1))
+	big := make([]byte, 0, maxPooledCap+1)
+	PutBuf(&big)
+}
+
+// TestPoolRoundTripAllocatesNothing pins the box rule: a buffer leaves the
+// pool and returns to it in the same *[]byte, so neither a raw Get/Put nor
+// an encoder's NewEncoder/Release allocates once the pool is warm.
+func TestPoolRoundTripAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		p := GetBuf()
+		*p = append(*p, 1, 2, 3)
+		PutBuf(p)
+	}); n != 0 {
+		t.Errorf("GetBuf/PutBuf: %v allocs per round trip, want 0", n)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		e := NewEncoder()
+		e.U64(7)
+		e.Release()
+	}); n != 0 {
+		t.Errorf("NewEncoder/Release: %v allocs per round trip, want 0", n)
+	}
 }

@@ -168,12 +168,6 @@ type Config struct {
 	// O(daemons) token latency per round. Recommended past a few dozen
 	// daemons; see docs/GVT.md.
 	DistributedGVT bool
-	// HopBatching coalesces same-destination Messenger hops issued in one
-	// executor turn into a single framed batch (sim LAN and TCP), trading
-	// per-message overhead for slightly coarser delivery. Off by default:
-	// paper-calibration runs model the 1997 runtime, which shipped hops
-	// one message at a time.
-	HopBatching bool
 	// Trace, when non-nil, receives the run's events: one track per
 	// daemon (plus a bus track on simulated systems). Simulated systems
 	// stamp events with simulated time; real systems with wall time since
@@ -229,9 +223,6 @@ func (c *Config) options() []core.Option {
 	}
 	if c.DistributedGVT {
 		opts = append(opts, core.WithDistributedGVT())
-	}
-	if c.HopBatching {
-		opts = append(opts, core.WithHopBatching())
 	}
 	return opts
 }
