@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench mbench mbench-pair bench-serve bench-gvt bench-gvt-short bench-vm bench-vm-short bench-protocols bench-protocols-short figures figures-short examples vet lint clean
+.PHONY: all build test race bench mbench mbench-pair bench-protocols bench-protocols-short figures figures-short examples vet lint clean
 
 all: vet lint test
 
@@ -60,36 +60,6 @@ mbench-pair:
 		i=$$(( i + 1 )); \
 	done
 	$(GO) run ./cmd/mbench -compare $(PAIR_DIR)/parent.jsonl $(PAIR_DIR)/change.jsonl
-
-# Load-test the multi-tenant admission service (internal/serve) on both
-# engines and record the service perf trajectory: throughput, latency
-# percentiles, and rejection rates land in BENCH_serve.json. Exits nonzero
-# on any quota violation or missing backpressure.
-bench-serve:
-	$(GO) run ./cmd/mload -mode both -sessions 100000 -tcp-sessions 5000 -out BENCH_serve.json
-
-# Benchmark GVT maintenance and the scale-out kernel: coordinator vs.
-# ring-reduction GVT swept over daemon counts (sim + 16-daemon TCP), the
-# 1k-host scale point, and the heap/calendar event-kernel microbenchmark.
-# Results land in BENCH_gvt.json; exits nonzero if the ring exceeds its
-# 2-control-messages-per-daemon-per-round budget.
-bench-gvt:
-	$(GO) run ./cmd/mgvt -out BENCH_gvt.json
-
-# Reduced sweep for CI sanity (keeps the 1k-host scale point).
-bench-gvt-short:
-	$(GO) run ./cmd/mgvt -short -out BENCH_gvt.json
-
-# Benchmark the VM dispatch engines (switch / threaded / fused) over
-# compute- and hop-bound workloads; results land in BENCH_vm.json.
-# Exits nonzero if threaded dispatch loses to the switch loop on any
-# workload, or if fused dispatch misses 5x on the best compute workload.
-bench-vm:
-	$(GO) run ./cmd/mvm -out BENCH_vm.json
-
-# Reduced calibration for CI sanity (no-loss gates only, no 5x gate).
-bench-vm-short:
-	$(GO) run ./cmd/mvm -short -out BENCH_vm.json
 
 # Protocol chaos suite: Paxos, 2PC, and termination detection as Messenger
 # programs and PVM baselines, swept across seeded nemesis fault plans with

@@ -1,9 +1,13 @@
 package messengers
 
 import (
+	"fmt"
+	"sync"
 	"testing"
+	"time"
 
 	"messengers/internal/apps"
+	"messengers/internal/core"
 	"messengers/internal/lan"
 )
 
@@ -101,5 +105,85 @@ func assertSameCommits(t *testing.T, want, got []float64) {
 		if got[i] != want[i] {
 			t.Fatalf("commit %d differs: got %v, want %v", i, got, want)
 		}
+	}
+}
+
+// ringWalk is internal/core's TestRingControlMessageComplexity workload:
+// virtual-time epochs alternating with hops around a logical ring.
+const ringWalk = `
+	for (k = 0; k < epochs; k++) {
+		sched_dlt(0.5);
+		hop(ll = "ring", ldir = +);
+	}
+`
+
+// TestGVTRingWalkTCP runs ringWalk, one walker per daemon, over real
+// sockets under both GVT implementations: neither may record an error, and
+// the ring must stay inside its budget of 2 control messages per daemon per
+// round (net of quiescence notifications, one per suspend) with real
+// concurrency. The logged wall-clock columns are what docs/GVT.md quotes.
+func TestGVTRingWalkTCP(t *testing.T) {
+	const n, epochs = 8, 10
+	for _, impl := range []string{"coordinator", "ring"} {
+		ring := impl == "ring"
+		t.Run(impl, func(t *testing.T) {
+			sys, err := NewTCPSystem(Config{
+				Daemons:        n,
+				DistributedGVT: ring,
+				GVTInterval:    SimTime(2 * time.Millisecond),
+			}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sys.Close()
+			if err := sys.BuildNetwork(wireRingSpec(n)); err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.CompileAndRegister("walk", ringWalk); err != nil {
+				t.Fatal(err)
+			}
+			start := time.Now()
+			for i := 0; i < n; i++ {
+				err := sys.InjectAt(i, "walk", fmt.Sprintf("r%d", i), map[string]Value{"epochs": IntValue(epochs)})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			sys.Wait()
+			wall := time.Since(start)
+			if errs := sys.Errors(); len(errs) > 0 {
+				t.Fatal(errs)
+			}
+
+			// Each daemon's Stats belong to its executor; read them there.
+			stats := make([]core.Stats, n)
+			var wg sync.WaitGroup
+			for i := 0; i < n; i++ {
+				i := i
+				wg.Add(1)
+				sys.Do(i, func(d *core.Daemon) {
+					stats[i] = d.Stats
+					wg.Done()
+				})
+			}
+			wg.Wait()
+			rounds := float64(stats[0].GVTRounds)
+			if rounds == 0 {
+				t.Fatal("no GVT rounds ran")
+			}
+			var hops int64
+			var maxPerRound float64
+			for _, st := range stats {
+				hops += st.RemoteHops
+				if adj := float64(st.GVTCtlMsgs-st.Suspends) / rounds; adj > maxPerRound {
+					maxPerRound = adj
+				}
+			}
+			t.Logf("n=%d rounds=%.0f ctl/max/round=%.2f round=%.3fms hops/s=%.0f", n, rounds, maxPerRound,
+				float64(stats[0].GVTRoundTime)/rounds/float64(time.Millisecond), float64(hops)/wall.Seconds())
+			if ring && maxPerRound > 2.0 {
+				t.Errorf("%.2f control messages per daemon per round, budget 2", maxPerRound)
+			}
+		})
 	}
 }

@@ -20,7 +20,7 @@ package bytecode
 //     touching the operand stack at all. The set was chosen from the
 //     per-opcode execution profiles the obs registry collects on the E1
 //     workloads (Mandelbrot inner loop, block matmul, ring walkers — see
-//     cmd/mvm -pairs): those families cover >70% of dynamically executed
+//     vm.Profile.Pairs): those families cover >70% of dynamically executed
 //     pairs there.
 //
 // Only package vm may consume the lowered form (enforced by the

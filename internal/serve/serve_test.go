@@ -414,6 +414,16 @@ func TestQuotaUnderFaults(t *testing.T) {
 	}
 }
 
+// mixSub is the i-th session of a mixed load: walkers round-robin over the
+// daemons, every hogEvery-th one a runaway that only the step budget stops.
+func mixSub(tenant string, i, daemons, hops, hogEvery int) serve.Submission {
+	sub := walkerSub(tenant, hops, i%daemons)
+	if i%hogEvery == hogEvery-1 {
+		sub.Name, sub.Source, sub.Vars = "hog", hog, nil
+	}
+	return sub
+}
+
 // TestHogEvictionAmongWalkers: runaway hogs must be evicted while
 // well-behaved walkers complete untouched, on shared daemons.
 func TestHogEvictionAmongWalkers(t *testing.T) {
@@ -429,11 +439,7 @@ func TestHogEvictionAmongWalkers(t *testing.T) {
 		},
 	})
 	for i := 0; i < 12; i++ {
-		sub := walkerSub("a", 3, i%2)
-		if i%4 == 3 {
-			sub.Name, sub.Source, sub.Vars = "hog", hog, nil
-		}
-		if _, _, err := srv.Submit(sub); err != nil {
+		if _, _, err := srv.Submit(mixSub("a", i, 2, 3, 4)); err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 	}
@@ -441,6 +447,105 @@ func TestHogEvictionAmongWalkers(t *testing.T) {
 	if evicted != 3 || completed != 9 {
 		t.Errorf("evicted=%d completed=%d, want 3/9", evicted, completed)
 	}
+}
+
+// TestQuotasHoldAtScale is the service's load test: 100 000 sessions (5 000
+// under -short) from four well-behaved tenants, every 50th a hog, driven
+// through four simulated daemons by a chain that paces itself on
+// backpressure, plus one burst from a tenant whose admission quota cannot
+// take it. No session may run past its step budget, every hog and nothing
+// else is evicted, every admission ends in exactly one completion, nothing
+// is left live, and the burst bounces instead of queueing. It is the only
+// test of the InjectRate/InjectBurst token bucket.
+func TestQuotasHoldAtScale(t *testing.T) {
+	sessions := 100000
+	if testing.Short() {
+		sessions = 5000
+	}
+	const (
+		daemons, tenants, hops = 4, 4, 4
+		budget                 = 4096
+		hogEvery               = 50
+		burst                  = 500
+	)
+	var roster []serve.TenantConfig
+	for i := 0; i < tenants; i++ {
+		// Admission is paced by live cap and queue, not by rate: the driver
+		// backs off when a tenant pushes back.
+		roster = append(roster, serve.TenantConfig{ID: fmt.Sprintf("t%d", i), Quota: serve.Quota{
+			StepBudget: budget, MemBudget: 64 << 10, MaxQueue: 512, MaxLive: 256,
+		}})
+	}
+	// 20 sessions/s, a bucket of 5 and almost no queue.
+	roster = append(roster, serve.TenantConfig{ID: "greedy", Quota: serve.Quota{
+		StepBudget: budget, InjectRate: 20, InjectBurst: 5, MaxQueue: 4,
+	}})
+
+	var completed, evicted int64
+	sys, srv := simService(t, daemons, messengers.Config{}, serve.Config{
+		Tenants: roster,
+		OnComplete: func(c serve.Completion) {
+			if c.Evicted {
+				evicted++
+			} else {
+				completed++
+			}
+		},
+	})
+	k := sys.Kernel()
+
+	// Submit until the target is admitted or a tenant pushes back; a
+	// rejection pauses the chain, so offered load tracks the admission rate.
+	admitted := 0
+	var tick func()
+	tick = func() {
+		backoff := sim.Millisecond
+		for admitted < sessions {
+			if _, _, err := srv.Submit(mixSub(fmt.Sprintf("t%d", admitted%tenants), admitted, daemons, hops, hogEvery)); err != nil {
+				backoff = 5 * sim.Millisecond
+				break
+			}
+			admitted++
+		}
+		if admitted < sessions {
+			k.After(backoff, tick)
+		}
+	}
+	k.At(0, tick)
+	bounced := 0
+	k.At(100*sim.Millisecond, func() {
+		for i := 0; i < burst; i++ {
+			if _, _, err := srv.Submit(walkerSub("greedy", hops, 0)); err != nil {
+				bounced++
+			}
+		}
+	})
+	sys.RunSim()
+
+	var statAdmitted, statEvicted int64
+	for _, ts := range srv.Stats() {
+		statAdmitted += ts.Admitted
+		statEvicted += ts.Evicted
+		if ts.Violations != 0 {
+			t.Errorf("tenant %s: %d quota violations", ts.ID, ts.Violations)
+		}
+		if ts.MaxSessionSteps > budget {
+			t.Errorf("tenant %s: a session consumed %d steps, budget %d", ts.ID, ts.MaxSessionSteps, budget)
+		}
+	}
+	if hogs := int64(sessions / hogEvery); evicted != hogs || statEvicted != hogs {
+		t.Errorf("evicted %d sessions (stats say %d), want the %d hogs", evicted, statEvicted, hogs)
+	}
+	if completed+evicted != statAdmitted {
+		t.Errorf("%d completions + %d evictions for %d admissions", completed, evicted, statAdmitted)
+	}
+	if live := srv.LiveSessions(); live != 0 {
+		t.Errorf("%d sessions still live after the run", live)
+	}
+	if bounced < burst*4/5 {
+		t.Errorf("greedy tenant was not backpressured: %d of %d rejected", bounced, burst)
+	}
+	t.Logf("%d sessions: %d completed, %d evicted, greedy burst %d/%d rejected", sessions, completed, evicted, bounced, burst)
 }
 
 // TestDrainTCP: draining rejects new work, flushes queues, and WaitIdle

@@ -723,7 +723,7 @@ func (s *Server) Stats() []TenantStats {
 }
 
 // Violations sums quota violations across tenants (zero on a correct
-// server; mload asserts this).
+// server; TestQuotasHoldAtScale asserts this).
 func (s *Server) Violations() int64 {
 	var n int64
 	for _, ts := range s.Stats() {

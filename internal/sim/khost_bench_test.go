@@ -4,9 +4,9 @@ import (
 	"testing"
 )
 
-// BenchmarkKHostTimers is the 1k-host self-rescheduling timer workload the
-// mgvt queue leg measures, as an in-package benchmark so queue changes can
-// be profiled where the internals are visible.
+// BenchmarkKHostTimers is the 1k-host self-rescheduling timer workload that
+// mbench's sim.*.events_per_s probes time, as an in-package benchmark so
+// queue changes can be profiled where the internals are visible.
 func BenchmarkKHostTimers(b *testing.B) {
 	for _, impl := range []string{"heap", "calendar", "adaptive"} {
 		b.Run(impl, func(b *testing.B) {

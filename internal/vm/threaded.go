@@ -58,7 +58,7 @@ const (
 	DispatchSpecialized
 )
 
-// String names the mode (benchmark labels, BENCH_vm.json).
+// String names the mode (benchmark and test labels).
 func (d Dispatch) String() string {
 	switch d {
 	case DispatchAuto:
@@ -76,7 +76,7 @@ func (d Dispatch) String() string {
 	}
 }
 
-// ParseDispatch resolves a mode name (cmd/mvm flags).
+// ParseDispatch resolves a mode name, as String prints it.
 func ParseDispatch(s string) (Dispatch, error) {
 	switch s {
 	case "auto":

@@ -122,8 +122,8 @@ type Profile struct {
 	// Pairs, when non-nil, counts dynamic adjacent opcode pairs on the
 	// switch loop (threaded dispatch has already fused its pairs away).
 	// This is the measurement the superinstruction set in
-	// internal/bytecode/lower.go was chosen from; cmd/mvm -pairs prints
-	// it. Pair counting costs the hot loop nothing unless enabled.
+	// internal/bytecode/lower.go was chosen from; nothing in the tree
+	// sets it. Pair counting costs the hot loop nothing unless enabled.
 	Pairs *[NumOps][NumOps]int64
 }
 
