@@ -5,9 +5,9 @@ import (
 	"testing/quick"
 )
 
-// TestDecodeNeverPanics: program bytes may arrive over the wire (MsgProgram
-// broadcasts, the A4 code-carrying mode); garbage must error, not panic or
-// balloon allocations.
+// TestDecodeNeverPanics: program bytes may come from outside (a file, the
+// A4 code-carrying mode); garbage must error, not panic or balloon
+// allocations.
 func TestDecodeNeverPanics(t *testing.T) {
 	f := func(data []byte) bool {
 		defer func() {

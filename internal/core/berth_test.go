@@ -150,13 +150,6 @@ func TestBerthsRecycleUnderRecovery(t *testing.T) {
 			hop(ll = "ring", ldir = +);
 		}
 	`))
-	// Register only enqueues on each daemon, and a walker arriving from the
-	// peer can overtake it (ROADMAP open item 1): wait until both have run.
-	for d := 0; d < daemons; d++ {
-		registered := make(chan struct{})
-		sys.Do(d, func(*Daemon) { close(registered) })
-		<-registered
-	}
 	for i := 0; i < walkers; i++ {
 		vars := map[string]value.Value{"hops": value.Int(hops), "tail": value.Str("")}
 		if i%2 == 1 {

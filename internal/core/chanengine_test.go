@@ -91,8 +91,13 @@ func TestChanEngineFigure3ManagerWorker(t *testing.T) {
 	}
 }
 
-func TestChanEngineGVTOrdering(t *testing.T) {
-	sys := chanSystem(t, 3, WithGVTInterval(sim.Millisecond/2))
+func TestChanEngineGVTOrdering(t *testing.T) { chanEngineGVTOrdering(t) }
+
+// chanEngineGVTOrdering is the real-engine (goroutine) smoke test of virtual
+// time, for the coordinator and (gvt_ring_test.go) the ring: two tickers
+// injected from outside must print in virtual-time order.
+func chanEngineGVTOrdering(t *testing.T, opts ...Option) {
+	sys := chanSystem(t, 3, append(opts, WithGVTInterval(sim.Millisecond/2))...)
 	prog, err := compile.Compile("ticker", `
 		for (k = 0; k < 5; k++) {
 			sched_abs(k * spacing + phase);
@@ -114,9 +119,10 @@ func TestChanEngineGVTOrdering(t *testing.T) {
 	}
 	// Injection is not in the GVT books: a round that concluded after Y had
 	// suspended and before X had would carry Y past X (about one run in
-	// eight did). GVT rounds start on daemon 0, so it is held until both are
-	// suspended; a daemon has run its inject once a first barrier returns,
-	// and the suspension that queued once a second one does.
+	// eight did). Rounds of either protocol start on daemon 0 and pass
+	// through it, so it is held until both are suspended; a daemon has run
+	// its inject once a first barrier returns, and the suspension that
+	// queued once a second one does.
 	gate, held := make(chan struct{}), make(chan struct{})
 	sys.Do(0, func(*Daemon) {
 		close(held)
@@ -265,7 +271,7 @@ func TestLaneForClassifiesKinds(t *testing.T) {
 			t.Errorf("LaneFor(%v) = %v, want LaneControl", k, LaneFor(k))
 		}
 	}
-	net := []MsgKind{MsgMessenger, MsgCreate, MsgCreateAck, MsgInject, MsgProgram}
+	net := []MsgKind{MsgMessenger, MsgCreate, MsgCreateAck, MsgInject}
 	for _, k := range net {
 		if LaneFor(k) != LaneNet {
 			t.Errorf("LaneFor(%v) = %v, want LaneNet", k, LaneFor(k))

@@ -6,7 +6,6 @@ import (
 	"math"
 	"sync/atomic"
 
-	"messengers/internal/bytecode"
 	"messengers/internal/lan"
 	"messengers/internal/logical"
 	"messengers/internal/obs"
@@ -127,9 +126,6 @@ type Daemon struct {
 	store *logical.Store
 	sys   *System
 
-	programs map[bytecode.Hash]*bytecode.Program
-	byName   map[string]*bytecode.Program
-
 	nextMsgrID uint64
 	rr         int // round-robin cursor for create's daemon choice
 
@@ -170,17 +166,15 @@ type Daemon struct {
 
 func newDaemon(id int, eng Engine, topo *Topology, sys *System) *Daemon {
 	d := &Daemon{
-		id:       id,
-		eng:      eng,
-		topo:     topo,
-		store:    logical.NewStore(id),
-		sys:      sys,
-		programs: map[bytecode.Hash]*bytecode.Program{},
-		byName:   map[string]*bytecode.Program{},
-		active:   map[uint64]*Messenger{},
-		waitQ:    newWakeQ(),
-		tr:       sys.trace,
-		om:       sys.om,
+		id:     id,
+		eng:    eng,
+		topo:   topo,
+		store:  logical.NewStore(id),
+		sys:    sys,
+		active: map[uint64]*Messenger{},
+		waitQ:  newWakeQ(),
+		tr:     sys.trace,
+		om:     sys.om,
 	}
 	if sys.metrics != nil {
 		d.prof = &vm.Profile{}
@@ -206,12 +200,6 @@ func (d *Daemon) Store() *logical.Store { return d.store }
 
 // GVT returns the daemon's view of global virtual time.
 func (d *Daemon) GVT() float64 { return d.gvt }
-
-// register adds a program to this daemon's script registry.
-func (d *Daemon) register(p *bytecode.Program) {
-	d.programs[p.Hash()] = p
-	d.byName[p.Name] = p
-}
 
 func (d *Daemon) exec(cost sim.Time, fn func()) {
 	if d.rec != nil {
@@ -389,7 +377,7 @@ func (d *Daemon) step(m *Messenger) {
 		d.exec(cost, func() { d.finish(m) })
 
 	case vm.PauseNative:
-		fn, ok := d.sys.natives[res.Native]
+		fn, ok := lookup(&d.sys.reg, d.sys.reg.natives, res.Native)
 		if !ok {
 			d.fail(m, fmt.Errorf("unknown native function %q", res.Native))
 			return
@@ -849,14 +837,6 @@ func (d *Daemon) HandleMsg(msg *Msg) {
 		// send), so it does not participate in GVT transient counting.
 		d.handleInject(msg)
 
-	case MsgProgram:
-		p, err := bytecode.Decode(msg.ProgBytes)
-		if err != nil {
-			d.sys.recordError(fmt.Errorf("daemon %d: bad program broadcast: %w", d.id, err))
-			return
-		}
-		d.register(p)
-
 	case MsgGVTNotify, MsgGVTReport:
 		if d.coord != nil {
 			d.coord.handle(msg)
@@ -908,7 +888,7 @@ func (d *Daemon) restore(msg *Msg) (*vm.VM, error) {
 		}
 		return mvm, nil
 	}
-	prog, ok := d.programs[msg.ProgHash]
+	prog, ok := lookup(&d.sys.reg, d.sys.reg.byHash, msg.ProgHash)
 	if !ok {
 		return nil, fmt.Errorf("program %s not in registry", msg.ProgHash)
 	}

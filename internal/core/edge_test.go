@@ -31,11 +31,18 @@ func TestCreateRoundRobinChoice(t *testing.T) {
 	}
 }
 
+// TestHandleUnknownMessageKind: 5 is the reserved value that used to be a
+// program broadcast; bytes from a socket no longer reach the registry.
 func TestHandleUnknownMessageKind(t *testing.T) {
-	_, sys := simSystem(t, 1)
-	sys.Daemon(0).HandleMsg(&Msg{Kind: MsgKind(99)})
-	if errs := sys.Errors(); len(errs) != 1 || !strings.Contains(errs[0].Error(), "unknown message kind") {
-		t.Errorf("errors = %v", errs)
+	for _, kind := range []MsgKind{99, 5} {
+		_, sys := simSystem(t, 1)
+		sys.Daemon(0).HandleMsg(&Msg{Kind: kind, ProgBytes: []byte("junk")})
+		if errs := sys.Errors(); len(errs) != 1 || !strings.Contains(errs[0].Error(), "unknown message kind") {
+			t.Errorf("kind %d: errors = %v", kind, errs)
+		}
+	}
+	if MsgGVTNotify != 6 || MsgGVTToken != 13 {
+		t.Errorf("MsgGVTNotify = %d, MsgGVTToken = %d: the reserved blank must keep later kinds at 6..13", MsgGVTNotify, MsgGVTToken)
 	}
 }
 
@@ -49,14 +56,6 @@ func TestArrivalWithUnknownProgram(t *testing.T) {
 	}
 	if sys.Live() != 0 {
 		t.Errorf("live = %d", sys.Live())
-	}
-}
-
-func TestCorruptProgramBroadcast(t *testing.T) {
-	_, sys := simSystem(t, 1)
-	sys.Daemon(0).HandleMsg(&Msg{Kind: MsgProgram, ProgBytes: []byte("junk")})
-	if errs := sys.Errors(); len(errs) != 1 || !strings.Contains(errs[0].Error(), "bad program broadcast") {
-		t.Errorf("errors = %v", errs)
 	}
 }
 

@@ -81,7 +81,7 @@ func (e *SimEngine) Send(src, dst int, msg *Msg) {
 	cm := e.Cluster.Model
 	size := msg.WireSize()
 	var sendCost, recvCost sim.Time
-	if msg.CarriesMessenger() || msg.Kind == MsgProgram {
+	if msg.CarriesMessenger() {
 		sendCost = sim.Time(size) * cm.MsgrSendPerByte
 		recvCost = sim.Time(size)*cm.MsgrRecvPerByte + cm.CallFixed
 	} else {

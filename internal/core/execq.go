@@ -39,7 +39,7 @@ const (
 	// probes, and timer callbacks (watchdogs, retransmissions).
 	LaneControl ExecLane = iota
 	// LaneNet: inbound messages that carry computation or mutate the
-	// logical network (Messengers, creates, create acks, programs).
+	// logical network (Messengers, creates, create acks).
 	// Strict FIFO — cross-daemon ordering invariants all live here.
 	LaneNet
 	// LaneLocal: the daemon's own continuations (VM segment retirement,

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"testing"
 
 	"messengers/internal/compile"
@@ -11,9 +10,9 @@ import (
 
 // TestInboundFrameDeadAfterHandleMsg enforces the lifetime rule the TCP
 // transport's pooled frames rest on: a decoded message aliases its frame
-// (Snapshot, ProgBytes), the transport recycles the frame as soon as
-// HandleMsg returns, so nothing HandleMsg leaves behind — the registered
-// program, the restored Messenger's variables — may still point into it.
+// (Snapshot), the transport recycles the frame as soon as HandleMsg
+// returns, so the restored Messenger's variables, all that HandleMsg leaves
+// behind, may not point into it.
 // The frame is scribbled over between HandleMsg and the Messenger's next
 // segment; every variable kind that carries a reference must survive. The
 // restore runs both ways: into a fresh VM, and into a berth another VM of
@@ -61,24 +60,18 @@ func inboundFrameDeadAfterHandleMsg(t *testing.T, viaBerth bool) {
 	}
 	d := sys.Daemon(0)
 	dest := d.Store().FindByName("a")[0].ID
-	progEnc := (&Msg{Kind: MsgProgram, ProgBytes: prog.Encode()}).Encode()
 	msgrEnc := (&Msg{Kind: MsgMessenger, ProgHash: prog.Hash(), Snapshot: snap, MsgrID: 42, DestNode: dest}).Encode()
 
-	// One buffer for both messages, as one pooled frame buffer serves
-	// successive frames; an odd prefix keeps the matrix blocks unaligned.
-	frame := append(append([]byte{0}, progEnc...), msgrEnc...)
-	progMsg, err := DecodeMsg(frame[1 : 1+len(progEnc)])
-	if err != nil {
-		t.Fatal(err)
-	}
-	msgrMsg, err := DecodeMsg(frame[1+len(progEnc):])
+	// An odd prefix keeps the matrix blocks unaligned.
+	frame := append([]byte{0}, msgrEnc...)
+	msgrMsg, err := DecodeMsg(frame[1:])
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	d.HandleMsg(progMsg) // the program reaches the registry only this way
+	sys.Register(prog)
 	if viaBerth {
-		d.ParkVM(vm.New(d.programs[prog.Hash()], map[string]value.Value{"s": value.Str("the last occupant"), "z": value.Int(1)}))
+		d.ParkVM(vm.New(prog, map[string]value.Value{"s": value.Str("the last occupant"), "z": value.Int(1)}))
 	}
 	sys.workAdded(1) // the in-flight transfer the sender would have counted
 	d.HandleMsg(msgrMsg)
@@ -98,13 +91,5 @@ func inboundFrameDeadAfterHandleMsg(t *testing.T, viaBerth bool) {
 		if !got[name].Equal(w) {
 			t.Errorf("variable %s changed after its frame was overwritten:\n got %v\nwant %v", name, got[name], w)
 		}
-	}
-	reg, ok := d.programs[prog.Hash()]
-	if !ok {
-		t.Fatal("program broadcast did not register under its hash")
-	}
-	// Encode walks the registered program itself (Hash may be memoised).
-	if !bytes.Equal(reg.Encode(), prog.Encode()) {
-		t.Error("registered program changed after its frame was overwritten")
 	}
 }

@@ -513,39 +513,7 @@ func TestRingGVTInitiatorCrashDuringPartition(t *testing.T) {
 // TestChanEngineRingGVTOrdering is the real-engine (goroutine) smoke test
 // for the ring protocol.
 func TestChanEngineRingGVTOrdering(t *testing.T) {
-	sys := chanSystem(t, 3, WithGVTInterval(sim.Millisecond/2), WithDistributedGVT())
-	register(t, sys, "ticker", `
-		for (k = 0; k < 5; k++) {
-			sched_abs(k * spacing + phase);
-			print(tag, k);
-		}
-	`)
-	inject := func(d int, tag string, phase float64) {
-		t.Helper()
-		err := sys.Inject(d, "ticker", map[string]value.Value{
-			"tag": value.Str(tag), "phase": value.Num(phase), "spacing": value.Num(1),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	inject(1, "X", 0.2)
-	inject(2, "Y", 0.6)
-	waitDone(t, sys)
-
-	out := sys.Output()
-	if len(out) != 10 {
-		t.Fatalf("output = %v", out)
-	}
-	for i, line := range out {
-		wantTag := "X"
-		if i%2 == 1 {
-			wantTag = "Y"
-		}
-		if !strings.HasPrefix(line, wantTag) {
-			t.Errorf("line %d = %q, want prefix %q", i, line, wantTag)
-		}
-	}
+	chanEngineGVTOrdering(t, WithDistributedGVT())
 }
 
 func TestGVTTokenEncodeDecodeRoundTrip(t *testing.T) {

@@ -205,7 +205,7 @@ func TestMsgEncodeDecodeRoundTrip(t *testing.T) {
 			LinkDir: 2, OriginName: "init", Snapshot: []byte{9},
 		},
 		{Kind: MsgGVTReport, From: 2, GEpoch: 5, GMin: 2.5, GSent: 10, GRecv: 9, GActive: 3},
-		{Kind: MsgProgram, ProgBytes: []byte("prog")},
+		{Kind: MsgMessenger, ProgBytes: []byte("prog")},
 		{Kind: MsgHalt},
 	}
 	for _, m := range msgs {

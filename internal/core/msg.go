@@ -25,9 +25,9 @@ const (
 	MsgCreateAck
 	// MsgInject delivers an externally injected Messenger to a daemon.
 	MsgInject
-	// MsgProgram distributes a compiled script to a daemon's registry (the
-	// shared-file-system substitute in distributed deployments).
-	MsgProgram
+	// 5 is reserved: it was MsgProgram, a by-name program broadcast nothing
+	// sent. The blank keeps every later kind's wire value.
+	_
 	// MsgGVTNotify tells the coordinator that a daemon has suspended a
 	// Messenger on virtual time (so GVT rounds should run).
 	MsgGVTNotify
@@ -55,7 +55,7 @@ const (
 func (k MsgKind) String() string {
 	names := map[MsgKind]string{
 		MsgMessenger: "messenger", MsgCreate: "create", MsgCreateAck: "create-ack",
-		MsgInject: "inject", MsgProgram: "program", MsgGVTNotify: "gvt-notify",
+		MsgInject: "inject", MsgGVTNotify: "gvt-notify",
 		MsgGVTQuery: "gvt-query", MsgGVTReport: "gvt-report",
 		MsgGVTAdvance: "gvt-advance", MsgHalt: "halt",
 		MsgHopAck: "hop-ack", MsgHeartbeat: "heartbeat",
@@ -110,7 +110,7 @@ type Msg struct {
 	AckPeer     logical.Addr
 	AckPeerName string
 
-	// Program distribution (MsgProgram).
+	// Bytecode aboard a hop, A4 ablation only (MsgrCodeCached off); unread.
 	ProgBytes []byte
 
 	// GVT fields (MsgGVT*).
@@ -265,8 +265,6 @@ func (m *Msg) WireSize() int {
 	switch m.Kind {
 	case MsgMessenger, MsgCreate, MsgInject:
 		return 48 + m.SnapshotLen() + len(m.Last) + len(m.CreateName) + len(m.LinkName) + len(m.ProgBytes) + len(m.Tenant)
-	case MsgProgram:
-		return 32 + len(m.ProgBytes)
 	default:
 		return 64
 	}
@@ -278,8 +276,8 @@ func (m *Msg) WireSize() int {
 // has been consumed. On the TCP engine that is a lifetime rule: the
 // transport owns the (pooled) frame until HandleMsg returns and recycles it
 // then, so nothing reachable after HandleMsg may keep a subslice of
-// Snapshot or ProgBytes. The consumers, vm.Restore and bytecode.Decode, run
-// inside HandleMsg and copy what they keep.
+// Snapshot or ProgBytes. The one inbound consumer, vm.Restore, runs inside
+// HandleMsg and copies what it keeps.
 func DecodeMsg(buf []byte) (*Msg, error) {
 	r := &msgReader{buf: buf}
 	m := &Msg{}

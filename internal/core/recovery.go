@@ -574,9 +574,9 @@ func (d *Daemon) crashCleanup() {
 }
 
 // restartReset is the executor half of System.Restart: the daemon comes
-// back as a fresh process — empty logical store, zeroed books — with its
-// program registry intact (a restarted daemon reloads code) and its ID
-// counters monotonic (the stand-in for fresh process-unique IDs).
+// back as a fresh process — empty logical store, zeroed books — reading the
+// system's program registry as before (a restarted daemon reloads code) and
+// its ID counters monotonic (the stand-in for fresh process-unique IDs).
 func (d *Daemon) restartReset() {
 	d.store = logical.NewStore(d.id)
 	d.gvt = 0

@@ -29,8 +29,7 @@ type System struct {
 	eng         Engine
 	topo        *Topology
 	daemons     []*Daemon
-	natives     map[string]NativeFunc
-	programs    map[string]*bytecode.Program
+	reg         registry
 	gvtInterval sim.Time
 	trace       *obs.Tracer
 	metrics     *obs.Metrics
@@ -56,6 +55,23 @@ type System struct {
 	// values — the differential-testing signal that the coordinator and the
 	// ring compute the same virtual-time history.
 	commits []float64
+}
+
+// registry is the system's one copy of loaded code, the paper's shared file
+// system: every daemon reads it, through lookup, where it needs a program or
+// a native. Its lock is its own; s.mu mediates output and Wait.
+type registry struct {
+	mu      sync.Mutex
+	byHash  map[bytecode.Hash]*bytecode.Program
+	byName  map[string]*bytecode.Program
+	natives map[string]NativeFunc
+}
+
+func lookup[K comparable, V any](r *registry, table map[K]V, k K) (V, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	v, ok := table[k]
+	return v, ok
 }
 
 // Option configures a System.
@@ -164,10 +180,13 @@ func NewSystem(eng Engine, topo *Topology, opts ...Option) *System {
 			topo.NumDaemons(), eng.NumDaemons()))
 	}
 	s := &System{
-		eng:         eng,
-		topo:        topo,
-		natives:     map[string]NativeFunc{},
-		programs:    map[string]*bytecode.Program{},
+		eng:  eng,
+		topo: topo,
+		reg: registry{
+			byHash:  map[bytecode.Hash]*bytecode.Program{},
+			byName:  map[string]*bytecode.Program{},
+			natives: map[string]NativeFunc{},
+		},
 		gvtInterval: defaultGVTInterval,
 	}
 	s.cond = sync.NewCond(&s.mu)
@@ -197,7 +216,7 @@ func NewSystem(eng Engine, topo *Topology, opts ...Option) *System {
 // Extra arguments are name/value pairs that become the new Messenger's
 // initial variables: inject("worker", "init", "limit", 10).
 func (s *System) registerSystemNatives() {
-	s.natives["inject"] = func(ctx *NativeCtx, args []value.Value) (value.Value, error) {
+	s.reg.natives["inject"] = func(ctx *NativeCtx, args []value.Value) (value.Value, error) {
 		if len(args) == 0 || args[0].Kind() != value.KindStr {
 			return value.Nil(), fmt.Errorf("inject needs a script name")
 		}
@@ -285,27 +304,29 @@ func (s *System) Do(d int, fn func(*Daemon)) {
 	s.eng.Exec(d, 0, func() { fn(s.daemons[d]) })
 }
 
-// RegisterNative makes a native-mode function available to all daemons.
-// Must be called before any Messenger is injected.
+// RegisterNative makes a native-mode function available to all daemons;
+// like Register it is synchronous and safe beside running Messengers.
 func (s *System) RegisterNative(name string, fn NativeFunc) {
-	s.natives[name] = fn
+	s.reg.mu.Lock()
+	s.reg.natives[name] = fn
+	s.reg.mu.Unlock()
 }
 
-// Register installs a compiled script in every daemon's registry (the
-// shared-file-system model of the paper: code is loaded by name everywhere
-// and never carried by Messengers).
+// Register installs a compiled script in the system's registry (the
+// shared-file-system model of the paper: daemons load code from one place
+// and Messengers never carry it). It is safe from any goroutine, and once
+// it returns an arrival on any daemon finds the program.
 func (s *System) Register(p *bytecode.Program) {
-	s.programs[p.Name] = p
-	for i := range s.daemons {
-		d := s.daemons[i]
-		s.eng.Exec(i, 0, func() { d.register(p) })
-	}
+	h := p.Hash() // hashed ahead of the lock: lookups never wait on an encode
+	s.reg.mu.Lock()
+	s.reg.byHash[h] = p
+	s.reg.byName[p.Name] = p
+	s.reg.mu.Unlock()
 }
 
 // Program returns a registered program by name.
 func (s *System) Program(name string) (*bytecode.Program, bool) {
-	p, ok := s.programs[name]
-	return p, ok
+	return lookup(&s.reg, s.reg.byName, name)
 }
 
 // Inject releases a new Messenger of the named script into daemon d's init
@@ -324,7 +345,7 @@ func (s *System) InjectAt(d int, script, node string, vars map[string]value.Valu
 
 func (s *System) injectAt(d int, script, node string, vars map[string]value.Value,
 	lvt float64, tenant string, session uint64, budget int64) error {
-	prog, ok := s.programs[script]
+	prog, ok := s.Program(script)
 	if !ok {
 		return fmt.Errorf("core: script %q not registered", script)
 	}

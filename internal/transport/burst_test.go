@@ -3,7 +3,6 @@ package transport
 import (
 	"bytes"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -81,14 +80,6 @@ func ringOf2(t *testing.T, sys *core.System, src string) {
 		t.Fatal(err)
 	}
 	sys.Register(prog)
-	// Register only enqueues on each daemon, and a walker arriving from the
-	// peer can overtake it (ROADMAP open item 1): wait until both have run.
-	var registered sync.WaitGroup
-	for d := 0; d < 2; d++ {
-		registered.Add(1)
-		sys.Do(d, func(*core.Daemon) { registered.Done() })
-	}
-	registered.Wait()
 }
 
 const scalarWalker = `
@@ -134,10 +125,10 @@ func TestBurstLeavesInOneWrite(t *testing.T) {
 // socket whole, in one Write of its own, after what was sent before it.
 func TestBurstLargerThanTheBuffer(t *testing.T) {
 	sys, eng, met := meteredTCP(t)
-	big := &core.Msg{Kind: core.MsgProgram, From: 1, ProgBytes: bytes.Repeat([]byte{0xee}, 64<<10)}
+	big := &core.Msg{Kind: core.MsgHalt, From: 1, ProgBytes: bytes.Repeat([]byte{0xee}, 64<<10)}
 	eng.Exec(1, 0, func() {
 		eng.Send(1, 0, advance(1))
-		eng.Send(1, 0, big) // not a program: daemon 0 records a decode error and moves on
+		eng.Send(1, 0, big) // a carrier only: daemon 0 ignores a halt
 		eng.Send(1, 0, advance(2))
 	})
 	waitCommits(t, sys, 2)

@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"messengers/internal/compile"
@@ -110,14 +109,6 @@ func TestPooledFramesAcrossSizes(t *testing.T) {
 		}
 		sys.Register(prog)
 	}
-	// Register only enqueues on each daemon, and a walker arriving from the
-	// peer can overtake it (ROADMAP open item 4): wait until both have run.
-	var registered sync.WaitGroup
-	for d := 0; d < 2; d++ {
-		registered.Add(1)
-		sys.Do(d, func(*core.Daemon) { registered.Done() })
-	}
-	registered.Wait()
 
 	rng := rand.New(rand.NewSource(15))
 	var wantSum float64

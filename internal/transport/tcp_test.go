@@ -168,8 +168,19 @@ func TestGVTOverTCP(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Injection is not in the GVT books, so daemon 0, where rounds start, is
+	// held until both tickers are suspended: a daemon has run its inject
+	// once a first barrier returns, and the suspension that queued once a
+	// second one does.
+	release := holdExecutor(eng, 0)
 	inj(1, "A", 0.1)
 	inj(2, "B", 0.6)
+	for _, d := range []int{1, 2, 1, 2} {
+		ran := make(chan struct{})
+		sys.Do(d, func(*core.Daemon) { close(ran) })
+		<-ran
+	}
+	release()
 	waitQuiesce(t, sys, eng)
 	out := sys.Output()
 	if len(out) != 8 {

@@ -384,8 +384,8 @@ func (s *System) Restart(d int) {
 	}
 }
 
-// CompileAndRegister compiles MSL source and installs it in every daemon's
-// script registry under the given name.
+// CompileAndRegister compiles MSL source and installs it in the system's
+// script registry under the given name (see Register).
 func (s *System) CompileAndRegister(name, src string) error {
 	prog, err := compile.Compile(name, src)
 	if err != nil {

@@ -2,6 +2,7 @@ package messengers
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -200,5 +201,86 @@ func TestCompileErrorSurface(t *testing.T) {
 	}
 	if err := sys.CompileAndRegister("bad", `x = ;`); err == nil {
 		t.Error("syntax error should surface")
+	}
+}
+
+// TestRegisterThenInjectNeverMisses: a program is everywhere the moment
+// Register returns, so a walker injected right after it never reaches a
+// daemon ahead of its code. Every round registers a source whose hash is
+// new, as a fresh /v1/submit does. A registration that reaches daemon 1
+// through its own queue loses to the arrival on tens of the 2000 rounds
+// whenever two Ps are available.
+func TestRegisterThenInjectNeverMisses(t *testing.T) {
+	sys, err := NewTCPSystem(Config{Daemons: 2}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	err = sys.BuildNetwork(NetSpec{
+		Nodes: []NetNode{{Name: "a", Daemon: 0}, {Name: "b", Daemon: 1}},
+		Links: []NetLink{{A: "a", B: "b", Name: "ab"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 2000
+	for i := 0; i < rounds; i++ {
+		src := fmt.Sprintf(`salt = %d; hop(ll = "ab"); hop(ll = "ab"); node.home = node.home + 1;`, i)
+		if err := sys.CompileAndRegister("walker", src); err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.InjectAt(0, "walker", "a", nil); err != nil {
+			t.Fatal(err)
+		}
+		sys.Wait()
+	}
+	if errs := sys.Errors(); len(errs) > 0 {
+		t.Fatalf("%d of %d walkers lost, first: %v", len(errs), rounds, errs[0])
+	}
+	if vars, _ := sys.ReadNodeVars(0, "a"); vars["home"].AsInt() != rounds {
+		t.Errorf("%d of %d walkers came home", vars["home"].AsInt(), rounds)
+	}
+}
+
+// TestRegisterWhileScriptsInject: Register and RegisterNative are safe
+// beside running Messengers that resolve scripts and natives by name, which
+// in msgrd -serve is one tenant's fresh submit against another tenant's
+// running script. The race detector is the judge (CI runs this under
+// -race -cpu 2,4).
+func TestRegisterWhileScriptsInject(t *testing.T) {
+	sys, err := NewRealSystem(Config{Daemons: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	sys.RegisterNative("tick", func(*NativeCtx, []Value) (Value, error) { return IntValue(1), nil })
+	for name, src := range map[string]string{
+		"child":  `node.born = node.born + 1;`,
+		"parent": `while (node.stop == nil) { inject("child"); node.sent = node.sent + tick(); }`,
+		"stop":   `node.stop = 1;`,
+	} {
+		if err := sys.CompileAndRegister(name, src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sys.Inject(0, "parent", nil); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 500; i++ {
+		if err := sys.CompileAndRegister("fresh", fmt.Sprintf(`salt = %d;`, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sys.RegisterNative("late", func(*NativeCtx, []Value) (Value, error) { return NilValue(), nil })
+	if err := sys.Inject(0, "stop", nil); err != nil {
+		t.Fatal(err)
+	}
+	sys.Wait()
+	for _, err := range sys.Errors() {
+		t.Errorf("runtime error: %v", err)
+	}
+	vars, _ := sys.ReadNodeVars(0, "init")
+	if sent, born := vars["sent"].AsInt(), vars["born"].AsInt(); sent == 0 || sent != born {
+		t.Errorf("parent injected %d children, %d ran", sent, born)
 	}
 }

@@ -6,7 +6,6 @@ package messengers
 // headline number the pooled wire layer is accountable to.
 
 import (
-	"sync"
 	"testing"
 
 	"messengers/internal/core"
@@ -103,14 +102,6 @@ func benchWireHop(b *testing.B, sys *System, matN int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Registration is queued on each daemon, and over TCP the first arrival
-	// can overtake it: let both run before the walker leaves.
-	var registered sync.WaitGroup
-	for d := 0; d < sys.NumDaemons(); d++ {
-		registered.Add(1)
-		sys.Do(d, func(*core.Daemon) { registered.Done() })
-	}
-	registered.Wait()
 	b.ReportAllocs()
 	b.ResetTimer()
 	err = sys.InjectAt(0, "wirehop", "a", map[string]Value{
