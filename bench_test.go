@@ -162,16 +162,6 @@ func BenchmarkA1CopyAblation(b *testing.B) {
 	}
 }
 
-// BenchmarkA2GVTStrategies compares conservative vs optimistic GVT.
-func BenchmarkA2GVTStrategies(b *testing.B) {
-	cm := lan.DefaultCostModel()
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.RunA2GVTStrategies(cm, 4, 8, 6); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkA3InterpreterOverhead compares bytecode vs native-mode kernels.
 func BenchmarkA3InterpreterOverhead(b *testing.B) {
 	cm := lan.DefaultCostModel()

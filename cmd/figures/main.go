@@ -22,7 +22,7 @@ import (
 func main() {
 	short := flag.Bool("short", false, "trim sweep axes for a quick run")
 	outDir := flag.String("out", "experiments", "output directory")
-	only := flag.String("only", "", "comma-separated subset (f4,f5,f6,f7,f12a,f12b,t1,t2,t3,a1,a2,a3,a4,e1)")
+	only := flag.String("only", "", "comma-separated subset (f4,f5,f6,f7,f12a,f12b,t1,t2,t3,a1,a3,a4,e1)")
 	flag.Parse()
 
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
@@ -89,7 +89,6 @@ func main() {
 			}
 			return bench.RunA1CopyAblation(cm, 640, 8, procs)
 		}},
-		{"a2", func() (*bench.Table, error) { return bench.RunA2GVTStrategies(cm, 8, 16, 10) }},
 		{"a3", func() (*bench.Table, error) { return bench.RunA3InterpreterOverhead(cm, []int{8, 16, 24}) }},
 		{"a4", func() (*bench.Table, error) { return bench.RunA4CodeCarrying(cm, 640, 16, 8) }},
 		{"e1", func() (*bench.Table, error) {

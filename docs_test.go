@@ -13,12 +13,14 @@ import (
 )
 
 // The names documentation may point at: a command, an internal package, a
-// committed benchmark file, a make target. A cmd/ inside another module's
-// import path is not ours, and a `make <target>` counts where it cannot be
-// prose: after a backtick, or leading a line of shell.
+// committed benchmark file or experiments table, a make target. A cmd/
+// inside another module's import path is not ours, and a `make <target>`
+// counts where it cannot be prose: after a backtick, or leading a line of
+// shell.
 var (
 	refDir   = regexp.MustCompile(`(?:^|[^\w./-])(?:\./|messengers/)?((cmd|internal)/[a-z][a-z0-9_]*)`)
 	refBench = regexp.MustCompile(`\bBENCH[A-Za-z0-9_]*\.jsonl?\b`)
+	refTable = regexp.MustCompile(`\bexperiments/[a-z0-9_]+\.(?:csv|txt)\b`)
 	refMake  = regexp.MustCompile("`make ([a-z][a-z0-9-]*)")
 	refShell = regexp.MustCompile(`^\s*(?:run:\s*)?make ([a-z][a-z0-9-]*)`)
 	makeRule = regexp.MustCompile(`(?m)^([a-z][a-z0-9-]*):`)
@@ -26,9 +28,9 @@ var (
 
 // TestDocsNameOnlyWhatExists fails when a document, the Makefile, the CI
 // workflow or a Go comment names a cmd/ or internal/ directory, a BENCH
-// file or a make target that the tree does not have. CHANGES.md and
-// ROADMAP.md are history and cmd/mbench keeps its provenance comments, so
-// none of those is scanned.
+// file, an experiments table or a make target that the tree does not have.
+// CHANGES.md and ROADMAP.md are history and cmd/mbench keeps its provenance
+// comments, so none of those is scanned.
 func TestDocsNameOnlyWhatExists(t *testing.T) {
 	mk, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -50,9 +52,11 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 				t.Errorf("%s: %s does not exist", where, m[1])
 			}
 		}
-		for _, m := range refBench.FindAllString(line, -1) {
-			if !exists(m) {
-				t.Errorf("%s: %s does not exist", where, m)
+		for _, re := range []*regexp.Regexp{refBench, refTable} {
+			for _, m := range re.FindAllString(line, -1) {
+				if !exists(m) {
+					t.Errorf("%s: %s does not exist", where, m)
+				}
 			}
 		}
 		made := refMake.FindAllStringSubmatch(line, -1)

@@ -21,7 +21,6 @@ import (
 var deterministicPkgs = map[string]bool{
 	"messengers/internal/sim":    true,
 	"messengers/internal/lan":    true,
-	"messengers/internal/gvt":    true,
 	"messengers/internal/core":   true,
 	"messengers/internal/vm":     true,
 	"messengers/internal/value":  true,

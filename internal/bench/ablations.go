@@ -6,7 +6,6 @@ import (
 	"messengers/internal/apps"
 	"messengers/internal/compile"
 	"messengers/internal/core"
-	"messengers/internal/gvt"
 	"messengers/internal/lan"
 	"messengers/internal/sim"
 	"messengers/internal/value"
@@ -57,71 +56,6 @@ func RunA1CopyAblation(cm *lan.CostModel, size, grid int, procs []int) (*Table, 
 			ratio(copies.Elapsed, base.Elapsed),
 		})
 	}
-	return t, nil
-}
-
-// RunA2GVTStrategies compares the conservative and optimistic (Time Warp)
-// virtual-time executors on a PHOLD workload spread over hosts, reporting
-// simulated completion time, rollbacks, and control traffic.
-func RunA2GVTStrategies(cm *lan.CostModel, hosts, lps int, horizon float64) (*Table, error) {
-	build := func() (gvt.Config, []gvt.Event) {
-		cluster := lan.NewCluster(sim.New(), cm, hosts, lan.SPARC110)
-		cfg := gvt.Config{
-			Cluster:   cluster,
-			NumLPs:    lps,
-			InitState: func(int) gvt.State { return gvt.IntState{} },
-			EventCPU:  300 * sim.Microsecond,
-			Window:    1.0, // bounded optimism; unbounded thrashes on PHOLD
-			Handler: func(ctx *gvt.Ctx, ev gvt.Event) {
-				st := ctx.State().(gvt.IntState)
-				st["count"]++
-				h := uint64(ev.Data)*2654435761 + uint64(ctx.LP())*97
-				// Skewed service times: some LPs race ahead, which is
-				// where the two strategies differ most.
-				delay := 0.05 + float64(h%13)/20
-				if at := ctx.Now() + delay; at < horizon {
-					ctx.Send(gvt.Event{At: at, To: int(h % uint64(lps)), Data: ev.Data + 1, Size: 256})
-				}
-			},
-		}
-		var inject []gvt.Event
-		for i := 0; i < lps; i++ {
-			inject = append(inject, gvt.Event{At: 0.001 * float64(i+1), To: i, Data: int64(i), Size: 256})
-		}
-		return cfg, inject
-	}
-
-	csCfg, csInj := build()
-	csStats, _, err := gvt.RunConservative(csCfg, csInj)
-	if err != nil {
-		return nil, err
-	}
-	twCfg, twInj := build()
-	twStats, _, err := gvt.RunTimeWarp(twCfg, twInj)
-	if err != nil {
-		return nil, err
-	}
-	if committed := twStats.Events - twStats.RolledBack; committed != csStats.Events {
-		return nil, fmt.Errorf("bench: A2 strategies disagree: %d vs %d committed events",
-			committed, csStats.Events)
-	}
-
-	t := &Table{
-		Title:   fmt.Sprintf("A2: GVT strategies, PHOLD with %d LPs on %d hosts (horizon %v)", lps, hosts, horizon),
-		Columns: []string{"strategy", "sim time", "events", "rollbacks", "rolled back", "anti-msgs", "control msgs", "rounds"},
-	}
-	row := func(name string, s gvt.Stats) []string {
-		return []string{
-			name, secs(s.Elapsed),
-			fmt.Sprintf("%d", s.Events),
-			fmt.Sprintf("%d", s.Rollbacks),
-			fmt.Sprintf("%d", s.RolledBack),
-			fmt.Sprintf("%d", s.AntiMessages),
-			fmt.Sprintf("%d", s.ControlMsgs),
-			fmt.Sprintf("%d", s.Rounds),
-		}
-	}
-	t.Rows = append(t.Rows, row("conservative", csStats), row("optimistic", twStats))
 	return t, nil
 }
 

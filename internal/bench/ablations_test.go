@@ -37,27 +37,6 @@ func TestA1CopyAblation(t *testing.T) {
 	}
 }
 
-func TestA2GVTStrategies(t *testing.T) {
-	cm := lan.DefaultCostModel()
-	tb, err := RunA2GVTStrategies(cm, 4, 8, 4.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tb.Rows) != 2 {
-		t.Fatalf("rows = %d", len(tb.Rows))
-	}
-	// Conservative pays rounds but never rolls back; optimistic may roll
-	// back but commits the same events.
-	if tb.Rows[0][3] != "0" {
-		t.Errorf("conservative rollbacks = %s", tb.Rows[0][3])
-	}
-	csEvents, twEvents := tb.Rows[0][2], tb.Rows[1][2]
-	twRolled := cellFloat(t, tb.Rows[1][4])
-	if cellFloat(t, twEvents)-twRolled != cellFloat(t, csEvents) {
-		t.Errorf("committed events differ: %s vs %s-%v", csEvents, twEvents, twRolled)
-	}
-}
-
 func TestA3InterpreterOverhead(t *testing.T) {
 	cm := lan.DefaultCostModel()
 	tb, err := RunA3InterpreterOverhead(cm, []int{8, 16})

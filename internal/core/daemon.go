@@ -136,8 +136,7 @@ type Daemon struct {
 	sent, recv int64
 	notified   bool
 
-	coord *coordinator // non-nil on daemon 0 (centralized GVT)
-	ring  *ringGVT     // non-nil under WithDistributedGVT
+	initiator *gvtInitiator // non-nil on daemon 0, which runs the GVT rounds
 
 	// berths are spent VMs kept for their storage: fed where this daemon
 	// has just serialised a departing Messenger, drained by restore. At most
@@ -182,10 +181,8 @@ func newDaemon(id int, eng Engine, topo *Topology, sys *System) *Daemon {
 	if sys.recCfg != nil {
 		d.rec = newRecovery(eng.NumDaemons(), *sys.recCfg)
 	}
-	if sys.distGVT {
-		d.ring = &ringGVT{d: d}
-	} else if id == 0 {
-		d.coord = &coordinator{d: d}
+	if id == 0 {
+		d.initiator = &gvtInitiator{d: d, ring: sys.distGVT}
 	}
 	d.flush, _ = eng.(flusher)
 	return d
@@ -837,28 +834,11 @@ func (d *Daemon) HandleMsg(msg *Msg) {
 		// send), so it does not participate in GVT transient counting.
 		d.handleInject(msg)
 
-	case MsgGVTNotify, MsgGVTReport:
-		if d.coord != nil {
-			d.coord.handle(msg)
-		} else if d.ring != nil && msg.Kind == MsgGVTNotify {
-			d.ring.handleNotify()
-		}
-
-	case MsgGVTToken:
-		if d.ring != nil {
-			d.ring.handleToken(msg)
-		}
+	case MsgGVTNotify, MsgGVTReport, MsgGVTToken:
+		d.handleGVT(msg)
 
 	case MsgGVTQuery:
-		d.sendGVT(msg.From, &Msg{
-			Kind:    MsgGVTReport,
-			From:    d.id,
-			GEpoch:  msg.GEpoch,
-			GMin:    d.localMin(),
-			GSent:   d.sent,
-			GRecv:   d.recv,
-			GActive: int64(len(d.active)),
-		})
+		d.answerQuery(msg)
 
 	case MsgGVTAdvance:
 		d.advanceGVT(msg.GVT)

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"messengers/internal/faults"
 	"messengers/internal/sim"
 	"messengers/internal/value"
 )
@@ -118,8 +117,8 @@ func TestRingGVTOrdersEventsAcrossDaemons(t *testing.T) {
 	if sys.Daemon(0).Stats.GVTRounds == 0 {
 		t.Error("no ring rounds ran")
 	}
-	if sys.Daemon(1).coord != nil || sys.Daemon(0).ring == nil {
-		t.Error("WithDistributedGVT did not replace the coordinator")
+	if !sys.Daemon(0).initiator.ring {
+		t.Error("WithDistributedGVT did not switch the initiator to the ring")
 	}
 	log := sys.CommitLog()
 	if len(log) == 0 {
@@ -317,196 +316,6 @@ func TestRingControlMessageComplexity(t *testing.T) {
 					coord.d0PerRound, min)
 			}
 		})
-	}
-}
-
-// TestRingGVTUnderLoss mirrors TestRecoveryGVTUnderLoss under the ring
-// protocol: dropped tokens must be relaunched by the initiator's watchdog
-// and virtual time must still advance in order.
-func TestRingGVTUnderLoss(t *testing.T) {
-	plan := &faults.Plan{Seed: 9, Drop: 0.25}
-	k, sys, _ := faultSystem(t, 3, plan, WithDistributedGVT())
-	register(t, sys, "waker", `
-		sched_abs(when);
-		print("wake", when);
-	`)
-	for i, when := range []float64{3.0, 1.0, 2.0} {
-		err := sys.Inject(i, "waker", map[string]value.Value{"when": value.Num(when)})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	runSim(t, k, sys)
-	out := sys.Output()
-	want := []string{"wake 1.0", "wake 2.0", "wake 3.0"}
-	if len(out) != len(want) {
-		t.Fatalf("output = %v", out)
-	}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Errorf("output[%d] = %q, want %q", i, out[i], want[i])
-		}
-	}
-}
-
-// TestRingGVTCrashWithoutRestart kills a mid-ring daemon permanently: the
-// token route must heal around it (succ skips dead peers) and the orphaned
-// work must finish on the survivors.
-func TestRingGVTCrashWithoutRestart(t *testing.T) {
-	plan := &faults.Plan{
-		Seed:    2,
-		Crashes: []faults.Crash{{Daemon: 1, At: int64(50 * sim.Millisecond)}},
-	}
-	k, sys, _ := faultSystem(t, 3, plan, WithDistributedGVT())
-	sys.RegisterNative("spin", func(ctx *NativeCtx, _ []value.Value) (value.Value, error) {
-		ctx.Charge(200 * sim.Millisecond)
-		return value.Nil(), nil
-	})
-	register(t, sys, "survivor", `
-		create(ALL);
-		spin();
-		hop(ll = $last);
-		node.done = node.done + 1;
-	`)
-	if err := sys.Inject(0, "survivor", nil); err != nil {
-		t.Fatal(err)
-	}
-	runSim(t, k, sys)
-	if got := sys.Daemon(0).Store().Init().Vars["done"].AsInt(); got != 2 {
-		t.Errorf("done = %d, want 2", got)
-	}
-}
-
-// TestRingGVTCrashRespawn is the crash-with-restart chaos case under the
-// ring: the respawn path and the ring watchdog must coexist.
-func TestRingGVTCrashRespawn(t *testing.T) {
-	plan := &faults.Plan{
-		Seed: 1,
-		Crashes: []faults.Crash{{
-			Daemon:       1,
-			At:           int64(50 * sim.Millisecond),
-			RestartAfter: int64(20 * sim.Millisecond),
-		}},
-	}
-	k, sys, metrics := faultSystem(t, 2, plan, WithDistributedGVT())
-	sys.RegisterNative("spin", func(ctx *NativeCtx, _ []value.Value) (value.Value, error) {
-		ctx.Charge(200 * sim.Millisecond)
-		return value.Nil(), nil
-	})
-	register(t, sys, "survivor", `
-		create(ALL);
-		spin();
-		hop(ll = $last);
-		node.done = node.done + 1;
-	`)
-	if err := sys.Inject(0, "survivor", nil); err != nil {
-		t.Fatal(err)
-	}
-	runSim(t, k, sys)
-	if got := sys.Daemon(0).Store().Init().Vars["done"].AsInt(); got != 1 {
-		t.Errorf("done = %d, want 1", got)
-	}
-	if metrics.CounterValue("daemon.deaths") != 1 {
-		t.Errorf("deaths = %d, want 1", metrics.CounterValue("daemon.deaths"))
-	}
-}
-
-// TestRingGVTInitiatorCrash crashes daemon 0 — the round pacer — with a
-// restart. Suspended daemons renotify the restarted initiator, so virtual
-// time resumes advancing exactly as it does when the coordinator dies.
-func TestRingGVTInitiatorCrash(t *testing.T) {
-	plan := &faults.Plan{
-		Seed: 4,
-		Crashes: []faults.Crash{{
-			Daemon:       0,
-			At:           int64(30 * sim.Millisecond),
-			RestartAfter: int64(20 * sim.Millisecond),
-		}},
-	}
-	k, sys, _ := faultSystem(t, 3, plan, WithDistributedGVT())
-	register(t, sys, "waker", `
-		sched_abs(when);
-		print("wake", when);
-	`)
-	// Inject on the survivors only: daemon 0's residents die with it.
-	for i, when := range []float64{1.0, 2.0} {
-		err := sys.Inject(i+1, "waker", map[string]value.Value{"when": value.Num(when)})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	runSim(t, k, sys)
-	out := sys.Output()
-	want := []string{"wake 1.0", "wake 2.0"}
-	if len(out) != len(want) {
-		t.Fatalf("output = %v", out)
-	}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Errorf("output[%d] = %q, want %q", i, out[i], want[i])
-		}
-	}
-}
-
-// TestRingGVTInitiatorCrashDuringPartition combines the two faults that were
-// previously only tested separately: daemon 0 (the round pacer) crashes and
-// restarts while a partition simultaneously isolates daemon 2, so the ring
-// loses its initiator AND its tokens in the same window. The watchdog must
-// keep relaunching rounds, the restarted initiator must be renotified by the
-// suspended survivors, and once the partition heals virtual time must resume
-// advancing in order.
-func TestRingGVTInitiatorCrashDuringPartition(t *testing.T) {
-	plan := &faults.Plan{
-		Seed: 4,
-		Crashes: []faults.Crash{{
-			Daemon:       0,
-			At:           int64(30 * sim.Millisecond),
-			RestartAfter: int64(20 * sim.Millisecond),
-		}},
-		// Overlaps the crash window on both sides: the partition starts
-		// before the initiator dies and heals after it has restarted.
-		Partitions: []faults.Partition{{
-			At:    int64(25 * sim.Millisecond),
-			Heal:  int64(70 * sim.Millisecond),
-			Group: []int{2},
-		}},
-	}
-	k, sys, metrics := faultSystem(t, 3, plan, WithDistributedGVT())
-	register(t, sys, "waker", `
-		sched_abs(when);
-		print("wake", when);
-	`)
-	// Inject on the survivors only: daemon 0's residents die with it.
-	for i, when := range []float64{1.0, 2.0} {
-		err := sys.Inject(i+1, "waker", map[string]value.Value{"when": value.Num(when)})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	runSim(t, k, sys)
-	out := sys.Output()
-	want := []string{"wake 1.0", "wake 2.0"}
-	if len(out) != len(want) {
-		t.Fatalf("output = %v", out)
-	}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Errorf("output[%d] = %q, want %q", i, out[i], want[i])
-		}
-	}
-	// The combination must actually have exercised both faults: the
-	// partition cut ring traffic and the daemon died.
-	if metrics.CounterValue("faults.injected.partition") == 0 {
-		t.Error("partition never dropped a message — the fault windows missed the ring traffic")
-	}
-	if metrics.CounterValue("daemon.deaths") != 1 {
-		t.Errorf("deaths = %d, want 1", metrics.CounterValue("daemon.deaths"))
-	}
-	log := sys.CommitLog()
-	for i := 1; i < len(log); i++ {
-		if log[i] <= log[i-1] {
-			t.Fatalf("commit log not strictly increasing after combined faults: %v", log)
-		}
 	}
 }
 

@@ -28,7 +28,7 @@ const (
 	// 5 is reserved: it was MsgProgram, a by-name program broadcast nothing
 	// sent. The blank keeps every later kind's wire value.
 	_
-	// MsgGVTNotify tells the coordinator that a daemon has suspended a
+	// MsgGVTNotify tells the initiator that a daemon has suspended a
 	// Messenger on virtual time (so GVT rounds should run).
 	MsgGVTNotify
 	// MsgGVTQuery asks a daemon for its GVT report.

@@ -558,12 +558,8 @@ func (d *Daemon) crashCleanup() {
 	d.notified = false
 	d.sent, d.recv = 0, 0
 	d.store = logical.NewStore(d.id)
-	if d.coord != nil {
-		d.coord.polling = false
-		d.coord.reports = nil
-	}
-	if d.ring != nil {
-		d.ring.crashReset()
+	if d.initiator != nil {
+		d.initiator.crashReset()
 	}
 	if d.om != nil {
 		d.om.deaths.Inc()

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"reflect"
+	"sort"
 	"testing"
 
 	"messengers/internal/faults"
@@ -88,27 +91,28 @@ func TestRecoveryDuplicateSuppression(t *testing.T) {
 	}
 }
 
-// TestRecoveryCrashRespawn crashes the daemon a Messenger is resident on
-// mid-computation. The sender retains the delivered hop until GVT passes
-// it, so the survivor respawns the Messenger from its last transmitted
-// snapshot onto the healed logical network and the computation completes.
-func TestRecoveryCrashRespawn(t *testing.T) {
-	plan := &faults.Plan{
-		Seed: 1,
-		Crashes: []faults.Crash{{
-			Daemon:       1,
-			At:           int64(50 * sim.Millisecond),
-			RestartAfter: int64(20 * sim.Millisecond),
-		}},
-	}
-	k, sys, metrics := faultSystem(t, 2, plan)
-	// spin keeps the Messenger busy on daemon 1 well past the crash time.
+// gvtShapes are the GVT initiator's two wave shapes. Every test below that
+// crashes a daemon or loses control traffic runs under both: the stale-wave
+// drop, the watchdog, the dead-peer handling and the crash reset they
+// exercise exist once. (Under MSGR_DIST_GVT=1 the star row is a second ring
+// run.)
+var gvtShapes = []struct {
+	name string
+	opts []Option
+}{
+	{"star", nil},
+	{"ring", []Option{WithDistributedGVT()}},
+}
+
+// spinSurvivor loads the crash tests' workload: create moves the Messenger
+// onto a new node on every other daemon (one of which will crash) and spin
+// keeps it resident there well past the crash time.
+func spinSurvivor(t *testing.T, sys *System) {
+	t.Helper()
 	sys.RegisterNative("spin", func(ctx *NativeCtx, _ []value.Value) (value.Value, error) {
 		ctx.Charge(200 * sim.Millisecond)
 		return value.Nil(), nil
 	})
-	// create moves the Messenger onto the new node (on the daemon that
-	// will crash); spin keeps it resident there well past the crash time.
 	register(t, sys, "survivor", `
 		create(ALL);
 		spin();
@@ -118,79 +122,195 @@ func TestRecoveryCrashRespawn(t *testing.T) {
 	if err := sys.Inject(0, "survivor", nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// wakers starts one Messenger per entry of whens, on daemons first, first+1,
+// …; each suspends until its when and then rungs-1 more times, one unit of
+// virtual time apart. It runs the system dry and requires every wake-up, in
+// virtual-time order.
+func wakers(t *testing.T, k *sim.Kernel, sys *System, first, rungs int, whens ...float64) {
+	t.Helper()
+	register(t, sys, "waker", `
+		for (k = 0; k < rungs; k++) {
+			sched_abs(when + k);
+			print("wake", when + k);
+		}
+	`)
+	var times []float64
+	for i, when := range whens {
+		err := sys.Inject(first+i, "waker", map[string]value.Value{
+			"when": value.Num(when), "rungs": value.Int(int64(rungs))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < rungs; j++ {
+			times = append(times, when+float64(j))
+		}
+	}
 	runSim(t, k, sys)
-	if got := sys.Daemon(0).Store().Init().Vars["done"].AsInt(); got != 1 {
-		t.Errorf("done = %d, want 1", got)
+	sort.Float64s(times)
+	var want []string
+	for _, at := range times {
+		want = append(want, fmt.Sprintf("wake %.1f", at))
 	}
-	if metrics.CounterValue("daemon.deaths") != 1 {
-		t.Errorf("deaths = %d, want 1", metrics.CounterValue("daemon.deaths"))
+	if got := sys.Output(); !reflect.DeepEqual(got, want) {
+		t.Errorf("output = %v, want %v", got, want)
 	}
-	if metrics.CounterValue("msgr.respawns") == 0 {
-		t.Error("crash killed a resident Messenger but nothing was respawned")
-	}
-	if metrics.CounterValue("logical.adoptions") == 0 {
-		t.Error("daemon 0 still linked to the dead daemon's node; no adoption happened")
+}
+
+// TestRecoveryCrashRespawn crashes the daemon a Messenger is resident on
+// mid-computation. The sender retains the delivered hop until GVT passes
+// it, so the survivor respawns the Messenger from its last transmitted
+// snapshot onto the healed logical network and the computation completes;
+// under the ring the respawn path and the token's watchdog must coexist.
+func TestRecoveryCrashRespawn(t *testing.T) {
+	for _, shape := range gvtShapes {
+		t.Run(shape.name, func(t *testing.T) {
+			plan := &faults.Plan{
+				Seed: 1,
+				Crashes: []faults.Crash{{
+					Daemon:       1,
+					At:           int64(50 * sim.Millisecond),
+					RestartAfter: int64(20 * sim.Millisecond),
+				}},
+			}
+			k, sys, metrics := faultSystem(t, 2, plan, shape.opts...)
+			spinSurvivor(t, sys)
+			runSim(t, k, sys)
+			if got := sys.Daemon(0).Store().Init().Vars["done"].AsInt(); got != 1 {
+				t.Errorf("done = %d, want 1", got)
+			}
+			if metrics.CounterValue("daemon.deaths") != 1 {
+				t.Errorf("deaths = %d, want 1", metrics.CounterValue("daemon.deaths"))
+			}
+			if metrics.CounterValue("msgr.respawns") == 0 {
+				t.Error("crash killed a resident Messenger but nothing was respawned")
+			}
+			if metrics.CounterValue("logical.adoptions") == 0 {
+				t.Error("daemon 0 still linked to the dead daemon's node; no adoption happened")
+			}
+		})
 	}
 }
 
 // TestRecoveryCrashWithoutRestart verifies a permanently dead daemon does
-// not wedge the survivors: orphaned work is adopted and finishes locally.
+// not wedge the survivors: orphaned work is adopted and finishes locally,
+// and the rounds heal around the gap (the star stops expecting its report,
+// the token's route skips it).
 func TestRecoveryCrashWithoutRestart(t *testing.T) {
-	plan := &faults.Plan{
-		Seed:    2,
-		Crashes: []faults.Crash{{Daemon: 1, At: int64(50 * sim.Millisecond)}},
-	}
-	k, sys, _ := faultSystem(t, 3, plan)
-	sys.RegisterNative("spin", func(ctx *NativeCtx, _ []value.Value) (value.Value, error) {
-		ctx.Charge(200 * sim.Millisecond)
-		return value.Nil(), nil
-	})
-	// create moves the Messenger onto the new node (on the daemon that
-	// will crash); spin keeps it resident there well past the crash time.
-	register(t, sys, "survivor", `
-		create(ALL);
-		spin();
-		hop(ll = $last);
-		node.done = node.done + 1;
-	`)
-	if err := sys.Inject(0, "survivor", nil); err != nil {
-		t.Fatal(err)
-	}
-	runSim(t, k, sys)
-	// create(ALL) on a 3-mesh makes two replicas; both must finish even
-	// though one was resident on the dead daemon.
-	if got := sys.Daemon(0).Store().Init().Vars["done"].AsInt(); got != 2 {
-		t.Errorf("done = %d, want 2", got)
+	for _, shape := range gvtShapes {
+		t.Run(shape.name, func(t *testing.T) {
+			plan := &faults.Plan{
+				Seed:    2,
+				Crashes: []faults.Crash{{Daemon: 1, At: int64(50 * sim.Millisecond)}},
+			}
+			k, sys, _ := faultSystem(t, 3, plan, shape.opts...)
+			spinSurvivor(t, sys)
+			runSim(t, k, sys)
+			// create(ALL) on a 3-mesh makes two replicas; both must finish even
+			// though one was resident on the dead daemon.
+			if got := sys.Daemon(0).Store().Init().Vars["done"].AsInt(); got != 2 {
+				t.Errorf("done = %d, want 2", got)
+			}
+		})
 	}
 }
 
 // TestRecoveryGVTUnderLoss runs virtual-time coordination (sched_abs) with
-// heavy loss: GVT reports, advances, and wake-ups are all droppable, and
-// the re-notify/watchdog machinery must still advance GVT to completion in
-// virtual-time order.
+// heavy loss: queries, reports, advances, tokens and wake-ups are all
+// droppable, and the re-notify/watchdog machinery must still advance GVT to
+// completion in virtual-time order.
 func TestRecoveryGVTUnderLoss(t *testing.T) {
-	plan := &faults.Plan{Seed: 9, Drop: 0.25}
-	k, sys, _ := faultSystem(t, 3, plan)
-	register(t, sys, "waker", `
-		sched_abs(when);
-		print("wake", when);
-	`)
-	for i, when := range []float64{3.0, 1.0, 2.0} {
-		err := sys.Inject(i, "waker", map[string]value.Value{"when": value.Num(when)})
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, shape := range gvtShapes {
+		t.Run(shape.name, func(t *testing.T) {
+			k, sys, _ := faultSystem(t, 3, &faults.Plan{Seed: 9, Drop: 0.25}, shape.opts...)
+			wakers(t, k, sys, 0, 1, 3.0, 1.0, 2.0)
+		})
 	}
-	runSim(t, k, sys)
-	out := sys.Output()
-	want := []string{"wake 1.0", "wake 2.0", "wake 3.0"}
-	if len(out) != len(want) {
-		t.Fatalf("output = %v", out)
+}
+
+// initiatorCrash is daemon 0 — the round pacer — down from 30 to 50 ms.
+var initiatorCrash = []faults.Crash{{
+	Daemon:       0,
+	At:           int64(30 * sim.Millisecond),
+	RestartAfter: int64(20 * sim.Millisecond),
+}}
+
+// TestRecoveryGVTInitiatorCrash crashes the initiator with a restart.
+// Suspended daemons renotify the restarted daemon 0, so virtual time
+// resumes advancing, and every timer the dead incarnation armed dies with
+// it: the renotify round is the only one launched until its own watchdog
+// relaunches it (the peers still fence daemon 0, so its first wave is lost)
+// at the 2× interval floor. A pacing timer that outlived the crash would
+// launch a second round at once, abandoning the first and doubling the
+// backoff before the next.
+func TestRecoveryGVTInitiatorCrash(t *testing.T) {
+	for _, shape := range gvtShapes {
+		t.Run(shape.name, func(t *testing.T) {
+			tr := obs.NewTracer()
+			plan := &faults.Plan{Seed: 4, Crashes: initiatorCrash}
+			k, sys, _ := faultSystem(t, 3, plan, append(shape.opts, WithTracer(tr))...)
+			tr.SetClock(func() int64 { return int64(k.Now()) })
+			// Inject on the survivors only: daemon 0's residents die with it.
+			// Four rungs each, about a round apiece, keep both suspended
+			// across the crash.
+			wakers(t, k, sys, 1, 4, 1.0, 1.5)
+
+			restart := initiatorCrash[0].At + initiatorCrash[0].RestartAfter
+			var rounds []sim.Time // launches by the restarted initiator
+			for _, ev := range tr.Events() {
+				if ev.Name == "gvt.round" && ev.TS >= restart {
+					rounds = append(rounds, sim.Time(ev.TS))
+				}
+			}
+			if len(rounds) < 2 {
+				t.Fatalf("restarted initiator launched %d rounds, want at least 2", len(rounds))
+			}
+			if gap := rounds[1] - rounds[0]; gap <= defaultGVTInterval || gap > 2*defaultGVTInterval {
+				t.Errorf("rounds at %v and %v after the restart: the second must come from the first's watchdog, within (%v, %v] of it",
+					rounds[0], rounds[1], defaultGVTInterval, 2*defaultGVTInterval)
+			}
+		})
 	}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Errorf("output[%d] = %q, want %q", i, out[i], want[i])
-		}
+}
+
+// TestRecoveryGVTInitiatorCrashDuringPartition combines two faults: daemon 0
+// crashes and restarts while a partition simultaneously isolates daemon 2, so
+// the rounds lose their initiator AND their waves in the same window. The
+// watchdog must keep relaunching rounds, the restarted initiator must be
+// renotified by the suspended survivors, and once the partition heals
+// virtual time must resume advancing in order.
+func TestRecoveryGVTInitiatorCrashDuringPartition(t *testing.T) {
+	for _, shape := range gvtShapes {
+		t.Run(shape.name, func(t *testing.T) {
+			plan := &faults.Plan{
+				Seed:    4,
+				Crashes: initiatorCrash,
+				// Overlaps the crash window on both sides: the partition starts
+				// before the initiator dies and heals after it has restarted.
+				Partitions: []faults.Partition{{
+					At:    int64(25 * sim.Millisecond),
+					Heal:  int64(70 * sim.Millisecond),
+					Group: []int{2},
+				}},
+			}
+			k, sys, metrics := faultSystem(t, 3, plan, shape.opts...)
+			wakers(t, k, sys, 1, 4, 1.0, 1.5)
+			// The combination must actually have exercised both faults: the
+			// partition cut GVT traffic and the daemon died.
+			if metrics.CounterValue("faults.injected.partition") == 0 {
+				t.Error("partition never dropped a message — the fault windows missed the GVT traffic")
+			}
+			if metrics.CounterValue("daemon.deaths") != 1 {
+				t.Errorf("deaths = %d, want 1", metrics.CounterValue("daemon.deaths"))
+			}
+			log := sys.CommitLog()
+			for i := 1; i < len(log); i++ {
+				if log[i] <= log[i-1] {
+					t.Fatalf("commit log not strictly increasing after combined faults: %v", log)
+				}
+			}
+		})
 	}
 }
 

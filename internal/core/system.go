@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -36,7 +34,7 @@ type System struct {
 	om          *sysObs
 	recCfg      *RecoveryConfig // non-nil enables fault recovery (WithRecovery)
 	gate        Gate            // admission gate (SetAdmission); nil outside service mode
-	distGVT     bool            // ring-reduction GVT instead of the coordinator
+	distGVT     bool            // GVT rounds are ring tokens, not a star (WithDistributedGVT)
 
 	// live and injectSeq are atomics, not s.mu fields: every remote hop
 	// under recovery and every inject touches them, and on the real engines
@@ -87,13 +85,13 @@ func WithGVTInterval(d sim.Time) Option {
 	return func(s *System) { s.gvtInterval = d }
 }
 
-// WithDistributedGVT replaces the centralized GVT coordinator (star-shaped
-// query/report/advance rounds through daemon 0) with the distributed
-// ring-reduction protocol: a token circulates the daemon ring accumulating
-// the global minimum and transient counters, then circulates again to
-// commit — two control messages per daemon per round, none of them
-// converging on a single host. Commit semantics (advanceGVT, recovery
-// fossil floors) are identical; see docs/GVT.md for the trade-offs.
+// WithDistributedGVT shapes the GVT initiator's rounds as a ring reduction
+// instead of the default star through daemon 0 (query/report/advance): a
+// token circulates the daemon ring accumulating the global minimum and
+// transient counters, then circulates again to commit — two control
+// messages per daemon per round, none of them converging on a single host.
+// The initiator, its commit rule and advanceGVT are the same under both
+// shapes (gvt.go); see docs/GVT.md for the trade-offs.
 func WithDistributedGVT() Option {
 	return func(s *System) { s.distGVT = true }
 }
@@ -458,9 +456,9 @@ func (s *System) recordCommit(gvt float64) {
 }
 
 // CommitLog returns daemon 0's strictly increasing sequence of committed
-// GVT values. Both GVT implementations feed it through the same advanceGVT
-// path, so differential tests can assert the coordinator and the ring
-// agree on the entire virtual-time history of a run.
+// GVT values. Both wave shapes feed it through the same advanceGVT, so
+// differential tests can assert the coordinator star and the ring agree on
+// the entire virtual-time history of a run.
 func (s *System) CommitLog() []float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -558,163 +556,4 @@ func (s *System) ReadNodeVars(daemon int, nodeName string) (map[string]value.Val
 		return nil, false
 	}
 	return value.CloneEnv(nodes[0].Vars), true
-}
-
-// --- conservative GVT coordinator (runs on daemon 0) ---
-
-// coordinator implements the paper's conservative global-virtual-time
-// strategy: periodic rounds that collect each daemon's local minimum and
-// send/receive counters; when the counters balance (no transient
-// Messengers) the minimum is a safe new GVT.
-type coordinator struct {
-	d       *Daemon
-	polling bool
-	epoch   int64
-	reports map[int]*Msg
-	// wdBackoff is the current watchdog delay; it doubles every time a
-	// round stalls and resets when one concludes, so a partitioned daemon
-	// costs a geometrically thinning trickle of re-queries instead of a
-	// steady storm.
-	wdBackoff sim.Time
-	roundFrom sim.Time // engine clock at round launch (latency accounting)
-}
-
-func (c *coordinator) handle(msg *Msg) {
-	switch msg.Kind {
-	case MsgGVTNotify:
-		if !c.polling {
-			c.polling = true
-			c.startRound()
-		}
-	case MsgGVTReport:
-		if msg.GEpoch != c.epoch || c.reports == nil {
-			return
-		}
-		c.reports[msg.From] = msg
-		if len(c.reports) >= c.expect() {
-			c.conclude()
-		}
-	}
-}
-
-// expect is the number of reports that concludes a round: every daemon the
-// coordinator does not currently believe dead.
-func (c *coordinator) expect() int {
-	n := c.d.eng.NumDaemons()
-	if c.d.rec == nil {
-		return n
-	}
-	for _, dead := range c.d.rec.peerDead {
-		if dead {
-			n--
-		}
-	}
-	return n
-}
-
-// alive reports whether the coordinator should include daemon i in a round.
-func (c *coordinator) alive(i int) bool {
-	return c.d.rec == nil || i == c.d.id || !c.d.rec.peerDead[i]
-}
-
-func (c *coordinator) startRound() {
-	c.epoch++
-	c.d.Stats.GVTRounds++
-	c.roundFrom = c.d.eng.Now()
-	if c.d.om != nil {
-		c.d.om.gvtRounds.Inc()
-	}
-	if c.d.tr != nil {
-		c.d.tr.Instant(c.d.id, "gvt", "gvt.round", obs.I("epoch", c.epoch))
-	}
-	c.reports = make(map[int]*Msg, c.d.eng.NumDaemons())
-	for i := 0; i < c.d.eng.NumDaemons(); i++ {
-		if !c.alive(i) {
-			continue
-		}
-		c.d.sendGVT(i, &Msg{Kind: MsgGVTQuery, From: c.d.id, GEpoch: c.epoch})
-	}
-	c.armWatchdog()
-}
-
-// armWatchdog restarts a round that stalls — a query or report lost to the
-// network, or a peer that died mid-round — so GVT synchronization survives
-// message loss. Recovery mode only: fault-free runs must stay
-// event-identical. The delay backs off exponentially (2× the round
-// interval up to gvtMaxBackoff×) so a long partition does not generate a
-// query storm against the unreachable daemon.
-func (c *coordinator) armWatchdog() {
-	if c.d.rec == nil {
-		return
-	}
-	c.wdBackoff = nextBackoff(c.wdBackoff, c.d.sys.gvtInterval)
-	ep := c.epoch
-	c.d.safeTimer(c.wdBackoff, func() {
-		if c.epoch == ep && c.reports != nil {
-			c.startRound()
-		}
-	})
-}
-
-// gvtMaxBackoff caps the stalled-round watchdog at 64× the base delay.
-const gvtMaxBackoff = 64
-
-// nextBackoff doubles a watchdog delay from a 2×interval floor, capped at
-// gvtMaxBackoff times the floor.
-func nextBackoff(cur, interval sim.Time) sim.Time {
-	floor := 2 * interval
-	if cur < floor {
-		return floor
-	}
-	next := cur * 2
-	if max := gvtMaxBackoff * floor; next > max {
-		return max
-	}
-	return next
-}
-
-func (c *coordinator) conclude() {
-	var sent, recv int64
-	min := math.Inf(1)
-	ids := make([]int, 0, len(c.reports))
-	//lint:maporder keys are collected then sorted before use
-	for id := range c.reports {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		r := c.reports[id]
-		sent += r.GSent
-		recv += r.GRecv
-		if r.GMin < min {
-			min = r.GMin
-		}
-	}
-	c.reports = nil
-	c.wdBackoff = 0 // the round concluded; stalls start fresh
-	c.d.Stats.GVTRoundTime += c.d.eng.Now() - c.roundFrom
-	interval := c.d.sys.gvtInterval
-	if sent != recv {
-		// Transient Messengers in flight: retry soon.
-		c.d.eng.SetTimer(c.d.id, interval/4+1, func() { c.startRound() })
-		return
-	}
-	if math.IsInf(min, 1) {
-		// Nothing is suspended anywhere; stop polling until the next
-		// notification.
-		c.polling = false
-		return
-	}
-	// Recovery mode re-broadcasts even when the minimum stands still: a
-	// daemon that lost an earlier MsgGVTAdvance would otherwise stay wedged
-	// at the old GVT forever.
-	if min > c.d.gvt || (c.d.rec != nil && min >= c.d.gvt) {
-		for i := 0; i < c.d.eng.NumDaemons(); i++ {
-			if !c.alive(i) {
-				continue
-			}
-			c.d.sendGVT(i, &Msg{Kind: MsgGVTAdvance, From: c.d.id, GVT: min})
-		}
-	}
-	c.d.eng.SetTimer(c.d.id, interval, func() { c.startRound() })
 }

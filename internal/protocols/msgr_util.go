@@ -2,7 +2,6 @@ package protocols
 
 import (
 	"fmt"
-	"os"
 	"time"
 
 	messengers "messengers"
@@ -33,16 +32,14 @@ const realRunTimeout = 90 * time.Second
 // newMsgrSystem builds a Messenger system for one protocol run. Recovery is
 // always on — at-least-once hop delivery is the runtime service the
 // Messenger implementations lean on, mirroring the app-level reliability
-// the PVM baselines must hand-roll. MSGR_DIST_GVT=1 swaps in the
-// ring-reduction GVT protocol, same as the core test suites.
+// the PVM baselines must hand-roll.
 func newMsgrSystem(engine string, daemons int, plan *faults.Plan, m *obs.Metrics) (*messengers.System, error) {
 	cfg := messengers.Config{
-		Daemons:        daemons,
-		Metrics:        m,
-		GVTInterval:    protoGVTInterval,
-		Faults:         plan,
-		Recovery:       true,
-		DistributedGVT: os.Getenv("MSGR_DIST_GVT") == "1",
+		Daemons:     daemons,
+		Metrics:     m,
+		GVTInterval: protoGVTInterval,
+		Faults:      plan,
+		Recovery:    true,
 	}
 	switch engine {
 	case EngineSim:

@@ -276,7 +276,8 @@ func (r *rt) poll() {
 
 // step runs one scheduler quantum: poll, retransmit what is due, advance
 // time (simulated CPU work on the sim engine, a short sleep on the real
-// one).
+// one). A message to a task that has exited is given up (PVM's
+// pvm_notify(PvmTaskExit)): nobody is left to ack it.
 func (r *rt) step() {
 	r.poll()
 	now := r.env.now()
@@ -284,8 +285,10 @@ func (r *rt) step() {
 	// draw sequence and break seed-for-seed reproducibility on the sim
 	// engine.
 	var due []*rtPend
-	for _, pe := range r.pend {
-		if now >= pe.due {
+	for k, pe := range r.pend {
+		if r.env.machine.Exited(pe.dst) {
+			delete(r.pend, k)
+		} else if now >= pe.due {
 			due = append(due, pe)
 		}
 	}
@@ -307,8 +310,9 @@ func (r *rt) step() {
 	time.Sleep(rtWallTick)
 }
 
-// recv returns the next delivered message, stepping until one arrives or
-// the budget runs out (nil).
+// recv returns the next delivered message, stepping until one arrives, the
+// budget runs out, or every other task has exited and left the mailbox
+// empty (nil).
 func (r *rt) recv(budget *int) *rtMsg {
 	for {
 		if len(r.inbox) > 0 {
@@ -318,6 +322,13 @@ func (r *rt) recv(budget *int) *rtMsg {
 		}
 		if *budget <= 0 {
 			return nil
+		}
+		if r.env.machine.Running() == 1 {
+			// Alone: whatever the others sent is in the mailbox already.
+			if r.poll(); len(r.inbox) == 0 {
+				return nil
+			}
+			continue
 		}
 		*budget--
 		r.step()

@@ -308,6 +308,23 @@ func (m *Machine) Kill(victim TID) {
 	v.mbox.kill()
 }
 
+// Exited reports whether tid is not, or is no longer, a running task: it
+// returned, called Exit, or was killed and has unwound. It is what
+// pvm_notify(PvmTaskExit) tells a PVM program about a peer.
+func (m *Machine) Exited(tid TID) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	_, running := m.tasks[tid]
+	return !running
+}
+
+// Running returns the number of tasks that have not exited.
+func (m *Machine) Running() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.tasks)
+}
+
 func (p *Proc) checkKilled() {
 	if p.m.Sim() {
 		if p.killed {

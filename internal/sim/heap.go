@@ -1,9 +1,9 @@
 package sim
 
 // Heap is a plain binary min-heap over a caller-supplied strict ordering.
-// It replaces the three hand-rolled container/heap implementations that
-// had accumulated in the tree (the kernel's eventHeap, gvt's tsHeap, and
-// core's wakeHeap) with one generic core: Less/Swap/Push/Pop written once.
+// It replaces the hand-rolled container/heap implementations that had
+// accumulated in the tree (the kernel's eventHeap, core's wakeHeap) with
+// one generic core: Less/Swap/Push/Pop written once.
 //
 // The zero value is not usable; construct with NewHeap. The ordering must
 // be a strict weak order and — for the deterministic queues in this repo —
@@ -30,7 +30,7 @@ func (h *Heap[T]) Peek() T { return h.items[0] }
 // read-only from the caller's perspective: mutating element priorities
 // through it without a follow-up Reset/rebuild breaks the invariant. It
 // exists for whole-queue scans (recovery draining a crashed daemon's wait
-// queue, Time Warp searching for an event to annihilate).
+// queue).
 func (h *Heap[T]) Items() []T { return h.items }
 
 // Push adds x.
@@ -49,24 +49,6 @@ func (h *Heap[T]) Pop() T {
 	h.items = h.items[:n]
 	if n > 0 {
 		h.down(0)
-	}
-	return x
-}
-
-// RemoveAt removes and returns the element at index i of Items().
-// Time Warp uses this to annihilate a pending event matched by an
-// anti-message.
-func (h *Heap[T]) RemoveAt(i int) T {
-	n := len(h.items) - 1
-	h.items[i], h.items[n] = h.items[n], h.items[i]
-	x := h.items[n]
-	var zero T
-	h.items[n] = zero
-	h.items = h.items[:n]
-	if i < n {
-		if !h.down(i) {
-			h.up(i)
-		}
 	}
 	return x
 }

@@ -118,28 +118,6 @@ func TestAdaptiveQueueMigrates(t *testing.T) {
 	}
 }
 
-// TestHeapRemoveAt exercises the generic heap's index removal (Time Warp
-// annihilation path) against a sorted reference.
-func TestHeapRemoveAt(t *testing.T) {
-	h := NewHeap(func(a, b int) bool { return a < b })
-	r := lcg(3)
-	for i := 0; i < 200; i++ {
-		h.Push(int(r.next() % 1000))
-	}
-	// Remove half the elements from arbitrary valid indices.
-	for i := 0; i < 100; i++ {
-		h.RemoveAt(int(r.next() % uint64(h.Len())))
-	}
-	prev := -1
-	for h.Len() > 0 {
-		v := h.Pop()
-		if v < prev {
-			t.Fatalf("heap order violated after RemoveAt: %d after %d", v, prev)
-		}
-		prev = v
-	}
-}
-
 func BenchmarkEventQueue(b *testing.B) {
 	for _, impl := range []string{"heap", "calendar", "adaptive"} {
 		for _, hold := range []int{64, 1024, 8192} {
