@@ -139,7 +139,15 @@ func runService(sys *messengers.System, httpAddr, tenantsPath string, sigs <-cha
 	if err != nil {
 		fatal(err)
 	}
-	hs := &http.Server{Addr: httpAddr, Handler: srv.Handler()}
+	// A submit is one small JSON body and one small reply: a client that
+	// dribbles its header or body, or parks an idle connection, is cut off.
+	hs := &http.Server{
+		Addr:              httpAddr,
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	httpErr := make(chan error, 1)
 	go func() { httpErr <- hs.ListenAndServe() }()
 	fmt.Printf("serving tenants on http://%s (POST /v1/submit, GET /v1/stats)\n", httpAddr)

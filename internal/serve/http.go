@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/base64"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 
@@ -24,7 +25,12 @@ import (
 // Exactly one of source/bytecode is required. Vars values may be numbers,
 // strings, or booleans. Responses carry the admission decision:
 // 202 admitted/queued, 400 verify failure, 403 unknown tenant,
-// 413 oversized program, 429 backpressure, 503 draining.
+// 413 oversized program or body, 429 backpressure, 503 draining.
+
+// maxSubmitBody is the most of a submit body the server reads. The tenant's
+// MaxProgram is checked after the body has been decoded, so without this a
+// client decides how much memory one request holds.
+const maxSubmitBody = 1 << 20
 
 type submitRequest struct {
 	Tenant   string         `json:"tenant"`
@@ -57,10 +63,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req submitRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBody))
 	dec.UseNumber()
 	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, submitResponse{Status: "rejected", Error: "bad request: " + err.Error()})
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, status, submitResponse{Status: "rejected", Error: "bad request: " + err.Error()})
 		return
 	}
 	sub := Submission{

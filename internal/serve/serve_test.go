@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -637,6 +638,74 @@ func TestHTTPFrontEnd(t *testing.T) {
 	resp.Body.Close()
 	if len(stats.Tenants) != 1 || stats.Tenants[0].Admitted == 0 {
 		t.Errorf("stats = %+v", stats)
+	}
+}
+
+// blanks is an endless run of spaces.
+type blanks struct{}
+
+func (blanks) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// countingReader counts the bytes the server has taken from a request body.
+type countingReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
+}
+
+// TestHTTPSubmitBodyIsBounded: the server stops reading a submit body at
+// its cap (http.go's maxSubmitBody) however long the client goes on, and a
+// body of exactly the cap is still a submission.
+func TestHTTPSubmitBodyIsBounded(t *testing.T) {
+	const submitCap = 1 << 20
+	_, srv := simService(t, 2, messengers.Config{}, serve.Config{
+		Tenants: []serve.TenantConfig{{ID: "a"}},
+	})
+	// A body is pad spaces, then tail.
+	body := func(pad int, tail string) *countingReader {
+		return &countingReader{r: io.MultiReader(io.LimitReader(blanks{}, int64(pad)), strings.NewReader(tail))}
+	}
+	post := func(body *countingReader) (int, map[string]any) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/submit", body))
+		var out map[string]any
+		if err := json.NewDecoder(rec.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+		return rec.Code, out
+	}
+
+	flood := body(1<<30, "")
+	code, out := post(flood)
+	if code != http.StatusRequestEntityTooLarge || out["status"] != "rejected" {
+		t.Errorf("1 GB body: %d %v, want 413 rejected", code, out)
+	}
+	// One byte past the cap is what tells a body of the cap from a longer one.
+	if flood.n > submitCap+1 {
+		t.Errorf("1 GB body: server read %d bytes of it, cap is %d", flood.n, submitCap)
+	}
+
+	req := `{"tenant":"a","name":"w","node":"r0","source":"x = 1;"}`
+	atCap := body(submitCap-len(req), req)
+	if code, out := post(atCap); code != http.StatusAccepted || out["status"] != "admitted" {
+		t.Errorf("body of the cap: %d %v, want 202 admitted", code, out)
+	}
+	if atCap.n != submitCap {
+		t.Errorf("body of the cap: server read %d bytes of %d", atCap.n, submitCap)
+	}
+	if code, _ := post(body(submitCap-len(req)+1, req)); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("body of the cap and one byte: %d, want 413", code)
 	}
 }
 
