@@ -9,8 +9,10 @@ all: vet lint test
 build:
 	$(GO) build ./...
 
+# vet also fails on a file gofmt would rewrite.
 vet: build
 	$(GO) vet ./...
+	@out=$$(gofmt -l *.go cmd examples internal); test -z "$$out" || { echo "gofmt -l:"; echo "$$out"; exit 1; }
 
 # Repo-specific analyzers (determinism, sticky errors, obs namespace,
 # lock discipline); see docs/ANALYSIS.md. Exits nonzero on findings.

@@ -2,9 +2,11 @@ package messengers
 
 import (
 	"bytes"
+	"net"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"messengers/internal/apps"
 	"messengers/internal/faults"
@@ -149,5 +151,35 @@ func TestChaosTraceDeterminism(t *testing.T) {
 	}
 	if !bytes.Equal(a, pinned) {
 		t.Errorf("chaos trace differs from %s (run with -update after intentional changes)", golden)
+	}
+}
+
+// TestScheduleStopsAtClose: a fault plan's timers belong to the system that
+// armed them. One restart is due while Close runs and two after it has
+// returned; none may bring a listener back on a closed engine (the engine
+// refuses a revive once closed, Close stops the timers still pending), and
+// under -race none may touch the engine's books behind Close's back.
+func TestScheduleStopsAtClose(t *testing.T) {
+	ms := int64(time.Millisecond)
+	sys, err := NewTCPSystem(Config{Daemons: 4, Faults: &faults.Plan{
+		Seed: 1,
+		Crashes: []faults.Crash{
+			{Daemon: 1, At: 0, RestartAfter: 5 * ms},
+			{Daemon: 2, At: 0, RestartAfter: 10 * ms},
+			{Daemon: 3, At: 0, RestartAfter: 25 * ms},
+		},
+	}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs := sys.Addrs()
+	time.Sleep(5 * time.Millisecond)
+	sys.Close()
+	time.Sleep(40 * time.Millisecond)
+	for d, addr := range addrs {
+		if c, err := net.DialTimeout("tcp", addr, time.Second); err == nil {
+			c.Close()
+			t.Errorf("daemon %d listens on %s after Close", d, addr)
+		}
 	}
 }

@@ -7,17 +7,21 @@ import (
 	"messengers/internal/analysis"
 )
 
-// StickyErr enforces the wire layer's sticky-error contract: an Encoder
-// swallows write errors (oversized strings, bad frames) into an internal
-// sticky error, so code that extracts the encoded bytes with Bytes or
-// Detach MUST consult Err (or EndFrame, which returns it) somewhere in the
-// same function — otherwise truncated garbage ships as if it were a valid
-// message. Suppress with //lint:stickyerr when the enclosing function
-// provably cannot fail (e.g. fixed-width integers only) or its caller owns
-// the check.
+// StickyErr enforces the wire layer's sticky-error contract, both halves.
+// An Encoder swallows write errors (oversized strings, bad frames) into an
+// internal sticky error, so code that extracts the encoded bytes with Bytes
+// or Detach MUST consult Err (or EndFrame, which returns it) somewhere in
+// the same function — otherwise truncated garbage ships as if it were a
+// valid message. A Decoder answers a short or forged buffer with zeros and
+// the same kind of error, so a function that makes one with NewDecoder MUST
+// consult Err (or Finish, which returns it) — otherwise zeros are taken for
+// what the peer sent. Handing the encoder or decoder to a call that returns
+// an error passes the duty on. Suppress with //lint:stickyerr when the
+// enclosing function provably cannot fail (e.g. fixed-width integers only)
+// or its caller owns the check.
 var StickyErr = &analysis.Analyzer{
 	Name: "stickyerr",
-	Doc:  "wire.Encoder bytes consumed without an Err() check",
+	Doc:  "wire.Encoder bytes, or wire.Decoder reads, consumed without an Err() check",
 	Run:  runStickyErr,
 }
 
@@ -28,13 +32,17 @@ func runStickyErr(pass *analysis.Pass) error {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			checkFuncSticky(pass, fd)
+			checkFuncSticky(pass, fd, "Encoder")
+			checkFuncSticky(pass, fd, "Decoder")
 		}
 	}
 	return nil
 }
 
-func checkFuncSticky(pass *analysis.Pass, fd *ast.FuncDecl) {
+// checkFuncSticky applies the rule for one of the two wire types: the
+// calls that rely on the sticky error being clean (Bytes and Detach on an
+// Encoder, NewDecoder for a Decoder) need a call that consults it.
+func checkFuncSticky(pass *analysis.Pass, fd *ast.FuncDecl, typ string) {
 	var consumes []*ast.SelectorExpr
 	checked := false
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -43,15 +51,21 @@ func checkFuncSticky(pass *analysis.Pass, fd *ast.FuncDecl) {
 			return true
 		}
 		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok || !isWireEncoder(pass, sel.X) {
+		if !ok {
+			return true
+		}
+		if typ == "Decoder" && sel.Sel.Name == "NewDecoder" && isWireType(pass, call, typ) {
+			consumes = append(consumes, sel)
+		}
+		if !isWireType(pass, sel.X, typ) {
 			return true
 		}
 		switch sel.Sel.Name {
 		case "Bytes", "Detach":
 			consumes = append(consumes, sel)
-		case "Err", "EndFrame", "Fail":
+		case "Err", "EndFrame", "Finish", "Fail":
 			// Fail counts: the function is explicitly managing the error
-			// state. EndFrame returns the sticky error.
+			// state. EndFrame and Finish return the sticky error.
 			checked = true
 		}
 		return true
@@ -66,7 +80,7 @@ func checkFuncSticky(pass *analysis.Pass, fd *ast.FuncDecl) {
 				return true
 			}
 			for _, arg := range call.Args {
-				if isWireEncoder(pass, arg) && callReturnsError(pass, call) {
+				if isWireType(pass, arg, typ) && callReturnsError(pass, call) {
 					checked = true
 					return false
 				}
@@ -79,7 +93,7 @@ func checkFuncSticky(pass *analysis.Pass, fd *ast.FuncDecl) {
 	}
 	for _, sel := range consumes {
 		pass.Reportf(sel.Pos(), "stickyerr",
-			"%s() consumes encoder bytes but the function never checks Err()", sel.Sel.Name)
+			"%s() trusts a wire.%s whose Err() the function never checks", sel.Sel.Name, typ)
 	}
 }
 
@@ -104,8 +118,9 @@ func callReturnsError(pass *analysis.Pass, call *ast.CallExpr) bool {
 	return isErr(t)
 }
 
-// isWireEncoder reports whether e's type is *wire.Encoder (or wire.Encoder).
-func isWireEncoder(pass *analysis.Pass, e ast.Expr) bool {
+// isWireType reports whether e's type is wire's named type typ, or a
+// pointer to it.
+func isWireType(pass *analysis.Pass, e ast.Expr, typ string) bool {
 	t := pass.TypeOf(e)
 	if t == nil {
 		return false
@@ -118,7 +133,7 @@ func isWireEncoder(pass *analysis.Pass, e ast.Expr) bool {
 		return false
 	}
 	obj := named.Obj()
-	if obj.Pkg() == nil || obj.Name() != "Encoder" {
+	if obj.Pkg() == nil || obj.Name() != typ {
 		return false
 	}
 	return obj.Pkg().Path() == "messengers/internal/wire" || obj.Pkg().Name() == "wire"

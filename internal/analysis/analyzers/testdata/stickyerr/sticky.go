@@ -7,14 +7,14 @@ import "messengers/internal/wire"
 func bad(s string) []byte {
 	e := wire.NewEncoder()
 	e.Str(s)
-	return e.Detach() // want "never checks Err"
+	return e.Detach() // want "never checks"
 }
 
 func badBytes(s string) int {
 	e := wire.NewEncoder()
 	defer e.Release()
 	e.Str(s)
-	return len(e.Bytes()) // want "never checks Err"
+	return len(e.Bytes()) // want "never checks"
 }
 
 // good checks Err before trusting the bytes.
@@ -60,4 +60,18 @@ func suppressed() []byte {
 	e := wire.NewEncoder()
 	e.U32(7)          // fixed-width writes cannot set the sticky error
 	return e.Detach() //lint:stickyerr U32-only encoding cannot fail
+}
+
+// badDecode takes what the decoder returns without asking whether the
+// buffer held it.
+func badDecode(buf []byte) uint32 {
+	d := wire.NewDecoder(buf) // want "never checks"
+	return d.U32()
+}
+
+// goodDecode consults the sticky error; Finish counts, since it returns it.
+func goodDecode(buf []byte) (uint32, error) {
+	d := wire.NewDecoder(buf)
+	v := d.U32()
+	return v, d.Finish()
 }

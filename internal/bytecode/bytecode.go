@@ -11,11 +11,11 @@ package bytecode
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
 	"sync/atomic"
 
 	"messengers/internal/value"
+	"messengers/internal/wire"
 )
 
 // Op is an opcode.
@@ -206,172 +206,88 @@ func (p *Program) Hash() Hash {
 }
 
 func (p *Program) computeHash() Hash {
-	sum := sha256.Sum256(p.encodeForHash())
+	sum := sha256.Sum256(p.encode(false))
 	var h Hash
 	copy(h[:], sum[:16])
 	return h
 }
 
-func (p *Program) encodeForHash() []byte {
-	var buf []byte
-	buf = appendString(buf, p.Name)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(p.Consts)))
+// encode is the program's serialized form: name, constants, names and code,
+// which is what Hash covers, then the source text when asked for.
+func (p *Program) encode(source bool) []byte {
+	e := wire.AppendingTo(nil)
+	e.Str(p.Name)
+	e.U32(uint32(len(p.Consts)))
 	for _, c := range p.Consts {
-		// Constants come from script literals (or a decoded program, whose
-		// codec enforces the same bound), so they can never exceed the
-		// encoder's length limit.
-		buf, _ = value.Append(buf, c)
+		c.AppendTo(e)
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(p.Names)))
+	e.U32(uint32(len(p.Names)))
 	for _, n := range p.Names {
-		buf = appendString(buf, n)
+		e.Str(n)
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(p.Funcs)))
+	e.U32(uint32(len(p.Funcs)))
 	for i := range p.Funcs {
 		f := &p.Funcs[i]
-		buf = appendString(buf, f.Name)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(f.NumParams))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(f.NumLocals))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(f.Code)))
+		e.Str(f.Name)
+		e.U32(uint32(f.NumParams))
+		e.U32(uint32(f.NumLocals))
+		e.U32(uint32(len(f.Code)))
 		for _, ins := range f.Code {
-			buf = append(buf, byte(ins.Op))
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(ins.A))
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(ins.B))
+			e.U8(byte(ins.Op))
+			e.U32(uint32(ins.A))
+			e.U32(uint32(ins.B))
 		}
 	}
-	return buf
+	if source {
+		e.Str(p.Source)
+	}
+	//lint:stickyerr strings and constants come from script text or from Decode, whose reader holds them to the same MaxLen
+	return e.Bytes()
 }
 
 // Encode serializes the program (including source) for the wire or disk.
-func (p *Program) Encode() []byte {
-	buf := p.encodeForHash()
-	buf = appendString(buf, p.Source)
-	return buf
-}
+func (p *Program) Encode() []byte { return p.encode(true) }
 
 // WireSize is the encoded size, used to charge transfer costs when code
 // caching is disabled (ablation A4).
-func (p *Program) WireSize() int { return len(p.encodeForHash()) }
+func (p *Program) WireSize() int { return len(p.encode(false)) }
 
-func appendString(buf []byte, s string) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s)))
-	return append(buf, s...)
-}
-
-type reader struct {
-	buf []byte
-	pos int
-}
-
-func (r *reader) u32() (uint32, error) {
-	if r.pos+4 > len(r.buf) {
-		return 0, fmt.Errorf("bytecode: truncated program")
-	}
-	v := binary.LittleEndian.Uint32(r.buf[r.pos:])
-	r.pos += 4
-	return v, nil
-}
-
-func (r *reader) str() (string, error) {
-	n, err := r.u32()
-	if err != nil {
-		return "", err
-	}
-	if int(n) > len(r.buf)-r.pos {
-		return "", fmt.Errorf("bytecode: truncated string")
-	}
-	s := string(r.buf[r.pos : r.pos+int(n)])
-	r.pos += int(n)
-	return s, nil
-}
-
-// Decode deserializes a program produced by Encode.
+// Decode deserializes a program produced by Encode and verifies it. The
+// source text may be absent (an encoding that stops after the code), but
+// not cut short, and nothing may follow it.
 func Decode(buf []byte) (*Program, error) {
-	r := &reader{buf: buf}
-	p := &Program{}
-	var err error
-	if p.Name, err = r.str(); err != nil {
-		return nil, err
+	d := wire.NewDecoder(buf)
+	p := &Program{Name: d.Str()}
+	// A constant takes at least its tag byte, a name its length prefix, a
+	// function its name's prefix and three counts, an instruction nine bytes.
+	p.Consts = make([]value.Value, d.Count(1))
+	for i := 0; i < len(p.Consts) && d.Err() == nil; i++ {
+		p.Consts[i] = value.DecodeFrom(&d)
 	}
-	nc, err := r.u32()
-	if err != nil {
-		return nil, err
+	p.Names = make([]string, d.Count(4))
+	for i := 0; i < len(p.Names) && d.Err() == nil; i++ {
+		p.Names[i] = d.Str()
 	}
-	if int(nc) > len(r.buf)-r.pos {
-		return nil, fmt.Errorf("bytecode: constant count %d exceeds buffer", nc)
-	}
-	p.Consts = make([]value.Value, nc)
-	for i := range p.Consts {
-		v, n, err := value.Decode(r.buf[r.pos:])
-		if err != nil {
-			return nil, fmt.Errorf("bytecode: const %d: %w", i, err)
-		}
-		p.Consts[i] = v
-		r.pos += n
-	}
-	nn, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	if int(nn) > (len(r.buf)-r.pos)/4 {
-		return nil, fmt.Errorf("bytecode: name count %d exceeds buffer", nn)
-	}
-	p.Names = make([]string, nn)
-	for i := range p.Names {
-		if p.Names[i], err = r.str(); err != nil {
-			return nil, err
-		}
-	}
-	nf, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	if int(nf) > (len(r.buf)-r.pos)/16 {
-		return nil, fmt.Errorf("bytecode: function count %d exceeds buffer", nf)
-	}
-	p.Funcs = make([]FuncInfo, nf)
-	for i := range p.Funcs {
+	p.Funcs = make([]FuncInfo, d.Count(16))
+	for i := 0; i < len(p.Funcs) && d.Err() == nil; i++ {
 		f := &p.Funcs[i]
-		if f.Name, err = r.str(); err != nil {
-			return nil, err
-		}
-		np, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		nl, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		f.NumParams, f.NumLocals = int(np), int(nl)
-		ni, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		if int(ni) > (len(r.buf)-r.pos)/9 {
-			return nil, fmt.Errorf("bytecode: truncated code for %q", f.Name)
-		}
-		f.Code = make([]Instr, ni)
+		f.Name = d.Str()
+		f.NumParams, f.NumLocals = int(d.U32()), int(d.U32())
+		f.Code = make([]Instr, d.Count(9))
 		for j := range f.Code {
-			op := Op(r.buf[r.pos])
-			r.pos++
-			a, err := r.u32()
-			if err != nil {
-				return nil, err
-			}
-			b, err := r.u32()
-			if err != nil {
-				return nil, err
-			}
+			op := Op(d.U8())
 			if op >= numOps {
-				return nil, fmt.Errorf("bytecode: unknown opcode %d in %q", op, f.Name)
+				d.Fail(fmt.Errorf("unknown opcode %d in %q", op, f.Name))
+				break
 			}
-			f.Code[j] = Instr{Op: op, A: int32(a), B: int32(b)}
+			f.Code[j] = Instr{Op: op, A: int32(d.U32()), B: int32(d.U32())}
 		}
 	}
-	if p.Source, err = r.str(); err != nil {
-		// Source is optional for older encodings; tolerate absence.
-		p.Source = ""
+	if d.Remaining() > 0 {
+		p.Source = d.Str()
+	}
+	if err := d.Finish(); err != nil {
+		return nil, fmt.Errorf("bytecode: decode: %w", err)
 	}
 	if err := p.Validate(); err != nil {
 		return nil, err

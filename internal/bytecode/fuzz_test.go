@@ -1,26 +1,56 @@
 package bytecode
 
 import (
+	"bytes"
+	"encoding/hex"
+	"math/rand"
+	"os"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
 
-// TestDecodeNeverPanics: program bytes may come from outside (a file, the
-// A4 code-carrying mode); garbage must error, not panic or balloon
-// allocations.
-func TestDecodeNeverPanics(t *testing.T) {
-	f := func(data []byte) bool {
-		defer func() {
-			if r := recover(); r != nil {
-				t.Errorf("Decode(%d bytes) panicked: %v", len(data), r)
-			}
-		}()
-		_, _ = Decode(data)
-		return true
+// FuzzProgramDecode: program bytes may come from outside (a file, the A4
+// code-carrying mode); garbage must error, not panic or balloon
+// allocations, and what Decode accepts is verified, hashes and disassembles,
+// and is exactly the bytes Encode writes for it. The seed corpus is the
+// draws of testing/quick the random loop this replaced made (a hundred of
+// them, so that noise does not crowd the programs out of the mutation pool)
+// plus two real programs: the hand-built sample and the compiled one
+// internal/compile pins.
+func FuzzProgramDecode(f *testing.F) {
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 100; i++ {
+		v, _ := quick.Value(reflect.TypeOf([]byte(nil)), r)
+		f.Add(v.Bytes())
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
-		t.Error(err)
+	f.Add(sampleProgram().Encode())
+	pinned, err := os.ReadFile("../compile/testdata/pinned_program.txt")
+	if err != nil {
+		f.Fatal(err)
 	}
+	enc, err := hex.DecodeString(strings.TrimSpace(string(pinned[bytes.LastIndexByte(pinned, ' ')+1:])))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(enc)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := Decode(data)
+		if err != nil {
+			return
+		}
+		if !p.Verified() {
+			t.Fatal("Decode returned an unverified program")
+		}
+		_ = p.Hash()
+		_ = p.Disassemble()
+		// A program that stops after its code decodes with no source and
+		// encodes with an empty one.
+		if again := p.Encode(); !bytes.Equal(again, data) && !bytes.Equal(again, append(data[:len(data):len(data)], 0, 0, 0, 0)) {
+			t.Fatalf("Decode accepted %x, which encodes back as %x", data, again)
+		}
+	})
 }
 
 // TestDecodeMutatedPrograms flips bytes in a valid encoding.

@@ -19,9 +19,7 @@ package bytecode
 //     head and the load-const-arith-store increment) that execute without
 //     touching the operand stack at all. The set was chosen from the
 //     per-opcode execution profiles the obs registry collects on the E1
-//     workloads (Mandelbrot inner loop, block matmul, ring walkers — see
-//     vm.Profile.Pairs): those families cover >70% of dynamically executed
-//     pairs there.
+//     workloads (Mandelbrot inner loop, block matmul, ring walkers).
 //
 // Only package vm may consume the lowered form (enforced by the
 // vmdispatch analyzer); everything else treats a Program as opaque.
@@ -383,22 +381,22 @@ var dopSrc = [NumDOps][4]Op{
 	DFMulStoreM: {OpMul, OpStoreM}, DFDivStoreM: {OpDiv, OpStoreM}, DFModStoreM: {OpMod, OpStoreM},
 	DFAddStoreL: {OpAdd, OpStoreL}, DFSubStoreL: {OpSub, OpStoreL},
 	DFMulStoreL: {OpMul, OpStoreL}, DFDivStoreL: {OpDiv, OpStoreL}, DFModStoreL: {OpMod, OpStoreL},
-	DFMMLtJz:    {OpLoadM, OpLoadM, OpLt, OpJz},
-	DFMMLeJz:    {OpLoadM, OpLoadM, OpLe, OpJz},
-	DFMMGtJz:    {OpLoadM, OpLoadM, OpGt, OpJz},
-	DFMMGeJz:    {OpLoadM, OpLoadM, OpGe, OpJz},
-	DFMCLtJz:    {OpLoadM, OpConst, OpLt, OpJz},
-	DFMCLeJz:    {OpLoadM, OpConst, OpLe, OpJz},
-	DFMCGtJz:    {OpLoadM, OpConst, OpGt, OpJz},
-	DFMCGeJz:    {OpLoadM, OpConst, OpGe, OpJz},
-	DFLLLtJz:    {OpLoadL, OpLoadL, OpLt, OpJz},
-	DFLLLeJz:    {OpLoadL, OpLoadL, OpLe, OpJz},
-	DFLLGtJz:    {OpLoadL, OpLoadL, OpGt, OpJz},
-	DFLLGeJz:    {OpLoadL, OpLoadL, OpGe, OpJz},
-	DFLCLtJz:    {OpLoadL, OpConst, OpLt, OpJz},
-	DFLCLeJz:    {OpLoadL, OpConst, OpLe, OpJz},
-	DFLCGtJz:    {OpLoadL, OpConst, OpGt, OpJz},
-	DFLCGeJz:    {OpLoadL, OpConst, OpGe, OpJz},
+	DFMMLtJz: {OpLoadM, OpLoadM, OpLt, OpJz},
+	DFMMLeJz: {OpLoadM, OpLoadM, OpLe, OpJz},
+	DFMMGtJz: {OpLoadM, OpLoadM, OpGt, OpJz},
+	DFMMGeJz: {OpLoadM, OpLoadM, OpGe, OpJz},
+	DFMCLtJz: {OpLoadM, OpConst, OpLt, OpJz},
+	DFMCLeJz: {OpLoadM, OpConst, OpLe, OpJz},
+	DFMCGtJz: {OpLoadM, OpConst, OpGt, OpJz},
+	DFMCGeJz: {OpLoadM, OpConst, OpGe, OpJz},
+	DFLLLtJz: {OpLoadL, OpLoadL, OpLt, OpJz},
+	DFLLLeJz: {OpLoadL, OpLoadL, OpLe, OpJz},
+	DFLLGtJz: {OpLoadL, OpLoadL, OpGt, OpJz},
+	DFLLGeJz: {OpLoadL, OpLoadL, OpGe, OpJz},
+	DFLCLtJz: {OpLoadL, OpConst, OpLt, OpJz},
+	DFLCLeJz: {OpLoadL, OpConst, OpLe, OpJz},
+	DFLCGtJz: {OpLoadL, OpConst, OpGt, OpJz},
+	DFLCGeJz: {OpLoadL, OpConst, OpGe, OpJz},
 
 	DFMCAddStoreM: {OpLoadM, OpConst, OpAdd, OpStoreM},
 	DFMCSubStoreM: {OpLoadM, OpConst, OpSub, OpStoreM},

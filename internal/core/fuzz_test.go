@@ -1,6 +1,12 @@
 package core
 
 import (
+	"bytes"
+	"encoding/hex"
+	"math/rand"
+	"os"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -8,21 +14,41 @@ import (
 	"messengers/internal/vm"
 )
 
-// TestDecodeMsgNeverPanics: wire input is untrusted; garbage must produce
-// an error, never a panic.
-func TestDecodeMsgNeverPanics(t *testing.T) {
-	f := func(data []byte) bool {
-		defer func() {
-			if r := recover(); r != nil {
-				t.Errorf("DecodeMsg(%d bytes) panicked: %v", len(data), r)
-			}
-		}()
-		_, _ = DecodeMsg(data)
-		return true
+// FuzzDecodeMsg: wire input is untrusted; whatever arrives must produce an
+// error or a message, never a panic, and a message DecodeMsg accepts is
+// exactly the bytes Encode writes for it (one reader for the one writer:
+// nothing is skipped, defaulted or left over). The seed corpus is the draws
+// of testing/quick the random loop this replaced made (a hundred of them:
+// seeds are also the pool mutations start from, and noise must not crowd
+// out the real frames), the frames both engines emit
+// (testdata/wire_crossengine.txt) and a control message.
+func FuzzDecodeMsg(f *testing.F) {
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 100; i++ {
+		v, _ := quick.Value(reflect.TypeOf([]byte(nil)), r)
+		f.Add(v.Bytes())
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
+	golden, err := os.ReadFile("../../testdata/wire_crossengine.txt")
+	if err != nil {
+		f.Fatal(err)
 	}
+	for _, line := range strings.Split(strings.TrimSpace(string(golden)), "\n") {
+		frame, err := hex.DecodeString(line[strings.LastIndexByte(line, ' ')+1:])
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame)
+	}
+	f.Add((&Msg{Kind: MsgGVTToken, From: 2, GEpoch: 7, GMin: 1.5, GPass: 2, Tenant: "t", AckFloor: 9}).Encode())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := DecodeMsg(data)
+		if err != nil {
+			return
+		}
+		if again := m.Encode(); !bytes.Equal(again, data) {
+			t.Fatalf("DecodeMsg accepted %x, which encodes back as %x", data, again)
+		}
+	})
 }
 
 // TestRestoreNeverPanics: a corrupt snapshot against a valid program must

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"messengers/internal/bytecode"
 	"messengers/internal/logical"
@@ -270,52 +268,53 @@ func (m *Msg) WireSize() int {
 	}
 }
 
-// DecodeMsg deserializes a message produced by Encode. The returned Msg
-// aliases buf — Snapshot and ProgBytes are subslices of it — so buf's owner
-// must keep it untouched until the message
-// has been consumed. On the TCP engine that is a lifetime rule: the
-// transport owns the (pooled) frame until HandleMsg returns and recycles it
-// then, so nothing reachable after HandleMsg may keep a subslice of
-// Snapshot or ProgBytes. The one inbound consumer, vm.Restore, runs inside
-// HandleMsg and copies what it keeps.
+// DecodeMsg deserializes a message produced by Encode, which must be the
+// whole of buf: bytes after the reserved tail are an error. The returned Msg
+// aliases buf — Snapshot and ProgBytes are wire.Decoder.Blob subslices of
+// it — so buf's owner must keep it untouched until the message has been
+// consumed. On the TCP engine that is a lifetime rule: the transport owns
+// the (pooled) frame until HandleMsg returns and recycles it then, so
+// nothing reachable after HandleMsg may keep a subslice of Snapshot or
+// ProgBytes. The one inbound consumer, vm.Restore, runs inside HandleMsg
+// and copies what it keeps.
 func DecodeMsg(buf []byte) (*Msg, error) {
-	r := &msgReader{buf: buf}
+	d := wire.NewDecoder(buf)
 	m := &Msg{}
-	m.Kind = MsgKind(r.u8())
-	m.From = int(r.u32())
-	r.read(m.ProgHash[:])
-	m.Snapshot = r.bytes()
-	m.MsgrID = r.u64()
-	m.LVT = math.Float64frombits(r.u64())
-	m.DestNode = logical.NodeID(r.u64())
-	m.Last = r.str()
-	m.RemoveLink = r.linkID()
-	m.CreateName = r.str()
-	m.LinkID = r.linkID()
-	m.LinkName = r.str()
-	m.LinkDir = r.u8()
-	m.Origin = r.addr()
-	m.OriginName = r.str()
-	m.AckPeer = r.addr()
-	m.AckPeerName = r.str()
-	m.ProgBytes = r.bytes()
-	m.GEpoch = int64(r.u64())
-	m.GMin = math.Float64frombits(r.u64())
-	m.GSent = int64(r.u64())
-	m.GRecv = int64(r.u64())
-	m.GActive = int64(r.u64())
-	m.GVT = math.Float64frombits(r.u64())
-	m.GPass = r.u8()
-	m.HopSeq = r.u64()
-	m.Tenant = r.str()
-	m.Session = r.u64()
-	m.Budget = int64(r.u64())
-	m.AckFloor = r.u64()
-	if n := r.u32(); n != 0 && r.err == nil {
-		return nil, fmt.Errorf("core: decode %v message: reserved tail is %d, want 0", m.Kind, n)
+	m.Kind = MsgKind(d.U8())
+	m.From = int(d.U32())
+	d.Raw(m.ProgHash[:])
+	m.Snapshot = d.Blob()
+	m.MsgrID = d.U64()
+	m.LVT = d.F64()
+	m.DestNode = logical.NodeID(d.U64())
+	m.Last = d.Str()
+	m.RemoveLink = readLinkID(&d)
+	m.CreateName = d.Str()
+	m.LinkID = readLinkID(&d)
+	m.LinkName = d.Str()
+	m.LinkDir = d.U8()
+	m.Origin = readAddr(&d)
+	m.OriginName = d.Str()
+	m.AckPeer = readAddr(&d)
+	m.AckPeerName = d.Str()
+	m.ProgBytes = d.Blob()
+	m.GEpoch = int64(d.U64())
+	m.GMin = d.F64()
+	m.GSent = int64(d.U64())
+	m.GRecv = int64(d.U64())
+	m.GActive = int64(d.U64())
+	m.GVT = d.F64()
+	m.GPass = d.U8()
+	m.HopSeq = d.U64()
+	m.Tenant = d.Str()
+	m.Session = d.U64()
+	m.Budget = int64(d.U64())
+	m.AckFloor = d.U64()
+	if n := d.U32(); n != 0 {
+		d.Fail(fmt.Errorf("reserved tail is %d, want 0", n))
 	}
-	if r.err != nil {
-		return nil, fmt.Errorf("core: decode %v message: %w", m.Kind, r.err)
+	if err := d.Finish(); err != nil {
+		return nil, fmt.Errorf("core: decode %v message: %w", m.Kind, err)
 	}
 	return m, nil
 }
@@ -330,90 +329,10 @@ func appendAddrTo(e *wire.Encoder, a logical.Addr) {
 	e.U64(uint64(a.Node))
 }
 
-type msgReader struct {
-	buf []byte
-	pos int
-	err error
+func readLinkID(d *wire.Decoder) logical.LinkID {
+	return logical.LinkID{Daemon: int(d.U32()), Seq: d.U64()}
 }
 
-func (r *msgReader) fail() {
-	if r.err == nil {
-		r.err = fmt.Errorf("truncated at byte %d", r.pos)
-	}
-}
-
-func (r *msgReader) u8() uint8 {
-	if r.pos+1 > len(r.buf) {
-		r.fail()
-		return 0
-	}
-	v := r.buf[r.pos]
-	r.pos++
-	return v
-}
-
-func (r *msgReader) u32() uint32 {
-	if r.pos+4 > len(r.buf) {
-		r.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.buf[r.pos:])
-	r.pos += 4
-	return v
-}
-
-func (r *msgReader) u64() uint64 {
-	if r.pos+8 > len(r.buf) {
-		r.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.buf[r.pos:])
-	r.pos += 8
-	return v
-}
-
-func (r *msgReader) read(dst []byte) {
-	if r.pos+len(dst) > len(r.buf) {
-		r.fail()
-		return
-	}
-	copy(dst, r.buf[r.pos:])
-	r.pos += len(dst)
-}
-
-func (r *msgReader) str() string {
-	n := int(r.u32())
-	if r.err != nil || r.pos+n > len(r.buf) {
-		r.fail()
-		return ""
-	}
-	s := string(r.buf[r.pos : r.pos+n])
-	r.pos += n
-	return s
-}
-
-func (r *msgReader) bytes() []byte {
-	n := int(r.u32())
-	if r.err != nil || r.pos+n > len(r.buf) {
-		r.fail()
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	// Alias the frame instead of copying: decode consumers copy whatever
-	// they retain, and the frame buffer outlives them per the DecodeMsg
-	// contract. The capped subslice keeps appends from clobbering the rest
-	// of the frame.
-	b := r.buf[r.pos : r.pos+n : r.pos+n]
-	r.pos += n
-	return b
-}
-
-func (r *msgReader) linkID() logical.LinkID {
-	return logical.LinkID{Daemon: int(r.u32()), Seq: r.u64()}
-}
-
-func (r *msgReader) addr() logical.Addr {
-	return logical.Addr{Daemon: int(r.u32()), Node: logical.NodeID(r.u64())}
+func readAddr(d *wire.Decoder) logical.Addr {
+	return logical.Addr{Daemon: int(d.U32()), Node: logical.NodeID(d.U64())}
 }

@@ -73,9 +73,8 @@ func (h *Heap[T]) up(i int) {
 	}
 }
 
-// down sifts i toward the leaves; it reports whether the element moved.
-func (h *Heap[T]) down(i int) bool {
-	start := i
+// down sifts i toward the leaves.
+func (h *Heap[T]) down(i int) {
 	n := len(h.items)
 	for {
 		l := 2*i + 1
@@ -92,5 +91,4 @@ func (h *Heap[T]) down(i int) bool {
 		h.items[i], h.items[m] = h.items[m], h.items[i]
 		i = m
 	}
-	return i > start
 }

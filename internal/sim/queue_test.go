@@ -47,10 +47,10 @@ func drainOrder(t *testing.T, q eventQueue, ats []Time) []*event {
 // that lets the kernel switch structures without touching any golden.
 func TestQueueImplementationsAgree(t *testing.T) {
 	schedules := map[string][]Time{
-		"uniform":  nil,
+		"uniform":   nil,
 		"clustered": nil,
-		"ties":     nil,
-		"bursty":   nil,
+		"ties":      nil,
+		"bursty":    nil,
 	}
 	r := lcg(1)
 	for i := 0; i < 5000; i++ {

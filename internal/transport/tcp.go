@@ -718,7 +718,8 @@ func (e *TCPEngine) KillDaemon(d int) {
 
 // ReviveDaemon reattaches a killed daemon: a new listener binds the same
 // address and heartbeats resume, which is what lets the survivors' failure
-// detectors declare it back. Call core's Restart alongside.
+// detectors declare it back. Call core's Restart alongside. A closed engine
+// revives nothing and says so.
 func (e *TCPEngine) ReviveDaemon(d int) error {
 	if !e.killed[d].Load() {
 		return nil
@@ -730,7 +731,17 @@ func (e *TCPEngine) ReviveDaemon(d int) error {
 		return fmt.Errorf("transport: revive daemon %d: %w", d, err)
 	}
 
+	// Close closes e.closed and then takes e.mu to collect the listeners it
+	// shuts, so under e.mu either Close has not got that far, and will find
+	// this listener and wait for its accept loop, or closed is visible here.
 	e.mu.Lock()
+	select {
+	case <-e.closed:
+		e.mu.Unlock()
+		l.Close()
+		return fmt.Errorf("transport: revive daemon %d: engine closed", d)
+	default:
+	}
 	e.listeners[d] = l
 	e.killed[d].Store(false)
 	for key, ds := range e.dials {
@@ -739,12 +750,12 @@ func (e *TCPEngine) ReviveDaemon(d int) error {
 			ds.notBefore = time.Time{}
 		}
 	}
+	e.netWG.Add(1)
 	e.mu.Unlock()
 	if e.hb != nil {
 		e.hb.reset(d)
 	}
 
-	e.netWG.Add(1)
 	go func() {
 		defer e.netWG.Done()
 		e.acceptLoop(d, l)

@@ -1,9 +1,8 @@
 package value
 
 import (
-	"encoding/binary"
+	"bytes"
 	"fmt"
-	"math"
 	"sort"
 
 	"messengers/internal/wire"
@@ -76,82 +75,38 @@ func Append(buf []byte, v Value) ([]byte, error) {
 	return e.Bytes(), e.Err()
 }
 
-// Decode reads one value from buf, returning the value and the number of
-// bytes consumed.
-func Decode(buf []byte) (Value, int, error) {
-	if len(buf) == 0 {
-		return Nil(), 0, fmt.Errorf("value: decode: empty buffer")
-	}
-	k := Kind(buf[0])
-	p := 1
-	switch k {
+// DecodeFrom reads one value from d. Everything it returns is a copy: no
+// string, byte block or matrix aliases the decoder's buffer. A malformed
+// value sets d's sticky error and comes back as nil.
+func DecodeFrom(d *wire.Decoder) Value {
+	switch k := Kind(d.U8()); k {
 	case KindNil:
-		return Nil(), p, nil
+		return Nil()
 	case KindInt:
-		if len(buf) < p+8 {
-			return Nil(), 0, fmt.Errorf("value: decode int: short buffer")
-		}
-		return Int(int64(binary.LittleEndian.Uint64(buf[p:]))), p + 8, nil
+		return Int(int64(d.U64()))
 	case KindNum:
-		if len(buf) < p+8 {
-			return Nil(), 0, fmt.Errorf("value: decode num: short buffer")
-		}
-		return Num(math.Float64frombits(binary.LittleEndian.Uint64(buf[p:]))), p + 8, nil
-	case KindStr, KindBytes:
-		if len(buf) < p+4 {
-			return Nil(), 0, fmt.Errorf("value: decode %v: short buffer", k)
-		}
-		n := int(binary.LittleEndian.Uint32(buf[p:]))
-		p += 4
-		if n > maxWireLen || len(buf) < p+n {
-			return Nil(), 0, fmt.Errorf("value: decode %v: length %d exceeds buffer", k, n)
-		}
-		if k == KindStr {
-			return Str(string(buf[p : p+n])), p + n, nil
-		}
-		b := make([]byte, n)
-		copy(b, buf[p:p+n])
-		return Bytes(b), p + n, nil
+		return Num(d.F64())
+	case KindStr:
+		return Str(d.Str())
+	case KindBytes:
+		return Bytes(bytes.Clone(d.Blob()))
 	case KindArr:
-		if len(buf) < p+4 {
-			return Nil(), 0, fmt.Errorf("value: decode array: short buffer")
+		// Every element takes at least its tag byte.
+		a := make([]Value, d.Count(1))
+		for i := 0; i < len(a) && d.Err() == nil; i++ {
+			a[i] = DecodeFrom(d)
 		}
-		n := int(binary.LittleEndian.Uint32(buf[p:]))
-		p += 4
-		// Every element takes at least one byte; reject counts the buffer
-		// cannot possibly hold before allocating.
-		if n > maxWireLen || n > len(buf)-p {
-			return Nil(), 0, fmt.Errorf("value: decode array: length %d exceeds buffer", n)
-		}
-		a := make([]Value, n)
-		for i := 0; i < n; i++ {
-			e, c, err := Decode(buf[p:])
-			if err != nil {
-				return Nil(), 0, fmt.Errorf("value: decode array elem %d: %w", i, err)
-			}
-			a[i] = e
-			p += c
-		}
-		return Arr(a), p, nil
+		return Arr(a)
 	case KindMat:
-		if len(buf) < p+8 {
-			return Nil(), 0, fmt.Errorf("value: decode matrix: short buffer")
-		}
-		r := int(binary.LittleEndian.Uint32(buf[p:]))
-		c := int(binary.LittleEndian.Uint32(buf[p+4:]))
-		p += 8
-		// Bound each dimension before multiplying: r and c are raw uint32
-		// reads, so r*c can overflow int64 and sneak past a product-only
-		// check. Found by fuzzing.
-		if r < 0 || c < 0 || r > maxWireLen/8 || c > maxWireLen/8 ||
-			r*c > maxWireLen/8 || len(buf) < p+8*r*c {
-			return Nil(), 0, fmt.Errorf("value: decode matrix: %dx%d exceeds buffer", r, c)
-		}
-		m := NewMat(r, c)
-		wire.ReadF64s(m.Data, buf[p:])
-		return Matrix(m), p + 8*len(m.Data), nil
+		// The row count alone promises no bytes (an r x 0 matrix has none);
+		// the column count is held to 8*r bytes per column.
+		r := d.Count(0)
+		m := NewMat(r, d.Count(8*r))
+		d.F64s(m.Data)
+		return Matrix(m)
 	default:
-		return Nil(), 0, fmt.Errorf("value: decode: unknown kind tag %d", buf[0])
+		d.Fail(fmt.Errorf("value: decode: unknown kind tag %d", k))
+		return Nil()
 	}
 }
 
@@ -171,59 +126,27 @@ func AppendEnvTo(e *wire.Encoder, env map[string]Value) {
 	}
 }
 
-// AppendEnv encodes a variable map onto buf in sorted key order. An
-// oversized element is reported as an error (see Append).
-func AppendEnv(buf []byte, env map[string]Value) ([]byte, error) {
-	e := wire.AppendingTo(buf)
-	AppendEnvTo(e, env)
-	return e.Bytes(), e.Err()
-}
-
-// DecodeEnv reads a variable map encoded by AppendEnv.
-func DecodeEnv(buf []byte) (map[string]Value, int, error) {
-	return DecodeEnvInto(nil, nil, buf)
-}
-
-// DecodeEnvInto is DecodeEnv into a map the caller supplies empty (nil: a
-// fresh one sized to the entry count). A key that intern holds is taken
-// from there instead of being copied out of buf, so decoding the variables
-// of a known program into a reused map allocates no key strings. On error
-// env may hold some of the entries.
-func DecodeEnvInto(env map[string]Value, intern map[string]string, buf []byte) (map[string]Value, int, error) {
-	if len(buf) < 4 {
-		return nil, 0, fmt.Errorf("value: decode env: short buffer")
-	}
-	n := int(binary.LittleEndian.Uint32(buf))
-	p := 4
+// DecodeEnvFrom reads a variable map encoded by AppendEnvTo into env, which
+// the caller supplies empty (nil: a fresh one sized to the entry count). A
+// key that intern holds is taken from there instead of being copied out of
+// the buffer, so decoding the variables of a known program into a reused map
+// allocates no key strings. On error (d's sticky one) env may hold some of
+// the entries.
+func DecodeEnvFrom(d *wire.Decoder, env map[string]Value, intern map[string]string) map[string]Value {
 	// Each entry takes at least five bytes (key length + value tag).
-	if n > maxWireLen || n > (len(buf)-p)/5 {
-		return nil, 0, fmt.Errorf("value: decode env: %d entries exceed buffer", n)
-	}
+	n := d.Count(5)
 	if env == nil {
 		env = make(map[string]Value, n)
 	}
-	for i := 0; i < n; i++ {
-		if len(buf) < p+4 {
-			return nil, 0, fmt.Errorf("value: decode env key %d: short buffer", i)
-		}
-		kl := int(binary.LittleEndian.Uint32(buf[p:]))
-		p += 4
-		if kl > maxWireLen || len(buf) < p+kl {
-			return nil, 0, fmt.Errorf("value: decode env key %d: length %d exceeds buffer", i, kl)
-		}
-		key, ok := intern[string(buf[p:p+kl])]
+	for i := 0; i < n && d.Err() == nil; i++ {
+		kb := d.Blob()
+		key, ok := intern[string(kb)]
 		if !ok {
-			key = string(buf[p : p+kl])
+			key = string(kb)
 		}
-		p += kl
-		v, c, err := Decode(buf[p:])
-		if err != nil {
-			return nil, 0, fmt.Errorf("value: decode env %q: %w", key, err)
-		}
-		env[key] = v
-		p += c
+		env[key] = DecodeFrom(d)
 	}
-	return env, p, nil
+	return env
 }
 
 // EnvWireSize returns the exact encoded size of a variable map; it must

@@ -6,7 +6,29 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+
+	"messengers/internal/wire"
 )
+
+// The buffer forms the tests speak: one value or one env from the front of
+// buf, with the bytes consumed.
+func decode(buf []byte) (Value, int, error) {
+	d := wire.NewDecoder(buf)
+	v := DecodeFrom(&d)
+	return v, d.Pos(), d.Err()
+}
+
+func decodeEnv(buf []byte) (map[string]Value, int, error) {
+	d := wire.NewDecoder(buf)
+	env := DecodeEnvFrom(&d, nil, nil)
+	return env, d.Pos(), d.Err()
+}
+
+func appendEnv(env map[string]Value) ([]byte, error) {
+	e := wire.AppendingTo(nil)
+	AppendEnvTo(e, env)
+	return e.Bytes(), e.Err()
+}
 
 // genValue builds a random value of bounded depth for property tests.
 func genValue(r *rand.Rand, depth int) Value {
@@ -58,7 +80,7 @@ func TestPropEncodeDecodeRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		dec, n, err := Decode(enc)
+		dec, n, err := decode(enc)
 		if err != nil || n != len(enc) {
 			return false
 		}
@@ -106,7 +128,7 @@ func TestDecodeErrors(t *testing.T) {
 		{200}, // unknown tag
 	}
 	for i, c := range cases {
-		if _, _, err := Decode(c); err == nil {
+		if _, _, err := decode(c); err == nil {
 			t.Errorf("case %d: Decode(%v) should fail", i, c)
 		}
 	}
@@ -127,7 +149,7 @@ func TestMatrixBlockIsBitExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, n, err := Decode(buf[off:])
+		v, n, err := decode(buf[off:])
 		if err != nil || n != len(buf)-off {
 			t.Fatalf("offset %d: Decode consumed %d of %d bytes, err %v", off, n, len(buf)-off, err)
 		}
@@ -140,7 +162,7 @@ func TestMatrixBlockIsBitExact(t *testing.T) {
 				t.Errorf("offset %d, element %d: bits %#x, want %#x", off, i, math.Float64bits(got.Data[i]), b)
 			}
 		}
-		if _, _, err := Decode(buf[off : len(buf)-1]); err == nil {
+		if _, _, err := decode(buf[off : len(buf)-1]); err == nil {
 			t.Errorf("offset %d: matrix short by one byte decoded", off)
 		}
 	}
@@ -153,16 +175,16 @@ func TestEnvRoundTrip(t *testing.T) {
 		"block": Matrix(&Mat{Rows: 1, Cols: 2, Data: []float64{math.Pi, -1}}),
 		"":      Nil(),
 	}
-	enc, err := AppendEnv(nil, env)
+	enc, err := appendEnv(env)
 	if err != nil {
-		t.Fatalf("AppendEnv: %v", err)
+		t.Fatalf("AppendEnvTo: %v", err)
 	}
 	if got := EnvWireSize(env); got != len(enc) {
 		t.Errorf("EnvWireSize = %d, encoded = %d", got, len(enc))
 	}
-	dec, n, err := DecodeEnv(enc)
+	dec, n, err := decodeEnv(enc)
 	if err != nil {
-		t.Fatalf("DecodeEnv: %v", err)
+		t.Fatalf("DecodeEnvFrom: %v", err)
 	}
 	if n != len(enc) {
 		t.Errorf("consumed %d of %d bytes", n, len(enc))
@@ -179,13 +201,13 @@ func TestEnvRoundTrip(t *testing.T) {
 
 func TestEnvEncodingIsDeterministic(t *testing.T) {
 	env := map[string]Value{"b": Int(2), "a": Int(1), "c": Int(3)}
-	first, err := AppendEnv(nil, env)
+	first, err := appendEnv(env)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if got, _ := AppendEnv(nil, env); string(got) != string(first) {
-			t.Fatal("AppendEnv is not deterministic across map iteration orders")
+		if got, _ := appendEnv(env); string(got) != string(first) {
+			t.Fatal("AppendEnvTo is not deterministic across map iteration orders")
 		}
 	}
 }
@@ -206,8 +228,8 @@ func TestAppendRejectsOversized(t *testing.T) {
 		t.Error("Append accepted an array containing an oversized matrix")
 	}
 	// ...and out of env encoding.
-	if _, err := AppendEnv(nil, map[string]Value{"m": huge}); err == nil {
-		t.Error("AppendEnv accepted an oversized value")
+	if _, err := appendEnv(map[string]Value{"m": huge}); err == nil {
+		t.Error("AppendEnvTo accepted an oversized value")
 	}
 }
 
@@ -219,7 +241,7 @@ func TestEnvDecodeErrors(t *testing.T) {
 		{1, 0, 0, 0, 1, 0, 0, 0, 'k'}, // missing value
 	}
 	for i, c := range cases {
-		if _, _, err := DecodeEnv(c); err == nil {
+		if _, _, err := decodeEnv(c); err == nil {
 			t.Errorf("case %d should fail", i)
 		}
 	}

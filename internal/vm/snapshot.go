@@ -1,7 +1,6 @@
 package vm
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"messengers/internal/bytecode"
@@ -139,44 +138,24 @@ func RestoreInto(berth *Berth, prog *bytecode.Program, buf []byte) (*VM, error) 
 	return m, nil
 }
 
-// restore fills a VM that holds no state from a snapshot.
+// restore fills a VM that holds no state from a snapshot, which it must
+// consume to the last byte.
 func (m *VM) restore(buf []byte) error {
 	prog := m.prog
-	vars, p, err := value.DecodeEnvInto(m.vars, m.intern, buf)
-	if err != nil {
-		return fmt.Errorf("vm: restore vars: %w", err)
-	}
-	m.vars = vars
-	u32 := func() (int, error) {
-		if p+4 > len(buf) {
-			return 0, fmt.Errorf("vm: truncated snapshot")
-		}
-		v := int(binary.LittleEndian.Uint32(buf[p:]))
-		p += 4
-		return v, nil
-	}
-	nframes, err := u32()
-	if err != nil {
-		return err
-	}
-	if nframes < 1 || nframes > maxCallDepth {
+	d := wire.NewDecoder(buf)
+	m.vars = value.DecodeEnvFrom(&d, m.vars, m.intern)
+	// A frame is three words and its locals; a value is at least its tag.
+	nframes := d.Count(12)
+	if d.Err() == nil && (nframes < 1 || nframes > maxCallDepth) {
 		return fmt.Errorf("vm: snapshot frame count %d out of range", nframes)
 	}
 	if cap(m.frames) < nframes {
 		m.frames = make([]frame, 0, nframes)
 	}
 	for i := 0; i < nframes; i++ {
-		fn, err := u32()
-		if err != nil {
-			return err
-		}
-		pc, err := u32()
-		if err != nil {
-			return err
-		}
-		nloc, err := u32()
-		if err != nil {
-			return err
+		fn, pc, nloc := int(d.U32()), int(d.U32()), d.Count(1)
+		if d.Err() != nil {
+			break
 		}
 		if fn >= len(prog.Funcs) {
 			return fmt.Errorf("vm: snapshot references function %d of %d", fn, len(prog.Funcs))
@@ -188,35 +167,18 @@ func (m *VM) restore(buf []byte) error {
 			return fmt.Errorf("vm: snapshot carries %d locals for %q declaring %d",
 				nloc, prog.Funcs[fn].Name, prog.Funcs[fn].NumLocals)
 		}
-		if nloc > 1<<20 || nloc > len(buf)-p {
-			return fmt.Errorf("vm: snapshot local count %d exceeds buffer", nloc)
-		}
 		fr := frame{fn: fn, pc: pc, locals: m.allocValues(nloc)}
-		for j := 0; j < nloc; j++ {
-			v, n, err := value.Decode(buf[p:])
-			if err != nil {
-				return fmt.Errorf("vm: restore local: %w", err)
-			}
-			fr.locals[j] = v
-			p += n
+		for j := range fr.locals {
+			fr.locals[j] = value.DecodeFrom(&d)
 		}
 		m.frames = append(m.frames, fr)
 	}
-	nstack, err := u32()
-	if err != nil {
-		return err
+	m.stack = m.allocValues(d.Count(1))
+	for i := 0; i < len(m.stack) && d.Err() == nil; i++ {
+		m.stack[i] = value.DecodeFrom(&d)
 	}
-	if nstack > 1<<20 || nstack > len(buf)-p {
-		return fmt.Errorf("vm: snapshot stack size %d exceeds buffer", nstack)
-	}
-	m.stack = m.allocValues(nstack)
-	for i := 0; i < nstack; i++ {
-		v, n, err := value.Decode(buf[p:])
-		if err != nil {
-			return fmt.Errorf("vm: restore stack: %w", err)
-		}
-		m.stack[i] = v
-		p += n
+	if err := d.Finish(); err != nil {
+		return fmt.Errorf("vm: restore: %w", err)
 	}
 	if prog.Verified() {
 		return m.checkResumeState()

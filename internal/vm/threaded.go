@@ -76,24 +76,6 @@ func (d Dispatch) String() string {
 	}
 }
 
-// ParseDispatch resolves a mode name, as String prints it.
-func ParseDispatch(s string) (Dispatch, error) {
-	switch s {
-	case "auto":
-		return DispatchAuto, nil
-	case "switch":
-		return DispatchSwitch, nil
-	case "threaded":
-		return DispatchThreaded, nil
-	case "fused":
-		return DispatchFused, nil
-	case "specialized":
-		return DispatchSpecialized, nil
-	default:
-		return DispatchAuto, fmt.Errorf("vm: unknown dispatch mode %q", s)
-	}
-}
-
 // SetDispatch pins the interpreter loop. The zero value (DispatchAuto)
 // runs verified programs threaded+fused+kind-specialized; tests and
 // benchmarks pin modes explicitly.

@@ -119,12 +119,6 @@ const NumOps = int(bytecode.OpEnd) + 1
 // interpreter loop one predictable branch.
 type Profile struct {
 	Counts [NumOps]int64
-	// Pairs, when non-nil, counts dynamic adjacent opcode pairs on the
-	// switch loop (threaded dispatch has already fused its pairs away).
-	// This is the measurement the superinstruction set in
-	// internal/bytecode/lower.go was chosen from; nothing in the tree
-	// sets it. Pair counting costs the hot loop nothing unless enabled.
-	Pairs *[NumOps][NumOps]int64
 }
 
 // OpName names profile slot i for metric labels.
@@ -378,7 +372,6 @@ func (m *VM) runSwitch(host Host, maxSteps, limit int64, metered bool, stepsp *i
 	m.slotsClean = false
 	steps := *stepsp
 	defer func() { *stepsp = steps }()
-	prevOp := -1
 	for {
 		f := m.top()
 		code := m.prog.Funcs[f.fn].Code
@@ -390,12 +383,6 @@ func (m *VM) runSwitch(host Host, maxSteps, limit int64, metered bool, stepsp *i
 		steps++
 		if prof != nil && int(ins.Op) < NumOps {
 			prof.Counts[ins.Op]++
-			if prof.Pairs != nil {
-				if prevOp >= 0 {
-					prof.Pairs[prevOp][ins.Op]++
-				}
-				prevOp = int(ins.Op)
-			}
 		}
 		if limit > 0 && steps > limit {
 			if metered {

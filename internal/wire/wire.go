@@ -1,6 +1,8 @@
 // Package wire is the unified serialization layer: a pooled, single-pass
-// encoder shared by every subsystem that produces wire bytes (value codec,
-// VM snapshots, daemon messages, the TCP transport, PVM pack buffers).
+// Encoder shared by every subsystem that produces wire bytes (value codec,
+// VM snapshots, daemon messages, programs, the TCP transport, PVM pack
+// buffers) and the one bounds-checked Decoder everything that arrives is
+// read through.
 //
 // The layer exists to keep the hot hop path free of redundant copies, per
 // the paper's §2.1 analysis: a Messenger transfer should walk the state
@@ -17,9 +19,10 @@
 // Inbound frames are pooled too, under a lifetime rule: the TCP transport
 // reads each frame into a GetBuf buffer and owns it until the daemon's
 // HandleMsg for the decoded message has returned, then PutBufs it.
-// DecodeMsg-style consumers alias the frame, so nothing that outlives
-// HandleMsg may keep a subslice of it — consumers that retain data
-// (value.Decode, vm.Restore, bytecode.Decode) copy what they keep.
+// Decoder.Blob aliases the frame (DecodeMsg's Snapshot and ProgBytes), so
+// nothing that outlives HandleMsg may keep a subslice of it — consumers that
+// retain data (value.DecodeFrom, vm.Restore, bytecode.Decode) copy what they
+// keep.
 //
 // Float blocks (matrix payloads, PVM double arrays) move as one memmove on
 // little-endian hosts — see AppendF64s and ReadF64s in f64s.go, the only

@@ -242,6 +242,9 @@ type System struct {
 	chanEng *core.ChanEngine
 	tcpEng  *transport.TCPEngine
 	cluster *lan.Cluster
+	// faultTimers are the fault plan's crashes and restarts on a TCP
+	// system, armed by NewTCPSystem and stopped by Close.
+	faultTimers []*time.Timer
 }
 
 // NewRealSystem starts cfg.Daemons concurrent daemons (goroutines) on this
@@ -317,7 +320,7 @@ func NewTCPSystem(cfg Config, addrs []string) (*System, error) {
 			if d < 0 {
 				d = 0
 			}
-			time.AfterFunc(d, fn)
+			s.faultTimers = append(s.faultTimers, time.AfterFunc(d, fn))
 		}, false)
 	}
 	return s, nil
@@ -421,9 +424,13 @@ func (s *System) Addrs() []string {
 	return s.tcpEng.Addrs()
 }
 
-// Close shuts down a real system's daemons. It is a no-op for simulated
-// systems.
+// Close shuts down a real system's daemons and stops what is left of its
+// fault plan's schedule (a restart already under way is refused by the
+// closed engine). It is a no-op for simulated systems.
 func (s *System) Close() {
+	for _, t := range s.faultTimers {
+		t.Stop()
+	}
 	if s.chanEng != nil {
 		s.chanEng.Close()
 	}
