@@ -58,10 +58,3 @@ func TestVMDispatchConfinement(t *testing.T) {
 	analysistest.Run(t, "testdata/vmdispatch", "messengers/internal/transport",
 		analyzers.VMDispatch)
 }
-
-func TestVMDispatchHandlerCaptures(t *testing.T) {
-	// Analyzed as internal/vm itself: the lowered API is allowed, but
-	// registration loops must not capture loop variables in handlers.
-	analysistest.Run(t, "testdata/vmdispatchvm", "messengers/internal/vm",
-		analyzers.VMDispatch)
-}

@@ -34,39 +34,24 @@ var loweredNames = map[string]bool{
 	"Constituents": true,
 }
 
-// VMDispatch enforces the threaded-dispatch layering:
-//
-//  1. The lowered instruction API of internal/bytecode (Lowered, DInstr,
-//     DFunc, DOp and its constants, Program.Lowered, Constituents) must not
-//     be referenced outside internal/bytecode and internal/vm.
-//  2. Inside internal/vm, a handler function literal registered into a
-//     dispatch table from inside a loop must not capture the loop variable
-//     directly: handlers are shared, long-lived closures, and the
-//     registration pattern the package relies on routes loop state through
-//     constructor parameters (see threaded.go), which keeps each closure's
-//     dependencies explicit and survives any future change to loop-variable
-//     scoping semantics.
+// VMDispatch enforces the threaded-dispatch layering: the lowered
+// instruction API of internal/bytecode (Lowered, DInstr, DFunc, DOp and its
+// constants, Program.Lowered, Constituents) must not be referenced outside
+// internal/bytecode and internal/vm.
 //
 // Suppress with //lint:vmdispatch.
 var VMDispatch = &analysis.Analyzer{
 	Name: "vmdispatch",
-	Doc:  "lowered-instruction API confinement and handler-closure hygiene",
+	Doc:  "lowered-instruction API confinement",
 	Run:  runVMDispatch,
 }
 
+// runVMDispatch reports every reference to the lowered API from a package
+// outside the allowed set.
 func runVMDispatch(pass *analysis.Pass) error {
-	if !vmdispatchAllowed[pass.PkgPath] {
-		checkLoweredConfinement(pass)
+	if vmdispatchAllowed[pass.PkgPath] {
+		return nil
 	}
-	if pass.PkgPath == "messengers/internal/vm" {
-		checkHandlerCaptures(pass)
-	}
-	return nil
-}
-
-// checkLoweredConfinement reports every reference to the lowered API from a
-// package outside the allowed set.
-func checkLoweredConfinement(pass *analysis.Pass) {
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			id, ok := n.(*ast.Ident)
@@ -86,6 +71,7 @@ func checkLoweredConfinement(pass *analysis.Pass) {
 			return true
 		})
 	}
+	return nil
 }
 
 // isLoweredObj reports whether obj belongs to the lowered API: a listed
@@ -101,81 +87,4 @@ func isLoweredObj(obj types.Object) bool {
 		}
 	}
 	return false
-}
-
-// checkHandlerCaptures flags `table[i] = func(...) {...}` registrations
-// inside loops where the literal's body references a loop variable.
-func checkHandlerCaptures(pass *analysis.Pass) {
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			var body *ast.BlockStmt
-			loopVars := map[types.Object]string{}
-			switch s := n.(type) {
-			case *ast.RangeStmt:
-				body = s.Body
-				for _, e := range []ast.Expr{s.Key, s.Value} {
-					if id, ok := e.(*ast.Ident); ok && id.Name != "_" {
-						if obj := pass.Info.Defs[id]; obj != nil {
-							loopVars[obj] = id.Name
-						}
-					}
-				}
-			case *ast.ForStmt:
-				body = s.Body
-				if init, ok := s.Init.(*ast.AssignStmt); ok {
-					for _, e := range init.Lhs {
-						if id, ok := e.(*ast.Ident); ok && id.Name != "_" {
-							if obj := pass.Info.Defs[id]; obj != nil {
-								loopVars[obj] = id.Name
-							}
-						}
-					}
-				}
-			default:
-				return true
-			}
-			if len(loopVars) == 0 {
-				return true
-			}
-			ast.Inspect(body, func(m ast.Node) bool {
-				assign, ok := m.(*ast.AssignStmt)
-				if !ok {
-					return true
-				}
-				for i, lhs := range assign.Lhs {
-					if _, isIndex := ast.Unparen(lhs).(*ast.IndexExpr); !isIndex || i >= len(assign.Rhs) {
-						continue
-					}
-					lit, ok := ast.Unparen(assign.Rhs[i]).(*ast.FuncLit)
-					if !ok {
-						continue
-					}
-					if name, captured := usesAny(pass, lit.Body, loopVars); captured {
-						pass.Reportf(lit.Pos(), "vmdispatch",
-							"handler closure captures loop variable %s; pass it through a constructor parameter", name)
-					}
-				}
-				return true
-			})
-			return true
-		})
-	}
-}
-
-// usesAny reports whether any identifier in body resolves to one of vars.
-func usesAny(pass *analysis.Pass, body *ast.BlockStmt, vars map[types.Object]string) (string, bool) {
-	var found string
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found != "" {
-			return false
-		}
-		if id, ok := n.(*ast.Ident); ok {
-			if name, ok := vars[pass.Info.Uses[id]]; ok {
-				found = name
-				return false
-			}
-		}
-		return true
-	})
-	return found, found != ""
 }

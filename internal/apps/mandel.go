@@ -117,7 +117,7 @@ func MandelMessengers(cm *lan.CostModel, p MandelParams) (*MandelResult, error) 
 	sys := core.NewSystem(core.NewSimEngine(cluster), core.Star(n), opts...)
 	if p.Faults != nil {
 		inj := faults.NewInjector(p.Faults, metrics, p.Trace)
-		cluster.SetFaultHook(inj.LanHook(k))
+		cluster.SetFaultHook(inj.Decide)
 		faults.Schedule(p.Faults, sys, func(at int64, fn func()) { k.At(sim.Time(at), fn) }, true)
 	}
 

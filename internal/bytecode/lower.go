@@ -14,12 +14,14 @@ package bytecode
 //     string, and Messenger-variable names become indices into a per-
 //     program slot table so the hot loop never touches a map;
 //   - jump targets are resolved to direct-stream indices;
-//   - hot adjacent opcode sequences are fused into superinstructions:
-//     pairs, plus two four-wide loop idioms (the compare-and-branch loop
-//     head and the load-const-arith-store increment) that execute without
-//     touching the operand stack at all. The set was chosen from the
-//     per-opcode execution profiles the obs registry collects on the E1
-//     workloads (Mandelbrot inner loop, block matmul, ring walkers).
+//   - adjacent opcode sequences are fused into superinstructions: pairs,
+//     plus two four-wide loop idioms over Messenger variables (the
+//     compare-and-branch loop head and the load-const-arith-store
+//     increment) that execute without touching the operand stack at all.
+//     A family exists only if a program the repository ships lowers to it
+//     (TestSuperinstructionsHaveTraffic): the Go-embedded programs are
+//     loops over Messenger variables, and scripts/fib.msl's functions
+//     keep the handful of local-slot forms they lower to.
 //
 // Only package vm may consume the lowered form (enforced by the
 // vmdispatch analyzer); everything else treats a Program as opaque.
@@ -31,8 +33,9 @@ import (
 )
 
 // DOp is a direct-stream opcode. The first block mirrors the portable
-// instruction set one-to-one (pre-decoded); the DF block holds fused
-// superinstructions covering two source instructions each.
+// instruction set one-to-one (pre-decoded); the DF blocks hold fused
+// superinstructions covering two or four source instructions, and the last
+// block their kind-specialized variants.
 type DOp uint8
 
 // Direct opcodes.
@@ -85,7 +88,9 @@ const (
 	DEnd
 
 	// Fused superinstructions (N=2). Naming: constituents in source order.
-	// A further quad block (N=4) follows the pairs.
+	// A further quad block (N=4) follows the pairs. Every family here and
+	// in the specialized block below has a shipped program that lowers to
+	// it (TestSuperinstructionsHaveTraffic).
 
 	// DFConstAdd..DFConstMod: push Val then arithmetic — computed as
 	// top ⊕ Val without materializing the push.
@@ -122,12 +127,11 @@ const (
 	DFDivStoreL
 	DFModStoreL
 
-	// Quad superinstructions (N=4): whole loop idioms. A loop head
-	// "load, load-or-const, ordered-compare, jz" and an increment
-	// "load, const, arithmetic, store" each collapse into one dispatch
-	// that never touches the operand stack. MM/MC operate on Messenger
-	// slots, LL/LC on locals; the trailing letter pair names the operand
-	// shape (M/L slot + M/L slot or Const).
+	// Quad superinstructions (N=4): whole loop idioms. A loop head "load,
+	// load-or-const, ordered-compare, jz" and an increment "load, const,
+	// arithmetic, store" each collapse into one dispatch that never
+	// touches the operand stack. MM/MC operate on Messenger slots, LC on
+	// locals (a slot-against-slot local loop head has no traffic).
 
 	// DFMMLtJz..DFMMGeJz: compare Messenger slots A and B, branch to
 	// direct index C when false.
@@ -141,11 +145,7 @@ const (
 	DFMCLeJz
 	DFMCGtJz
 	DFMCGeJz
-	// DFLLLtJz..DFLLGeJz / DFLCLtJz..DFLCGeJz: the local-slot forms.
-	DFLLLtJz
-	DFLLLeJz
-	DFLLGtJz
-	DFLLGeJz
+	// DFLCLtJz..DFLCGeJz: the same with local slot A.
 	DFLCLtJz
 	DFLCLeJz
 	DFLCGtJz
@@ -169,9 +169,9 @@ const (
 	// guard — Restore re-checks every snapshot-injected value against the
 	// same proofs, so the guard is spent once at admission instead of per
 	// dispatch. The suffix names the proven kinds in stack order: II
-	// int/int, NN num/num, IN int/num, NI num/int. Stream shape (fusion,
-	// S2D, Src, N, operands) is identical to LowerFused — only opcodes
-	// change — so snapshots, meters, and profiles are unaffected.
+	// int/int, NN num/num, IN int/num. Stream shape (fusion, S2D, Src, N,
+	// operands) is identical to LowerFused — only opcodes change — so
+	// snapshots, meters, and profiles are unaffected.
 
 	// Plain arithmetic over proven kinds. Div/Mod II keep the runtime
 	// zero check (the divisor's value stays dynamic even when its kind is
@@ -191,19 +191,7 @@ const (
 	DMulIN
 	DDivIN
 	DModIN
-	DAddNI
-	DSubNI
-	DMulNI
-	DDivNI
-	DModNI
-	// Const-arith pairs. The constant's value is static too, so the II
-	// div/mod variants are emitted only for a nonzero constant and skip
-	// even the zero check.
-	DFConstAddII
-	DFConstSubII
-	DFConstMulII
-	DFConstDivII
-	DFConstModII
+	// Const-arith pairs over a proven num.
 	DFConstAddNN
 	DFConstSubNN
 	DFConstMulNN
@@ -217,27 +205,17 @@ const (
 	DFLeJzII
 	DFGtJzII
 	DFGeJzII
-	// Arith-store pairs (M block then L block, matching the generic order).
+	// Arith-store pairs.
 	DFAddStoreMII
 	DFSubStoreMII
 	DFMulStoreMII
 	DFDivStoreMII
 	DFModStoreMII
-	DFAddStoreLII
-	DFSubStoreLII
-	DFMulStoreLII
-	DFDivStoreLII
-	DFModStoreLII
 	DFAddStoreMNN
 	DFSubStoreMNN
 	DFMulStoreMNN
 	DFDivStoreMNN
 	DFModStoreMNN
-	DFAddStoreLNN
-	DFSubStoreLNN
-	DFMulStoreLNN
-	DFDivStoreLNN
-	DFModStoreLNN
 	// Quad loop heads over proven ints — the fully guard-free form of the
 	// hottest dispatch in every counting loop.
 	DFMMLtJzII
@@ -248,14 +226,6 @@ const (
 	DFMCLeJzII
 	DFMCGtJzII
 	DFMCGeJzII
-	DFLLLtJzII
-	DFLLLeJzII
-	DFLLGtJzII
-	DFLLGeJzII
-	DFLCLtJzII
-	DFLCLeJzII
-	DFLCGtJzII
-	DFLCGeJzII
 	// Quad increments over proven ints (div/mod only when the constant is
 	// a nonzero int, so no zero check survives).
 	DFMCAddStoreMII
@@ -280,18 +250,20 @@ func (o DOp) Generic() DOp {
 	switch {
 	case o < DAddII:
 		return o
-	case o <= DModNI:
+	case o <= DModIN:
 		return DAdd + (o-DAddII)%5
 	case o <= DFConstModNN:
-		return DFConstAdd + (o-DFConstAddII)%5
+		return DFConstAdd + (o - DFConstAddNN)
 	case o <= DFGeJzII:
 		return DFEqJz + (o - DFEqJzII)
-	case o <= DFModStoreLNN:
-		return DFAddStoreM + (o-DFAddStoreMII)%10
-	case o <= DFLCGeJzII:
+	case o <= DFModStoreMNN:
+		return DFAddStoreM + (o-DFAddStoreMII)%5
+	case o <= DFMCGeJzII:
 		return DFMMLtJz + (o - DFMMLtJzII)
-	default:
+	case o <= DFMCModStoreMII:
 		return DFMCAddStoreM + (o - DFMCAddStoreMII)
+	default:
+		return DFLCAddStoreL + (o - DFLCAddStoreLII)
 	}
 }
 
@@ -301,14 +273,9 @@ func specSuffix(o DOp) string {
 	switch {
 	case o < DAddII:
 		return ""
-	case o <= DModNI:
-		return [4]string{".ii", ".nn", ".in", ".ni"}[(o-DAddII)/5]
-	case o <= DFConstModNN:
-		if o <= DFConstModII {
-			return ".ii"
-		}
-		return ".nn"
-	case o <= DFModStoreLNN && o >= DFAddStoreMNN:
+	case o <= DModIN:
+		return [3]string{".ii", ".nn", ".in"}[(o-DAddII)/5]
+	case o <= DFConstModNN, o >= DFAddStoreMNN && o <= DFModStoreMNN:
 		return ".nn"
 	default:
 		return ".ii"
@@ -337,7 +304,6 @@ var dopNames = [NumDOps]string{
 	DFDivStoreL: "div+storel", DFModStoreL: "mod+storel",
 	DFMMLtJz: "mm<jz", DFMMLeJz: "mm<=jz", DFMMGtJz: "mm>jz", DFMMGeJz: "mm>=jz",
 	DFMCLtJz: "mc<jz", DFMCLeJz: "mc<=jz", DFMCGtJz: "mc>jz", DFMCGeJz: "mc>=jz",
-	DFLLLtJz: "ll<jz", DFLLLeJz: "ll<=jz", DFLLGtJz: "ll>jz", DFLLGeJz: "ll>=jz",
 	DFLCLtJz: "lc<jz", DFLCLeJz: "lc<=jz", DFLCGtJz: "lc>jz", DFLCGeJz: "lc>=jz",
 	DFMCAddStoreM: "m+c>m", DFMCSubStoreM: "m-c>m", DFMCMulStoreM: "m*c>m",
 	DFMCDivStoreM: "m/c>m", DFMCModStoreM: "m%c>m",
@@ -381,23 +347,18 @@ var dopSrc = [NumDOps][4]Op{
 	DFMulStoreM: {OpMul, OpStoreM}, DFDivStoreM: {OpDiv, OpStoreM}, DFModStoreM: {OpMod, OpStoreM},
 	DFAddStoreL: {OpAdd, OpStoreL}, DFSubStoreL: {OpSub, OpStoreL},
 	DFMulStoreL: {OpMul, OpStoreL}, DFDivStoreL: {OpDiv, OpStoreL}, DFModStoreL: {OpMod, OpStoreL},
-	DFMMLtJz: {OpLoadM, OpLoadM, OpLt, OpJz},
-	DFMMLeJz: {OpLoadM, OpLoadM, OpLe, OpJz},
-	DFMMGtJz: {OpLoadM, OpLoadM, OpGt, OpJz},
-	DFMMGeJz: {OpLoadM, OpLoadM, OpGe, OpJz},
-	DFMCLtJz: {OpLoadM, OpConst, OpLt, OpJz},
-	DFMCLeJz: {OpLoadM, OpConst, OpLe, OpJz},
-	DFMCGtJz: {OpLoadM, OpConst, OpGt, OpJz},
-	DFMCGeJz: {OpLoadM, OpConst, OpGe, OpJz},
-	DFLLLtJz: {OpLoadL, OpLoadL, OpLt, OpJz},
-	DFLLLeJz: {OpLoadL, OpLoadL, OpLe, OpJz},
-	DFLLGtJz: {OpLoadL, OpLoadL, OpGt, OpJz},
-	DFLLGeJz: {OpLoadL, OpLoadL, OpGe, OpJz},
-	DFLCLtJz: {OpLoadL, OpConst, OpLt, OpJz},
-	DFLCLeJz: {OpLoadL, OpConst, OpLe, OpJz},
-	DFLCGtJz: {OpLoadL, OpConst, OpGt, OpJz},
-	DFLCGeJz: {OpLoadL, OpConst, OpGe, OpJz},
-
+	DFMMLtJz:      {OpLoadM, OpLoadM, OpLt, OpJz},
+	DFMMLeJz:      {OpLoadM, OpLoadM, OpLe, OpJz},
+	DFMMGtJz:      {OpLoadM, OpLoadM, OpGt, OpJz},
+	DFMMGeJz:      {OpLoadM, OpLoadM, OpGe, OpJz},
+	DFMCLtJz:      {OpLoadM, OpConst, OpLt, OpJz},
+	DFMCLeJz:      {OpLoadM, OpConst, OpLe, OpJz},
+	DFMCGtJz:      {OpLoadM, OpConst, OpGt, OpJz},
+	DFMCGeJz:      {OpLoadM, OpConst, OpGe, OpJz},
+	DFLCLtJz:      {OpLoadL, OpConst, OpLt, OpJz},
+	DFLCLeJz:      {OpLoadL, OpConst, OpLe, OpJz},
+	DFLCGtJz:      {OpLoadL, OpConst, OpGt, OpJz},
+	DFLCGeJz:      {OpLoadL, OpConst, OpGe, OpJz},
 	DFMCAddStoreM: {OpLoadM, OpConst, OpAdd, OpStoreM},
 	DFMCSubStoreM: {OpLoadM, OpConst, OpSub, OpStoreM},
 	DFMCMulStoreM: {OpLoadM, OpConst, OpMul, OpStoreM},
@@ -429,7 +390,7 @@ var dopN = func() [NumDOps]uint8 {
 }()
 
 // Specialized opcodes inherit their generic counterpart's constituents and
-// mnemonic (with the kind suffix) instead of repeating 82 table rows.
+// mnemonic (with the kind suffix) instead of repeating 54 table rows.
 func init() {
 	for o := DAddII; o < NumDOps; o++ {
 		g := o.Generic()
@@ -570,60 +531,30 @@ func (p *Program) fusePair(a, b Instr) DOp {
 		}
 	case OpEq, OpNe, OpLt, OpLe, OpGt, OpGe:
 		if b.Op == OpJz {
-			switch a.Op {
-			case OpEq:
-				return DFEqJz
-			case OpNe:
-				return DFNeJz
-			case OpLt:
-				return DFLtJz
-			case OpLe:
-				return DFLeJz
-			case OpGt:
-				return DFGtJz
-			default:
-				return DFGeJz
-			}
+			return DFEqJz + DOp(a.Op-OpEq)
 		}
 	case OpAdd, OpSub, OpMul, OpDiv, OpMod:
-		if b.Op == OpStoreM || b.Op == OpStoreL {
-			toM := b.Op == OpStoreM
-			switch a.Op {
-			case OpAdd:
-				return pick(toM, DFAddStoreM, DFAddStoreL)
-			case OpSub:
-				return pick(toM, DFSubStoreM, DFSubStoreL)
-			case OpMul:
-				return pick(toM, DFMulStoreM, DFMulStoreL)
-			case OpDiv:
-				return pick(toM, DFDivStoreM, DFDivStoreL)
-			default:
-				return pick(toM, DFModStoreM, DFModStoreL)
-			}
+		switch b.Op {
+		case OpStoreM:
+			return DFAddStoreM + DOp(a.Op-OpAdd)
+		case OpStoreL:
+			return DFAddStoreL + DOp(a.Op-OpAdd)
 		}
 	}
 	return DNop
 }
 
-func pick(cond bool, a, b DOp) DOp {
-	if cond {
-		return a
-	}
-	return b
-}
-
 // fuseQuad returns the quad superinstruction for the window starting at a,
 // or DNop. Two idioms: the loop head (load, load-or-const, ordered compare,
-// jz) and the increment (load, const, arithmetic, same-kind store). The
-// constant is consumed inside the handler in both, so mutability does not
-// matter; only ordered comparisons participate (Eq/Ne loop heads keep pair
-// fusion).
+// jz; a local compares only against a constant) and the increment (load,
+// const, arithmetic, same-kind store). The constant is consumed inside the
+// handler in both, so mutability does not matter; only ordered comparisons
+// participate (Eq/Ne loop heads keep pair fusion).
 func fuseQuad(a, b, c, d Instr) DOp {
-	load := a.Op
-	if load != OpLoadM && load != OpLoadL {
+	if a.Op != OpLoadM && a.Op != OpLoadL {
 		return DNop
 	}
-	toM := load == OpLoadM
+	local := a.Op == OpLoadL
 	switch c.Op {
 	case OpLt, OpLe, OpGt, OpGe:
 		if d.Op != OpJz {
@@ -631,19 +562,24 @@ func fuseQuad(a, b, c, d Instr) DOp {
 		}
 		off := DOp(c.Op - OpLt)
 		switch {
-		case b.Op == load:
-			return pick(toM, DFMMLtJz, DFLLLtJz) + off
+		case b.Op == OpConst && local:
+			return DFLCLtJz + off
 		case b.Op == OpConst:
-			return pick(toM, DFMCLtJz, DFLCLtJz) + off
+			return DFMCLtJz + off
+		case b.Op == OpLoadM && !local:
+			return DFMMLtJz + off
 		}
 	case OpAdd, OpSub, OpMul, OpDiv, OpMod:
 		if b.Op != OpConst {
 			return DNop
 		}
-		if (toM && d.Op != OpStoreM) || (!toM && d.Op != OpStoreL) {
-			return DNop
+		off := DOp(c.Op - OpAdd)
+		switch {
+		case d.Op == OpStoreL && local:
+			return DFLCAddStoreL + off
+		case d.Op == OpStoreM && !local:
+			return DFMCAddStoreM + off
 		}
-		return pick(toM, DFMCAddStoreM, DFLCAddStoreL) + DOp(c.Op-OpAdd)
 	}
 	return DNop
 }
@@ -674,8 +610,8 @@ func (p *Program) specializeOp(fi int, d *DInstr) DOp {
 	case op >= DFConstAdd && op <= DFConstMod:
 		pc++ // const push, then the arithmetic
 	case op >= DFEqJz && op <= DFGeJz:
-	case op >= DFAddStoreM && op <= DFModStoreL:
-	case op >= DFMMLtJz && op <= DFLCGeJz:
+	case op >= DFAddStoreM && op <= DFModStoreM:
+	case op >= DFMMLtJz && op <= DFMCGeJz:
 		pc += 2 // two loads, then the comparison
 	case op >= DFMCAddStoreM && op <= DFLCModStoreL:
 		pc += 2 // load and const, then the arithmetic
@@ -700,14 +636,8 @@ func (p *Program) specializeOp(fi int, d *DInstr) DOp {
 			return DAddNN + off
 		case a == KindInt && b == KindNum:
 			return DAddIN + off
-		case a == KindNum && b == KindInt:
-			return DAddNI + off
 		}
 	case op >= DFConstAdd && op <= DFConstMod:
-		divisive := op == DFConstDiv || op == DFConstMod
-		if ii && !(divisive && d.Val.AsInt() == 0) {
-			return DFConstAddII + (op - DFConstAdd)
-		}
 		if nn {
 			return DFConstAddNN + (op - DFConstAdd)
 		}
@@ -715,7 +645,7 @@ func (p *Program) specializeOp(fi int, d *DInstr) DOp {
 		if ii {
 			return DFEqJzII + (op - DFEqJz)
 		}
-	case op >= DFAddStoreM && op <= DFModStoreL:
+	case op >= DFAddStoreM && op <= DFModStoreM:
 		off := op - DFAddStoreM
 		if ii {
 			return DFAddStoreMII + off
@@ -723,11 +653,11 @@ func (p *Program) specializeOp(fi int, d *DInstr) DOp {
 		if nn {
 			return DFAddStoreMNN + off
 		}
-	case op >= DFMMLtJz && op <= DFLCGeJz:
+	case op >= DFMMLtJz && op <= DFMCGeJz:
 		if ii {
 			return DFMMLtJzII + (op - DFMMLtJz)
 		}
-	default: // quad increments
+	default: // quad increments, Messenger then local
 		off := op - DFMCAddStoreM
 		divisive := off%5 >= 3 // div, mod
 		if ii && !(divisive && d.Val.AsInt() == 0) {
@@ -807,8 +737,6 @@ func (p *Program) buildLowered(mode LowerMode) *Lowered {
 					d.A, d.B, d.C = slotOf(ins.A), slotOf(b.A), s2d[last.A]
 				case fop >= DFMCLtJz && fop <= DFMCGeJz:
 					d.A, d.Val, d.C = slotOf(ins.A), p.Consts[b.A], s2d[last.A]
-				case fop >= DFLLLtJz && fop <= DFLLGeJz:
-					d.A, d.B, d.C = ins.A, b.A, s2d[last.A]
 				case fop >= DFLCLtJz && fop <= DFLCGeJz:
 					d.A, d.Val, d.C = ins.A, p.Consts[b.A], s2d[last.A]
 				case fop >= DFMCAddStoreM && fop <= DFMCModStoreM:
@@ -852,8 +780,10 @@ func (p *Program) buildLowered(mode LowerMode) *Lowered {
 				d.Op = DNop
 			case OpConst:
 				c := p.Consts[ins.A]
-				d.Val = c
-				d.Op = pick(constImmutable(c), DConst, DConstClone)
+				d.Op, d.Val = DConst, c
+				if !constImmutable(c) {
+					d.Op = DConstClone
+				}
 			case OpLoadM:
 				d.Op, d.A = DLoadM, slotOf(ins.A)
 			case OpStoreM:

@@ -318,29 +318,41 @@ func TestLoweredKindSpecializationRequiresProof(t *testing.T) {
 	}
 }
 
-// TestLoweredKindNoSpecializedDivByConstZero: x / 0 has a proven-int
-// divisor whose value is statically zero; the guard-free .ii divide must
-// not be emitted (the generic handler reports the runtime error).
+// TestLoweredKindNoSpecializedDivByConstZero: x = x / 0 and x = x % 0 over
+// a proven-int x fuse into the quad increment, whose .ii form has no zero
+// check; with a constant zero divisor the generic m/c>m and m%c>m must stay
+// (their handler reports the runtime error). A nonzero divisor specializes.
 func TestLoweredKindNoSpecializedDivByConstZero(t *testing.T) {
-	p := &Program{
-		Name:   "divz",
-		Consts: []value.Value{value.Int(4), value.Int(0)},
-		Names:  []string{"x"},
-		Funcs: []FuncInfo{{Name: "<main>", Code: []Instr{
-			{Op: OpConst, A: 0},  // const 4
-			{Op: OpConst, A: 1},  // const 0
-			{Op: OpDiv},          // fused into const+div
-			{Op: OpStoreM, A: 0}, // storem x
-			{Op: OpEnd},
-		}}},
-	}
-	if err := p.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
-	code := p.Lowered(LowerKind).Funcs[0].Code
-	for _, d := range code {
-		if d.Op == DFConstDivII {
-			t.Fatalf("specialized divide by constant zero emitted: %v", code)
+	for _, tc := range []struct {
+		op      Op
+		divisor int64
+		want    DOp
+	}{
+		{OpDiv, 0, DFMCDivStoreM},
+		{OpMod, 0, DFMCModStoreM},
+		{OpDiv, 2, DFMCDivStoreMII},
+		{OpMod, 2, DFMCModStoreMII},
+	} {
+		p := &Program{
+			Name:   "divz",
+			Consts: []value.Value{value.Int(4), value.Int(tc.divisor)},
+			Names:  []string{"x"},
+			Funcs: []FuncInfo{{Name: "<main>", Code: []Instr{
+				{Op: OpConst, A: 0},  // const 4
+				{Op: OpStoreM, A: 0}, // storem x: x is a proven int below
+				{Op: OpLoadM, A: 0},  // loadm x
+				{Op: OpConst, A: 1},  // const divisor
+				{Op: tc.op},          // div or mod
+				{Op: OpStoreM, A: 0}, // storem x
+				{Op: OpEnd},
+			}}},
+		}
+		if err := p.Validate(); err != nil {
+			t.Fatalf("Validate: %v", err)
+		}
+		code := p.Lowered(LowerKind).Funcs[0].Code
+		if len(code) != 4 || code[2].Op != tc.want {
+			t.Errorf("x = x %v %d lowered to %v, want %v at index 2", tc.op, tc.divisor, code, tc.want)
 		}
 	}
 }

@@ -352,10 +352,9 @@ func (d *Daemon) step(m *Messenger) {
 		d.om.segments.Inc()
 		d.om.steps.Add(res.Steps)
 		d.om.segSteps.Observe(res.Steps)
-		threaded, fused := m.VM.SegmentStats()
+		threaded := m.VM.ThreadedSteps()
 		d.om.dispThreaded.Add(threaded)
 		d.om.dispSwitch.Add(res.Steps - threaded)
-		d.om.fusedSteps.Add(fused)
 		d.om.arenaBytes.Observe(m.VM.ArenaBytes())
 	}
 	if d.tr != nil {

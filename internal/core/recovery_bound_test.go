@@ -91,7 +91,7 @@ func TestRetainBudgetUnderDuplicates(t *testing.T) {
 	sys := NewSystem(NewSimEngine(cluster), FullMesh(2),
 		WithRecovery(RecoveryConfig{RetainBudget: 4}))
 	inj := faults.NewInjector(plan, nil, nil)
-	cluster.SetFaultHook(inj.LanHook(k))
+	cluster.SetFaultHook(inj.Decide)
 	register(t, sys, "strider", `
 		create(ALL);
 		for (k = 0; k < 40; k++) {

@@ -28,7 +28,7 @@ func faultSystem(t *testing.T, n int, plan *faults.Plan, opts ...Option) (*sim.K
 	opts = append(opts, WithRecovery(RecoveryConfig{}), WithMetrics(metrics))
 	sys := NewSystem(NewSimEngine(cluster), FullMesh(n), distGVTEnv(opts)...)
 	inj := faults.NewInjector(plan, metrics, nil)
-	cluster.SetFaultHook(inj.LanHook(k))
+	cluster.SetFaultHook(inj.Decide)
 	faults.Schedule(plan, sys, func(at int64, fn func()) { k.At(sim.Time(at), fn) }, true)
 	return k, sys, metrics
 }

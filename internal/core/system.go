@@ -122,7 +122,7 @@ type sysObs struct {
 	netMsgs, netBytes                      *obs.Counter
 	retx, dedup, respawns, adoptions       *obs.Counter
 	deaths, restarts, peerDowns, peerUps   *obs.Counter
-	dispThreaded, dispSwitch, fusedSteps   *obs.Counter
+	dispThreaded, dispSwitch               *obs.Counter
 	segSteps, msgrBytes, arenaBytes        *obs.Histogram
 }
 
@@ -159,11 +159,10 @@ func newSysObs(m *obs.Metrics) *sysObs {
 		peerDowns:    m.Counter("net.peer.down"),
 		peerUps:      m.Counter("net.peer.up"),
 		// Dispatch-path accounting: source instructions executed on the
-		// token-threaded fast path vs. the switch loop, and the subset
-		// covered by fused superinstructions (see docs/VM.md).
+		// token-threaded fast path vs. the switch loop, split from the
+		// segment's step count (see docs/VM.md).
 		dispThreaded: m.Counter("vm.dispatch.threaded"),
 		dispSwitch:   m.Counter("vm.dispatch.switch"),
-		fusedSteps:   m.Counter("vm.fused.steps"),
 		segSteps:     m.Histogram("vm.segment.steps"),
 		msgrBytes:    m.Histogram("net.msgr.bytes"),
 		arenaBytes:   m.Histogram("vm.arena.bytes"),

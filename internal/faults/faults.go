@@ -5,9 +5,9 @@
 // stream, so the same seed and plan always inject the same faults at the
 // same points of a deterministic run.
 //
-// The injector plugs into the simulated cluster through lan.FaultHook (see
-// Injector.LanHook) and into the TCP engine through transport's SetInjector;
-// crashes and restarts are armed by Schedule against either engine's clock.
+// Both engines take a Hook (lan.Cluster.SetFaultHook and
+// transport.TCPEngine.SetFaultHook), and Injector.Decide is one; crashes
+// and restarts are armed by Schedule against either engine's clock.
 // Every injected fault is counted (faults.injected.*) and traced so chaos
 // runs stay diagnosable.
 package faults
@@ -19,7 +19,6 @@ import (
 	"os"
 	"sync"
 
-	"messengers/internal/lan"
 	"messengers/internal/obs"
 	"messengers/internal/sim"
 )
@@ -239,7 +238,11 @@ func Load(path string) (*Plan, error) {
 	return p, nil
 }
 
-// Verdict is the injector's decision for one message.
+// Verdict is the decision for one message. Both engines act on it: Drop
+// loses the message (on the modeled bus it still occupies the wire);
+// Corrupt damages it, which the modeled bus treats as a CRC-rejected frame
+// (transmitted, not delivered) and the TCP engine as a stream the receiver
+// resets (the connection is torn down); Dup delivers it twice.
 type Verdict struct {
 	Drop    bool
 	Dup     bool
@@ -247,6 +250,11 @@ type Verdict struct {
 	// Delay is extra latency in nanoseconds (0 = none).
 	Delay int64
 }
+
+// Hook decides the fate of one message from src to dst of the given wire
+// size at engine time now (nanoseconds from run start). Engines consult it
+// per remote transfer; Injector.Decide is the seeded implementation.
+type Hook func(now int64, src, dst, size int) Verdict
 
 // Injector turns a Plan into per-message verdicts. It is safe for
 // concurrent use (the TCP engine consults it from many goroutines); on the
@@ -368,15 +376,4 @@ func (in *Injector) Decide(now int64, src, dst, size int) Verdict {
 		}
 	}
 	return v
-}
-
-// LanHook adapts the injector to the simulated cluster's fault hook.
-// Corruption has no byte-level representation on the modeled bus: a
-// corrupted frame is one the receiver's CRC rejects, i.e. a drop that still
-// occupies the wire.
-func (in *Injector) LanHook(k *sim.Kernel) lan.FaultHook {
-	return func(src, dst, size int) lan.FaultVerdict {
-		v := in.Decide(int64(k.Now()), src, dst, size)
-		return lan.FaultVerdict{Drop: v.Drop || v.Corrupt, Dup: v.Dup, Delay: sim.Time(v.Delay)}
-	}
 }

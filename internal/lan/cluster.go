@@ -3,6 +3,7 @@ package lan
 import (
 	"fmt"
 
+	"messengers/internal/faults"
 	"messengers/internal/obs"
 	"messengers/internal/sim"
 )
@@ -130,23 +131,6 @@ func (h *Host) ExecProcScaled(p *sim.Proc, base sim.Time) {
 // Scale converts a 110 MHz-calibrated cost to this host's clock.
 func (h *Host) Scale(base sim.Time) sim.Time { return h.Spec.scale(base) }
 
-// FaultVerdict is the outcome of consulting a fault hook for one remote
-// transfer.
-type FaultVerdict struct {
-	// Drop transmits the frame (it occupies the wire) but never delivers
-	// it — a lost or CRC-rejected frame.
-	Drop bool
-	// Dup transmits and delivers the frame twice.
-	Dup bool
-	// Delay adds extra latency before the receiver-side processing.
-	Delay sim.Time
-}
-
-// FaultHook inspects one remote transfer at transmit time and decides its
-// fate. Hooks are consulted in deterministic event order; package faults
-// provides a seeded implementation.
-type FaultHook func(src, dst, size int) FaultVerdict
-
 // Cluster is the simulated testbed: n hosts on one shared Ethernet segment.
 type Cluster struct {
 	Kernel *sim.Kernel
@@ -155,8 +139,9 @@ type Cluster struct {
 	Hosts  []*Host
 
 	// fault, when non-nil, is consulted for every remote transfer (Send
-	// with src != dst). Nil keeps the lossless-LAN behavior byte-identical.
-	fault FaultHook
+	// with src != dst) at transmit time, in deterministic event order. Nil
+	// keeps the lossless-LAN behavior byte-identical.
+	fault faults.Hook
 }
 
 // NewCluster builds a cluster of n identical hosts.
@@ -203,7 +188,7 @@ func (c *Cluster) Observe(tr *obs.Tracer, m *obs.Metrics) {
 
 // SetFaultHook installs a fault-injection hook consulted for every remote
 // transfer. Pass nil to restore lossless delivery.
-func (c *Cluster) SetFaultHook(h FaultHook) { c.fault = h }
+func (c *Cluster) SetFaultHook(h faults.Hook) { c.fault = h }
 
 // Send models a full message transfer from host src to host dst:
 // sender-side CPU (sendCost), bus occupancy for size bytes, then
@@ -221,15 +206,16 @@ func (c *Cluster) Send(src, dst int, size int, sendCost, recvCost sim.Time, deli
 			c.Bus.Transmit(size, recvThenDeliver)
 			return
 		}
-		v := c.fault(src, dst, size)
-		if v.Drop {
-			// The frame occupies the wire but is never delivered.
+		v := c.fault(int64(c.Kernel.Now()), src, dst, size)
+		if v.Drop || v.Corrupt {
+			// The frame occupies the wire but is never delivered: lost, or
+			// rejected by the receiver's CRC.
 			c.Bus.Transmit(size, nil)
 			return
 		}
 		receive := recvThenDeliver
 		if v.Delay > 0 {
-			delay := v.Delay
+			delay := sim.Time(v.Delay)
 			receive = func() { c.Kernel.After(delay, recvThenDeliver) }
 		}
 		c.Bus.Transmit(size, receive)

@@ -8,6 +8,7 @@ import (
 
 	"messengers/internal/compile"
 	"messengers/internal/core"
+	"messengers/internal/faults"
 	"messengers/internal/obs"
 	"messengers/internal/sim"
 	"messengers/internal/value"
@@ -291,8 +292,8 @@ func TestOffExecutorFramesFlushAtOnce(t *testing.T) {
 		t.Fatalf("heartbeat: transport.frames = %d, transport.writes = %d on return from Send, want 1 and 1", f, w)
 	}
 
-	eng.SetFaultHook(func(int64, int, int, int) FaultVerdict {
-		return FaultVerdict{DelayNs: int64(5 * time.Millisecond), Dup: true}
+	eng.SetFaultHook(func(int64, int, int, int) faults.Verdict {
+		return faults.Verdict{Delay: int64(5 * time.Millisecond), Dup: true}
 	})
 	eng.Send(1, 0, advance(1))
 	eng.SetFaultHook(nil)

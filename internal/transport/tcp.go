@@ -37,6 +37,7 @@ import (
 
 	"messengers/internal/backoff"
 	"messengers/internal/core"
+	"messengers/internal/faults"
 	"messengers/internal/lan"
 	"messengers/internal/obs"
 	"messengers/internal/sim"
@@ -126,25 +127,6 @@ func readPooledFrame(r *bufio.Reader) (*[]byte, error) {
 	return box, nil
 }
 
-// FaultVerdict is the outcome of consulting the fault hook for one frame.
-type FaultVerdict struct {
-	// Drop silently discards the frame.
-	Drop bool
-	// Corrupt models a frame damaged in transit: the receiver would reject
-	// it and reset the stream, so the engine tears the connection down
-	// (exercising redial) instead of writing garbage.
-	Corrupt bool
-	// Dup writes the frame twice.
-	Dup bool
-	// DelayNs postpones the write by this many nanoseconds.
-	DelayNs int64
-}
-
-// FaultHook inspects one outbound frame and decides its fate (package
-// faults provides a seeded implementation; adapt it in the caller). nowNs
-// is engine time: nanoseconds since engine start.
-type FaultHook func(nowNs int64, src, dst, size int) FaultVerdict
-
 // TCPEngine is a core.Engine whose daemon-to-daemon messages travel over
 // real TCP connections. Each daemon has a listener; connections to peers
 // are dialed on first use and kept open.
@@ -166,7 +148,7 @@ type TCPEngine struct {
 	// connection per pair preserves FIFO delivery). Dial and teardown write
 	// the slots under e.mu.
 	killed []atomic.Bool
-	fault  atomic.Pointer[FaultHook]
+	fault  atomic.Pointer[faults.Hook]
 	slots  [][]atomic.Pointer[peerConn] // [src][dst]
 	// outs[src] lists the connections holding frames daemon src has sent
 	// and nobody has flushed yet.
@@ -305,8 +287,9 @@ func (e *TCPEngine) SetMetrics(m *obs.Metrics) {
 }
 
 // SetFaultHook installs a fault-injection hook consulted for every outbound
-// frame. Call before traffic flows; pass nil to restore clean delivery.
-func (e *TCPEngine) SetFaultHook(h FaultHook) {
+// frame with engine time (nanoseconds since engine start). Call before
+// traffic flows; pass nil to restore clean delivery.
+func (e *TCPEngine) SetFaultHook(h faults.Hook) {
 	if h == nil {
 		e.fault.Store(nil)
 		return
@@ -379,10 +362,10 @@ func (e *TCPEngine) Send(src, dst int, msg *core.Msg) {
 			// the redial path.
 			e.dropConn(src, dst)
 			return
-		case v.DelayNs > 0:
+		case v.Delay > 0:
 			frame := append([]byte(nil), enc.Bytes()...)
 			dup := v.Dup
-			time.AfterFunc(time.Duration(v.DelayNs), func() {
+			time.AfterFunc(time.Duration(v.Delay), func() {
 				select {
 				case <-e.closed:
 					return

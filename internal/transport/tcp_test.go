@@ -14,6 +14,7 @@ import (
 
 	"messengers/internal/compile"
 	"messengers/internal/core"
+	"messengers/internal/faults"
 	"messengers/internal/obs"
 	"messengers/internal/sim"
 	"messengers/internal/value"
@@ -585,9 +586,9 @@ func TestDialBackoffAndReconnect(t *testing.T) {
 func TestFaultHookDrop(t *testing.T) {
 	var dropped atomic.Int64
 	_, eng := tcpSystem(t, 2)
-	eng.SetFaultHook(func(now int64, src, dst, size int) FaultVerdict {
+	eng.SetFaultHook(func(now int64, src, dst, size int) faults.Verdict {
 		dropped.Add(1)
-		return FaultVerdict{Drop: true}
+		return faults.Verdict{Drop: true}
 	})
 	eng.Send(0, 1, &core.Msg{Kind: core.MsgHeartbeat, From: 0})
 	if dropped.Load() != 1 {

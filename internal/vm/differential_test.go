@@ -118,11 +118,62 @@ var diffPrograms = []struct {
 	src  string
 }{
 	// Quad idioms: mvar counting loop (mc<jz + m+c>m), local-variable
-	// loop in a function (lc<jz + l+c>l), and mvar-mvar compare (mm<jz).
+	// loop in a function (loadl+loadl, lt+jz + l+c>l), and mvar-mvar
+	// compare (mm<jz).
 	{"loop_mvar", `for (i = 0; i < 10; i++) { s = s + i; }`},
 	{"loop_local", `func f(n) { t = 0; for (k = 0; k < n; k++) { t = t + 2; } return t; }
 		r = f(9);`},
 	{"loop_mm", `lim = 5; for (i = 0; i < lim; i++) { s = s + 1; }`},
+	// The local-slot forms scripts/fib.msl lowers to, every operator: loop
+	// heads and increments over a parameter (generic), increments over a
+	// proven int (.ii), arithmetic stored into a local, loadl+const.
+	{"local_ops", `func g(n, m) {
+			t = n;
+			while (t < 50) { t = t * 3; }
+			while (t <= 60) { t = t + 1; }
+			while (t > 40) { t = t - 7; }
+			while (t >= 30) { t = t / 2; }
+			t = t % 7;
+			u = t + m; u = u - m; u = u * m; u = u / m; u = u % m;
+			k = 5; k = k + 1; k = k - 1; k = k * 3; k = k / 2; k = k % 2;
+			return (t - 1) * u + k;
+		}
+		r = g(7, 5);`},
+	{"cmp_fault_local", `func h(s) { for (i = s; i < 3; i++) { x = 1; } return 0; }
+		r = h("abc");`},
+	// Every ordered loop head, slot against slot and against a constant,
+	// and every increment operator, over proven ints (.ii under LowerKind).
+	{"loop_heads", `lim = 3;
+		for (i = 0; i <= lim; i++) { t = 1; }
+		for (i = lim; i > 0; i = i - 1) { t = t * 2; }
+		for (i = lim; i >= 0; i = i - 1) { t = t + 1; }
+		i = 0; while (i <= 5) { i = i + 2; }
+		j = 1; while (lim > j) { j = j * 2; }
+		j = 0; while (lim >= j) { j = j + 1; }
+		k = 100; while (k > 3) { k = k / 2; }
+		k = 17; while (k >= 3) { k = k % 3; }`},
+	// Compare-and-branch pairs (the compare's left operand is computed,
+	// so no quad matches), generic and over proven ints.
+	{"cmp_pairs", `a = 4; b = 5; n = 0;
+		if (a + 1 == b) { n = n + 1; }
+		if (a + 1 != b) { n = n + 2; }
+		if (a + 1 < b) { n = n + 4; }
+		if (a + 1 <= b) { n = n + 8; }
+		if (a + 1 > b) { n = n + 16; }
+		if (a + 1 >= b) { n = n + 32; }`},
+	// Arithmetic stored straight into a Messenger variable, over proven
+	// ints and proven nums.
+	{"arith_store", `a = 7; b = 3; f = 2.5; g = 0.5;
+		x = a + b; x = a - b; x = a * b; x = a / b; x = a % b;
+		y = f + g; y = f - g; y = f * g; y = f / g; y = f % g;`},
+	// Plain arithmetic whose result feeds more arithmetic: int/int,
+	// num/num and int/num operands, and const+arith pairs over ints (which
+	// stay generic) and nums.
+	{"arith_kinds", `a = 7; b = 3; f = 2.5; g = 0.5;
+		i = (a + b) * 2; i = (a - b) * 2; i = (a * b) - 1; i = (a / b) + 1; i = (a % b) + 1;
+		i = (a + b) / 2; i = (a + b) % 4;
+		y = (f + g) + 1.0; y = (f - g) - 1.0; y = (f * g) * 2.0; y = (f / g) / 2.0; y = (f % g) % 2.0;
+		z = (a + f) * 1.0; z = (a - f) * 1.0; z = (a * f) * 1.0; z = (a / f) * 1.0; z = (a % f) * 1.0;`},
 	// Float promotion inside the fast paths.
 	{"loop_float", `x = 0.5; for (i = 0; i < 4; i++) { x = x * 1.5 + i; }`},
 	// Faults inside fused sequences: div/mod by zero must abort at the
@@ -154,18 +205,41 @@ var diffPrograms = []struct {
 
 // TestDispatchDifferential runs the corpus under every engine at several
 // meter budgets. Budget 7 lands mid-loop so superinstructions must refuse
-// and tail into the switch loop; 0 means unmetered.
+// and tail into the switch loop; 0 means unmetered. The corpus cannot pass
+// vacuously: each non-switch mode must run its first segment at least
+// partly threaded, and the corpus's fused and kind streams together must
+// hold every derived opcode, so no handler goes unchecked.
 func TestDispatchDifferential(t *testing.T) {
+	emitted := map[bytecode.DOp]bool{}
 	for _, tc := range diffPrograms {
+		prog, err := compile.Compile(tc.name, tc.src)
+		if err != nil {
+			t.Fatalf("%s: compile: %v", tc.name, err)
+		}
+		for _, lm := range []bytecode.LowerMode{bytecode.LowerFused, bytecode.LowerKind} {
+			for _, f := range prog.Lowered(lm).Funcs {
+				for _, d := range f.Code {
+					emitted[d.Op] = true
+				}
+			}
+		}
 		t.Run(tc.name, func(t *testing.T) {
-			prog, err := compile.Compile(tc.name, tc.src)
-			if err != nil {
-				t.Fatalf("compile: %v", err)
+			for _, mode := range diffModes[1:] {
+				m := New(prog, nil)
+				m.SetDispatch(mode)
+				if _, err := m.Run(newTestHost(), 4096); err == nil && m.ThreadedSteps() == 0 {
+					t.Errorf("%v: first segment ran no step threaded", mode)
+				}
 			}
 			for _, budget := range []int64{0, 7, 23, 4096} {
 				assertDispatchAgree(t, prog, budget)
 			}
 		})
+	}
+	for o := bytecode.DOp(0); o < bytecode.NumDOps; o++ {
+		if _, n := o.Constituents(); (n >= 2 || o.Generic() != o) && !emitted[o] {
+			t.Errorf("no corpus program lowers to %v", o)
+		}
 	}
 }
 

@@ -35,16 +35,12 @@ func registerSpecialized(h *[bytecode.NumDOps]dhandler) {
 	for i, op := range ariths {
 		h[bytecode.DAddII+bytecode.DOp(i)] = specArithII(op)
 		h[bytecode.DAddNN+bytecode.DOp(i)] = specArithNN(op)
-		h[bytecode.DAddIN+bytecode.DOp(i)] = specArithMixed(op, true)
-		h[bytecode.DAddNI+bytecode.DOp(i)] = specArithMixed(op, false)
-		h[bytecode.DFConstAddII+bytecode.DOp(i)] = specConstArithII(op)
+		h[bytecode.DAddIN+bytecode.DOp(i)] = specArithIN(op)
 		h[bytecode.DFConstAddNN+bytecode.DOp(i)] = specConstArithNN(op)
-		h[bytecode.DFAddStoreMII+bytecode.DOp(i)] = specArithStoreII(op, true)
-		h[bytecode.DFAddStoreLII+bytecode.DOp(i)] = specArithStoreII(op, false)
-		h[bytecode.DFAddStoreMNN+bytecode.DOp(i)] = specArithStoreNN(op, true)
-		h[bytecode.DFAddStoreLNN+bytecode.DOp(i)] = specArithStoreNN(op, false)
-		h[bytecode.DFMCAddStoreMII+bytecode.DOp(i)] = specSlotArithStoreII(op, false)
-		h[bytecode.DFLCAddStoreLII+bytecode.DOp(i)] = specSlotArithStoreII(op, true)
+		h[bytecode.DFAddStoreMII+bytecode.DOp(i)] = specArithStoreII(op)
+		h[bytecode.DFAddStoreMNN+bytecode.DOp(i)] = specArithStoreNN(op)
+		h[bytecode.DFMCAddStoreMII+bytecode.DOp(i)] = specSlotArithStoreII(op)
+		h[bytecode.DFLCAddStoreLII+bytecode.DOp(i)] = specLocalIncII(op)
 	}
 	h[bytecode.DFEqJzII] = func(t *texec, d *bytecode.DInstr) bool {
 		a, b := &t.stack[t.sp-2], &t.stack[t.sp-1]
@@ -65,10 +61,8 @@ func registerSpecialized(h *[bytecode.NumDOps]dhandler) {
 	cmps := [4]bytecode.Op{bytecode.OpLt, bytecode.OpLe, bytecode.OpGt, bytecode.OpGe}
 	for i, op := range cmps {
 		h[bytecode.DFLtJzII+bytecode.DOp(i)] = specCmpJzII(op)
-		h[bytecode.DFMMLtJzII+bytecode.DOp(i)] = specSlotCmpJzII(op, false, false)
-		h[bytecode.DFMCLtJzII+bytecode.DOp(i)] = specSlotCmpJzII(op, false, true)
-		h[bytecode.DFLLLtJzII+bytecode.DOp(i)] = specSlotCmpJzII(op, true, false)
-		h[bytecode.DFLCLtJzII+bytecode.DOp(i)] = specSlotCmpJzII(op, true, true)
+		h[bytecode.DFMMLtJzII+bytecode.DOp(i)] = specSlotCmpJzII(op, false)
+		h[bytecode.DFMCLtJzII+bytecode.DOp(i)] = specSlotCmpJzII(op, true)
 	}
 }
 
@@ -166,8 +160,7 @@ func specArithNN(op bytecode.Op) dhandler {
 	}
 }
 
-// floatOp resolves the float transfer once per constructed handler (mixed
-// int/num operands always produce a Num, so one table serves both shapes).
+// floatOp resolves the float transfer once per constructed handler.
 func floatOp(op bytecode.Op) func(x, y float64) float64 {
 	switch op {
 	case bytecode.OpAdd:
@@ -183,61 +176,15 @@ func floatOp(op bytecode.Op) func(x, y float64) float64 {
 	}
 }
 
-// specArithMixed: one operand proven Int, the other Num (aInt names which).
-// Promotes through float64 like the general path; faultless.
-func specArithMixed(op bytecode.Op, aInt bool) dhandler {
+// specArithIN: the lower operand proven Int, the top Num. Promotes through
+// float64 like the general path; faultless.
+func specArithIN(op bytecode.Op) dhandler {
 	f := floatOp(op)
-	if aInt {
-		return func(t *texec, _ *bytecode.DInstr) bool {
-			a, b := &t.stack[t.sp-2], &t.stack[t.sp-1]
-			a.SetNum(f(float64(a.IntRaw()), b.NumRaw()))
-			t.sp--
-			return true
-		}
-	}
 	return func(t *texec, _ *bytecode.DInstr) bool {
 		a, b := &t.stack[t.sp-2], &t.stack[t.sp-1]
-		a.SetNum(f(a.NumRaw(), float64(b.IntRaw())))
+		a.SetNum(f(float64(a.IntRaw()), b.NumRaw()))
 		t.sp--
 		return true
-	}
-}
-
-// specConstArithII: stack top and constant proven Int. Lowering never
-// specializes a zero int constant under Div/Mod, so every variant here is
-// guard-free.
-func specConstArithII(op bytecode.Op) dhandler {
-	switch op {
-	case bytecode.OpAdd:
-		return func(t *texec, d *bytecode.DInstr) bool {
-			a := &t.stack[t.sp-1]
-			a.SetInt(a.IntRaw() + d.Val.IntRaw())
-			return true
-		}
-	case bytecode.OpSub:
-		return func(t *texec, d *bytecode.DInstr) bool {
-			a := &t.stack[t.sp-1]
-			a.SetInt(a.IntRaw() - d.Val.IntRaw())
-			return true
-		}
-	case bytecode.OpMul:
-		return func(t *texec, d *bytecode.DInstr) bool {
-			a := &t.stack[t.sp-1]
-			a.SetInt(a.IntRaw() * d.Val.IntRaw())
-			return true
-		}
-	case bytecode.OpDiv:
-		return func(t *texec, d *bytecode.DInstr) bool {
-			a := &t.stack[t.sp-1]
-			a.SetInt(a.IntRaw() / d.Val.IntRaw())
-			return true
-		}
-	default: // OpMod
-		return func(t *texec, d *bytecode.DInstr) bool {
-			a := &t.stack[t.sp-1]
-			a.SetInt(a.IntRaw() % d.Val.IntRaw())
-			return true
-		}
 	}
 }
 
@@ -295,50 +242,46 @@ func specCmpJzII(op bytecode.Op) dhandler {
 	}
 }
 
-// specII reads the loop-head operands for a slot compare: slot A against
-// slot B or the inline constant, both proven Int, already promoted.
-func (t *texec) specII(d *bytecode.DInstr, local, constB bool) (x, y float64) {
-	arr := t.slots
-	if local {
-		arr = t.locals
-	}
-	x = float64(arr[d.A].IntRaw())
+// specII reads the loop-head operands for a slot compare: Messenger slot A
+// against slot B or the inline constant, both proven Int, already promoted.
+func (t *texec) specII(d *bytecode.DInstr, constB bool) (x, y float64) {
+	x = float64(t.slots[d.A].IntRaw())
 	if constB {
 		y = float64(d.Val.IntRaw())
 	} else {
-		y = float64(arr[d.B].IntRaw())
+		y = float64(t.slots[d.B].IntRaw())
 	}
 	return x, y
 }
 
 // specSlotCmpJzII: the guard-free quad loop head — load, load-or-const,
 // compare, branch — over proven ints. Nothing on this path can fault.
-func specSlotCmpJzII(op bytecode.Op, local, constB bool) dhandler {
+func specSlotCmpJzII(op bytecode.Op, constB bool) dhandler {
 	switch op {
 	case bytecode.OpLt:
 		return func(t *texec, d *bytecode.DInstr) bool {
-			if x, y := t.specII(d, local, constB); !(x < y) {
+			if x, y := t.specII(d, constB); !(x < y) {
 				t.dpc = int(d.C)
 			}
 			return true
 		}
 	case bytecode.OpLe:
 		return func(t *texec, d *bytecode.DInstr) bool {
-			if x, y := t.specII(d, local, constB); !(x <= y) {
+			if x, y := t.specII(d, constB); !(x <= y) {
 				t.dpc = int(d.C)
 			}
 			return true
 		}
 	case bytecode.OpGt:
 		return func(t *texec, d *bytecode.DInstr) bool {
-			if x, y := t.specII(d, local, constB); !(x > y) {
+			if x, y := t.specII(d, constB); !(x > y) {
 				t.dpc = int(d.C)
 			}
 			return true
 		}
 	default: // OpGe
 		return func(t *texec, d *bytecode.DInstr) bool {
-			if x, y := t.specII(d, local, constB); !(x >= y) {
+			if x, y := t.specII(d, constB); !(x >= y) {
 				t.dpc = int(d.C)
 			}
 			return true
@@ -347,26 +290,26 @@ func specSlotCmpJzII(op bytecode.Op, local, constB bool) dhandler {
 }
 
 // specArithStoreII: arithmetic over two proven-int stack operands stored
-// straight into a slot. Div/Mod keep the dynamic zero check; the trailing
-// store is refunded on fault exactly like the generic handler.
-func specArithStoreII(op bytecode.Op, toMessenger bool) dhandler {
+// straight into a Messenger slot. Div/Mod keep the dynamic zero check; the
+// trailing store is refunded on fault exactly like the generic handler.
+func specArithStoreII(op bytecode.Op) dhandler {
 	switch op {
 	case bytecode.OpAdd:
 		return func(t *texec, d *bytecode.DInstr) bool {
 			a, b := &t.stack[t.sp-2], &t.stack[t.sp-1]
-			t.specStoreInt(d, toMessenger, a.IntRaw()+b.IntRaw())
+			t.specStoreInt(d, a.IntRaw()+b.IntRaw())
 			return true
 		}
 	case bytecode.OpSub:
 		return func(t *texec, d *bytecode.DInstr) bool {
 			a, b := &t.stack[t.sp-2], &t.stack[t.sp-1]
-			t.specStoreInt(d, toMessenger, a.IntRaw()-b.IntRaw())
+			t.specStoreInt(d, a.IntRaw()-b.IntRaw())
 			return true
 		}
 	case bytecode.OpMul:
 		return func(t *texec, d *bytecode.DInstr) bool {
 			a, b := &t.stack[t.sp-2], &t.stack[t.sp-1]
-			t.specStoreInt(d, toMessenger, a.IntRaw()*b.IntRaw())
+			t.specStoreInt(d, a.IntRaw()*b.IntRaw())
 			return true
 		}
 	case bytecode.OpDiv:
@@ -378,7 +321,7 @@ func specArithStoreII(op bytecode.Op, toMessenger bool) dhandler {
 				t.refundLast(d)
 				return t.fail(d.Src, "integer division by zero")
 			}
-			t.specStoreInt(d, toMessenger, a.IntRaw()/y)
+			t.specStoreInt(d, a.IntRaw()/y)
 			return true
 		}
 	default: // OpMod
@@ -390,87 +333,90 @@ func specArithStoreII(op bytecode.Op, toMessenger bool) dhandler {
 				t.refundLast(d)
 				return t.fail(d.Src, "integer modulo by zero")
 			}
-			t.specStoreInt(d, toMessenger, a.IntRaw()%y)
+			t.specStoreInt(d, a.IntRaw()%y)
 			return true
 		}
 	}
 }
 
-func (t *texec) specStoreInt(d *bytecode.DInstr, toMessenger bool, r int64) {
+func (t *texec) specStoreInt(d *bytecode.DInstr, r int64) {
 	t.sp -= 2
-	if toMessenger {
-		t.slots[d.A].SetInt(r)
-		t.dirty[d.A] = true
-	} else {
-		t.locals[d.A].SetInt(r)
-	}
+	t.slots[d.A].SetInt(r)
+	t.dirty[d.A] = true
 }
 
-func (t *texec) specStoreNum(d *bytecode.DInstr, toMessenger bool, r float64) {
+func (t *texec) specStoreNum(d *bytecode.DInstr, r float64) {
 	t.sp -= 2
-	if toMessenger {
-		t.slots[d.A].SetNum(r)
-		t.dirty[d.A] = true
-	} else {
-		t.locals[d.A].SetNum(r)
-	}
+	t.slots[d.A].SetNum(r)
+	t.dirty[d.A] = true
 }
 
 // specArithStoreNN: the proven-float arith-store; faultless.
-func specArithStoreNN(op bytecode.Op, toMessenger bool) dhandler {
+func specArithStoreNN(op bytecode.Op) dhandler {
 	f := floatOp(op)
 	return func(t *texec, d *bytecode.DInstr) bool {
 		a, b := &t.stack[t.sp-2], &t.stack[t.sp-1]
-		t.specStoreNum(d, toMessenger, f(a.NumRaw(), b.NumRaw()))
+		t.specStoreNum(d, f(a.NumRaw(), b.NumRaw()))
 		return true
 	}
 }
 
-// specSlotArithStoreII: the guard-free quad increment — slot A ⊕ constant
-// into slot B — over proven ints. Div/Mod exist here only for nonzero
-// constants (lowering refuses otherwise), so no variant can fault.
-func specSlotArithStoreII(op bytecode.Op, local bool) dhandler {
+// specSlotArithStoreII: the guard-free quad increment — Messenger slot A ⊕
+// constant into slot B — over proven ints. Div/Mod exist here only for
+// nonzero constants (lowering refuses otherwise), so no variant can fault.
+func specSlotArithStoreII(op bytecode.Op) dhandler {
 	switch op {
 	case bytecode.OpAdd:
 		return func(t *texec, d *bytecode.DInstr) bool {
-			t.specIncStore(d, local, t.specIncLoad(d, local)+d.Val.IntRaw())
+			t.specIncStore(d, t.slots[d.A].IntRaw()+d.Val.IntRaw())
 			return true
 		}
 	case bytecode.OpSub:
 		return func(t *texec, d *bytecode.DInstr) bool {
-			t.specIncStore(d, local, t.specIncLoad(d, local)-d.Val.IntRaw())
+			t.specIncStore(d, t.slots[d.A].IntRaw()-d.Val.IntRaw())
 			return true
 		}
 	case bytecode.OpMul:
 		return func(t *texec, d *bytecode.DInstr) bool {
-			t.specIncStore(d, local, t.specIncLoad(d, local)*d.Val.IntRaw())
+			t.specIncStore(d, t.slots[d.A].IntRaw()*d.Val.IntRaw())
 			return true
 		}
 	case bytecode.OpDiv:
 		return func(t *texec, d *bytecode.DInstr) bool {
-			t.specIncStore(d, local, t.specIncLoad(d, local)/d.Val.IntRaw())
+			t.specIncStore(d, t.slots[d.A].IntRaw()/d.Val.IntRaw())
 			return true
 		}
 	default: // OpMod
 		return func(t *texec, d *bytecode.DInstr) bool {
-			t.specIncStore(d, local, t.specIncLoad(d, local)%d.Val.IntRaw())
+			t.specIncStore(d, t.slots[d.A].IntRaw()%d.Val.IntRaw())
 			return true
 		}
 	}
 }
 
-func (t *texec) specIncLoad(d *bytecode.DInstr, local bool) int64 {
-	if local {
-		return t.locals[d.A].IntRaw()
-	}
-	return t.slots[d.A].IntRaw()
-}
-
-func (t *texec) specIncStore(d *bytecode.DInstr, local bool, r int64) {
-	if local {
-		t.locals[d.B].SetInt(r)
-		return
-	}
+func (t *texec) specIncStore(d *bytecode.DInstr, r int64) {
 	t.slots[d.B].SetInt(r)
 	t.dirty[d.B] = true
+}
+
+// specLocalIncII is specSlotArithStoreII over local slots A and B (the
+// counter of a function's loop); likewise faultless.
+func specLocalIncII(op bytecode.Op) dhandler {
+	var f func(x, y int64) int64
+	switch op {
+	case bytecode.OpAdd:
+		f = func(x, y int64) int64 { return x + y }
+	case bytecode.OpSub:
+		f = func(x, y int64) int64 { return x - y }
+	case bytecode.OpMul:
+		f = func(x, y int64) int64 { return x * y }
+	case bytecode.OpDiv:
+		f = func(x, y int64) int64 { return x / y }
+	default: // OpMod
+		f = func(x, y int64) int64 { return x % y }
+	}
+	return func(t *texec, d *bytecode.DInstr) bool {
+		t.locals[d.B].SetInt(f(t.locals[d.A].IntRaw(), d.Val.IntRaw()))
+		return true
+	}
 }

@@ -102,10 +102,8 @@ type texec struct {
 	slots []value.Value
 	dirty []bool
 
-	steps    *int64
-	limit    int64
-	threaded int64
-	fused    int64
+	steps *int64
+	limit int64
 
 	res  Result
 	err  error
@@ -136,15 +134,11 @@ func (t *texec) run() {
 		}
 		t.dpc++
 		*t.steps += n
-		t.threaded += n
 		if p := t.prof; p != nil {
 			c := &dopCons[d.Op]
 			for i := 0; i < int(d.N); i++ {
 				p.Counts[c[i]]++
 			}
-		}
-		if d.N > 1 {
-			t.fused += n
 		}
 		if !dhandlers[d.Op](t, d) {
 			return
@@ -216,8 +210,6 @@ func (t *texec) fail(src int32, format string, args ...any) bool {
 // can fault — loads and const pushes cannot.)
 func (t *texec) refundLast(d *bytecode.DInstr) {
 	*t.steps--
-	t.threaded--
-	t.fused--
 	if p := t.prof; p != nil {
 		p.Counts[dopCons[d.Op][d.N-1]]--
 	}
@@ -262,7 +254,6 @@ func (m *VM) runThreaded(host Host, low *bytecode.Lowered, limit int64, steps *i
 	}
 	t.m, t.host, t.prof, t.low = m, host, m.prof, low
 	t.steps, t.limit = steps, limit
-	t.threaded, t.fused = 0, 0
 	t.err, t.done = nil, false
 
 	// Messenger-variable slots: resync from the map only when something
@@ -302,8 +293,6 @@ func (m *VM) runThreaded(host Host, low *bytecode.Lowered, limit int64, steps *i
 
 	t.run()
 
-	m.segThreaded += t.threaded
-	m.segFused += t.fused
 	if t.done {
 		if t.err != nil {
 			// t.res may hold a previous segment's pause; errors return the
@@ -616,29 +605,19 @@ func init() {
 	h[bytecode.DFLeJz] = cmpJzHandler(bytecode.OpLe)
 	h[bytecode.DFGtJz] = cmpJzHandler(bytecode.OpGt)
 	h[bytecode.DFGeJz] = cmpJzHandler(bytecode.OpGe)
-	h[bytecode.DFAddStoreM] = arithStoreHandler(bytecode.OpAdd, true)
-	h[bytecode.DFSubStoreM] = arithStoreHandler(bytecode.OpSub, true)
-	h[bytecode.DFMulStoreM] = arithStoreHandler(bytecode.OpMul, true)
-	h[bytecode.DFDivStoreM] = arithStoreHandler(bytecode.OpDiv, true)
-	h[bytecode.DFModStoreM] = arithStoreHandler(bytecode.OpMod, true)
-	h[bytecode.DFAddStoreL] = arithStoreHandler(bytecode.OpAdd, false)
-	h[bytecode.DFSubStoreL] = arithStoreHandler(bytecode.OpSub, false)
-	h[bytecode.DFMulStoreL] = arithStoreHandler(bytecode.OpMul, false)
-	h[bytecode.DFDivStoreL] = arithStoreHandler(bytecode.OpDiv, false)
-	h[bytecode.DFModStoreL] = arithStoreHandler(bytecode.OpMod, false)
-
 	// Quad superinstructions: whole loop idioms with zero stack traffic.
 	cmps := [4]bytecode.Op{bytecode.OpLt, bytecode.OpLe, bytecode.OpGt, bytecode.OpGe}
 	for i, op := range cmps {
-		h[bytecode.DFMMLtJz+bytecode.DOp(i)] = slotCmpJzHandler(op, false, false)
-		h[bytecode.DFMCLtJz+bytecode.DOp(i)] = slotCmpJzHandler(op, false, true)
-		h[bytecode.DFLLLtJz+bytecode.DOp(i)] = slotCmpJzHandler(op, true, false)
-		h[bytecode.DFLCLtJz+bytecode.DOp(i)] = slotCmpJzHandler(op, true, true)
+		h[bytecode.DFMMLtJz+bytecode.DOp(i)] = slotCmpJzHandler(op, false)
+		h[bytecode.DFMCLtJz+bytecode.DOp(i)] = slotCmpJzHandler(op, true)
+		h[bytecode.DFLCLtJz+bytecode.DOp(i)] = localCmpJzHandler(op)
 	}
 	ariths := [5]bytecode.Op{bytecode.OpAdd, bytecode.OpSub, bytecode.OpMul, bytecode.OpDiv, bytecode.OpMod}
 	for i, op := range ariths {
-		h[bytecode.DFMCAddStoreM+bytecode.DOp(i)] = slotArithStoreHandler(op, false)
-		h[bytecode.DFLCAddStoreL+bytecode.DOp(i)] = slotArithStoreHandler(op, true)
+		h[bytecode.DFAddStoreM+bytecode.DOp(i)] = arithStoreHandler(op)
+		h[bytecode.DFAddStoreL+bytecode.DOp(i)] = localArithStoreHandler(op)
+		h[bytecode.DFMCAddStoreM+bytecode.DOp(i)] = slotArithStoreHandler(op)
+		h[bytecode.DFLCAddStoreL+bytecode.DOp(i)] = localIncHandler(op)
 	}
 
 	registerSpecialized(h)
@@ -769,23 +748,15 @@ func constArithHandler(op bytecode.Op) dhandler {
 	}
 }
 
-// arithStoreHandler fuses arithmetic with the store consuming its result.
-// An arithmetic fault is a first-constituent error.
-func arithStoreHandler(op bytecode.Op, toMessenger bool) dhandler {
+// arithStoreHandler fuses arithmetic with the Messenger-variable store
+// consuming its result. An arithmetic fault is a first-constituent error.
+func arithStoreHandler(op bytecode.Op) dhandler {
 	nop := numOp(op)
 	return func(t *texec, d *bytecode.DInstr) bool {
 		a, b := &t.stack[t.sp-2], &t.stack[t.sp-1]
-		var dst *value.Value
-		if toMessenger {
-			dst = &t.slots[d.A]
-		} else {
-			dst = &t.locals[d.A]
-		}
-		if value.FastBinary(nop, a, b, dst) {
+		if value.FastBinary(nop, a, b, &t.slots[d.A]) {
 			t.sp -= 2
-			if toMessenger {
-				t.dirty[d.A] = true
-			}
+			t.dirty[d.A] = true
 			return true
 		}
 		bv, av := t.pop(), t.pop()
@@ -794,30 +765,43 @@ func arithStoreHandler(op bytecode.Op, toMessenger bool) dhandler {
 			t.refundLast(d)
 			return t.fail(d.Src, "%v", err)
 		}
-		if toMessenger {
-			t.slots[d.A] = r
-			t.dirty[d.A] = true
-		} else {
-			t.locals[d.A] = r
-		}
+		t.slots[d.A] = r
+		t.dirty[d.A] = true
 		return true
 	}
 }
 
-// slotCmpJzHandler executes a whole loop head — load slot A, load slot B
-// or constant Val, ordered compare, branch to C when false — in one
+// localArithStoreHandler is arithStoreHandler into local slot A, which has
+// no dirty bit.
+func localArithStoreHandler(op bytecode.Op) dhandler {
+	nop := numOp(op)
+	return func(t *texec, d *bytecode.DInstr) bool {
+		a, b := &t.stack[t.sp-2], &t.stack[t.sp-1]
+		if value.FastBinary(nop, a, b, &t.locals[d.A]) {
+			t.sp -= 2
+			return true
+		}
+		bv, av := t.pop(), t.pop()
+		r, err := arith(op, av, bv)
+		if err != nil {
+			t.refundLast(d)
+			return t.fail(d.Src, "%v", err)
+		}
+		t.locals[d.A] = r
+		return true
+	}
+}
+
+// slotCmpJzHandler executes a whole loop head — load Messenger slot A, load
+// slot B or constant Val, ordered compare, branch to C when false — in one
 // dispatch with no stack traffic. The compare is the only constituent that
 // can fault (third of four: two loads executed, trailing jz refunded).
-func slotCmpJzHandler(op bytecode.Op, local, constB bool) dhandler {
+func slotCmpJzHandler(op bytecode.Op, constB bool) dhandler {
 	return func(t *texec, d *bytecode.DInstr) bool {
-		arr := t.slots
-		if local {
-			arr = t.locals
-		}
-		a := &arr[d.A]
+		a := &t.slots[d.A]
 		b := &d.Val
 		if !constB {
-			b = &arr[d.B]
+			b = &t.slots[d.B]
 		}
 		cmp, ok := value.FastCompare(a, b)
 		if !ok {
@@ -834,21 +818,35 @@ func slotCmpJzHandler(op bytecode.Op, local, constB bool) dhandler {
 	}
 }
 
-// slotArithStoreHandler executes the increment idiom — slot A ⊕ constant
-// Val stored into slot B — in one dispatch. The arithmetic is the only
-// faulting constituent (third of four; the trailing store is refunded).
-func slotArithStoreHandler(op bytecode.Op, local bool) dhandler {
+// localCmpJzHandler is slotCmpJzHandler for local slot A against constant
+// Val.
+func localCmpJzHandler(op bytecode.Op) dhandler {
+	return func(t *texec, d *bytecode.DInstr) bool {
+		a := &t.locals[d.A]
+		cmp, ok := value.FastCompare(a, &d.Val)
+		if !ok {
+			cmp, ok = a.Compare(d.Val)
+			if !ok {
+				t.refundLast(d)
+				return t.fail(d.Src+2, "cannot compare %v with %v", a.Kind(), d.Val.Kind())
+			}
+		}
+		if !evalCmp(op, cmp) {
+			t.dpc = int(d.C)
+		}
+		return true
+	}
+}
+
+// slotArithStoreHandler executes the increment idiom — Messenger slot A ⊕
+// constant Val stored into slot B — in one dispatch. The arithmetic is the
+// only faulting constituent (third of four; the trailing store is refunded).
+func slotArithStoreHandler(op bytecode.Op) dhandler {
 	nop := numOp(op)
 	return func(t *texec, d *bytecode.DInstr) bool {
-		arr := t.slots
-		if local {
-			arr = t.locals
-		}
-		a := &arr[d.A]
-		if value.FastBinary(nop, a, &d.Val, &arr[d.B]) {
-			if !local {
-				t.dirty[d.B] = true
-			}
+		a := &t.slots[d.A]
+		if value.FastBinary(nop, a, &d.Val, &t.slots[d.B]) {
+			t.dirty[d.B] = true
 			return true
 		}
 		r, err := arith(op, *a, d.Val)
@@ -856,10 +854,26 @@ func slotArithStoreHandler(op bytecode.Op, local bool) dhandler {
 			t.refundLast(d)
 			return t.fail(d.Src+2, "%v", err)
 		}
-		arr[d.B] = r
-		if !local {
-			t.dirty[d.B] = true
+		t.slots[d.B] = r
+		t.dirty[d.B] = true
+		return true
+	}
+}
+
+// localIncHandler is slotArithStoreHandler over local slots A and B.
+func localIncHandler(op bytecode.Op) dhandler {
+	nop := numOp(op)
+	return func(t *texec, d *bytecode.DInstr) bool {
+		a := &t.locals[d.A]
+		if value.FastBinary(nop, a, &d.Val, &t.locals[d.B]) {
+			return true
 		}
+		r, err := arith(op, *a, d.Val)
+		if err != nil {
+			t.refundLast(d)
+			return t.fail(d.Src+2, "%v", err)
+		}
+		t.locals[d.B] = r
 		return true
 	}
 }

@@ -152,10 +152,9 @@ type VM struct {
 	// copying them out of the snapshot. Nil until the VM's storage is reused.
 	intern map[string]string
 
-	// segThreaded/segFused count source instructions the last Run segment
-	// executed on the threaded path and inside fused superinstructions.
+	// segThreaded counts the source instructions the last Run segment
+	// executed on the threaded path.
 	segThreaded int64
-	segFused    int64
 }
 
 // SetProfile attaches (or detaches, with nil) an opcode profile. The
@@ -251,13 +250,10 @@ func (m *VM) SetVar(name string, v value.Value) {
 	m.vars[name] = v
 }
 
-// SegmentStats reports how the last Run segment executed: source
-// instructions dispatched on the threaded fast path, and the subset
-// covered by fused superinstructions. Feeds the vm.dispatch.* and
-// vm.fused.* metrics.
-func (m *VM) SegmentStats() (threadedSteps, fusedSteps int64) {
-	return m.segThreaded, m.segFused
-}
+// ThreadedSteps reports how many of the last Run segment's source
+// instructions ran on the threaded fast path; the rest of Result.Steps ran
+// on the switch loop. Feeds the vm.dispatch.* metrics.
+func (m *VM) ThreadedSteps() int64 { return m.segThreaded }
 
 // ArenaBytes reports the memory pinned by the VM's value arena (the
 // vm.arena.bytes metric); 0 without an arena.
@@ -320,7 +316,7 @@ func (m *VM) runtimeError(format string, args ...any) error {
 // charges and Result.Steps are identical whichever executed.
 func (m *VM) Run(host Host, maxSteps int64) (Result, error) {
 	var steps int64
-	m.segThreaded, m.segFused = 0, 0
+	m.segThreaded = 0
 	// An attached meter tightens the segment limit to the session's
 	// remaining allowance and is debited for what actually executed, on
 	// every exit path. metered distinguishes "the meter capped us" (quota
@@ -347,6 +343,7 @@ func (m *VM) Run(host Host, maxSteps int64) (Result, error) {
 		}
 		if low := m.prog.Lowered(lm); low != nil {
 			res, err, done := m.runThreaded(host, low, limit, &steps)
+			m.segThreaded = steps // the counter starts the segment at 0
 			if done {
 				return res, err
 			}

@@ -310,10 +310,7 @@ func NewTCPSystem(cfg Config, addrs []string) (*System, error) {
 	}
 	if cfg.Faults != nil {
 		inj := faults.NewInjector(cfg.Faults, cfg.Metrics, cfg.Trace)
-		eng.SetFaultHook(func(now int64, src, dst, size int) transport.FaultVerdict {
-			v := inj.Decide(now, src, dst, size)
-			return transport.FaultVerdict{Drop: v.Drop, Corrupt: v.Corrupt, Dup: v.Dup, DelayNs: v.Delay}
-		})
+		eng.SetFaultHook(inj.Decide)
 		start := time.Now()
 		faults.Schedule(cfg.Faults, s, func(at int64, fn func()) {
 			d := time.Duration(at) - time.Since(start)
@@ -353,7 +350,7 @@ func NewSimSystem(cfg Config) (*System, error) {
 			return nil, err
 		}
 		inj := faults.NewInjector(cfg.Faults, cfg.Metrics, cfg.Trace)
-		cluster.SetFaultHook(inj.LanHook(k))
+		cluster.SetFaultHook(inj.Decide)
 		// On the simulated engine, scheduled notices replace a failure
 		// detector: delivery is deterministic, so runs replay exactly.
 		faults.Schedule(cfg.Faults, s, func(at int64, fn func()) {
