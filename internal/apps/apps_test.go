@@ -1,6 +1,8 @@
 package apps
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"messengers/internal/lan"
@@ -100,33 +102,91 @@ func TestMatmulAllImplementationsAgree(t *testing.T) {
 	}
 }
 
-func TestMatmulSkipArithmeticKeepsTiming(t *testing.T) {
+// TestMatmulSkipArithmeticMatchesArithmetic runs every implementation with
+// and without arithmetic. The skip run must take the same simulated time,
+// move the same messages and bytes and commit the same GVT sequence, while
+// returning no product and leaving its shared block zero.
+func TestMatmulSkipArithmeticMatchesArithmetic(t *testing.T) {
 	cm := lan.DefaultCostModel()
-	p := MatmulParams{M: 2, S: 10, Host: lan.SPARC110, Seed: 3}
-	full, err := MatmulMessengers(cm, p)
-	if err != nil {
-		t.Fatal(err)
+	// A runner returns the blocks it handed out, nil for the sequential
+	// baselines, which use none.
+	type runner func(*lan.CostModel, MatmulParams) (*MatmulResult, *matmulBlocks, error)
+	parallel := func(f func(*lan.CostModel, MatmulParams, *matmulBlocks) (*MatmulResult, error)) runner {
+		return func(cm *lan.CostModel, p MatmulParams) (*MatmulResult, *matmulBlocks, error) {
+			mb, err := newMatmulBlocks(p)
+			if err != nil {
+				return nil, nil, err
+			}
+			r, err := f(cm, p, mb)
+			return r, mb, err
+		}
 	}
-	p.SkipArithmetic = true
-	skip, err := MatmulMessengers(cm, p)
-	if err != nil {
-		t.Fatal(err)
+	seq := func(f func(*lan.CostModel, MatmulParams) *MatmulResult) runner {
+		return func(cm *lan.CostModel, p MatmulParams) (*MatmulResult, *matmulBlocks, error) {
+			return f(cm, p), nil, nil
+		}
 	}
-	if full.Elapsed != skip.Elapsed {
-		t.Errorf("SkipArithmetic changed simulated time: %v vs %v", full.Elapsed, skip.Elapsed)
+	impls := []struct {
+		name string
+		run  runner
+	}{
+		{"messengers", parallel(matmulMessengers)},
+		{"pvm", parallel(matmulPVM)},
+		{"seq_naive", seq(MatmulSequentialNaive)},
+		{"seq_block", seq(MatmulSequentialBlock)},
 	}
-
-	fullPVM, err := MatmulPVM(cm, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.SkipArithmetic = false
-	fullPVM2, err := MatmulPVM(cm, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fullPVM.Elapsed != fullPVM2.Elapsed {
-		t.Errorf("PVM SkipArithmetic changed simulated time: %v vs %v", fullPVM.Elapsed, fullPVM2.Elapsed)
+	counters := []string{"bus.msgs", "bus.bytes", "pvm.pack.bytes", "pvm.unpack.bytes"}
+	for _, im := range impls {
+		for _, g := range []struct{ m, s int }{{2, 8}, {3, 5}} {
+			t.Run(fmt.Sprintf("%s/%dx%d_s%d", im.name, g.m, g.m, g.s), func(t *testing.T) {
+				run := func(skip bool) (*MatmulResult, *matmulBlocks) {
+					p := MatmulParams{M: g.m, S: g.s, Host: lan.SPARC110, Seed: 3, SkipArithmetic: skip}
+					r, mb, err := im.run(cm, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return r, mb
+				}
+				full, _ := run(false)
+				skip, mb := run(true)
+				if full.Elapsed != skip.Elapsed {
+					t.Errorf("simulated time: arithmetic %v, skip %v", full.Elapsed, skip.Elapsed)
+				}
+				for _, c := range counters {
+					if f, s := full.Obs.CounterValue(c), skip.Obs.CounterValue(c); f != s {
+						t.Errorf("%s: arithmetic %d, skip %d", c, f, s)
+					}
+				}
+				if !slices.Equal(full.GVTCommits, skip.GVTCommits) {
+					t.Errorf("GVT commits: arithmetic %v, skip %v", full.GVTCommits, skip.GVTCommits)
+				}
+				// The comparisons above must not pass on empty books.
+				switch im.name {
+				case "messengers":
+					if len(full.GVTCommits) == 0 || full.Obs.CounterValue("bus.msgs") == 0 {
+						t.Error("MESSENGERS run committed no GVT or sent nothing")
+					}
+				case "pvm":
+					if full.Obs.CounterValue("pvm.unpack.bytes") == 0 {
+						t.Error("PVM run unpacked nothing")
+					}
+				}
+				if full.C == nil {
+					t.Error("arithmetic run returned no product")
+				}
+				if skip.C != nil {
+					t.Error("skip run assembled a product")
+				}
+				if mb == nil {
+					return
+				}
+				for i, v := range mb.zero.Data {
+					if v != 0 {
+						t.Fatalf("shared block written at %d: %v", i, v)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -30,10 +30,12 @@ type MatmulParams struct {
 	Host lan.HostSpec
 	// Seed makes the input matrices reproducible.
 	Seed int64
-	// SkipArithmetic runs the full protocol (all data movement, packing,
-	// and cost charging) without performing the actual floating-point
-	// multiplications, whose simulated cost depends only on block sizes.
-	// Timing results are identical; use it for large parameter sweeps.
+	// SkipArithmetic runs the full protocol and charges all data movement;
+	// values are neither generated nor copied. The simulated cost depends
+	// only on block sizes, so one zero S x S block serves read-only as every
+	// node's A, B and C, no multiply runs and no N x N result is assembled.
+	// Timing results and charged counts are identical; use it for large
+	// parameter sweeps.
 	SkipArithmetic bool
 	// Trace, when non-nil, receives the run's events (one track per
 	// daemon/host plus the bus track, simulated-time timestamps).
@@ -49,7 +51,7 @@ func (p MatmulParams) N() int { return p.M * p.S }
 // MatmulResult is the outcome of one run.
 type MatmulResult struct {
 	Elapsed sim.Time
-	C       *value.Mat // assembled result (zeros under SkipArithmetic)
+	C       *value.Mat // assembled result; nil under SkipArithmetic
 	// Obs is the run's metrics registry (bus.*, host.*, gvt.rounds, ...);
 	// nil for the sequential baselines.
 	Obs *obs.Metrics
@@ -61,6 +63,46 @@ type MatmulResult struct {
 // macsCost is the CPU cost of `macs` multiply-accumulates at block size s.
 func macsCost(cm *lan.CostModel, s int, spec lan.HostSpec, macs int64) sim.Time {
 	return sim.Time(float64(macs) * float64(cm.MacCost(s, spec)))
+}
+
+// matmulBlocks hands out the blocks of one parallel run. With arithmetic on,
+// node (i, j) gets its blocks of two seeded N x N inputs and a fresh C, and
+// the finished C blocks are gathered into an N x N result. Under
+// SkipArithmetic one zero S x S block is every node's A, B and C: no script
+// or worker writes it, so it is shared read-only, and nothing is gathered.
+type matmulBlocks struct {
+	s       int
+	a, b, c *value.Mat // inputs and gathered result; nil under SkipArithmetic
+	zero    *value.Mat // the shared block; nil with arithmetic on
+}
+
+func newMatmulBlocks(p MatmulParams) (*matmulBlocks, error) {
+	if p.M < 1 || p.S < 1 {
+		return nil, fmt.Errorf("apps: bad matmul params %+v", p)
+	}
+	if p.SkipArithmetic {
+		return &matmulBlocks{s: p.S, zero: value.NewMat(p.S, p.S)}, nil
+	}
+	n := p.N()
+	return &matmulBlocks{
+		s: p.S,
+		a: matmul.Random(n, p.Seed), b: matmul.Random(n, p.Seed+1), c: value.NewMat(n, n),
+	}, nil
+}
+
+// node returns node (i, j)'s A, B and C blocks.
+func (mb *matmulBlocks) node(i, j int) (a, b, c *value.Mat) {
+	if mb.zero != nil {
+		return mb.zero, mb.zero, mb.zero
+	}
+	return matmul.GetBlock(mb.a, i, j, mb.s), matmul.GetBlock(mb.b, i, j, mb.s), value.NewMat(mb.s, mb.s)
+}
+
+// gather installs node (i, j)'s finished C block in the result.
+func (mb *matmulBlocks) gather(i, j int, c *value.Mat) {
+	if mb.c != nil {
+		matmul.SetBlock(mb.c, i, j, c)
+	}
 }
 
 // MsgrDistributeA is the paper's Figure 11 distribute_A script. Deviations
@@ -95,10 +137,15 @@ const MsgrRotateB = `
 // distribute_A and one rotate_B Messenger injected per node, coordinated
 // purely by global virtual time.
 func MatmulMessengers(cm *lan.CostModel, p MatmulParams) (*MatmulResult, error) {
-	m := p.M
-	if m < 1 || p.S < 1 {
-		return nil, fmt.Errorf("apps: bad matmul params %+v", p)
+	mb, err := newMatmulBlocks(p)
+	if err != nil {
+		return nil, err
 	}
+	return matmulMessengers(cm, p, mb)
+}
+
+func matmulMessengers(cm *lan.CostModel, p MatmulParams, mb *matmulBlocks) (*MatmulResult, error) {
+	m := p.M
 	k := sim.New()
 	n := m * m
 	cluster := lan.NewCluster(k, cm, n, p.Host)
@@ -140,15 +187,14 @@ func MatmulMessengers(cm *lan.CostModel, p MatmulParams) (*MatmulResult, error) 
 
 	// Distribute the input blocks into node variables (the paper assumes
 	// the matrices are already distributed from previous computations).
-	a := matmul.Random(p.N(), p.Seed)
-	b := matmul.Random(p.N(), p.Seed+1)
 	for i := 0; i < m; i++ {
 		for j := 0; j < m; j++ {
 			d := sys.Daemon(i*m + j)
 			node := d.Store().FindByName(name(i, j))[0]
-			node.Vars["resid_A"] = value.Matrix(matmul.GetBlock(a, i, j, p.S))
-			node.Vars["resid_B"] = value.Matrix(matmul.GetBlock(b, i, j, p.S))
-			node.Vars["C"] = value.Matrix(value.NewMat(p.S, p.S))
+			a, b, c := mb.node(i, j)
+			node.Vars["resid_A"] = value.Matrix(a)
+			node.Vars["resid_B"] = value.Matrix(b)
+			node.Vars["C"] = value.Matrix(c)
 		}
 	}
 
@@ -157,7 +203,9 @@ func MatmulMessengers(cm *lan.CostModel, p MatmulParams) (*MatmulResult, error) 
 			return value.Nil(), fmt.Errorf("copy_block of %v", args[0].Kind())
 		}
 		ctx.Charge(sim.Time(args[0].WireSize()) * ctx.Model().MemPerByte)
-		return args[0].Clone(), nil
+		// No script writes the copy (block_multiply writes only node.C), so
+		// the block itself serves as it.
+		return args[0], nil
 	})
 	sys.RegisterNative("block_multiply", func(ctx *core.NativeCtx, args []value.Value) (value.Value, error) {
 		ca, cb, cc := args[0].AsMat(), args[1].AsMat(), args[2].AsMat()
@@ -200,7 +248,6 @@ func MatmulMessengers(cm *lan.CostModel, p MatmulParams) (*MatmulResult, error) 
 		return nil, fmt.Errorf("apps: matmul messengers: %v", errs[0])
 	}
 
-	c := value.NewMat(p.N(), p.N())
 	for i := 0; i < m; i++ {
 		for j := 0; j < m; j++ {
 			node := sys.Daemon(i*m + j).Store().FindByName(name(i, j))[0]
@@ -208,13 +255,13 @@ func MatmulMessengers(cm *lan.CostModel, p MatmulParams) (*MatmulResult, error) 
 			if blk == nil {
 				return nil, fmt.Errorf("apps: node %s has no C block", name(i, j))
 			}
-			matmul.SetBlock(c, i, j, blk)
+			mb.gather(i, j, blk)
 		}
 	}
 	sys.FlushVMProfiles()
 	return &MatmulResult{
 		Elapsed:    elapsed,
-		C:          c,
+		C:          mb.c,
 		Obs:        metrics,
 		GVTCommits: sys.CommitLog(),
 	}, nil
@@ -225,10 +272,15 @@ func MatmulMessengers(cm *lan.CostModel, p MatmulParams) (*MatmulResult, error) 
 // block along its row when it holds the current diagonal, multiplies, and
 // rotates its B block to its northern neighbor.
 func MatmulPVM(cm *lan.CostModel, p MatmulParams) (*MatmulResult, error) {
-	m := p.M
-	if m < 1 || p.S < 1 {
-		return nil, fmt.Errorf("apps: bad matmul params %+v", p)
+	mb, err := newMatmulBlocks(p)
+	if err != nil {
+		return nil, err
 	}
+	return matmulPVM(cm, p, mb)
+}
+
+func matmulPVM(cm *lan.CostModel, p MatmulParams, mb *matmulBlocks) (*MatmulResult, error) {
+	m := p.M
 	const (
 		tagABase = 100
 		tagBBase = 100000
@@ -245,10 +297,6 @@ func MatmulPVM(cm *lan.CostModel, p MatmulParams) (*MatmulResult, error) {
 	// logical network is already built), so spawning is free here.
 	mach.SetSpawnCost(0)
 
-	a := matmul.Random(p.N(), p.Seed)
-	b := matmul.Random(p.N(), p.Seed+1)
-	cOut := value.NewMat(p.N(), p.N())
-
 	workerBody := func(i, j int) pvm.TaskFunc {
 		return func(w *pvm.Proc) {
 			w.JoinGroupAs("mmult", i*m+j)
@@ -259,22 +307,25 @@ func MatmulPVM(cm *lan.CostModel, p MatmulParams) (*MatmulResult, error) {
 			north := w.Gettid("mmult", ((i-1+m)%m)*m+j)
 			south := w.Gettid("mmult", ((i+1)%m)*m+j)
 
-			blockA := matmul.GetBlock(a, i, j, p.S)
-			blockB := matmul.GetBlock(b, i, j, p.S)
-			blockC := value.NewMat(p.S, p.S)
+			blockA, blockB, blockC := mb.node(i, j)
+			// Unpack destinations are the worker's own, so the shared block
+			// under SkipArithmetic is never written. PkMat copies a block
+			// into the send buffer, so B may be unpacked into the block just
+			// packed.
+			recvA, recvB := value.NewMat(p.S, p.S), value.NewMat(p.S, p.S)
 
 			for kk := 0; kk < m; kk++ {
-				var currA *value.Mat
+				currA := blockA
 				if j == (i+kk)%m {
 					// This worker holds the block to distribute: multicast
 					// it to the rest of its row.
 					w.InitSend()
 					w.PkMat(blockA)
 					w.Mcast(myRow, tagABase+kk)
-					currA = blockA
 				} else {
 					buf := w.Recv(pvm.AnySource, tagABase+kk)
-					currA = w.UpkMat(buf)
+					w.UpkMat(buf, recvA)
+					currA = recvA
 				}
 				if !p.SkipArithmetic {
 					matmul.AddMul(blockC, currA, blockB)
@@ -287,10 +338,11 @@ func MatmulPVM(cm *lan.CostModel, p MatmulParams) (*MatmulResult, error) {
 					w.PkMat(blockB)
 					w.Send(north, tagBBase+kk)
 					buf := w.Recv(south, tagBBase+kk)
-					blockB = w.UpkMat(buf)
+					blockB = recvB
+					w.UpkMat(buf, blockB)
 				}
 			}
-			matmul.SetBlock(cOut, i, j, blockC) // result stays distributed; gathered for validation
+			mb.gather(i, j, blockC) // result stays distributed; gathered for validation
 		}
 	}
 
@@ -309,7 +361,7 @@ func MatmulPVM(cm *lan.CostModel, p MatmulParams) (*MatmulResult, error) {
 	}
 	return &MatmulResult{
 		Elapsed: elapsed,
-		C:       cOut,
+		C:       mb.c,
 		Obs:     metrics,
 	}, nil
 }
@@ -317,33 +369,23 @@ func MatmulPVM(cm *lan.CostModel, p MatmulParams) (*MatmulResult, error) {
 // MatmulSequentialNaive times the naive triple-loop multiply on one host.
 func MatmulSequentialNaive(cm *lan.CostModel, p MatmulParams) *MatmulResult {
 	nn := p.N()
-	var c *value.Mat
-	if p.SkipArithmetic {
-		c = value.NewMat(nn, nn)
-	} else {
-		a := matmul.Random(nn, p.Seed)
-		b := matmul.Random(nn, p.Seed+1)
-		c = matmul.Naive(a, b)
+	r := &MatmulResult{Elapsed: cm.ScaleFor(p.Host, macsCost(cm, nn, p.Host, matmul.MACs(nn)))}
+	if !p.SkipArithmetic {
+		r.C = matmul.Naive(matmul.Random(nn, p.Seed), matmul.Random(nn, p.Seed+1))
 	}
-	elapsed := cm.ScaleFor(p.Host, macsCost(cm, nn, p.Host, matmul.MACs(nn)))
-	return &MatmulResult{Elapsed: elapsed, C: c}
+	return r
 }
 
 // MatmulSequentialBlock times the block-partitioned sequential multiply
 // (the paper's second baseline) on one host.
 func MatmulSequentialBlock(cm *lan.CostModel, p MatmulParams) *MatmulResult {
 	nn := p.N()
-	var c *value.Mat
-	if p.SkipArithmetic {
-		c = value.NewMat(nn, nn)
-	} else {
-		a := matmul.Random(nn, p.Seed)
-		b := matmul.Random(nn, p.Seed+1)
-		c = matmul.BlockSequential(a, b, p.M)
-	}
 	// m^3 block multiplies of size s plus the block extraction copies.
 	macs := matmul.MACs(p.S) * int64(p.M*p.M*p.M)
 	copies := sim.Time(8*nn*nn*3) * cm.MemPerByte
-	elapsed := cm.ScaleFor(p.Host, macsCost(cm, p.S, p.Host, macs)+copies)
-	return &MatmulResult{Elapsed: elapsed, C: c}
+	r := &MatmulResult{Elapsed: cm.ScaleFor(p.Host, macsCost(cm, p.S, p.Host, macs)+copies)}
+	if !p.SkipArithmetic {
+		r.C = matmul.BlockSequential(matmul.Random(nn, p.Seed), matmul.Random(nn, p.Seed+1), p.M)
+	}
+	return r
 }

@@ -98,13 +98,13 @@ const pvmMatmulListing = `
 				curr_A = block_A;
 			} else {
 				buf = recv(ANY, ATAG + k);
-				curr_A = upkmat(buf);
+				upkmat(buf, curr_A);
 			}
 			multiply_add(block_C, curr_A, block_B);
 			initsend(); pkmat(block_B);
 			send(north, BTAG + k);
 			buf = recv(south, BTAG + k);
-			block_B = upkmat(buf);
+			upkmat(buf, block_B);
 		}
 	}
 `

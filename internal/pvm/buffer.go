@@ -173,16 +173,15 @@ func (p *Proc) UpkBytes(b *Buffer) []byte {
 // UpkStr unpacks a string.
 func (p *Proc) UpkStr(b *Buffer) string { return string(p.UpkBytes(b)) }
 
-// UpkMat unpacks a matrix.
-func (p *Proc) UpkMat(b *Buffer) *value.Mat {
+// UpkMat unpacks a matrix into dst, a block the caller owns, as
+// pvm_upkdouble(dp, n, 1) fills the caller's array. A packed matrix whose
+// shape differs from dst's aborts the task and leaves dst untouched.
+func (p *Proc) UpkMat(b *Buffer, dst *value.Mat) {
 	rows := int(binary.LittleEndian.Uint32(p.upkN(b, 4)))
 	cols := int(binary.LittleEndian.Uint32(p.upkN(b, 4)))
-	if rows < 0 || cols < 0 || rows*cols > 1<<26 {
-		panic(fmt.Sprintf("pvm: unpack matrix %dx%d", rows, cols))
+	if rows != dst.Rows || cols != dst.Cols {
+		panic(fmt.Sprintf("pvm: unpack matrix %dx%d into %dx%d", rows, cols, dst.Rows, dst.Cols))
 	}
-	src := p.upkN(b, 8*rows*cols)
-	m := value.NewMat(rows, cols)
-	wire.ReadF64s(m.Data, src)
-	p.chargeCopy(8*len(m.Data), func(cm *lan.CostModel) sim.Time { return cm.PVMUnpackPerByte }, true)
-	return m
+	wire.ReadF64s(dst.Data, p.upkN(b, 8*len(dst.Data)))
+	p.chargeCopy(8*len(dst.Data), func(cm *lan.CostModel) sim.Time { return cm.PVMUnpackPerByte }, true)
 }

@@ -8,6 +8,7 @@ import (
 	"messengers/internal/lan"
 	"messengers/internal/matmul"
 	"messengers/internal/sim"
+	"messengers/internal/value"
 )
 
 // simMachine builds a simulated PVM machine on n hosts. The cleanup shuts
@@ -209,7 +210,8 @@ func TestMatrixPackUnpack(t *testing.T) {
 	a := matmul.Random(8, 1)
 	recv := m.SpawnAt("r", 1, func(p *Proc) {
 		b := p.Recv(AnySource, 3)
-		got := p.UpkMat(b)
+		got := value.NewMat(8, 8)
+		p.UpkMat(b, got)
 		if matmul.MaxAbsDiff(a, got) != 0 {
 			t.Error("matrix corrupted in transit")
 		}
@@ -221,6 +223,42 @@ func TestMatrixPackUnpack(t *testing.T) {
 	})
 	k.Run()
 	checkErrs(t, m)
+}
+
+func TestUnpackMatrixWrongShapeAborts(t *testing.T) {
+	k, m := simMachine(t, 1)
+	sent := value.NewMat(4, 3)
+	for i := range sent.Data {
+		sent.Data[i] = float64(i + 1)
+	}
+	// Same element count as the matrix sent, transposed shape.
+	dst := value.NewMat(3, 4)
+	for i := range dst.Data {
+		dst.Data[i] = -1
+	}
+	reached := false
+	recv := m.SpawnAt("r", 0, func(p *Proc) {
+		p.UpkMat(p.Recv(AnySource, AnyTag), dst)
+		reached = true
+	})
+	m.SpawnAt("s", 0, func(p *Proc) {
+		p.InitSend()
+		p.PkMat(sent)
+		p.Send(recv, 0)
+	})
+	k.Run()
+	errs := m.Errors()
+	if len(errs) != 1 || !strings.Contains(errs[0].Error(), "unpack matrix 4x3 into 3x4") {
+		t.Errorf("errors = %v", errs)
+	}
+	if reached {
+		t.Error("the task ran on after a wrong-shape unpack")
+	}
+	for i, v := range dst.Data {
+		if v != -1 {
+			t.Fatalf("destination written at %d: %v", i, v)
+		}
+	}
 }
 
 func TestUnpackBeyondEndPanicsIsRecorded(t *testing.T) {

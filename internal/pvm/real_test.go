@@ -30,21 +30,24 @@ func TestRealMachineBlockMatmul(t *testing.T) {
 			blockA := matmul.GetBlock(a, i, j, s)
 			blockB := matmul.GetBlock(b, i, j, s)
 			blockC := value.NewMat(s, s)
+			recvA := value.NewMat(s, s)
+			recvB := value.NewMat(s, s)
 			for k := 0; k < m; k++ {
-				var currA *value.Mat
+				currA := blockA
 				if j == (i+k)%m {
 					w.InitSend()
 					w.PkMat(blockA)
 					w.Mcast(myRow, 100+k)
-					currA = blockA
 				} else {
-					currA = w.UpkMat(w.Recv(AnySource, 100+k))
+					w.UpkMat(w.Recv(AnySource, 100+k), recvA)
+					currA = recvA
 				}
 				matmul.AddMul(blockC, currA, blockB)
 				w.InitSend()
 				w.PkMat(blockB)
 				w.Send(north, 200+k)
-				blockB = w.UpkMat(w.Recv(south, 200+k))
+				blockB = recvB
+				w.UpkMat(w.Recv(south, 200+k), blockB)
 			}
 			mu.Lock()
 			matmul.SetBlock(cOut, i, j, blockC)
