@@ -241,7 +241,7 @@ func (p *Program) encode(source bool) []byte {
 	if source {
 		e.Str(p.Source)
 	}
-	//lint:stickyerr strings and constants come from script text or from Decode, whose reader holds them to the same MaxLen
+	//lint:stickyerr strings and constants come from script text or from Decode, whose reader holds them to the same MaxLen and MaxDepth
 	return e.Bytes()
 }
 

@@ -8,27 +8,21 @@ import (
 // Disassemble renders the program as readable assembly, one function per
 // section, for the msl tool and debugging.
 func (p *Program) Disassemble() string {
-	return p.disassemble(false, false)
+	return p.disassemble(false)
 }
 
-// DisassembleDepths renders the assembly with the verifier's inferred
-// per-PC operand stack depth in a column before each instruction ("-" for
-// unreachable code) and each function's maximum depth in its header. The
-// program must be Verified; unverified programs render like Disassemble.
-func (p *Program) DisassembleDepths() string {
-	return p.disassemble(true, false)
-}
-
-// DisassembleKinds renders the assembly with both verifier columns: the
-// per-PC stack depth and the kind-flow proof for every live operand stack
-// slot on entry to the instruction, bottom to top ("any" marks a slot the
-// analysis could not narrow — the VM keeps its dynamic guards there).
-// This is what msl vet prints.
+// DisassembleKinds renders the assembly with the verifier's columns: the
+// per-PC stack depth ("-" for unreachable code) and the kind-flow proof
+// for every live operand stack slot on entry to the instruction, bottom to
+// top ("any" marks a slot the analysis could not narrow — the VM keeps its
+// dynamic guards there), plus each function's maximum depth in its header.
+// This is what msl vet prints. Unverified programs render like
+// Disassemble.
 func (p *Program) DisassembleKinds() string {
-	return p.disassemble(true, true)
+	return p.disassemble(true)
 }
 
-func (p *Program) disassemble(depths, kinds bool) string {
+func (p *Program) disassemble(depths bool) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "program %q  hash=%s\n", p.Name, p.Hash())
 	for i, c := range p.Consts {
@@ -52,18 +46,11 @@ func (p *Program) disassemble(depths, kinds bool) string {
 		for pc, ins := range f.Code {
 			if depths {
 				if d := p.StackDepth(fi, pc); d >= 0 {
-					fmt.Fprintf(&b, "  %4d [%3d]", pc, d)
-					if kinds {
-						fmt.Fprintf(&b, " %-18s", p.kindColumn(fi, pc, d))
-					}
-					fmt.Fprintf(&b, "  %s", p.instrString(ins))
+					fmt.Fprintf(&b, "  %4d [%3d] %-18s", pc, d, p.kindColumn(fi, pc, d))
 				} else {
-					fmt.Fprintf(&b, "  %4d [  -]", pc)
-					if kinds {
-						fmt.Fprintf(&b, " %-18s", "")
-					}
-					fmt.Fprintf(&b, "  %s", p.instrString(ins))
+					fmt.Fprintf(&b, "  %4d [  -] %-18s", pc, "")
 				}
+				fmt.Fprintf(&b, "  %s", p.instrString(ins))
 			} else {
 				fmt.Fprintf(&b, "  %4d  %s", pc, p.instrString(ins))
 			}

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"messengers/internal/value"
 )
 
 // FuzzProgramDecode: program bytes may come from outside (a file, the A4
@@ -17,8 +19,9 @@ import (
 // and is exactly the bytes Encode writes for it. The seed corpus is the
 // draws of testing/quick the random loop this replaced made (a hundred of
 // them, so that noise does not crowd the programs out of the mutation pool)
-// plus two real programs: the hand-built sample and the compiled one
-// internal/compile pins.
+// plus real programs: the hand-built sample, the compiled one
+// internal/compile pins, and the sample with a constant at the nesting
+// limit and one level past it.
 func FuzzProgramDecode(f *testing.F) {
 	r := rand.New(rand.NewSource(1))
 	for i := 0; i < 100; i++ {
@@ -26,6 +29,20 @@ func FuzzProgramDecode(f *testing.F) {
 		f.Add(v.Bytes())
 	}
 	f.Add(sampleProgram().Encode())
+	// A constant nested exactly value.MaxDepth arrays deep, and the same
+	// program with one array more around it: the fuzzer starts on both
+	// sides of the nesting guard.
+	nested := value.Nil()
+	for i := 0; i < value.MaxDepth; i++ {
+		nested = value.Arr([]value.Value{nested})
+	}
+	deep := sampleProgram()
+	deep.Consts = append(deep.Consts, nested)
+	atLimit := deep.Encode()
+	inner, _ := value.Append(nil, nested)
+	at := bytes.Index(atLimit, inner)
+	f.Add(atLimit)
+	f.Add(bytes.Join([][]byte{atLimit[:at], {byte(value.KindArr), 1, 0, 0, 0}, atLimit[at:]}, nil))
 	pinned, err := os.ReadFile("../compile/testdata/pinned_program.txt")
 	if err != nil {
 		f.Fatal(err)

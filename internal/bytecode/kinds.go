@@ -84,10 +84,10 @@ func (k AbsKind) join(o AbsKind) AbsKind {
 }
 
 // kstate is the abstract machine state on entry to one PC: the kind of
-// every operand stack slot (frame-relative, length = the depth the stack
-// verifier proved), every local, and every Messenger variable the program
-// references anywhere (indexed by Program.mvarIdx). Node and network
-// variables are host state and always ⊤.
+// every operand stack slot (frame-relative, so its length is the operand
+// depth the verifier proves), every local, and every Messenger variable
+// the program references anywhere (indexed by Program.mvarIdx). Node and
+// network variables are host state and always ⊤.
 type kstate struct {
 	stack  []AbsKind
 	locals []AbsKind
@@ -108,8 +108,8 @@ func (s *kstate) clone() kstate {
 }
 
 // joinInto merges src into dst cell-wise and reports whether dst changed.
-// Slice lengths agree by construction: the depth verifier already proved
-// every merge point has one stack depth, and locals/mvars are fixed-size.
+// Slice lengths agree: the verifier checks the two depths are equal before
+// it joins, and locals/mvars are fixed-size.
 func joinInto(dst *kstate, src *kstate) bool {
 	changed := false
 	merge := func(d, s []AbsKind) {
@@ -173,9 +173,10 @@ func (p *Program) collectMVars() {
 // maxKindCells caps the total abstract-state footprint (Σ over PCs of
 // stack depth + locals + tracked variables) the kind analysis will spend
 // on one function. Hostile inputs can make the fixpoint quadratic in that
-// footprint; past the cap the function's kinds degrade soundly to ⊤
-// (kinds == nil: every reachable slot reads as ⊤, nothing is rejected,
-// nothing is specialized) instead of stalling admission.
+// footprint; past the cap the verifier drops the function's kinds and
+// proves its depths alone, so its kinds degrade soundly to ⊤ (kinds ==
+// nil: every reachable slot reads as ⊤, nothing is rejected, nothing is
+// specialized) instead of stalling admission.
 const maxKindCells = 1 << 21
 
 // arithKind abstracts vm.arith over the lattice. It returns the result
@@ -383,7 +384,7 @@ func NativeResultKind(name string, args []AbsKind) (AbsKind, bool) {
 // faulting operation widens to ⊤ (a premature rejection before states
 // stabilize would depend on worklist order); the post-fixpoint check pass
 // re-runs kindEffect on the final states and reports the faults.
-func (p *Program) kindEffect(f *FuncInfo, ins Instr, s *kstate) string {
+func (p *Program) kindEffect(ins Instr, s *kstate) string {
 	switch ins.Op {
 	case OpNop, OpJmp:
 
@@ -523,92 +524,23 @@ func (p *Program) kindEffect(f *FuncInfo, ins Instr, s *kstate) string {
 	return ""
 }
 
-// analyzeKinds runs the kind-flow fixpoint over one function's CFG and
-// then the rejection pass over the stabilized states. It requires the
-// depth analysis to have succeeded for this function (meta[fi].depth set):
-// stack slot counts and merge consistency come from that proof. On
-// footprint overflow (maxKindCells) the function's kinds stay nil, which
-// every consumer reads as ⊤-everywhere.
-func (p *Program) analyzeKinds(fi int) error {
-	f := &p.Funcs[fi]
-	m := &p.meta[fi]
-	cells := 0
-	for _, d := range m.depth {
-		if d == unreachable {
+// rejectFaults is the rejection pass over one function's stabilized
+// states: an instruction that provably faults on its (now
+// path-join-complete) entry state faults on every execution that reaches
+// it. A function whose kinds were dropped proves, and rejects, nothing.
+func (p *Program) rejectFaults(f *FuncInfo, m *funcMeta) error {
+	if m.kinds == nil {
+		return nil
+	}
+	for pc, ins := range f.Code {
+		if m.depth[pc] == unreachable {
 			continue
 		}
-		cells += int(d) + f.NumLocals + len(p.mvarNames)
-		if cells > maxKindCells {
-			return nil
+		s := m.kinds[pc].clone()
+		if fault := p.kindEffect(ins, &s); fault != "" {
+			return fmt.Errorf("bytecode: %s@%d (%s): %w: %s", f.Name, pc, ins.Op, ErrIllTyped, fault)
 		}
 	}
-	states := make([]kstate, len(f.Code))
-	reached := make([]bool, len(f.Code))
-	entry := kstate{
-		locals: make([]AbsKind, f.NumLocals),
-		mvars:  make([]AbsKind, len(p.mvarNames)),
-	}
-	for i := range entry.locals {
-		if i < f.NumParams {
-			// Arguments arrive from arbitrary call sites; an
-			// interprocedural summary could narrow this but the flat
-			// lattice makes ⊤ the honest per-function answer.
-			entry.locals[i] = KindTop
-		} else {
-			// Non-parameter locals are zero Values until stored.
-			entry.locals[i] = KindNil
-		}
-	}
-	for i := range entry.mvars {
-		// At function entry the Messenger-variable area is whatever the
-		// injector, a caller, or a previous segment left there: ⊤. Stores
-		// narrow it; hops preserve it (Restore checks snapshots against
-		// these states, so a forged snapshot cannot violate them).
-		entry.mvars[i] = KindTop
-	}
-	states[0] = entry
-	reached[0] = true
-	work := []int{0}
-	flow := func(pc int, out *kstate) {
-		if !reached[pc] {
-			states[pc] = out.clone()
-			reached[pc] = true
-			work = append(work, pc)
-		} else if joinInto(&states[pc], out) {
-			work = append(work, pc)
-		}
-	}
-	for len(work) > 0 {
-		pc := work[len(work)-1]
-		work = work[:len(work)-1]
-		s := states[pc].clone()
-		ins := f.Code[pc]
-		p.kindEffect(f, ins, &s)
-		switch ins.Op {
-		case OpRet, OpEnd:
-		case OpJmp:
-			flow(int(ins.A), &s)
-		case OpJz:
-			flow(int(ins.A), &s)
-			flow(pc+1, &s)
-		default:
-			flow(pc+1, &s)
-		}
-	}
-	// Rejection pass: with the states stabilized, any instruction that
-	// provably faults on its (now path-join-complete) entry state faults
-	// on every execution that reaches it.
-	for pc := range f.Code {
-		if !reached[pc] {
-			continue
-		}
-		s := states[pc].clone()
-		if fault := p.kindEffect(f, f.Code[pc], &s); fault != "" {
-			return fmt.Errorf("bytecode: %s@%d (%s): %w: %s", f.Name, pc, f.Code[pc].Op, ErrIllTyped, fault)
-		}
-	}
-	m.kinds = states
-	m.reached = reached
 	return nil
 }
 
@@ -721,7 +653,7 @@ func (p *Program) StateBound() (base int64, inherited []string, ok bool) {
 	}
 	f := &p.Funcs[0]
 	for pc, ins := range f.Code {
-		if !m.reached[pc] {
+		if m.depth[pc] == unreachable {
 			continue
 		}
 		switch ins.Op {
@@ -740,7 +672,7 @@ func (p *Program) StateBound() (base int64, inherited []string, ok bool) {
 			// The snapshot captures the state after the nav pops its
 			// kwargs: run the transfer function to get that post-state.
 			post := m.kinds[pc].clone()
-			p.kindEffect(f, ins, &post)
+			p.kindEffect(ins, &post)
 			for _, k := range post.stack {
 				if !k.scalar() && k != KindBottom {
 					return 0, nil, false

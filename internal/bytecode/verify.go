@@ -1,6 +1,9 @@
 package bytecode
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // maxNavArms bounds the destination arms of one navigational statement.
 // The verifier enforces it, which in turn bounds the operand stack a nav
@@ -30,14 +33,10 @@ const unreachable = -1
 type funcMeta struct {
 	depth []int32
 	max   int32
-	// kinds holds the kind-flow analysis result (see kinds.go): the
-	// abstract kind state on entry to every PC. nil when the analysis
-	// degraded under its footprint cap — consumers then read every
-	// reachable slot as ⊤. reached marks PCs the kind fixpoint visited
-	// (equivalent to depth[pc] != unreachable; kept as bools for the
-	// rejection and bound passes).
-	kinds   []kstate
-	reached []bool
+	// kinds holds the abstract kind state (see kinds.go) on entry to every
+	// PC. nil when the function passed the footprint cap (maxKindCells):
+	// consumers then read every reachable slot as ⊤.
+	kinds []kstate
 }
 
 // Verified reports whether this program has passed Validate since it was
@@ -72,9 +71,10 @@ func (p *Program) MaxStack(fn int) int {
 }
 
 // Validate checks every instruction's operands against the program's
-// pools and code bounds, then runs an abstract interpretation over each
-// function's control-flow graph proving the stack discipline the VM and
-// the snapshot format rely on:
+// pools and code bounds, then runs one abstract interpretation over each
+// function's control-flow graph. It proves the value kinds kinds.go
+// describes and the stack discipline the VM and the snapshot format rely
+// on:
 //
 //   - every reachable PC has exactly one stack depth across all paths
 //     (no unbalanced branch merges),
@@ -90,7 +90,7 @@ func (p *Program) MaxStack(fn int) int {
 // Programs arriving over the wire (registry broadcasts, carried code) are
 // validated before execution so a corrupt or hostile program yields an
 // error instead of a daemon crash. On success the program is marked
-// Verified and carries per-PC stack-depth metadata.
+// Verified and carries per-PC depth and kind metadata.
 func (p *Program) Validate() error {
 	p.verified = false
 	p.meta = nil
@@ -104,25 +104,23 @@ func (p *Program) Validate() error {
 			return err
 		}
 	}
+	p.collectMVars()
 	meta := make([]funcMeta, len(p.Funcs))
 	for fi := range p.Funcs {
-		m, err := p.analyzeStack(fi)
+		m, err := p.analyze(fi)
 		if err != nil {
 			return err
 		}
 		meta[fi] = m
 	}
-	p.meta = meta
-	// With stack depths proven, run the kind-flow analysis (kinds.go):
-	// per-PC value kinds for every stack slot, local, and Messenger
-	// variable, and rejection of programs that provably kind-fault.
-	p.collectMVars()
+	// With every function's depths proven, reject the programs that
+	// provably kind-fault (kinds.go).
 	for fi := range p.Funcs {
-		if err := p.analyzeKinds(fi); err != nil {
-			p.meta = nil
+		if err := p.rejectFaults(&p.Funcs[fi], &meta[fi]); err != nil {
 			return err
 		}
 	}
+	p.meta = meta
 	p.verified = true
 	return nil
 }
@@ -194,131 +192,147 @@ func (p *Program) validateOperands(fi int) error {
 	return nil
 }
 
-// analyzeStack runs the stack-effect abstract interpretation over one
-// function: a worklist fixpoint over the CFG where the abstract state at a
-// PC is the exact operand stack depth relative to function entry.
-func (p *Program) analyzeStack(fi int) (funcMeta, error) {
+// pops is the number of operands ins consumes: the underflow check runs it
+// against the depth before kindEffect, the one table of stack effects.
+func (ins Instr) pops() int32 {
+	switch ins.Op {
+	case OpStoreM, OpStoreN, OpStoreL, OpPop, OpJz, OpSchedAbs, OpSchedDlt, OpDup, OpNeg, OpNot, OpRet:
+		return 1
+	case OpDup2, OpAdd, OpSub, OpMul, OpDiv, OpMod, OpEq, OpNe, OpLt, OpLe, OpGt, OpGe, OpIndex:
+		return 2
+	case OpSetIndex:
+		return 3
+	case OpArr:
+		return ins.A
+	case OpCallFunc, OpCallNative:
+		// The callee's frame is separate but the operand stack is shared:
+		// the call consumes the arguments now and the matching OpRet pushes
+		// exactly one return value, so from this function's static
+		// viewpoint the call is (argc -> 1).
+		return ins.B
+	case OpHop, OpDelete:
+		return ins.A * 3
+	case OpCreate:
+		return ins.A * 6
+	}
+	return 0
+}
+
+// analyze is the abstract interpretation of one function: a worklist
+// fixpoint over the CFG whose state on entry to a PC is a kstate, so the
+// operand stack depth there is len(stack). Where paths merge the depths
+// must agree exactly and the kinds join. Once the states would pass
+// maxKindCells the kinds are dropped and the walk goes on proving depths
+// alone.
+func (p *Program) analyze(fi int) (funcMeta, error) {
 	f := &p.Funcs[fi]
-	depth := make([]int32, len(f.Code))
-	for i := range depth {
-		depth[i] = unreachable
+	m := funcMeta{depth: make([]int32, len(f.Code)), kinds: make([]kstate, len(f.Code))}
+	for i := range m.depth {
+		m.depth[i] = unreachable
 	}
 	fail := func(pc int, format string, args ...any) error {
 		return fmt.Errorf("bytecode: %s@%d (%s): %s", f.Name, pc, f.Code[pc].Op, fmt.Sprintf(format, args...))
 	}
-	var maxd int32
-	work := make([]int, 0, 8)
-	depth[0] = 0
-	work = append(work, 0)
-	// flow merges depth d into successor pc; two paths reaching the same
-	// PC must agree (otherwise the depth at a resumable point would depend
-	// on the path taken, and a snapshot there would not be checkable).
-	flow := func(from, pc int, d int32) error {
+	// s is the one working state: a visit copies the PC's entry state into
+	// it and kindEffect turns it into the out state in place. It starts as
+	// the entry state of the function.
+	s := kstate{locals: make([]AbsKind, f.NumLocals), mvars: make([]AbsKind, len(p.mvarNames))}
+	for i := range s.locals {
+		// Arguments arrive from arbitrary call sites (the flat lattice
+		// makes ⊤ the honest per-function answer); other locals are zero
+		// Values until stored.
+		s.locals[i] = KindNil
+		if i < f.NumParams {
+			s.locals[i] = KindTop
+		}
+	}
+	for i := range s.mvars {
+		// The Messenger-variable area is whatever the injector, a caller,
+		// or a previous segment left there. Stores narrow it; hops preserve
+		// it (Restore checks snapshots against these states).
+		s.mvars[i] = KindTop
+	}
+	cells := 0
+	var work []int
+	// flow merges s into the entry state of pc. Two paths reaching the
+	// same PC must agree on the depth, or the depth at a resumable point
+	// would depend on the path taken and a snapshot there would not be
+	// checkable.
+	flow := func(from, pc int) error {
 		if pc >= len(f.Code) {
 			return fail(from, "control falls off end of code")
 		}
-		if depth[pc] == unreachable {
-			depth[pc] = d
+		d := int32(len(s.stack))
+		switch {
+		case m.depth[pc] == unreachable:
+			m.depth[pc] = d
 			work = append(work, pc)
-			return nil
-		}
-		if depth[pc] != d {
-			return fail(from, "inconsistent stack depth at merge into @%d: %d vs %d (unbalanced branch)", pc, depth[pc], d)
+			if m.kinds == nil {
+				break
+			}
+			if cells += len(s.stack) + len(s.locals) + len(s.mvars); cells > maxKindCells {
+				m.kinds = nil
+			} else {
+				m.kinds[pc] = s.clone()
+			}
+		case m.depth[pc] != d:
+			return fail(from, "inconsistent stack depth at merge into @%d: %d vs %d (unbalanced branch)", pc, m.depth[pc], d)
+		case m.kinds != nil && joinInto(&m.kinds[pc], &s):
+			work = append(work, pc)
 		}
 		return nil
 	}
+	flow(0, 0) // cannot fail: validateOperands refuses empty code
 	for len(work) > 0 {
 		pc := work[len(work)-1]
 		work = work[:len(work)-1]
-		d := depth[pc]
-		ins := f.Code[pc]
-
-		var pops, pushes int32
-		terminal := false
-		nav := false
-		switch ins.Op {
-		case OpNop, OpJmp:
-		case OpConst, OpLoadM, OpLoadN, OpLoadNet, OpLoadL:
-			pushes = 1
-		case OpStoreM, OpStoreN, OpStoreL, OpPop, OpJz, OpSchedAbs, OpSchedDlt:
-			pops = 1
-		case OpDup:
-			pops, pushes = 1, 2
-		case OpDup2:
-			pops, pushes = 2, 4
-		case OpAdd, OpSub, OpMul, OpDiv, OpMod, OpEq, OpNe, OpLt, OpLe, OpGt, OpGe, OpIndex:
-			pops, pushes = 2, 1
-		case OpNeg, OpNot:
-			pops, pushes = 1, 1
-		case OpSetIndex:
-			pops = 3
-			if ins.B != 0 {
-				pushes = 1
-			}
-		case OpArr:
-			pops, pushes = ins.A, 1
-		case OpCallFunc:
-			// The callee's frame is separate but the operand stack is
-			// shared: the call consumes the arguments now and the matching
-			// OpRet pushes exactly one return value, so from this
-			// function's static viewpoint the call is (argc -> 1).
-			pops, pushes = ins.B, 1
-		case OpCallNative:
-			pops, pushes = ins.B, 1
-			if ins.B > d {
-				return funcMeta{}, fail(pc, "argc %d exceeds stack depth %d", ins.B, d)
-			}
-		case OpRet:
-			pops = 1
-			terminal = true
-		case OpEnd:
-			terminal = true
-		case OpHop, OpDelete:
-			pops = ins.A * 3
-			nav = true
-		case OpCreate:
-			pops = ins.A * 6
-			nav = true
+		ins, d := f.Code[pc], m.depth[pc]
+		if ins.Op == OpCallNative && ins.B > d {
+			return funcMeta{}, fail(pc, "argc %d exceeds stack depth %d", ins.B, d)
 		}
-
-		if d < pops {
-			return funcMeta{}, fail(pc, "stack underflow: pops %d with depth %d", pops, d)
+		if n := ins.pops(); d < n {
+			return funcMeta{}, fail(pc, "stack underflow: pops %d with depth %d", n, d)
 		}
-		nd := d - pops + pushes
+		if m.kinds != nil {
+			in := &m.kinds[pc]
+			s.stack = append(s.stack[:0], in.stack...)
+			copy(s.locals, in.locals)
+			copy(s.mvars, in.mvars)
+		} else {
+			// Only the depth is live: the slots keep stale kinds, and the
+			// spare capacity covers an instruction's at most two pushes.
+			s.stack = slices.Grow(s.stack[:0], int(d)+2)[:d]
+		}
+		p.kindEffect(ins, &s)
+		nd := int32(len(s.stack))
 		if nd > maxStackDepth {
 			return funcMeta{}, fail(pc, "stack depth %d exceeds maximum %d", nd, maxStackDepth)
 		}
-		if nd > maxd {
-			maxd = nd
-		}
-		if nav && nd != 0 {
+		m.max = max(m.max, nd)
+		if (ins.Op == OpHop || ins.Op == OpDelete || ins.Op == OpCreate) && nd != 0 {
 			// A nav statement must sit at a statement boundary: after the
 			// arms are popped nothing of this frame's expression state may
 			// remain, so the replicated Messengers resume with a fully
 			// known operand stack.
 			return funcMeta{}, fail(pc, "%d operands left beneath its arms (not at a statement boundary)", nd)
 		}
-
-		switch {
-		case terminal:
-		case ins.Op == OpJmp:
-			if err := flow(pc, int(ins.A), nd); err != nil {
-				return funcMeta{}, err
-			}
-		case ins.Op == OpJz:
-			if err := flow(pc, int(ins.A), nd); err != nil {
-				return funcMeta{}, err
-			}
-			if err := flow(pc, pc+1, nd); err != nil {
-				return funcMeta{}, err
+		var err error
+		switch ins.Op {
+		case OpRet, OpEnd:
+		case OpJmp:
+			err = flow(pc, int(ins.A))
+		case OpJz:
+			if err = flow(pc, int(ins.A)); err == nil {
+				err = flow(pc, pc+1)
 			}
 		default:
 			// Nav opcodes fall through: the surviving replicas resume at
 			// pc+1 (the VM increments the PC before pausing).
-			if err := flow(pc, pc+1, nd); err != nil {
-				return funcMeta{}, err
-			}
+			err = flow(pc, pc+1)
+		}
+		if err != nil {
+			return funcMeta{}, err
 		}
 	}
-	return funcMeta{depth: depth, max: maxd}, nil
+	return m, nil
 }

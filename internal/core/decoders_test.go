@@ -139,3 +139,41 @@ func TestForgedCountsAllocateNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestDeepNestingIsAnError: 64 MB of one-element arrays (five bytes a
+// level) around a variable's value, or around a program constant, is a
+// frame a peer can send. DecodeMsg plus RestoreInto, and bytecode.Decode,
+// must refuse it with the nesting error; an unbounded recursion would
+// overflow the goroutine stack instead, which kills the process.
+func TestDeepNestingIsAnError(t *testing.T) {
+	levels := bytes.Repeat([]byte{byte(value.KindArr), 1, 0, 0, 0}, (64<<20)/5)
+	// Both encodings below put the value to wrap at byte 9: after a count
+	// and the one-byte key "k" in the snapshot's variables, after the
+	// one-byte name "n" and the constant count in the program.
+	wrap := func(enc []byte) []byte { return bytes.Join([][]byte{enc[:9], levels, enc[9:]}, nil) }
+	nested := func(err error) bool { return err != nil && strings.Contains(err.Error(), "nested deeper than") }
+
+	prog, _, _ := fourDecoders(t)
+	m := vm.New(prog, map[string]value.Value{"k": value.Nil()})
+	if res, err := m.Run(nil, 0); err != nil || res.Pause != vm.PauseHop {
+		t.Fatalf("walker did not reach its hop: %v %v", res.Pause, err)
+	}
+	snap, err := m.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := (&Msg{Kind: MsgMessenger, ProgHash: prog.Hash(), Snapshot: wrap(snap)}).Encode()
+	msg, err := DecodeMsg(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := vm.RestoreInto(nil, prog, msg.Snapshot); !nested(err) {
+		t.Errorf("RestoreInto of a 64 MB nested variable: err = %v", err)
+	}
+
+	one := &bytecode.Program{Name: "n", Consts: []value.Value{value.Nil()},
+		Funcs: []bytecode.FuncInfo{{Name: "<main>", Code: []bytecode.Instr{{Op: bytecode.OpEnd}}}}}
+	if _, err := bytecode.Decode(wrap(one.Encode())); !nested(err) {
+		t.Errorf("Decode of a 64 MB nested constant: err = %v", err)
+	}
+}

@@ -17,9 +17,19 @@ import (
 // rejects values whose length a uint32 prefix would silently truncate.
 const maxWireLen = wire.MaxLen
 
+// MaxDepth bounds how deeply arrays nest inside one value on the wire, in
+// both directions. Decoding recurses once per level and a one-element
+// array costs five bytes, so without it a 64 MB frame would nest deep
+// enough to overflow the goroutine stack, which no recover can catch.
+const MaxDepth = 256
+
 // AppendTo encodes v into e in one pass. Oversized elements (beyond
-// maxWireLen) set the encoder's sticky error instead of truncating.
-func (v Value) AppendTo(e *wire.Encoder) {
+// maxWireLen) and arrays nested deeper than MaxDepth set the encoder's
+// sticky error instead of writing bytes a decoder would refuse.
+func (v Value) AppendTo(e *wire.Encoder) { v.appendTo(e, 0) }
+
+// appendTo encodes v, which sits inside depth enclosing arrays.
+func (v Value) appendTo(e *wire.Encoder, depth int) {
 	e.U8(byte(v.kind))
 	switch v.kind {
 	case KindNil:
@@ -46,9 +56,13 @@ func (v Value) AppendTo(e *wire.Encoder) {
 			e.Fail(fmt.Errorf("value: encode array: %d elements exceed limit (%d)", len(v.arr), maxWireLen))
 			return
 		}
+		if depth == MaxDepth {
+			e.Fail(fmt.Errorf("value: encode array: nested deeper than %d", MaxDepth))
+			return
+		}
 		e.U32(uint32(len(v.arr)))
 		for _, el := range v.arr {
-			el.AppendTo(e)
+			el.appendTo(e, depth+1)
 		}
 	case KindMat:
 		m := v.mat
@@ -77,8 +91,12 @@ func Append(buf []byte, v Value) ([]byte, error) {
 
 // DecodeFrom reads one value from d. Everything it returns is a copy: no
 // string, byte block or matrix aliases the decoder's buffer. A malformed
-// value sets d's sticky error and comes back as nil.
-func DecodeFrom(d *wire.Decoder) Value {
+// value, or arrays nested deeper than MaxDepth, set d's sticky error and
+// come back as nil.
+func DecodeFrom(d *wire.Decoder) Value { return decodeFrom(d, 0) }
+
+// decodeFrom reads one value that sits inside depth enclosing arrays.
+func decodeFrom(d *wire.Decoder, depth int) Value {
 	switch k := Kind(d.U8()); k {
 	case KindNil:
 		return Nil()
@@ -91,10 +109,14 @@ func DecodeFrom(d *wire.Decoder) Value {
 	case KindBytes:
 		return Bytes(bytes.Clone(d.Blob()))
 	case KindArr:
+		if depth == MaxDepth {
+			d.Fail(fmt.Errorf("value: decode: arrays nested deeper than %d", MaxDepth))
+			return Nil()
+		}
 		// Every element takes at least its tag byte.
 		a := make([]Value, d.Count(1))
 		for i := 0; i < len(a) && d.Err() == nil; i++ {
-			a[i] = DecodeFrom(d)
+			a[i] = decodeFrom(d, depth+1)
 		}
 		return Arr(a)
 	case KindMat:

@@ -1,6 +1,7 @@
 package value
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"reflect"
@@ -230,6 +231,45 @@ func TestAppendRejectsOversized(t *testing.T) {
 	// ...and out of env encoding.
 	if _, err := appendEnv(map[string]Value{"m": huge}); err == nil {
 		t.Error("AppendEnvTo accepted an oversized value")
+	}
+}
+
+// nest wraps a nil in n one-element arrays.
+func nest(n int) Value {
+	v := Nil()
+	for i := 0; i < n; i++ {
+		v = Arr([]Value{v})
+	}
+	return v
+}
+
+// TestNestingLimit: a value nested exactly MaxDepth arrays deep round-trips,
+// and one level more is refused by the encoder and the decoder alike.
+func TestNestingLimit(t *testing.T) {
+	enc, err := Append(nil, nest(MaxDepth))
+	if err != nil {
+		t.Fatalf("Append at the limit: %v", err)
+	}
+	if v, _, err := decode(enc); err != nil || !v.Equal(nest(MaxDepth)) {
+		t.Fatalf("decode at the limit: %v", err)
+	}
+	if _, err := Append(nil, nest(MaxDepth+1)); err == nil || err.Error() != "value: encode array: nested deeper than 256" {
+		t.Errorf("Append past the limit: err = %v", err)
+	}
+	past := append([]byte{byte(KindArr), 1, 0, 0, 0}, enc...)
+	if _, _, err := decode(past); err == nil || err.Error() != "value: decode: arrays nested deeper than 256" {
+		t.Errorf("decode past the limit: err = %v", err)
+	}
+}
+
+// TestDecodeDeepFrameIsAnError: 64 MB of one-element arrays, five bytes a
+// level, is a frame a peer can send. Decoding it must return an error; an
+// unbounded recursion would overflow the goroutine stack instead, which
+// kills the process.
+func TestDecodeDeepFrameIsAnError(t *testing.T) {
+	frame := append(bytes.Repeat([]byte{byte(KindArr), 1, 0, 0, 0}, (64<<20)/5), byte(KindNil))
+	if _, _, err := decode(frame); err == nil {
+		t.Fatal("a 64 MB nested-array frame decoded without error")
 	}
 }
 

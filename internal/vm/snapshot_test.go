@@ -137,6 +137,25 @@ func FuzzSnapshotRestore(f *testing.F) {
 		f.Fatalf("seed matrix block at offset %d, want an odd one", at)
 	}
 	f.Add(oddSnap)
+	// A variable nested exactly value.MaxDepth arrays deep, and the same
+	// snapshot with one array more around it: the fuzzer starts on both
+	// sides of the nesting guard.
+	nested := value.Nil()
+	for i := 0; i < value.MaxDepth; i++ {
+		nested = value.Arr([]value.Value{nested})
+	}
+	deep := New(prog, map[string]value.Value{"nest": nested})
+	if res, err := deep.Run(newTestHost(), 0); err != nil || res.Pause != PauseHop {
+		f.Fatalf("nested seed: pause %v, err %v", res.Pause, err)
+	}
+	deepSnap, err := deep.Snapshot()
+	if err != nil {
+		f.Fatal(err)
+	}
+	inner, _ := value.Append(nil, nested)
+	at := bytes.Index(deepSnap, inner)
+	f.Add(deepSnap)
+	f.Add(bytes.Join([][]byte{deepSnap[:at], {byte(value.KindArr), 1, 0, 0, 0}, deepSnap[at:]}, nil))
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 1, 0, 0, 0})
 	berth := m.Release()
