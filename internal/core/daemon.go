@@ -614,9 +614,9 @@ func (d *Daemon) doCreate(m *Messenger, node *logical.Node, arms []vm.NavArm, al
 				d.tr.Instant(d.id, "msgr", "create.local", msgrID(m.ID), obs.S("node", nn.Name))
 			}
 			d.store.AttachHalf(node, linkID, linkName, directed, dir == 1, d.store.Addr(nn), nn.Name)
-			d.store.AttachHalf(nn, linkID, linkName, directed, dir == 2, origin, node.Name)
+			h := d.store.AttachHalf(nn, linkID, linkName, directed, dir == 2, origin, node.Name)
 			nm := &Messenger{ID: d.newMsgrID(), VM: clone, Node: nn.ID,
-				Last: logical.RefName(linkID, linkName), LVT: m.LVT,
+				Last: logical.LastName(h), LVT: m.LVT,
 				Tenant: m.Tenant, Session: m.Session, gate: m.gate}
 			d.active[nm.ID] = nm
 			localCost := d.modelTime(func(cm *lan.CostModel) sim.Time { return cm.CallFixed })
@@ -945,7 +945,7 @@ func (d *Daemon) handleCreate(msg *Msg) {
 		d.tr.Instant(d.id, "msgr", "create.arrive",
 			msgrID(msg.MsgrID), obs.I("from", int64(msg.From)), obs.S("node", nn.Name))
 	}
-	d.store.AttachHalf(nn, msg.LinkID, msg.LinkName, msg.LinkDir != 0, msg.LinkDir == 2,
+	h := d.store.AttachHalf(nn, msg.LinkID, msg.LinkName, msg.LinkDir != 0, msg.LinkDir == 2,
 		msg.Origin, msg.OriginName)
 	ack := &Msg{
 		Kind:        MsgCreateAck,
@@ -964,7 +964,7 @@ func (d *Daemon) handleCreate(msg *Msg) {
 		d.sendGVT(msg.From, ack)
 	}
 	m := &Messenger{ID: msg.MsgrID, VM: mvm, Node: nn.ID,
-		Last: logical.RefName(msg.LinkID, msg.LinkName), LVT: msg.LVT,
+		Last: logical.LastName(h), LVT: msg.LVT,
 		Tenant: msg.Tenant, Session: msg.Session, gate: d.resolveGate(msg.Tenant, msg.Session)}
 	d.spawnLocal(m)
 }

@@ -65,6 +65,9 @@ type HalfLink struct {
 	// PeerName caches the peer's node name so matching ln does not need a
 	// remote lookup.
 	PeerName string
+	// last is RefName(ID, Name), formatted once by AttachHalf: Match
+	// hands it to every Messenger that takes this link.
+	last string
 }
 
 // Node is one logical node resident on this daemon.
@@ -97,7 +100,7 @@ const linkRefPrefix = "#link:"
 
 // LastName is the $last value for traversing half-link h: its name, or an
 // identity reference when unnamed.
-func LastName(h *HalfLink) string { return RefName(h.ID, h.Name) }
+func LastName(h *HalfLink) string { return h.last }
 
 // RefName computes the $last value for a link given its identity and name.
 func RefName(id LinkID, name string) string {
@@ -214,7 +217,8 @@ func (s *Store) AttachHalf(n *Node, id LinkID, name string, directed, outgoing b
 	if peerName == Unnamed {
 		peerName = ""
 	}
-	h := &HalfLink{ID: id, Name: name, Directed: directed, Outgoing: outgoing, Peer: peer, PeerName: peerName}
+	h := &HalfLink{ID: id, Name: name, Directed: directed, Outgoing: outgoing, Peer: peer, PeerName: peerName,
+		last: RefName(id, name)}
 	n.Links = append(n.Links, h)
 	return h
 }

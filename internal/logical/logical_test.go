@@ -101,6 +101,27 @@ func TestMatchUnnamed(t *testing.T) {
 	}
 }
 
+// TestLastNameIsRefName: the $last a half-link hands out is RefName of its
+// identity and name, for named links, unnamed ones and "~"-named ones, and
+// an unnamed link's reference matches back as an ll pattern.
+func TestLastNameIsRefName(t *testing.T) {
+	s := NewStore(3)
+	c := s.CreateNode("c")
+	for _, name := range []string{"ell", "", Unnamed} {
+		id := s.LinkLocal(c, s.CreateNode("p"), name, false)
+		h, _ := FindLink(c, id)
+		if got, want := LastName(h), RefName(id, name); got != want {
+			t.Errorf("link %q: LastName = %q, RefName = %q", name, got, want)
+		}
+		if ms := s.Match(c, Any, LastName(h), Any); len(ms) != 1 || ms[0].Link != h || ms[0].Via != LastName(h) {
+			t.Errorf("link %q: Match(ll=%q) = %+v", name, LastName(h), ms)
+		}
+	}
+	if got := RefName(LinkID{Daemon: 3, Seq: 2}, ""); got != "#link:3:2" {
+		t.Errorf("unnamed RefName = %q", got)
+	}
+}
+
 func TestMatchVirtual(t *testing.T) {
 	s := NewStore(0)
 	target := s.CreateNode("target")

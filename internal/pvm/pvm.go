@@ -197,7 +197,9 @@ func (m *Machine) spawn(name string, host int, parent TID, fn TaskFunc) TID {
 	body := func() {
 		defer func() {
 			if r := recover(); r != nil {
-				if _, ok := r.(taskKilled); !ok {
+				// Kernel.Shutdown ends a live simulated task with the sim's
+				// own kill: an unwinding, like Kill's, not a fault.
+				if _, ok := r.(taskKilled); !ok && !sim.IsKill(r) {
 					m.recordError(fmt.Errorf("pvm: task %q (tid %d) panicked: %v", name, tid, r))
 				}
 			}

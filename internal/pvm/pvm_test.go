@@ -134,6 +134,31 @@ func TestSpawnParentAndKill(t *testing.T) {
 	}
 }
 
+// TestShutdownUnwindsLiveTasksSilently: a run cut short by Kernel.Shutdown,
+// with one task parked in Recv and one waiting out a Compute, records no
+// task error — the kernel's unwinding is not a panic in the task.
+func TestShutdownUnwindsLiveTasksSilently(t *testing.T) {
+	k, m := simMachine(t, 2)
+	unwound := 0
+	m.SpawnAt("waiter", 0, func(p *Proc) {
+		defer func() { unwound++ }()
+		p.Recv(AnySource, AnyTag)
+	})
+	m.SpawnAt("computer", 1, func(p *Proc) {
+		defer func() { unwound++ }()
+		p.Compute(sim.Second)
+	})
+	k.RunUntil(sim.Millisecond)
+	k.Shutdown()
+	checkErrs(t, m)
+	if unwound != 2 {
+		t.Errorf("%d of 2 tasks unwound", unwound)
+	}
+	if m.Running() != 0 {
+		t.Errorf("Running = %d after Shutdown", m.Running())
+	}
+}
+
 func TestSpawnCostIsCharged(t *testing.T) {
 	k, m := simMachine(t, 2)
 	m.SpawnAt("m", 0, func(p *Proc) {

@@ -11,7 +11,10 @@
 //
 // The kernel is single-threaded from the simulation's point of view: exactly
 // one event callback or one process is running at any moment, and events fire
-// in (time, insertion-sequence) order, so every run is deterministic.
+// in (time, insertion-sequence) order, so every run is deterministic. A
+// process is a coroutine (iter.Pull), not a free-running goroutine: an event
+// resumes it, it runs until Advance or Park yields back, and the switch each
+// way is a direct jump rather than a hand-off through the Go scheduler.
 package sim
 
 import (
@@ -69,7 +72,6 @@ type Kernel struct {
 	seq     uint64
 	pq      eventQueue
 	live    int // scheduled, uncancelled events
-	procs   int // live (spawned, not yet finished) processes
 	parked  int // processes blocked in Park with no pending wake
 	stopped bool
 	failure any // panic value captured from a process

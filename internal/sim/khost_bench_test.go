@@ -30,3 +30,18 @@ func BenchmarkKHostTimers(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkProcSwitch is one process advancing b.N times: each iteration is
+// one event plus a switch into the process and back, the cost every PVM
+// Recv, Compute and pack charge pays.
+func BenchmarkProcSwitch(b *testing.B) {
+	k := New()
+	defer k.Shutdown()
+	k.Spawn("switcher", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			p.Advance(1)
+		}
+	})
+	b.ResetTimer()
+	k.Run()
+}

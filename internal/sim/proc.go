@@ -2,19 +2,19 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"runtime/debug"
 )
 
 // Proc is a simulated process: ordinary Go code that advances simulated time
-// with Advance and blocks with Park/Mailbox operations. Each Proc runs in its
-// own goroutine, but the kernel admits exactly one at a time, handing control
-// back and forth through unbuffered channels, so the simulation stays
-// deterministic.
+// with Advance and blocks with Park/Mailbox operations. Each Proc is a
+// coroutine (see the package doc), so exactly one process or event runs at
+// a time and the simulation stays deterministic.
 type Proc struct {
 	k      *Kernel
 	name   string
-	resume chan struct{}
-	yield  chan struct{}
+	resume func()              // runs the process until it yields or exits
+	yield  func(struct{}) bool // suspends the process, back into resume
 	parked bool
 	dead   bool
 	killed bool
@@ -22,6 +22,14 @@ type Proc struct {
 
 // procKilled is the panic payload used to unwind a killed process.
 type procKilled struct{}
+
+// IsKill reports whether r, a value recovered inside a process, is the
+// unwinding Shutdown ends the process with. Code that recovers panics in a
+// process body should let it pass silently: it is not a fault.
+func IsKill(r any) bool {
+	_, ok := r.(procKilled)
+	return ok
+}
 
 // ProcPanic is what Kernel.Step re-panics with when a simulated process
 // panics: the process name, the original panic value, and the goroutine
@@ -51,32 +59,23 @@ func (p *Proc) Now() Time { return p.k.now }
 // executing when the kernel reaches the start event; it must only touch the
 // simulation through p.
 func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		k:      k,
-		name:   name,
-		resume: make(chan struct{}),
-		yield:  make(chan struct{}),
-	}
-	k.procs++
+	p := &Proc{k: k, name: name}
 	k.allProcs = append(k.allProcs, p)
-	go func() {
-		<-p.resume
+	next, _ := iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(procKilled); !ok {
-					k.failure = &ProcPanic{Proc: name, Value: r, Stack: debug.Stack()}
-				}
+			if r := recover(); r != nil && !IsKill(r) {
+				k.failure = &ProcPanic{Proc: name, Value: r, Stack: debug.Stack()}
 			}
 			p.dead = true
-			k.procs--
-			p.yield <- struct{}{}
 		}()
 		if p.killed {
 			panic(procKilled{})
 		}
 		fn(p)
-	}()
-	k.After(0, func() { k.runProc(p) })
+	})
+	p.resume = func() { next() }
+	k.After(0, p.resume)
 	return p
 }
 
@@ -94,28 +93,17 @@ func (k *Kernel) Shutdown() {
 			p.parked = false
 			k.parked--
 		}
-		// Every live process is blocked on <-p.resume (initial start,
-		// Advance, or Park); resuming it unwinds via procKilled.
-		k.runProc(p)
+		// Every live process is suspended (not yet started, or in Advance
+		// or Park); resuming it unwinds via procKilled.
+		p.resume()
 	}
 	k.failure = nil
 }
 
-// runProc transfers control to p until it yields (parks, advances, or exits).
-func (k *Kernel) runProc(p *Proc) {
-	if p.dead {
-		return
-	}
-	p.resume <- struct{}{}
-	<-p.yield
-}
-
 // yieldToKernel suspends the calling process until the kernel resumes it.
-// Must be called from the process's own goroutine.
+// Must be called from the process itself.
 func (p *Proc) yieldToKernel() {
-	p.yield <- struct{}{}
-	<-p.resume
-	if p.killed {
+	if !p.yield(struct{}{}) || p.killed {
 		panic(procKilled{})
 	}
 }
@@ -125,7 +113,7 @@ func (p *Proc) Advance(d Time) {
 	if d < 0 {
 		panic("sim: Advance with negative duration")
 	}
-	p.k.After(d, func() { p.k.runProc(p) })
+	p.k.After(d, p.resume)
 	p.yieldToKernel()
 }
 
@@ -146,7 +134,7 @@ func (p *Proc) Unpark() {
 	}
 	p.parked = false
 	p.k.parked--
-	p.k.After(0, func() { p.k.runProc(p) })
+	p.k.After(0, p.resume)
 }
 
 // Parked reports whether the process is currently parked.

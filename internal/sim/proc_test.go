@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -156,6 +157,40 @@ func TestShutdownUnwindsAllProcesses(t *testing.T) {
 	k.Shutdown()
 	if cleaned != 2 {
 		t.Errorf("cleaned = %d, want 2", cleaned)
+	}
+}
+
+// TestShutdownLeavesNoGoroutines: every way a process can be left when a run
+// ends — never started, parked in a Mailbox, asleep in Advance, finished,
+// panicked — costs no goroutine once Shutdown returns.
+func TestShutdownLeavesNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	k := New()
+	mb := NewMailbox(k)
+	k.Spawn("finished", func(p *Proc) {})
+	k.Spawn("mailbox", func(p *Proc) { mb.Get(p) })
+	k.Spawn("advance", func(p *Proc) { p.Advance(1 << 40) })
+	k.Spawn("panicked", func(p *Proc) {
+		p.Advance(10)
+		panic("boom")
+	})
+	func() {
+		defer func() {
+			if _, ok := recover().(*ProcPanic); !ok {
+				t.Error("the panicking process did not surface as a ProcPanic")
+			}
+		}()
+		k.RunUntil(100)
+	}()
+	k.RunUntil(100)
+	k.Spawn("never-started", func(p *Proc) { t.Error("a process started after Shutdown") })
+	k.Shutdown()
+	// An exiting goroutine may still be on its way out when Shutdown returns.
+	for i := 0; i < 1000 && runtime.NumGoroutine() > base; i++ {
+		runtime.Gosched()
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%d goroutines after Shutdown, %d before the run", n, base)
 	}
 }
 
