@@ -1,9 +1,9 @@
 package sim
 
-// Heap is a plain binary min-heap over a caller-supplied strict ordering.
-// It replaces the hand-rolled container/heap implementations that had
-// accumulated in the tree (the kernel's eventHeap, core's wakeHeap) with
-// one generic core: Less/Swap/Push/Pop written once.
+// Heap is a plain binary min-heap over a caller-supplied strict ordering,
+// for queues off the kernel's hot path (core's wake queue). The kernel's
+// own event queue does not use it: that heap holds pointer-free entries
+// and compares them inline, which a less func value would not allow.
 //
 // The zero value is not usable; construct with NewHeap. The ordering must
 // be a strict weak order and — for the deterministic queues in this repo —

@@ -11,10 +11,17 @@
 //
 // The kernel is single-threaded from the simulation's point of view: exactly
 // one event callback or one process is running at any moment, and events fire
-// in (time, insertion-sequence) order, so every run is deterministic. A
-// process is a coroutine (iter.Pull), not a free-running goroutine: an event
-// resumes it, it runs until Advance or Park yields back, and the switch each
-// way is a direct jump rather than a hand-off through the Go scheduler.
+// in (time, insertion-sequence) order, so every run is deterministic.
+//
+// The pending events are one binary min-heap of pointer-free entries; each
+// callback waits in a per-kernel slot slab, so scheduling an event
+// allocates nothing once the slab is warm and a sift never meets the
+// garbage collector's write barrier.
+//
+// A process is a coroutine (iter.Pull), not a free-running goroutine: an
+// event resumes it, it runs until Advance or Park yields back, and the
+// switch each way is a direct jump rather than a hand-off through the Go
+// scheduler.
 package sim
 
 import (
@@ -38,68 +45,45 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 // String renders the time in seconds for logs and tables.
 func (t Time) String() string { return fmt.Sprintf("%.6fs", t.Seconds()) }
 
-// event is a scheduled callback.
-type event struct {
-	at     Time
-	seq    uint64
-	fn     func()
-	cancel bool
+// entry is one pending event in the kernel's heap. It holds no pointer: the
+// callback waits in the kernel's slot slab, so a sift moves three scalars
+// with no GC write barrier, and ordering two entries reads nothing else.
+type entry struct {
+	at   Time
+	seq  uint64
+	slot int32 // index into Kernel.fns
 }
 
-// Handle identifies a scheduled event so it can be cancelled.
-type Handle struct {
-	k *Kernel
-	e *event
+// before is the kernel's total event order, (at, seq).
+func (a entry) before(b entry) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
 }
 
-// Cancel removes the event from the schedule; it is a no-op if the event
-// already fired or was cancelled. The event stays in the queue as a
-// tombstone (Step skips it), which keeps cancellation O(1) for every
-// queue implementation.
-func (h Handle) Cancel() {
-	if h.e == nil || h.e.fn == nil {
-		return
-	}
-	h.e.cancel = true
-	h.e.fn = nil
-	h.k.live--
-}
-
-// Kernel is a discrete-event scheduler. The zero value is not usable; use
-// New.
+// Kernel is a discrete-event scheduler. Construct one with New.
 type Kernel struct {
 	now     Time
 	seq     uint64
-	pq      eventQueue
-	live    int // scheduled, uncancelled events
-	parked  int // processes blocked in Park with no pending wake
+	heap    []entry  // pending events, a binary min-heap under entry.before
+	fns     []func() // callbacks by slot; nil when the slot is free
+	free    []int32  // free slots of fns
+	parked  int      // processes blocked in Park with no pending wake
 	stopped bool
 	failure any // panic value captured from a process
 
 	allProcs []*Proc
 }
 
-// New returns an empty kernel at time zero. The pending-event set is the
-// adaptive queue: a binary heap while the horizon is sparse, migrating to
-// a calendar queue past ~1k pending events (see queue.go). Both obey the
-// same (time, sequence) total order, so the choice never changes a run's
-// behavior, only its wall-clock cost.
-func New() *Kernel {
-	return &Kernel{pq: newAdaptiveQueue()}
-}
+// New returns an empty kernel at time zero.
+func New() *Kernel { return &Kernel{} }
 
-// NewWithQueue returns a kernel pinned to a specific event-queue
-// implementation: "heap", "calendar", or "adaptive". It exists for the
-// kernel microbenchmarks that compare queue structures head to head;
-// simulations should use New.
+// NewWithQueue returns New(). The kernel has one event queue; the names
+// "heap", "calendar" and "adaptive" are all that queue, and any other name
+// panics. It stays only because cmd/mbench's timer probe still asks for
+// each of the three structures the kernel once offered.
 func NewWithQueue(kind string) *Kernel {
 	switch kind {
-	case "heap":
-		return &Kernel{pq: newHeapQueue()}
-	case "calendar":
-		return &Kernel{pq: newCalendarQueue(0)}
-	case "adaptive":
-		return &Kernel{pq: newAdaptiveQueue()}
+	case "heap", "calendar", "adaptive":
+		return New()
 	default:
 		panic(fmt.Sprintf("sim: unknown event queue %q", kind))
 	}
@@ -110,27 +94,31 @@ func (k *Kernel) Now() Time { return k.now }
 
 // At schedules fn at absolute time t. Scheduling in the past is an error in
 // the simulation logic and panics.
-func (k *Kernel) At(t Time, fn func()) Handle {
+func (k *Kernel) At(t Time, fn func()) {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, k.now))
 	}
-	e := &event{at: t, seq: k.seq, fn: fn}
+	var slot int32
+	if n := len(k.free); n > 0 {
+		slot = k.free[n-1]
+		k.free = k.free[:n-1]
+		k.fns[slot] = fn
+	} else {
+		slot = int32(len(k.fns))
+		k.fns = append(k.fns, fn)
+	}
+	k.heap = append(k.heap, entry{at: t, seq: k.seq, slot: slot})
 	k.seq++
-	k.pq.Push(e)
-	k.live++
-	return Handle{k: k, e: e}
+	k.up(len(k.heap) - 1)
 }
 
 // After schedules fn d nanoseconds from now.
-func (k *Kernel) After(d Time, fn func()) Handle {
+func (k *Kernel) After(d Time, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	return k.At(k.now+d, fn)
+	k.At(k.now+d, fn)
 }
-
-// Pending reports the number of scheduled (uncancelled) events.
-func (k *Kernel) Pending() int { return k.live }
 
 // Parked reports how many processes are blocked with no pending wake-up.
 // A nonzero value when Run returns indicates a deadlock in the simulated
@@ -142,26 +130,65 @@ func (k *Kernel) Stop() { k.stopped = true }
 
 // Step fires the single next event. It reports false when no events remain.
 func (k *Kernel) Step() bool {
-	for {
-		e := k.pq.Pop()
-		if e == nil {
-			return false
-		}
-		if e.cancel {
-			continue
-		}
-		k.live--
-		k.now = e.at
-		fn := e.fn
-		e.fn = nil
-		fn()
-		if k.failure != nil {
-			f := k.failure
-			k.failure = nil
-			panic(f)
-		}
-		return true
+	if len(k.heap) == 0 {
+		return false
 	}
+	e := k.heap[0]
+	n := len(k.heap) - 1
+	k.heap[0] = k.heap[n]
+	k.heap = k.heap[:n]
+	if n > 0 {
+		k.down()
+	}
+	k.now = e.at
+	fn := k.fns[e.slot]
+	k.fns[e.slot] = nil
+	k.free = append(k.free, e.slot)
+	fn()
+	if k.failure != nil {
+		f := k.failure
+		k.failure = nil
+		panic(f)
+	}
+	return true
+}
+
+// up sifts the entry at i toward the root.
+func (k *Kernel) up(i int) {
+	h := k.heap
+	e := h[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = e
+}
+
+// down sifts the root toward the leaves.
+func (k *Kernel) down() {
+	h := k.heap
+	n := len(h)
+	e := h[0]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].before(h[c]) {
+			c = r
+		}
+		if !h[c].before(e) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = e
 }
 
 // Run fires events until none remain or Stop is called. It returns the
@@ -176,11 +203,7 @@ func (k *Kernel) Run() Time {
 // RunUntil fires events with timestamps <= t, then sets the clock to t.
 func (k *Kernel) RunUntil(t Time) Time {
 	k.stopped = false
-	for !k.stopped {
-		e := k.pq.Peek()
-		if e == nil || e.at > t {
-			break
-		}
+	for !k.stopped && len(k.heap) > 0 && k.heap[0].at <= t {
 		k.Step()
 	}
 	if k.now < t {

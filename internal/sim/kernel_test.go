@@ -2,10 +2,20 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 )
+
+// lcg is a tiny deterministic generator so schedule tests never depend on
+// runtime randomness.
+type lcg uint64
+
+func (r *lcg) next() uint64 {
+	*r = *r*6364136223846793005 + 1442695040888963407
+	return uint64(*r)
+}
 
 func TestEventOrdering(t *testing.T) {
 	k := New()
@@ -71,24 +81,6 @@ func TestNegativeAfterClampsToNow(t *testing.T) {
 	if !ran || k.Now() != 0 {
 		t.Errorf("ran=%v now=%v", ran, k.Now())
 	}
-}
-
-func TestCancel(t *testing.T) {
-	k := New()
-	ran := false
-	h := k.At(10, func() { ran = true })
-	if k.Pending() != 1 {
-		t.Errorf("Pending = %d, want 1", k.Pending())
-	}
-	h.Cancel()
-	if k.Pending() != 0 {
-		t.Errorf("Pending after cancel = %d, want 0", k.Pending())
-	}
-	k.Run()
-	if ran {
-		t.Error("cancelled event fired")
-	}
-	h.Cancel() // double-cancel is a no-op
 }
 
 func TestStop(t *testing.T) {
@@ -162,6 +154,78 @@ func TestPropRandomEventsFireInTimestampOrder(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestEventsFireInScheduleOrder drives the kernel with four schedules —
+// uniform, clustered, heavy-tied and bursty — in which every third callback
+// schedules one more event, and requires the fired sequence to be exactly a
+// stable sort by time of everything scheduled, i.e. (time, sequence) order.
+// Every golden in the repository rests on that order.
+func TestEventsFireInScheduleOrder(t *testing.T) {
+	schedules := []struct {
+		name string
+		at   func(r *lcg) Time
+	}{
+		{"uniform", func(r *lcg) Time { return Time(r.next() % 1_000_000) }},
+		{"clustered", func(r *lcg) Time { return Time((r.next()%50)*100_000 + r.next()%10) }},
+		{"ties", func(r *lcg) Time { return Time(r.next() % 7) }},
+		// bursty: long quiet gaps then dense bursts, the LAN model's shape.
+		{"bursty", func(r *lcg) Time { return Time((r.next()%10)*50_000_000 + r.next()%200) }},
+	}
+	type ev struct {
+		at  Time
+		seq int
+	}
+	for _, s := range schedules {
+		t.Run(s.name, func(t *testing.T) {
+			k := New()
+			r := lcg(1)
+			var scheduled, fired []ev
+			var schedule func(at Time)
+			schedule = func(at Time) {
+				e := ev{at, len(scheduled)}
+				scheduled = append(scheduled, e)
+				k.At(at, func() {
+					fired = append(fired, e)
+					if e.seq%3 == 2 {
+						schedule(k.Now() + s.at(&r))
+					}
+				})
+			}
+			for i := 0; i < 5000; i++ {
+				schedule(s.at(&r))
+			}
+			k.Run()
+			want := slices.Clone(scheduled)
+			sort.SliceStable(want, func(i, j int) bool { return want[i].at < want[j].at })
+			if len(fired) != len(want) {
+				t.Fatalf("fired %d of %d scheduled events", len(fired), len(want))
+			}
+			for i := range want {
+				if fired[i] != want[i] {
+					t.Fatalf("event %d fired (at=%d seq=%d), want (at=%d seq=%d)",
+						i, fired[i].at, fired[i].seq, want[i].at, want[i].seq)
+				}
+			}
+		})
+	}
+}
+
+// TestScheduleAllocatesNothing: once the heap and the slot slab have grown
+// to the pending set, scheduling and firing an event allocates nothing.
+func TestScheduleAllocatesNothing(t *testing.T) {
+	k := New()
+	fn := func() {}
+	for i := 0; i < 64; i++ {
+		k.At(Time(i), fn)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		k.At(k.Now()+64, fn)
+		k.Step()
+	})
+	if allocs != 0 {
+		t.Errorf("At+Step allocates %v times per event, want 0", allocs)
 	}
 }
 

@@ -177,9 +177,7 @@ func (m *Mailbox) Get(p *Proc) any {
 		m.waiter = p
 		p.Park()
 	}
-	item := m.items[0]
-	m.items = m.items[1:]
-	return item
+	return m.take()
 }
 
 // TryGet dequeues the next item without blocking.
@@ -187,7 +185,14 @@ func (m *Mailbox) TryGet() (any, bool) {
 	if len(m.items) == 0 {
 		return nil, false
 	}
+	return m.take(), true
+}
+
+// take removes the head item. It clears the head's slot first: the backing
+// array outlives the reslice, and the garbage collector scans all of it.
+func (m *Mailbox) take() any {
 	item := m.items[0]
+	m.items[0] = nil
 	m.items = m.items[1:]
-	return item, true
+	return item
 }

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestProcAdvance(t *testing.T) {
@@ -126,6 +127,33 @@ func TestMailboxTryGet(t *testing.T) {
 	if v, ok := mb.TryGet(); !ok || v.(int) != 1 {
 		t.Errorf("TryGet = %v, %v", v, ok)
 	}
+}
+
+// TestMailboxReleasesTakenItems: once an item is taken, the mailbox holds
+// no reference to it, even while later items keep the backing array alive.
+func TestMailboxReleasesTakenItems(t *testing.T) {
+	k := New()
+	mb := NewMailbox(k)
+	released := make(chan struct{})
+	func() {
+		item := new([64]byte)
+		runtime.SetFinalizer(item, func(*[64]byte) { close(released) })
+		mb.Put(item)
+	}()
+	mb.Put(2)
+	if _, ok := mb.TryGet(); !ok {
+		t.Fatal("TryGet on a full mailbox failed")
+	}
+	for i := 0; i < 5; i++ {
+		runtime.GC()
+		select {
+		case <-released:
+			runtime.KeepAlive(mb)
+			return
+		case <-time.After(20 * time.Millisecond):
+		}
+	}
+	t.Errorf("a taken item is still reachable through the mailbox (%d items left)", mb.Len())
 }
 
 func TestDeadlockedProcessIsReportedParked(t *testing.T) {
