@@ -163,12 +163,8 @@ type Program struct {
 	meta     []funcMeta
 	verified bool
 
-	// Messenger-variable slot table for the kind analysis (kinds.go):
-	// every name the program loads or stores, in first-reference order,
-	// with a bit marking names that are ever stored. Derived like meta.
-	mvarNames  []string
-	mvarIdx    map[string]int
-	mvarStored []bool
+	// vars is the Messenger-variable table (vartable.go); derived like meta.
+	vars *VarTable
 
 	// lowerCaches holds the lazily built direct instruction streams
 	// (see lower.go); derived like meta, reset by Validate.

@@ -86,7 +86,7 @@ func (k AbsKind) join(o AbsKind) AbsKind {
 // kstate is the abstract machine state on entry to one PC: the kind of
 // every operand stack slot (frame-relative, so its length is the operand
 // depth the verifier proves), every local, and every Messenger variable
-// the program references anywhere (indexed by Program.mvarIdx). Node and
+// the program references anywhere (indexed by VarTable slot). Node and
 // network variables are host state and always ⊤.
 type kstate struct {
 	stack  []AbsKind
@@ -139,34 +139,6 @@ func (s *kstate) popN(n int) { s.stack = s.stack[:len(s.stack)-n] }
 func (s *kstate) topAll() {
 	for i := range s.mvars {
 		s.mvars[i] = KindTop
-	}
-}
-
-// collectMVars builds the program-wide Messenger-variable slot table the
-// kind states are indexed by: every name any function loads or stores,
-// in first-reference order, with a stored bit (a never-stored variable
-// keeps whatever value was injected, which StateBound exploits).
-func (p *Program) collectMVars() {
-	p.mvarIdx = map[string]int{}
-	p.mvarNames = p.mvarNames[:0]
-	p.mvarStored = p.mvarStored[:0]
-	for fi := range p.Funcs {
-		for _, ins := range p.Funcs[fi].Code {
-			if ins.Op != OpLoadM && ins.Op != OpStoreM {
-				continue
-			}
-			name := p.Names[ins.A]
-			idx, ok := p.mvarIdx[name]
-			if !ok {
-				idx = len(p.mvarNames)
-				p.mvarIdx[name] = idx
-				p.mvarNames = append(p.mvarNames, name)
-				p.mvarStored = append(p.mvarStored, false)
-			}
-			if ins.Op == OpStoreM {
-				p.mvarStored[idx] = true
-			}
-		}
 	}
 }
 
@@ -392,9 +364,9 @@ func (p *Program) kindEffect(ins Instr, s *kstate) string {
 		s.push(KindOf(p.Consts[ins.A].Kind()))
 
 	case OpLoadM:
-		s.push(s.mvars[p.mvarIdx[p.Names[ins.A]]])
+		s.push(s.mvars[p.vars.Slot[ins.A]])
 	case OpStoreM:
-		s.mvars[p.mvarIdx[p.Names[ins.A]]] = s.pop()
+		s.mvars[p.vars.Slot[ins.A]] = s.pop()
 
 	case OpLoadN, OpLoadNet:
 		// Host state: node variables are shared with natives and other
@@ -502,8 +474,9 @@ func (p *Program) kindEffect(ins Instr, s *kstate) string {
 		s.popN(n)
 		s.push(result)
 		if !known {
-			// Out-of-line native: the daemon's handler can mutate
-			// Messenger variables (NativeCtx.SetMsgrVar) before resuming.
+			// Out-of-line native: the daemon runs it between segments with
+			// nothing modeled here, so no kind claim about Messenger
+			// variables survives it. Conservative: no native API writes them.
 			s.topAll()
 		}
 		return fault
@@ -578,32 +551,19 @@ func (p *Program) LocalKind(fn, pc, slot int) AbsKind {
 	return m.kinds[pc].locals[slot]
 }
 
-// VarKind returns the proven kind of Messenger variable `name` on entry
-// to Funcs[fn].Code[pc]. Variables the program never references are ⊤
-// (they ride along untouched); KindBottom outside the program.
-func (p *Program) VarKind(fn, pc int, name string) AbsKind {
-	if p.StackDepth(fn, pc) < 0 {
+// VarKind returns the proven kind of the Messenger variable in VarTable
+// slot `slot` on entry to Funcs[fn].Code[pc]; KindBottom outside the
+// program or the table, KindTop when not narrowed. Variables the program
+// never references have no slot: nothing can read them.
+func (p *Program) VarKind(fn, pc, slot int) AbsKind {
+	if p.StackDepth(fn, pc) < 0 || slot < 0 || slot >= len(p.vars.Names) {
 		return KindBottom
-	}
-	idx, ok := p.mvarIdx[name]
-	if !ok {
-		return KindTop
 	}
 	m := &p.meta[fn]
 	if m.kinds == nil {
 		return KindTop
 	}
-	return m.kinds[pc].mvars[idx]
-}
-
-// TrackedVars lists the Messenger-variable names the verified program
-// loads or stores anywhere (the names VarKind can constrain), in
-// first-reference order. Callers must not mutate the returned slice.
-func (p *Program) TrackedVars() []string {
-	if !p.verified {
-		return nil
-	}
-	return p.mvarNames
+	return m.kinds[pc].mvars[slot]
 }
 
 // scalarWire is the worst-case encoded size of a proven-scalar value
@@ -625,8 +585,8 @@ const snapOverhead = 4 + 4 + 12 + 4
 // A bound is derivable when, over the reachable main body:
 //   - no OpCallFunc executes (multi-frame snapshots have no static frame
 //     count — recursion is unbounded);
-//   - every native call is a modeled builtin (an out-of-line native's
-//     daemon handler may store arbitrary values into Messenger variables);
+//   - every native call is a modeled builtin (an out-of-line native may
+//     rewrite the elements of an aggregate it is passed);
 //   - no OpSetIndex executes (an element write can swap a small element
 //     of an injected aggregate for a larger one, growing its encoding);
 //   - every Messenger-variable store deposits a proven scalar, so each
@@ -638,8 +598,8 @@ const snapOverhead = 4 + 4 + 12 + 4
 // base covers the snapshot framing plus scalarWire for every tracked
 // variable, local, and stack slot. The injected values are the caller's
 // to account: add each submitted value's encoded size for the names in
-// inherited (= TrackedVars(), whose injected value may persist until the
-// first store), plus the full env entry for any injected name the
+// inherited (= VarTable().Names, whose injected value may persist until
+// the first store), plus the full env entry for any injected name the
 // program never references (it rides along untouched). ok=false means no
 // bound is derivable and admission must rely on dynamic memory checks at
 // nav boundaries.
@@ -686,7 +646,7 @@ func (p *Program) StateBound() (base int64, inherited []string, ok bool) {
 		}
 	}
 	base = snapOverhead
-	for _, name := range p.mvarNames {
+	for _, name := range p.vars.Names {
 		base += int64(4 + len(name) + scalarWire)
 		inherited = append(inherited, name)
 	}

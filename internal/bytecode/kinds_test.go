@@ -113,18 +113,22 @@ func TestKindMetadataQueries(t *testing.T) {
 			for l := 0; l < f.NumLocals; l++ {
 				prog.LocalKind(fi, pc, l)
 			}
-			prog.VarKind(fi, pc, "x")
-			prog.VarKind(fi, pc, "no-such-var")
+			for slot := -1; slot <= len(prog.VarTable().Names); slot++ {
+				prog.VarKind(fi, pc, slot)
+			}
 		}
 	}
 	if !provenInt || !provenNum {
 		t.Errorf("expected both an int and a num slot proof somewhere (int=%v num=%v)", provenInt, provenNum)
 	}
-	tracked := prog.TrackedVars()
+	tracked := prog.VarTable().Names
 	sorted := append([]string(nil), tracked...)
 	sort.Strings(sorted)
 	if want := []string{"i", "x"}; !equalStrings(sorted, want) {
-		t.Errorf("TrackedVars = %v, want %v", tracked, want)
+		t.Errorf("VarTable().Names = %v, want %v", tracked, want)
+	}
+	if k := prog.VarKind(0, 0, len(tracked)); k != bytecode.KindBottom {
+		t.Errorf("VarKind past the table = %s, want ⊥", k)
 	}
 }
 

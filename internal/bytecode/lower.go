@@ -11,8 +11,8 @@ package bytecode
 //
 //   - operands are pre-decoded: constants become the value.Value itself
 //     (tagged with whether a defensive clone is needed), names become the
-//     string, and Messenger-variable names become indices into a per-
-//     program slot table so the hot loop never touches a map;
+//     string, and Messenger-variable names become slots of the program's
+//     VarTable, the indices of the VM's variable area;
 //   - jump targets are resolved to direct-stream indices;
 //   - adjacent opcode sequences are fused into superinstructions: pairs,
 //     plus two four-wide loop idioms over Messenger variables (the
@@ -45,7 +45,7 @@ const (
 	DConst
 	// DConstClone pushes Val.Clone() (mutable aggregate constants).
 	DConstClone
-	// DLoadM/DStoreM access Messenger-variable slot A (see Lowered.MVars).
+	// DLoadM/DStoreM access Messenger-variable slot A (see VarTable).
 	DLoadM
 	DStoreM
 	// DLoadN/DStoreN/DLoadNet access node/network variable Name.
@@ -434,9 +434,6 @@ type DFunc struct {
 // the portable stream on demand, never encoded, never hashed.
 type Lowered struct {
 	Funcs []DFunc
-	// MVars maps Messenger-variable slots to names; DLoadM/DStoreM (and
-	// the fused ops touching Messenger variables) index into it.
-	MVars []string
 	// Fused counts fused instructions across all functions (static).
 	Fused int
 }
@@ -674,17 +671,7 @@ func (p *Program) specializeOp(fi int, d *DInstr) DOp {
 func (p *Program) buildLowered(mode LowerMode) *Lowered {
 	fuse := mode != LowerPlain
 	low := &Lowered{Funcs: make([]DFunc, len(p.Funcs))}
-	slots := map[string]int32{}
-	slotOf := func(nameIdx int32) int32 {
-		name := p.Names[nameIdx]
-		if s, ok := slots[name]; ok {
-			return s
-		}
-		s := int32(len(low.MVars))
-		slots[name] = s
-		low.MVars = append(low.MVars, name)
-		return s
-	}
+	slotOf := p.vars.Slot
 	for fi := range p.Funcs {
 		code := p.Funcs[fi].Code
 		// Jump targets must start a direct instruction: a branch into the
@@ -734,13 +721,13 @@ func (p *Program) buildLowered(mode LowerMode) *Lowered {
 				d.Op, d.N = fop, 4
 				switch {
 				case fop >= DFMMLtJz && fop <= DFMMGeJz:
-					d.A, d.B, d.C = slotOf(ins.A), slotOf(b.A), s2d[last.A]
+					d.A, d.B, d.C = slotOf[ins.A], slotOf[b.A], s2d[last.A]
 				case fop >= DFMCLtJz && fop <= DFMCGeJz:
-					d.A, d.Val, d.C = slotOf(ins.A), p.Consts[b.A], s2d[last.A]
+					d.A, d.Val, d.C = slotOf[ins.A], p.Consts[b.A], s2d[last.A]
 				case fop >= DFLCLtJz && fop <= DFLCGeJz:
 					d.A, d.Val, d.C = ins.A, p.Consts[b.A], s2d[last.A]
 				case fop >= DFMCAddStoreM && fop <= DFMCModStoreM:
-					d.A, d.Val, d.B = slotOf(ins.A), p.Consts[b.A], slotOf(last.A)
+					d.A, d.Val, d.B = slotOf[ins.A], p.Consts[b.A], slotOf[last.A]
 				default: // DFLCAddStoreL..DFLCModStoreL
 					d.A, d.Val, d.B = ins.A, p.Consts[b.A], last.A
 				}
@@ -756,17 +743,17 @@ func (p *Program) buildLowered(mode LowerMode) *Lowered {
 				case DFConstAdd, DFConstSub, DFConstMul, DFConstDiv, DFConstMod:
 					d.Val = p.Consts[ins.A]
 				case DFLoadMConst:
-					d.A, d.Val = slotOf(ins.A), p.Consts[nxt.A]
+					d.A, d.Val = slotOf[ins.A], p.Consts[nxt.A]
 				case DFLoadLConst:
 					d.A, d.Val = ins.A, p.Consts[nxt.A]
 				case DFLoadMM:
-					d.A, d.B = slotOf(ins.A), slotOf(nxt.A)
+					d.A, d.B = slotOf[ins.A], slotOf[nxt.A]
 				case DFLoadLL:
 					d.A, d.B = ins.A, nxt.A
 				case DFEqJz, DFNeJz, DFLtJz, DFLeJz, DFGtJz, DFGeJz:
 					d.A = s2d[nxt.A]
 				case DFAddStoreM, DFSubStoreM, DFMulStoreM, DFDivStoreM, DFModStoreM:
-					d.A = slotOf(nxt.A)
+					d.A = slotOf[nxt.A]
 				default: // DF*StoreL
 					d.A = nxt.A
 				}
@@ -785,9 +772,9 @@ func (p *Program) buildLowered(mode LowerMode) *Lowered {
 					d.Op = DConstClone
 				}
 			case OpLoadM:
-				d.Op, d.A = DLoadM, slotOf(ins.A)
+				d.Op, d.A = DLoadM, slotOf[ins.A]
 			case OpStoreM:
-				d.Op, d.A = DStoreM, slotOf(ins.A)
+				d.Op, d.A = DStoreM, slotOf[ins.A]
 			case OpLoadN:
 				d.Op, d.Name = DLoadN, p.Names[ins.A]
 			case OpStoreN:

@@ -1,6 +1,7 @@
 package bytecode
 
 import (
+	"reflect"
 	"testing"
 
 	"messengers/internal/value"
@@ -400,27 +401,45 @@ func TestLoweredCacheResetOnValidate(t *testing.T) {
 	}
 }
 
+// TestLoweredMVarSlots: lowering indexes Messenger variables into the
+// program's one VarTable, whose slots follow first use, whose sorted order
+// follows the names, and where two pool entries spelling one name are one
+// variable.
 func TestLoweredMVarSlots(t *testing.T) {
 	p := &Program{
 		Name:   "mv",
 		Consts: []value.Value{value.Int(1)},
-		Names:  []string{"x", "y"},
+		Names:  []string{"x", "y", "node", "x"},
 		Funcs: []FuncInfo{{Name: "<main>", Code: []Instr{
 			{Op: OpConst, A: 0},
 			{Op: OpStoreM, A: 1}, // y first
 			{Op: OpLoadM, A: 1},
 			{Op: OpStoreM, A: 0}, // then x
+			{Op: OpLoadN, A: 2},  // a node variable has no slot
+			{Op: OpStoreM, A: 3}, // x again, through another pool entry
 			{Op: OpEnd},
 		}}},
 	}
+	unverified := p.VarTable()
 	if err := p.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	low := p.Lowered(LowerPlain)
-	if len(low.MVars) != 2 || low.MVars[0] != "y" || low.MVars[1] != "x" {
-		t.Fatalf("MVars=%v want [y x] (first-use order)", low.MVars)
+	vt := p.VarTable()
+	if !reflect.DeepEqual(vt, unverified) {
+		t.Errorf("the table of the unverified program %+v differs from the verified one's %+v", unverified, vt)
 	}
-	if low.Funcs[0].Code[1].A != 0 || low.Funcs[0].Code[3].A != 1 {
-		t.Errorf("slot assignment wrong: %v", low.Funcs[0].Code)
+	if !reflect.DeepEqual(vt.Names, []string{"y", "x"}) || !reflect.DeepEqual(vt.Slot, []int32{1, 0, -1, 1}) ||
+		!reflect.DeepEqual(vt.Sorted, []int32{1, 0}) {
+		t.Fatalf("table %+v, want names [y x] (first-use order), slots [1 0 -1 1], sorted [1 0]", vt)
+	}
+	if s, ok := vt.Lookup("x"); !ok || s != 1 {
+		t.Errorf("Lookup(x) = %d, %v", s, ok)
+	}
+	if _, ok := vt.Lookup("node"); ok {
+		t.Error("a node variable has a Messenger-variable slot")
+	}
+	code := p.Lowered(LowerPlain).Funcs[0].Code
+	if code[1].A != 0 || code[3].A != 1 || code[5].A != 1 {
+		t.Errorf("slot assignment wrong: %v", code)
 	}
 }

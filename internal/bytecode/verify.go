@@ -104,7 +104,7 @@ func (p *Program) Validate() error {
 			return err
 		}
 	}
-	p.collectMVars()
+	p.vars = p.buildVarTable()
 	meta := make([]funcMeta, len(p.Funcs))
 	for fi := range p.Funcs {
 		m, err := p.analyze(fi)
@@ -236,7 +236,7 @@ func (p *Program) analyze(fi int) (funcMeta, error) {
 	// s is the one working state: a visit copies the PC's entry state into
 	// it and kindEffect turns it into the out state in place. It starts as
 	// the entry state of the function.
-	s := kstate{locals: make([]AbsKind, f.NumLocals), mvars: make([]AbsKind, len(p.mvarNames))}
+	s := kstate{locals: make([]AbsKind, f.NumLocals), mvars: make([]AbsKind, len(p.vars.Names))}
 	for i := range s.locals {
 		// Arguments arrive from arbitrary call sites (the flat lattice
 		// makes ⊤ the honest per-function answer); other locals are zero

@@ -298,7 +298,7 @@ func TestKindFootprintCap(t *testing.T) {
 	if k := p.LocalKind(0, 100, 0); k != KindTop {
 		t.Errorf("LocalKind = %s, want any", k)
 	}
-	if k := p.VarKind(0, 100, "x"); k != KindTop {
+	if k := p.VarKind(0, 100, 0); k != KindTop {
 		t.Errorf("VarKind = %s, want any", k)
 	}
 	if _, _, ok := p.StateBound(); ok {

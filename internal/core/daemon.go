@@ -79,12 +79,6 @@ func (c *NativeCtx) SetNodeVar(name string, v value.Value) { c.node.Vars[name] =
 // NodeName returns the current logical node's name.
 func (c *NativeCtx) NodeName() string { return c.node.Name }
 
-// MsgrVar reads a Messenger variable of the invoking Messenger.
-func (c *NativeCtx) MsgrVar(name string) value.Value { return c.m.VM.Var(name) }
-
-// SetMsgrVar writes a Messenger variable of the invoking Messenger.
-func (c *NativeCtx) SetMsgrVar(name string, v value.Value) { c.m.VM.SetVar(name, v) }
-
 // LVT returns the invoking Messenger's local virtual time.
 func (c *NativeCtx) LVT() float64 { return c.m.LVT }
 

@@ -11,50 +11,46 @@ import (
 	"messengers/internal/compile"
 	"messengers/internal/value"
 	"messengers/internal/vm"
-	"messengers/internal/wire"
 )
 
-// The four decoders of the tree, each as "does this buffer decode": a
-// message, a snapshot against its program, a program, and a variable map
-// read to the end of its buffer.
+// The decoders of the tree, each as "does this buffer decode": a message, a
+// snapshot against its program, and a program. "env" is the snapshot
+// decoder again, on a snapshot whose variables the program never
+// references, so its forgeries reach the variables that ride along by name.
 func fourDecoders(t *testing.T) (prog *bytecode.Program, dec map[string]func([]byte) error, valid map[string][]byte) {
 	t.Helper()
 	prog = compile.MustCompile("walker", `s = "row"; m = [1, 2.5]; hop(ll = s);`)
-	m := vm.New(prog, nil)
-	if res, err := m.Run(nil, 0); err != nil || res.Pause != vm.PauseHop {
-		t.Fatalf("walker did not reach its hop: %v %v", res.Pause, err)
+	snapshot := func(vars map[string]value.Value) []byte {
+		m := vm.New(prog, vars)
+		if res, err := m.Run(nil, 0); err != nil || res.Pause != vm.PauseHop {
+			t.Fatalf("walker did not reach its hop: %v %v", res.Pause, err)
+		}
+		snap, err := m.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap
 	}
-	snap, err := m.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	env := wire.AppendingTo(nil)
-	value.AppendEnvTo(env, map[string]value.Value{"k": value.Int(1), "b": value.Bytes([]byte{1, 2})})
-	if env.Err() != nil {
-		t.Fatal(env.Err())
-	}
+	snap := snapshot(nil)
+	restore := func(b []byte) error { _, err := vm.Restore(prog, b); return err }
 	dec = map[string]func([]byte) error{
 		"msg":      func(b []byte) error { _, err := DecodeMsg(b); return err },
-		"snapshot": func(b []byte) error { _, err := vm.Restore(prog, b); return err },
+		"snapshot": restore,
 		"program":  func(b []byte) error { _, err := bytecode.Decode(b); return err },
-		"env": func(b []byte) error {
-			d := wire.NewDecoder(b)
-			value.DecodeEnvFrom(&d, nil, nil)
-			return d.Finish()
-		},
+		"env":      restore,
 	}
 	valid = map[string][]byte{
 		"msg":      (&Msg{Kind: MsgMessenger, From: 1, ProgHash: prog.Hash(), Snapshot: snap, Last: "row", Tenant: "t"}).Encode(),
 		"snapshot": snap,
 		"program":  prog.Encode(),
-		"env":      env.Bytes(),
+		"env":      snapshot(map[string]value.Value{"k": value.Int(1), "b": value.Bytes([]byte{1, 2})}),
 	}
 	return prog, dec, valid
 }
 
 // TestDecodersRefuseWhatTheyDoNotConsume: a decoder that is handed a whole
 // buffer answers for the whole buffer. A byte after the last field is an
-// error in all four, and so is a field cut short, including the program's
+// error in each, and so is a field cut short, including the program's
 // source text: that may be absent, not truncated.
 func TestDecodersRefuseWhatTheyDoNotConsume(t *testing.T) {
 	prog, dec, valid := fourDecoders(t)

@@ -16,8 +16,7 @@ import (
 // The frame is scribbled over between HandleMsg and the Messenger's next
 // segment; every variable kind that carries a reference must survive. The
 // restore runs both ways: into a fresh VM, and into a berth another VM of
-// the program left, where variable names come from the berth's intern table
-// and must not alias the frame either.
+// the program left, whose variable area is reused.
 func TestInboundFrameDeadAfterHandleMsg(t *testing.T) {
 	t.Run("fresh", func(t *testing.T) { inboundFrameDeadAfterHandleMsg(t, false) })
 	t.Run("berth", func(t *testing.T) { inboundFrameDeadAfterHandleMsg(t, true) })

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"messengers/internal/compile"
@@ -56,6 +57,38 @@ func TestPooledFrameReaderMatchesReadFrame(t *testing.T) {
 				t.Fatalf("%s, frame %d: payloads differ (%d / %d / want %d bytes)", tc.name, i, len(a), len(*b), len(tc.want[i]))
 			}
 			wire.PutBuf(b)
+		}
+	}
+}
+
+// TestFrameBodyTracksBytesReceived: a peer that sends a header claiming
+// 64 MB, then 16 bytes, then closes, gets an error from both readers, and
+// what they allocated on the way tracks the 16 bytes, not the claim.
+func TestFrameBodyTracksBytesReceived(t *testing.T) {
+	var stream []byte
+	stream = binary.LittleEndian.AppendUint16(stream, frameMagic)
+	stream = binary.LittleEndian.AppendUint16(stream, wire.FrameVersion)
+	stream = binary.LittleEndian.AppendUint32(stream, maxFrame)
+	stream = append(stream, bytes.Repeat([]byte{1}, 16)...)
+	for name, read := range map[string]func() error{
+		"ReadFrame": func() error {
+			_, err := ReadFrame(bytes.NewReader(stream))
+			return err
+		},
+		"readPooledFrame": func() error {
+			_, err := readPooledFrame(bufio.NewReader(bytes.NewReader(stream)))
+			return err
+		},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := read()
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: a frame 16 bytes into its 64 MB body was accepted", name)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Errorf("%s: 16 bytes of a claimed 64 MB body allocated %d bytes", name, grew)
 		}
 	}
 }

@@ -87,11 +87,32 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: %w", err)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("transport: read frame body: %w", err)
+	return readBody(r, nil, n)
+}
+
+// bodyStep is the first step a frame body is read in when the buffer at
+// hand is too small for it.
+const bodyStep = 64 << 10
+
+// readBody reads an n-byte frame body into buf's storage. A buffer that
+// holds n takes the body in one read. Otherwise the header's n is only a
+// claim: the body arrives in steps that double what has been received, so
+// a peer that announces 64 MB and sends 16 bytes costs one step, not 64 MB.
+func readBody(r io.Reader, buf []byte, n int) ([]byte, error) {
+	buf = buf[:0]
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			grown := make([]byte, len(buf), min(n, max(2*len(buf), bodyStep)))
+			copy(grown, buf)
+			buf = grown
+		}
+		k, err := io.ReadFull(r, buf[len(buf):min(n, cap(buf))])
+		buf = buf[:len(buf)+k]
+		if err != nil {
+			return buf, fmt.Errorf("transport: read frame body: %w", err)
+		}
 	}
-	return payload, nil
+	return buf, nil
 }
 
 // readPooledFrame reads one frame into a wire.GetBuf buffer, taken only once
@@ -112,17 +133,14 @@ func readPooledFrame(r *bufio.Reader) (*[]byte, error) {
 	if _, err := r.Discard(wire.FrameHeaderLen); err != nil {
 		return nil, err
 	}
+	// The pool holds whatever sizes its users grew their buffers to; an
+	// undersized one is grown as the body arrives and takes its place on
+	// PutBuf, so the pool converges on the traffic's sizes.
 	box := wire.GetBuf()
-	if cap(*box) < n {
-		// The pool holds whatever sizes its users grew their buffers to;
-		// the undersized one is dropped and the frame-sized one takes its
-		// place on PutBuf, so the pool converges on the traffic's sizes.
-		*box = make([]byte, n)
-	}
-	*box = (*box)[:n]
-	if _, err := io.ReadFull(r, *box); err != nil {
+	*box, err = readBody(r, *box, n)
+	if err != nil {
 		wire.PutBuf(box)
-		return nil, fmt.Errorf("transport: read frame body: %w", err)
+		return nil, err
 	}
 	return box, nil
 }

@@ -3,7 +3,6 @@ package value
 import (
 	"bytes"
 	"fmt"
-	"sort"
 
 	"messengers/internal/wire"
 )
@@ -130,56 +129,6 @@ func decodeFrom(d *wire.Decoder, depth int) Value {
 		d.Fail(fmt.Errorf("value: decode: unknown kind tag %d", k))
 		return Nil()
 	}
-}
-
-// AppendEnvTo encodes a variable map into e in sorted key order
-// (deterministic), one pass, no intermediate buffers.
-func AppendEnvTo(e *wire.Encoder, env map[string]Value) {
-	keys := make([]string, 0, len(env))
-	//lint:maporder keys are collected then sorted before use
-	for k := range env {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	e.U32(uint32(len(keys)))
-	for _, k := range keys {
-		e.Str(k)
-		env[k].AppendTo(e)
-	}
-}
-
-// DecodeEnvFrom reads a variable map encoded by AppendEnvTo into env, which
-// the caller supplies empty (nil: a fresh one sized to the entry count). A
-// key that intern holds is taken from there instead of being copied out of
-// the buffer, so decoding the variables of a known program into a reused map
-// allocates no key strings. On error (d's sticky one) env may hold some of
-// the entries.
-func DecodeEnvFrom(d *wire.Decoder, env map[string]Value, intern map[string]string) map[string]Value {
-	// Each entry takes at least five bytes (key length + value tag).
-	n := d.Count(5)
-	if env == nil {
-		env = make(map[string]Value, n)
-	}
-	for i := 0; i < n && d.Err() == nil; i++ {
-		kb := d.Blob()
-		key, ok := intern[string(kb)]
-		if !ok {
-			key = string(kb)
-		}
-		env[key] = DecodeFrom(d)
-	}
-	return env
-}
-
-// EnvWireSize returns the exact encoded size of a variable map; it must
-// agree byte-for-byte with AppendEnvTo.
-func EnvWireSize(env map[string]Value) int {
-	n := 4
-	//lint:maporder summation is order-independent
-	for k, v := range env {
-		n += 4 + len(k) + v.WireSize()
-	}
-	return n
 }
 
 // CloneEnv deep-copies a variable map.

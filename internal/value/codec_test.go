@@ -11,24 +11,12 @@ import (
 	"messengers/internal/wire"
 )
 
-// The buffer forms the tests speak: one value or one env from the front of
-// buf, with the bytes consumed.
+// The buffer form the tests speak: one value from the front of buf, with
+// the bytes consumed.
 func decode(buf []byte) (Value, int, error) {
 	d := wire.NewDecoder(buf)
 	v := DecodeFrom(&d)
 	return v, d.Pos(), d.Err()
-}
-
-func decodeEnv(buf []byte) (map[string]Value, int, error) {
-	d := wire.NewDecoder(buf)
-	env := DecodeEnvFrom(&d, nil, nil)
-	return env, d.Pos(), d.Err()
-}
-
-func appendEnv(env map[string]Value) ([]byte, error) {
-	e := wire.AppendingTo(nil)
-	AppendEnvTo(e, env)
-	return e.Bytes(), e.Err()
 }
 
 // genValue builds a random value of bounded depth for property tests.
@@ -169,50 +157,6 @@ func TestMatrixBlockIsBitExact(t *testing.T) {
 	}
 }
 
-func TestEnvRoundTrip(t *testing.T) {
-	env := map[string]Value{
-		"x":     Int(1),
-		"name":  Str("worker"),
-		"block": Matrix(&Mat{Rows: 1, Cols: 2, Data: []float64{math.Pi, -1}}),
-		"":      Nil(),
-	}
-	enc, err := appendEnv(env)
-	if err != nil {
-		t.Fatalf("AppendEnvTo: %v", err)
-	}
-	if got := EnvWireSize(env); got != len(enc) {
-		t.Errorf("EnvWireSize = %d, encoded = %d", got, len(enc))
-	}
-	dec, n, err := decodeEnv(enc)
-	if err != nil {
-		t.Fatalf("DecodeEnvFrom: %v", err)
-	}
-	if n != len(enc) {
-		t.Errorf("consumed %d of %d bytes", n, len(enc))
-	}
-	if len(dec) != len(env) {
-		t.Fatalf("got %d entries, want %d", len(dec), len(env))
-	}
-	for k, v := range env {
-		if !dec[k].Equal(v) {
-			t.Errorf("env[%q]: got %v, want %v", k, dec[k], v)
-		}
-	}
-}
-
-func TestEnvEncodingIsDeterministic(t *testing.T) {
-	env := map[string]Value{"b": Int(2), "a": Int(1), "c": Int(3)}
-	first, err := appendEnv(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if got, _ := appendEnv(env); string(got) != string(first) {
-			t.Fatal("AppendEnvTo is not deterministic across map iteration orders")
-		}
-	}
-}
-
 // TestAppendRejectsOversized crafts values whose encoded length exceeds the
 // uint32-safe bound; Append must report an error instead of truncating the
 // length prefix (the old behavior produced frames the decoder rejects — or
@@ -224,13 +168,9 @@ func TestAppendRejectsOversized(t *testing.T) {
 	if _, err := Append(nil, huge); err == nil {
 		t.Error("Append accepted an oversized matrix")
 	}
-	// The guard must propagate out of nested containers...
+	// The guard must propagate out of nested containers.
 	if _, err := Append(nil, Arr([]Value{Int(1), huge})); err == nil {
 		t.Error("Append accepted an array containing an oversized matrix")
-	}
-	// ...and out of env encoding.
-	if _, err := appendEnv(map[string]Value{"m": huge}); err == nil {
-		t.Error("AppendEnvTo accepted an oversized value")
 	}
 }
 
@@ -270,20 +210,6 @@ func TestDecodeDeepFrameIsAnError(t *testing.T) {
 	frame := append(bytes.Repeat([]byte{byte(KindArr), 1, 0, 0, 0}, (64<<20)/5), byte(KindNil))
 	if _, _, err := decode(frame); err == nil {
 		t.Fatal("a 64 MB nested-array frame decoded without error")
-	}
-}
-
-func TestEnvDecodeErrors(t *testing.T) {
-	cases := [][]byte{
-		nil,
-		{1, 0, 0, 0},                  // missing key
-		{1, 0, 0, 0, 3, 0, 0, 0},      // truncated key
-		{1, 0, 0, 0, 1, 0, 0, 0, 'k'}, // missing value
-	}
-	for i, c := range cases {
-		if _, _, err := decodeEnv(c); err == nil {
-			t.Errorf("case %d should fail", i)
-		}
 	}
 }
 

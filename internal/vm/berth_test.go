@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 	"unsafe"
@@ -72,11 +73,11 @@ func TestReleasedBerthHoldsNoValue(t *testing.T) {
 	}
 
 	b := (*VM)(berth)
-	if len(b.vars) != 0 || len(b.frames) != 0 || b.stack != nil || b.stackBuf != nil {
-		t.Errorf("berth keeps state: %d vars, %d frames, stack %v, stackBuf %v", len(b.vars), len(b.frames), b.stack, b.stackBuf)
+	if len(b.frames) != 0 || b.stack != nil || b.stackBuf != nil || b.tail != nil || slices.Contains(b.present, true) {
+		t.Errorf("berth keeps state: %d frames, stack %v, stackBuf %v, tail %v, present %v", len(b.frames), b.stack, b.stackBuf, b.tail, b.present)
 	}
-	if b.prof != nil || b.meter != nil || b.dispatch != DispatchAuto || b.slotsClean {
-		t.Error("berth keeps its last daemon's profile, meter, dispatch mode or slot cache")
+	if b.prof != nil || b.meter != nil || b.dispatch != DispatchAuto {
+		t.Error("berth keeps its last daemon's profile, meter or dispatch mode")
 	}
 	zero := func(what string, vs []value.Value) {
 		for i := range vs {
@@ -85,7 +86,7 @@ func TestReleasedBerthHoldsNoValue(t *testing.T) {
 			}
 		}
 	}
-	zero("mslots", b.mslots)
+	zero("vars", b.vars)
 	for i := range b.frames[:cap(b.frames)] {
 		if b.frames[:cap(b.frames)][i].locals != nil {
 			t.Errorf("frame %d of the berth's frame storage still points at locals", i)
@@ -179,7 +180,7 @@ func kindForgeries(t *testing.T, m *VM, counts map[string]int) []forgedCase {
 	t.Helper()
 	prog := m.Program()
 	var out []forgedCase
-	// get and set reach the place: a slice element, or a map entry.
+	// get and set reach the place: a slice element.
 	forge := func(place string, k bytecode.AbsKind, get func() value.Value, set func(value.Value)) {
 		if !k.Exact() {
 			return
@@ -214,9 +215,9 @@ func kindForgeries(t *testing.T, m *VM, counts map[string]int) []forgedCase {
 		base += depth
 	}
 	top := m.top()
-	for _, name := range prog.TrackedVars() {
-		forge("variable", prog.VarKind(top.fn, top.pc, name),
-			func() value.Value { return m.vars[name] }, func(v value.Value) { m.vars[name] = v })
+	for s := range m.vars {
+		get, set := at(&m.vars[s])
+		forge("variable", prog.VarKind(top.fn, top.pc, s), get, set)
 	}
 	return out
 }
@@ -233,7 +234,7 @@ func forgedSnapshots(t *testing.T) []forgedCase {
 		mut(b)
 		return b
 	}
-	varsLen := value.EnvWireSize(m.vars)
+	varsLen := varsWireSize(m)
 	cases := []forgedCase{
 		{"empty", prog, []byte{}},
 		{"vars only", prog, []byte{0, 0, 0, 0}},
@@ -299,9 +300,9 @@ func TestForgedSnapshotsRejectedThroughUsedBerth(t *testing.T) {
 			t.Errorf("%s: through a berth the refusal reads %q, fresh %q", c.name, err, fresh)
 		}
 		b := (*VM)(berth)
-		if len(b.vars) != 0 || len(b.frames) != 0 || b.stack != nil || b.arena.Used() != 0 {
-			t.Fatalf("%s: the refused restore left the berth half-filled (%d vars, %d frames, %d arena values)",
-				c.name, len(b.vars), len(b.frames), b.arena.Used())
+		if slices.Contains(b.present, true) || b.tail != nil || len(b.frames) != 0 || b.stack != nil || b.arena.Used() != 0 {
+			t.Fatalf("%s: the refused restore left the berth half-filled (present %v, tail %v, %d frames, %d arena values)",
+				c.name, b.present, b.tail, len(b.frames), b.arena.Used())
 		}
 	}
 	deep, good := pausedDeepVM(t)
@@ -330,8 +331,7 @@ func TestRestoreIntoAllocatesNothing(t *testing.T) {
 	m := pausedAtHop(t, prog, map[string]value.Value{"hops": value.Int(1 << 40)})
 	snap := mustSnapshot(t, m)
 	h := newTestHost()
-	// One lap outside the measurement builds the intern table and the
-	// threaded loop's scratch.
+	// One lap outside the measurement builds the threaded loop's scratch.
 	m, err := RestoreInto(m.Release(), prog, snap)
 	if err != nil {
 		t.Fatal(err)

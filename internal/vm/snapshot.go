@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"bytes"
 	"fmt"
 
 	"messengers/internal/bytecode"
@@ -12,9 +13,16 @@ import (
 // call frames, and operand stack — into e in one pass. Together with the
 // program hash this is exactly what a daemon ships when a Messenger hops to
 // another daemon (the code itself stays in the shared script registry).
-// Oversized values set the encoder's sticky error.
+// Oversized values set the encoder's sticky error. Variables go first, in
+// eachVar's order: the only one restore accepts.
 func (m *VM) AppendSnapshot(e *wire.Encoder) {
-	value.AppendEnvTo(e, m.vars)
+	at, n := e.Reserve(4), 0
+	m.eachVar(func(name string, v value.Value) {
+		e.Str(name)
+		v.AppendTo(e)
+		n++
+	})
+	e.PatchU32(at, uint32(n))
 	e.U32(uint32(len(m.frames)))
 	for i := range m.frames {
 		f := &m.frames[i]
@@ -51,7 +59,8 @@ func (m *VM) Snapshot() ([]byte, error) {
 // engine charges this as modeled wire cost without materializing bytes, so
 // it must agree byte-for-byte with AppendSnapshot.
 func (m *VM) SnapshotSize() int {
-	n := value.EnvWireSize(m.vars) + 4
+	n := 4 + 4
+	m.eachVar(func(name string, v value.Value) { n += 4 + len(name) + v.WireSize() })
 	for i := range m.frames {
 		n += 12
 		for _, lv := range m.frames[i].locals {
@@ -65,8 +74,26 @@ func (m *VM) SnapshotSize() int {
 	return n
 }
 
-// WireSize is SnapshotSize under the name the cost-model call sites use.
-func (m *VM) WireSize() int { return m.SnapshotSize() }
+// eachVar calls f for every Messenger variable in strictly increasing name
+// order: the table's sorted slots that hold one, merged with the tail.
+func (m *VM) eachVar(f func(name string, v value.Value)) {
+	vt := m.prog.VarTable()
+	tail := m.tail
+	for _, s := range vt.Sorted {
+		if !m.present[s] && m.vars[s].IsNil() {
+			continue
+		}
+		name := vt.Names[s]
+		for len(tail) > 0 && tail[0].name < name {
+			f(tail[0].name, tail[0].v)
+			tail = tail[1:]
+		}
+		f(name, m.vars[s])
+	}
+	for _, tv := range tail {
+		f(tv.name, tv.v)
+	}
+}
 
 // Restore rebuilds a VM from a snapshot against its program. For verified
 // programs (every compiled or wire-decoded program) the restored state is
@@ -87,24 +114,22 @@ func Restore(prog *bytecode.Program, buf []byte) (*VM, error) {
 type Berth VM
 
 // Release ends the VM's life as a Messenger and returns its storage as a
-// Berth: the variable map (emptied), the frame slice, the arena slab and the
+// Berth: the variable area (emptied), the frame slice, the arena slab and the
 // threaded loop's scratch. Every Value is cleared here, not at reuse, so a
 // parked berth pins nothing the Messenger carried. m must not be used
 // afterwards.
 func (m *VM) Release() *Berth {
 	clear(m.vars)
+	clear(m.present)
 	clear(m.frames)
-	clear(m.mslots)
-	clear(m.mdirty)
 	m.arena.Reset()
 	if m.tx != nil {
 		*m.tx = texec{}
 	}
 	// Everything not named here starts over: locals and stack that spilled
-	// to the heap, the profile and meter of the last daemon, the dispatch
-	// mode, the slot cache's validity.
-	*m = VM{prog: m.prog, vars: m.vars, frames: m.frames[:0], arena: m.arena,
-		mslots: m.mslots, mdirty: m.mdirty, tx: m.tx, intern: m.intern}
+	// to the heap, the tail (dropped, not cleared: clones may share it), the
+	// profile and meter of the last daemon, the dispatch mode.
+	*m = VM{prog: m.prog, vars: m.vars, present: m.present, frames: m.frames[:0], arena: m.arena, tx: m.tx}
 	return (*Berth)(m)
 }
 
@@ -112,24 +137,17 @@ func (m *VM) Release() *Berth {
 // result is the berth's VM, indistinguishable from a freshly restored one
 // (same checks, same errors) but built without allocating when the snapshot
 // fits what the last occupant used. Variable names the program mentions are
-// taken from a per-berth intern table, never from buf, so nothing restored
-// aliases the snapshot bytes. A nil berth, or one released by a VM of a
+// its table's, never taken from buf, so nothing restored aliases the
+// snapshot bytes. A nil berth, or one released by a VM of a
 // different program (its slab was sized by another verifier proof), means a
 // fresh VM. When the restore fails the berth is released again: reusable,
 // never half-filled.
 func RestoreInto(berth *Berth, prog *bytecode.Program, buf []byte) (*VM, error) {
 	m := (*VM)(berth)
 	if m == nil || m.prog != prog {
-		// The arena is sized by the verifier's metadata for the main body —
-		// for the dominant single-frame hop snapshot, the restored locals
-		// and operand stack land in one contiguous slab (deeper snapshots
-		// spill to the heap transparently).
-		m = &VM{prog: prog, arena: newArenaFor(prog)}
-	} else if m.intern == nil {
-		m.intern = make(map[string]string, len(prog.Names))
-		for _, name := range prog.Names {
-			m.intern[name] = name
-		}
+		// A single-frame snapshot's locals and stack land in one slab of
+		// the new arena; deeper ones spill to the heap transparently.
+		m = newVM(prog)
 	}
 	if err := m.restore(buf); err != nil {
 		m.Release()
@@ -143,7 +161,27 @@ func RestoreInto(berth *Berth, prog *bytecode.Program, buf []byte) (*VM, error) 
 func (m *VM) restore(buf []byte) error {
 	prog := m.prog
 	d := wire.NewDecoder(buf)
-	m.vars = value.DecodeEnvFrom(&d, m.vars, m.intern)
+	// A variable the program references lands in its slot, any other in the
+	// tail. Names must strictly increase, so one merge with the table's
+	// sorted order finds the slots. A variable is at least five bytes.
+	vt := prog.VarTable()
+	sorted := vt.Sorted
+	var prev []byte
+	for i, n := 0, d.Count(5); i < n && d.Err() == nil; i++ {
+		name := d.Blob()
+		if i > 0 && d.Err() == nil && bytes.Compare(prev, name) >= 0 {
+			return fmt.Errorf("vm: snapshot variable %q does not follow %q in name order", name, prev)
+		}
+		prev = name
+		for len(sorted) > 0 && vt.Names[sorted[0]] < string(name) {
+			sorted = sorted[1:]
+		}
+		if v := value.DecodeFrom(&d); len(sorted) > 0 && vt.Names[sorted[0]] == string(name) {
+			m.vars[sorted[0]], m.present[sorted[0]] = v, true
+		} else {
+			m.tail = append(m.tail, namedVar{string(name), v})
+		}
+	}
 	// A frame is three words and its locals; a value is at least its tag.
 	nframes := d.Count(12)
 	if d.Err() == nil && (nframes < 1 || nframes > maxCallDepth) {
@@ -244,10 +282,10 @@ func (m *VM) checkResumeState() error {
 			len(m.stack), want)
 	}
 	top := m.top()
-	for _, name := range m.prog.TrackedVars() {
-		if k := m.prog.VarKind(top.fn, top.pc, name); !k.Matches(m.vars[name].Kind()) {
+	for s, name := range m.prog.VarTable().Names {
+		if k := m.prog.VarKind(top.fn, top.pc, s); !k.Matches(m.vars[s].Kind()) {
 			return fmt.Errorf("vm: snapshot variable %q is %v where the verifier proved %v at %q@%d",
-				name, m.vars[name].Kind(), k, m.prog.Funcs[top.fn].Name, top.pc)
+				name, m.vars[s].Kind(), k, m.prog.Funcs[top.fn].Name, top.pc)
 		}
 	}
 	return nil

@@ -245,11 +245,11 @@ func specCmpJzII(op bytecode.Op) dhandler {
 // specII reads the loop-head operands for a slot compare: Messenger slot A
 // against slot B or the inline constant, both proven Int, already promoted.
 func (t *texec) specII(d *bytecode.DInstr, constB bool) (x, y float64) {
-	x = float64(t.slots[d.A].IntRaw())
+	x = float64(t.m.vars[d.A].IntRaw())
 	if constB {
 		y = float64(d.Val.IntRaw())
 	} else {
-		y = float64(t.slots[d.B].IntRaw())
+		y = float64(t.m.vars[d.B].IntRaw())
 	}
 	return x, y
 }
@@ -341,14 +341,7 @@ func specArithStoreII(op bytecode.Op) dhandler {
 
 func (t *texec) specStoreInt(d *bytecode.DInstr, r int64) {
 	t.sp -= 2
-	t.slots[d.A].SetInt(r)
-	t.dirty[d.A] = true
-}
-
-func (t *texec) specStoreNum(d *bytecode.DInstr, r float64) {
-	t.sp -= 2
-	t.slots[d.A].SetNum(r)
-	t.dirty[d.A] = true
+	t.m.vars[d.A].SetInt(r)
 }
 
 // specArithStoreNN: the proven-float arith-store; faultless.
@@ -356,7 +349,8 @@ func specArithStoreNN(op bytecode.Op) dhandler {
 	f := floatOp(op)
 	return func(t *texec, d *bytecode.DInstr) bool {
 		a, b := &t.stack[t.sp-2], &t.stack[t.sp-1]
-		t.specStoreNum(d, f(a.NumRaw(), b.NumRaw()))
+		t.sp -= 2
+		t.m.vars[d.A].SetNum(f(a.NumRaw(), b.NumRaw()))
 		return true
 	}
 }
@@ -368,35 +362,30 @@ func specSlotArithStoreII(op bytecode.Op) dhandler {
 	switch op {
 	case bytecode.OpAdd:
 		return func(t *texec, d *bytecode.DInstr) bool {
-			t.specIncStore(d, t.slots[d.A].IntRaw()+d.Val.IntRaw())
+			t.m.vars[d.B].SetInt(t.m.vars[d.A].IntRaw() + d.Val.IntRaw())
 			return true
 		}
 	case bytecode.OpSub:
 		return func(t *texec, d *bytecode.DInstr) bool {
-			t.specIncStore(d, t.slots[d.A].IntRaw()-d.Val.IntRaw())
+			t.m.vars[d.B].SetInt(t.m.vars[d.A].IntRaw() - d.Val.IntRaw())
 			return true
 		}
 	case bytecode.OpMul:
 		return func(t *texec, d *bytecode.DInstr) bool {
-			t.specIncStore(d, t.slots[d.A].IntRaw()*d.Val.IntRaw())
+			t.m.vars[d.B].SetInt(t.m.vars[d.A].IntRaw() * d.Val.IntRaw())
 			return true
 		}
 	case bytecode.OpDiv:
 		return func(t *texec, d *bytecode.DInstr) bool {
-			t.specIncStore(d, t.slots[d.A].IntRaw()/d.Val.IntRaw())
+			t.m.vars[d.B].SetInt(t.m.vars[d.A].IntRaw() / d.Val.IntRaw())
 			return true
 		}
 	default: // OpMod
 		return func(t *texec, d *bytecode.DInstr) bool {
-			t.specIncStore(d, t.slots[d.A].IntRaw()%d.Val.IntRaw())
+			t.m.vars[d.B].SetInt(t.m.vars[d.A].IntRaw() % d.Val.IntRaw())
 			return true
 		}
 	}
-}
-
-func (t *texec) specIncStore(d *bytecode.DInstr, r int64) {
-	t.slots[d.B].SetInt(r)
-	t.dirty[d.B] = true
 }
 
 // specLocalIncII is specSlotArithStoreII over local slots A and B (the

@@ -1,15 +1,14 @@
 // Token-threaded dispatch: the verified fast path of the interpreter.
 //
 // The switch loop in vm.go re-decodes every instruction on every execution:
-// a map lookup per Messenger-variable access, a constant clone per push, an
-// append (with its capacity check) per stack write. For a verified program
-// the bytecode verifier has already proven every jump in range, every stack
-// depth exact, and every nav statement at a boundary — so this file spends
-// that proof. Execution runs over the program's lowered direct stream
-// (bytecode.Lowered): one handler function per direct opcode, indexed from
-// a flat table, operating on a flattened frame (locals, stack base+sp,
-// Messenger-variable slots) with raw indexed stack access whose bounds the
-// verifier guarantees.
+// a table lookup per Messenger-variable access, a constant clone per push,
+// an append (with its capacity check) per stack write. For a verified
+// program the bytecode verifier has already proven every jump in range,
+// every stack depth exact, and every nav statement at a boundary — so this
+// file spends that proof. Execution runs over the program's lowered direct
+// stream (bytecode.Lowered): one handler function per direct opcode, indexed
+// from a flat table, operating on a flattened frame (locals, stack base+sp)
+// with raw indexed stack access whose bounds the verifier guarantees.
 //
 // The switch loop remains authoritative: it runs unverified programs, is
 // the oracle the differential tests compare against, and takes over
@@ -25,9 +24,9 @@
 //     switch loop exactly;
 //   - every resume point a snapshot can name (jump targets, successors of
 //     pause opcodes) starts a direct instruction (lowering guarantees it);
-//   - m.vars stays authoritative at segment boundaries: dirty Messenger
-//     slots are flushed back on every exit path before anyone can observe
-//     the map.
+//   - Messenger-variable operands are VarTable slots, so handlers work on
+//     m.vars in place; only a plain store marks m.present, since no other
+//     store can leave nil behind.
 package vm
 
 import (
@@ -82,10 +81,10 @@ func (d Dispatch) String() string {
 func (m *VM) SetDispatch(d Dispatch) { m.dispatch = d }
 
 // texec is the threaded loop's flattened execution state: the top frame's
-// fields live in locals/dpc/fn, the operand stack is a base slice plus an
-// index (raw writes, no append), and Messenger variables are slot arrays.
-// It is scratch state, rebuilt from the VM at segment start and flushed
-// back at every exit; only the VM's own fields survive between segments.
+// fields live in locals/dpc/fn and the operand stack is a base slice plus an
+// index (raw writes, no append). It is scratch state, rebuilt from the VM at
+// segment start and flushed back at every exit; only the VM's own fields
+// survive between segments.
 type texec struct {
 	m    *VM
 	host Host
@@ -98,9 +97,6 @@ type texec struct {
 	locals []value.Value
 	stack  []value.Value
 	sp     int
-
-	slots []value.Value
-	dirty []bool
 
 	steps *int64
 	limit int64
@@ -155,9 +151,8 @@ func (t *texec) resumeSrc() int {
 	return len(t.m.prog.Funcs[t.fn].Code)
 }
 
-// flush writes the flattened state back to the VM with the top frame
-// resuming at source PC src. After flush, m.vars and m.frames are
-// authoritative again and the Messenger-slot cache mirrors them.
+// flush writes the flattened frame and stack back to the VM with the top
+// frame resuming at source PC src.
 func (t *texec) flush(src int) {
 	m := t.m
 	m.stack = t.stack[:t.sp]
@@ -166,13 +161,6 @@ func (t *texec) flush(src int) {
 	top.fn = t.fn
 	top.pc = src
 	top.locals = t.locals
-	names := t.low.MVars
-	for i, d := range t.dirty {
-		if d {
-			m.vars[names[i]] = t.slots[i]
-			t.dirty[i] = false
-		}
-	}
 }
 
 // tail hands the segment to the switch loop at the current source
@@ -256,22 +244,6 @@ func (m *VM) runThreaded(host Host, low *bytecode.Lowered, limit int64, steps *i
 	t.steps, t.limit = steps, limit
 	t.err, t.done = nil, false
 
-	// Messenger-variable slots: resync from the map only when something
-	// outside the threaded loop may have touched it since the last flush.
-	if len(m.mslots) != len(low.MVars) {
-		m.mslots = make([]value.Value, len(low.MVars))
-		m.mdirty = make([]bool, len(low.MVars))
-		m.slotsClean = false
-	}
-	if !m.slotsClean {
-		for i, name := range low.MVars {
-			m.mslots[i] = m.vars[name]
-			m.mdirty[i] = false
-		}
-		m.slotsClean = true
-	}
-	t.slots, t.dirty = m.mslots, m.mdirty
-
 	// Stack: adopt the VM's operand stack into the raw backing; in-frame
 	// growth is bounded by the verifier's MaxStack, checked once here and
 	// once per call.
@@ -316,12 +288,11 @@ func init() {
 		return true
 	}
 	h[bytecode.DLoadM] = func(t *texec, d *bytecode.DInstr) bool {
-		t.push(t.slots[d.A])
+		t.push(t.m.vars[d.A])
 		return true
 	}
 	h[bytecode.DStoreM] = func(t *texec, d *bytecode.DInstr) bool {
-		t.slots[d.A] = t.pop()
-		t.dirty[d.A] = true
+		t.m.vars[d.A], t.m.present[d.A] = t.pop(), true
 		return true
 	}
 	h[bytecode.DLoadN] = func(t *texec, d *bytecode.DInstr) bool {
@@ -550,7 +521,7 @@ func init() {
 	h[bytecode.DFConstDiv] = constArithHandler(bytecode.OpDiv)
 	h[bytecode.DFConstMod] = constArithHandler(bytecode.OpMod)
 	h[bytecode.DFLoadMConst] = func(t *texec, d *bytecode.DInstr) bool {
-		t.stack[t.sp] = t.slots[d.A]
+		t.stack[t.sp] = t.m.vars[d.A]
 		t.stack[t.sp+1] = d.Val
 		t.sp += 2
 		return true
@@ -562,8 +533,8 @@ func init() {
 		return true
 	}
 	h[bytecode.DFLoadMM] = func(t *texec, d *bytecode.DInstr) bool {
-		t.stack[t.sp] = t.slots[d.A]
-		t.stack[t.sp+1] = t.slots[d.B]
+		t.stack[t.sp] = t.m.vars[d.A]
+		t.stack[t.sp+1] = t.m.vars[d.B]
 		t.sp += 2
 		return true
 	}
@@ -754,9 +725,8 @@ func arithStoreHandler(op bytecode.Op) dhandler {
 	nop := numOp(op)
 	return func(t *texec, d *bytecode.DInstr) bool {
 		a, b := &t.stack[t.sp-2], &t.stack[t.sp-1]
-		if value.FastBinary(nop, a, b, &t.slots[d.A]) {
+		if value.FastBinary(nop, a, b, &t.m.vars[d.A]) {
 			t.sp -= 2
-			t.dirty[d.A] = true
 			return true
 		}
 		bv, av := t.pop(), t.pop()
@@ -765,14 +735,12 @@ func arithStoreHandler(op bytecode.Op) dhandler {
 			t.refundLast(d)
 			return t.fail(d.Src, "%v", err)
 		}
-		t.slots[d.A] = r
-		t.dirty[d.A] = true
+		t.m.vars[d.A] = r
 		return true
 	}
 }
 
-// localArithStoreHandler is arithStoreHandler into local slot A, which has
-// no dirty bit.
+// localArithStoreHandler is arithStoreHandler into local slot A.
 func localArithStoreHandler(op bytecode.Op) dhandler {
 	nop := numOp(op)
 	return func(t *texec, d *bytecode.DInstr) bool {
@@ -798,10 +766,10 @@ func localArithStoreHandler(op bytecode.Op) dhandler {
 // can fault (third of four: two loads executed, trailing jz refunded).
 func slotCmpJzHandler(op bytecode.Op, constB bool) dhandler {
 	return func(t *texec, d *bytecode.DInstr) bool {
-		a := &t.slots[d.A]
+		a := &t.m.vars[d.A]
 		b := &d.Val
 		if !constB {
-			b = &t.slots[d.B]
+			b = &t.m.vars[d.B]
 		}
 		cmp, ok := value.FastCompare(a, b)
 		if !ok {
@@ -844,9 +812,8 @@ func localCmpJzHandler(op bytecode.Op) dhandler {
 func slotArithStoreHandler(op bytecode.Op) dhandler {
 	nop := numOp(op)
 	return func(t *texec, d *bytecode.DInstr) bool {
-		a := &t.slots[d.A]
-		if value.FastBinary(nop, a, &d.Val, &t.slots[d.B]) {
-			t.dirty[d.B] = true
+		a := &t.m.vars[d.A]
+		if value.FastBinary(nop, a, &d.Val, &t.m.vars[d.B]) {
 			return true
 		}
 		r, err := arith(op, *a, d.Val)
@@ -854,8 +821,7 @@ func slotArithStoreHandler(op bytecode.Op) dhandler {
 			t.refundLast(d)
 			return t.fail(d.Src+2, "%v", err)
 		}
-		t.slots[d.B] = r
-		t.dirty[d.B] = true
+		t.m.vars[d.B] = r
 		return true
 	}
 }

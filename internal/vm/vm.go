@@ -19,7 +19,9 @@ package vm
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 
 	"messengers/internal/bytecode"
 	"messengers/internal/value"
@@ -126,8 +128,17 @@ func OpName(i int) string { return bytecode.Op(i).String() }
 
 // VM is the execution state of one Messenger.
 type VM struct {
-	prog   *bytecode.Program
-	vars   map[string]value.Value
+	prog *bytecode.Program
+
+	// vars is the Messenger-variable area, indexed by the program's
+	// VarTable; a slot holds a variable when it is not nil or present
+	// marks it (only a plain store, New and a restore leave nil there).
+	// tail holds the injected variables the program never references,
+	// sorted by name and never written after New or a restore (docs/VM.md).
+	vars    []value.Value
+	present []bool
+	tail    []namedVar
+
 	stack  []value.Value
 	frames []frame
 	prof   *Profile
@@ -135,22 +146,12 @@ type VM struct {
 
 	// Fast-path state (see threaded.go). arena backs locals and the stack
 	// so a Messenger's values sit in one slab; stackBuf is the raw operand
-	// stack backing the threaded loop indexes into; mslots/mdirty cache
-	// Messenger variables as slots, valid while slotsClean (any external
-	// access to the vars map invalidates them); tx is the reusable
+	// stack backing the threaded loop indexes into; tx is the reusable
 	// per-segment execution scratch.
-	dispatch   Dispatch
-	arena      *value.Arena
-	stackBuf   []value.Value
-	mslots     []value.Value
-	mdirty     []bool
-	slotsClean bool
-	tx         *texec
-
-	// intern maps the program's names to themselves: a VM restored into a
-	// berth (snapshot.go) takes its variable names from here instead of
-	// copying them out of the snapshot. Nil until the VM's storage is reused.
-	intern map[string]string
+	dispatch Dispatch
+	arena    *value.Arena
+	stackBuf []value.Value
+	tx       *texec
 
 	// segThreaded counts the source instructions the last Run segment
 	// executed on the threaded path.
@@ -195,17 +196,6 @@ func (m *VM) SetMeter(sm StepMeter) { m.meter = sm }
 // memory.
 const arenaHeadroom = 8
 
-// newArenaFor sizes a VM's value arena from the verifier's metadata for
-// the main body: its locals plus its proven worst-case operand stack, with
-// a little call headroom. Unverified programs get no arena (nil is a valid
-// Arena receiver that always falls back to the heap).
-func newArenaFor(prog *bytecode.Program) *value.Arena {
-	if !prog.Verified() {
-		return nil
-	}
-	return value.NewArena(prog.Funcs[0].NumLocals + prog.MaxStack(0) + arenaHeadroom)
-}
-
 // allocValues serves locals/stack allocations from the arena when one is
 // attached, the heap otherwise.
 func (m *VM) allocValues(n int) []value.Value {
@@ -215,16 +205,37 @@ func (m *VM) allocValues(n int) []value.Value {
 	return make([]value.Value, n)
 }
 
-// New returns a VM at the start of the program's main body with the given
-// initial Messenger variables (may be nil).
-func New(prog *bytecode.Program, vars map[string]value.Value) *VM {
-	if vars == nil {
-		vars = map[string]value.Value{}
+// namedVar is one variable of a VM's tail.
+type namedVar struct {
+	name string
+	v    value.Value
+}
+
+// newVM returns a VM of prog that holds no state yet. Its variable area is
+// sized by the program's table, its value arena by the verifier's metadata
+// for the main body: the locals plus the proven worst-case operand stack,
+// with a little call headroom. Unverified programs get no arena (nil is a
+// valid Arena receiver that always falls back to the heap).
+func newVM(prog *bytecode.Program) *VM {
+	n := len(prog.VarTable().Names)
+	m := &VM{prog: prog, vars: make([]value.Value, n), present: make([]bool, n)}
+	if prog.Verified() {
+		m.arena = value.NewArena(prog.Funcs[0].NumLocals + prog.MaxStack(0) + arenaHeadroom)
 	}
-	m := &VM{
-		prog:  prog,
-		vars:  vars,
-		arena: newArenaFor(prog),
+	return m
+}
+
+// New returns a VM at the start of the program's main body with the given
+// initial Messenger variables (may be nil). The VM takes the values, not
+// the map.
+func New(prog *bytecode.Program, vars map[string]value.Value) *VM {
+	m, vt := newVM(prog), prog.VarTable()
+	for _, name := range slices.Sorted(maps.Keys(vars)) {
+		if s, ok := vt.Lookup(name); ok {
+			m.vars[s], m.present[s] = vars[name], true
+		} else {
+			m.tail = append(m.tail, namedVar{name, vars[name]})
+		}
 	}
 	m.frames = []frame{{fn: 0, locals: m.allocValues(prog.Funcs[0].NumLocals)}}
 	return m
@@ -233,22 +244,16 @@ func New(prog *bytecode.Program, vars map[string]value.Value) *VM {
 // Program returns the program this VM executes.
 func (m *VM) Program() *bytecode.Program { return m.prog }
 
-// Vars exposes the Messenger-variable area (the state that travels with the
-// Messenger). Handing out the map invalidates the threaded loop's slot
-// cache — the caller may mutate it.
+// Vars returns a deep copy of the Messenger variables (the state that
+// travels with the Messenger) by name.
 func (m *VM) Vars() map[string]value.Value {
-	m.slotsClean = false
-	return m.vars
+	out := map[string]value.Value{}
+	m.eachVar(func(name string, v value.Value) { out[name] = v.Clone() })
+	return out
 }
 
-// Var reads one Messenger variable.
-func (m *VM) Var(name string) value.Value { return m.vars[name] }
-
-// SetVar writes one Messenger variable (used for injection parameters).
-func (m *VM) SetVar(name string, v value.Value) {
-	m.slotsClean = false
-	m.vars[name] = v
-}
+// Var reads one Messenger variable, as a deep copy; nil when unset.
+func (m *VM) Var(name string) value.Value { return m.Vars()[name] }
 
 // ThreadedSteps reports how many of the last Run segment's source
 // instructions ran on the threaded fast path; the rest of Result.Steps ran
@@ -264,26 +269,27 @@ func (m *VM) PushResult(v value.Value) { m.push(v) }
 
 // Clone deep-copies the VM (Messenger replication on multi-destination
 // hops). The clone gets its own arena — replicas outlive each other and
-// may execute on different daemons.
+// may execute on different daemons — and shares only the tail, which
+// nothing writes.
 func (m *VM) Clone() *VM {
-	c := &VM{
-		prog:   m.prog,
-		vars:   value.CloneEnv(m.vars),
-		frames: make([]frame, len(m.frames)),
-		arena:  newArenaFor(m.prog),
-	}
-	c.stack = c.allocValues(len(m.stack))
-	for i, v := range m.stack {
-		c.stack[i] = v.Clone()
-	}
+	c := newVM(m.prog)
+	cloneValues(c.vars, m.vars)
+	copy(c.present, m.present)
+	c.tail = m.tail
+	c.stack = cloneValues(c.allocValues(len(m.stack)), m.stack)
+	c.frames = make([]frame, len(m.frames))
 	for i, fr := range m.frames {
-		nf := frame{fn: fr.fn, pc: fr.pc, locals: c.allocValues(len(fr.locals))}
-		for j, lv := range fr.locals {
-			nf.locals[j] = lv.Clone()
-		}
-		c.frames[i] = nf
+		c.frames[i] = frame{fn: fr.fn, pc: fr.pc, locals: cloneValues(c.allocValues(len(fr.locals)), fr.locals)}
 	}
 	return c
+}
+
+// cloneValues deep-copies src into dst, which it returns.
+func cloneValues(dst, src []value.Value) []value.Value {
+	for i, v := range src {
+		dst[i] = v.Clone()
+	}
+	return dst
 }
 
 func (m *VM) push(v value.Value) { m.stack = append(m.stack, v) }
@@ -364,9 +370,7 @@ func (m *VM) runSwitch(host Host, maxSteps, limit int64, metered bool, stepsp *i
 	// PCs against the same metadata). Unverified programs — hand-built in
 	// tests — keep the dynamic guard.
 	verified := m.prog.Verified()
-	// The switch loop stores Messenger variables straight into the map, so
-	// any slot cache the threaded loop left behind goes stale here.
-	m.slotsClean = false
+	vt := m.prog.VarTable()
 	steps := *stepsp
 	defer func() { *stepsp = steps }()
 	for {
@@ -402,9 +406,10 @@ func (m *VM) runSwitch(host Host, maxSteps, limit int64, metered bool, stepsp *i
 			m.push(m.prog.Consts[ins.A].Clone())
 
 		case bytecode.OpLoadM:
-			m.push(m.vars[m.prog.Names[ins.A]])
+			m.push(m.vars[vt.Slot[ins.A]])
 		case bytecode.OpStoreM:
-			m.vars[m.prog.Names[ins.A]] = m.pop()
+			s := vt.Slot[ins.A]
+			m.vars[s], m.present[s] = m.pop(), true
 
 		case bytecode.OpLoadN:
 			m.push(host.NodeVar(m.prog.Names[ins.A]))

@@ -609,8 +609,8 @@ func TestSnapshotRestoreMidExecution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m.WireSize(); got != len(snap) {
-		t.Errorf("WireSize = %d, snapshot = %d bytes", got, len(snap))
+	if got := m.SnapshotSize(); got != len(snap) {
+		t.Errorf("SnapshotSize = %d, snapshot = %d bytes", got, len(snap))
 	}
 	m2, err := Restore(prog, snap)
 	if err != nil {

@@ -3,6 +3,7 @@ package messengers
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -282,5 +283,84 @@ func TestRegisterWhileScriptsInject(t *testing.T) {
 	vars, _ := sys.ReadNodeVars(0, "init")
 	if sent, born := vars["sent"].AsInt(), vars["born"].AsInt(); sent == 0 || sent != born {
 		t.Errorf("parent injected %d children, %d ran", sent, born)
+	}
+}
+
+// TestReplicasShareNothingMutable: a hop with three matching links clones
+// a Messenger that carries an injected array it never references and a nil
+// variable, and the replicas run on three daemons at once. Each replica
+// stores into its own variables, and under recovery every remote hop
+// snapshots its replica (reading the shared tail) and releases it, while
+// its siblings do the same on other daemons. The node variables must equal
+// the simulator's sequential run, and the race detector is the judge of
+// the rest (CI runs this under -race -cpu 2,4).
+func TestReplicasShareNothingMutable(t *testing.T) {
+	const n = 40
+	spec := NetSpec{
+		Nodes: []NetNode{{Name: "hub", Daemon: 0}, {Name: "a", Daemon: 1}, {Name: "b", Daemon: 2}, {Name: "c", Daemon: 3}},
+		Links: []NetLink{
+			{A: "hub", B: "a", Name: "spoke"}, {A: "hub", B: "b", Name: "spoke"}, {A: "hub", B: "c", Name: "spoke"},
+			{A: "a", B: "b", Name: "ring", Dir: 1}, {A: "b", B: "c", Name: "ring", Dir: 1}, {A: "c", B: "a", Name: "ring", Dir: 1},
+		},
+	}
+	run := func(sys *System, wait func()) map[string]map[string]Value {
+		t.Helper()
+		defer sys.Close()
+		if err := sys.BuildNetwork(spec); err != nil {
+			t.Fatal(err)
+		}
+		err := sys.CompileAndRegister("replica", `
+			hop(ll = "spoke");
+			origin = $daemon;
+			gap = nil;
+			for (k = 0; k < n; k++) {
+				acc = acc + k * origin;
+				hop(ll = "ring", ldir = +);
+				node.visits = node.visits + 1;
+				node.acc = node.acc + acc;
+				node.gaps = node.gaps + (gap == nil);
+			}
+		`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = sys.InjectAt(0, "replica", "hub", map[string]Value{
+			"n":     IntValue(n),
+			"gap":   IntValue(1),
+			"cargo": ArrValue([]Value{IntValue(7), StrValue("aboard"), ArrValue([]Value{NumValue(0.5)})}),
+			"hole":  NilValue(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wait()
+		for _, err := range sys.Errors() {
+			t.Errorf("runtime error: %v", err)
+		}
+		out := map[string]map[string]Value{}
+		for d, name := range []string{"hub", "a", "b", "c"} {
+			out[name], _ = sys.ReadNodeVars(d, name)
+		}
+		return out
+	}
+	seq, err := NewSimSystem(Config{Daemons: 4, Recovery: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := run(seq, func() { seq.RunSim() })
+	par, err := NewRealSystem(Config{Daemons: 4, Recovery: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := run(par, par.Wait)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("replicas on three daemons left %v, the sequential run %v", got, want)
+	}
+	visits := 0
+	for _, vars := range want {
+		visits += int(vars["visits"].AsInt())
+	}
+	if visits != 3*n {
+		t.Errorf("%d visits, want %d", visits, 3*n)
 	}
 }

@@ -20,7 +20,7 @@ func TestVerifierGolden(t *testing.T) {
 	for _, p := range shippedPrograms(t) {
 		fmt.Fprintf(&b, "=== %s\n", p.Name)
 		b.WriteString(p.DisassembleKinds())
-		vars := p.TrackedVars()
+		vars := p.VarTable().Names
 		for fi := range p.Funcs {
 			f := &p.Funcs[fi]
 			for pc := range f.Code {
@@ -36,7 +36,7 @@ func TestVerifierGolden(t *testing.T) {
 					if i > 0 {
 						b.WriteByte(' ')
 					}
-					fmt.Fprintf(&b, "%s:%s", name, p.VarKind(fi, pc, name))
+					fmt.Fprintf(&b, "%s:%s", name, p.VarKind(fi, pc, i))
 				}
 				b.WriteString(")\n")
 			}
