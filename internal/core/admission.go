@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	"messengers/internal/bytecode"
-	"messengers/internal/obs"
 	"messengers/internal/sim"
 	"messengers/internal/value"
 	"messengers/internal/vm"
@@ -84,23 +83,25 @@ func (d *Daemon) resolveGate(tenant string, session uint64) SessionGate {
 	return d.sys.gate.Session(tenant, session)
 }
 
-// evict destroys a Messenger that exceeded its tenant's quota. Unlike
-// fail, the error is not recorded in the system error list: quota
-// eviction is expected behavior under load, reported through metrics and
-// the gate, not as a program bug.
-func (d *Daemon) evict(m *Messenger, err error) {
-	d.Stats.Evicted++
-	if d.om != nil {
-		d.om.evicted.Inc()
+// chargeNav vets a Messenger about to replicate n ways. Nav boundaries are
+// where quota enforcement bites: the Messenger is about to occupy the
+// network, so its serialized size is checked against the tenant's memory
+// cap and one hop per replica is charged against the hop-rate bucket before
+// anything replicates. A Messenger over either is evicted, and chargeNav
+// reports false.
+func (d *Daemon) chargeNav(m *Messenger, n int) bool {
+	if m.gate == nil {
+		return true
 	}
-	if d.tr != nil {
-		d.tr.Instant(d.id, "msgr", "evict", msgrID(m.ID), obs.S("err", err.Error()))
+	err := m.gate.CheckMem(m.VM.SnapshotSize())
+	if err == nil {
+		err = m.gate.ChargeHop(d.eng.Now(), n)
 	}
-	if m.gate != nil {
-		m.gate.Evicted(err)
+	if err != nil {
+		d.end(m.ID, m.Tenant, m.Session, m.gate, endEvict, err)
+		return false
 	}
-	delete(d.active, m.ID)
-	d.sys.sessionWork(m.Tenant, m.Session, -1)
+	return true
 }
 
 // InjectSession injects a tenant-tagged Messenger of a verified program

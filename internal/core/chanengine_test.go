@@ -265,7 +265,7 @@ func TestExecQueueRunDrainsOnClose(t *testing.T) {
 
 func TestLaneForClassifiesKinds(t *testing.T) {
 	control := []MsgKind{MsgGVTNotify, MsgGVTQuery, MsgGVTReport, MsgGVTAdvance,
-		MsgGVTToken, MsgHopAck, MsgHeartbeat, MsgHalt}
+		MsgGVTToken, MsgHopAck, MsgHeartbeat}
 	for _, k := range control {
 		if LaneFor(k) != LaneControl {
 			t.Errorf("LaneFor(%v) = %v, want LaneControl", k, LaneFor(k))

@@ -260,52 +260,74 @@ func (d *Daemon) ParkVM(mvm *vm.VM) {
 	}
 }
 
-// fail destroys a Messenger due to a runtime error.
-func (d *Daemon) fail(m *Messenger, err error) {
-	d.Stats.Errors++
+// endKind is how a Messenger's life ended. It picks the end's Stats field,
+// registry counter and msgr trace instant.
+type endKind uint8
+
+const (
+	endFinish endKind = iota // ran past its program's last statement
+	endDie                   // no destination matched, or its node was deleted under it
+	endError                 // a runtime error, or a snapshot that would not restore or serialise
+	endEvict                 // its session's quota tripped
+	numEnds
+)
+
+// endNames are the ends' msgr trace instants.
+var endNames = [numEnds]string{endFinish: "terminate", endDie: "die", endError: "error", endEvict: "evict"}
+
+// end retires Messenger id, resident here or still in the message that
+// carried it: the one place a Messenger's life ends. It counts and traces
+// the end, tells the session's gate of an eviction, records an error and
+// releases the Messenger's liveness slot. An eviction is not recorded as an
+// error: quota enforcement is expected under load, reported through metrics
+// and the gate, not a program bug.
+func (d *Daemon) end(id uint64, tenant string, session uint64, gate SessionGate, how endKind, err error) {
+	switch how {
+	case endFinish:
+		d.Stats.Finished++
+	case endDie:
+		d.Stats.Died++
+	case endError:
+		d.Stats.Errors++
+	case endEvict:
+		d.Stats.Evicted++
+	}
 	if d.om != nil {
-		d.om.errs.Inc()
+		d.om.ends[how].Inc()
 	}
 	if d.tr != nil {
-		d.tr.Instant(d.id, "msgr", "error", msgrID(m.ID), obs.S("err", err.Error()))
+		if err != nil {
+			d.tr.Instant(d.id, "msgr", endNames[how], msgrID(id), obs.S("err", err.Error()))
+		} else {
+			d.tr.Instant(d.id, "msgr", endNames[how], msgrID(id))
+		}
 	}
-	delete(d.active, m.ID)
-	d.sys.recordError(fmt.Errorf("daemon %d, messenger %d: %w", d.id, m.ID, err))
-	d.sys.sessionWork(m.Tenant, m.Session, -1)
+	if how == endEvict && gate != nil {
+		gate.Evicted(err)
+	}
+	delete(d.active, id)
+	if how == endError {
+		d.sys.recordError(fmt.Errorf("daemon %d, messenger %d: %w", d.id, id, err))
+	}
+	d.sys.sessionWork(tenant, session, -1)
 }
 
-// die destroys a Messenger that has no matching destination (the hop
-// semantics: replicate to all matching destinations — zero matches means
-// the Messenger ceases to exist).
-func (d *Daemon) die(m *Messenger) {
-	d.Stats.Died++
-	if d.om != nil {
-		d.om.died.Inc()
-	}
-	if d.tr != nil {
-		d.tr.Instant(d.id, "msgr", "die", msgrID(m.ID))
-	}
-	delete(d.active, m.ID)
-	d.sys.sessionWork(m.Tenant, m.Session, -1)
+// resident makes a Messenger resident on this daemon. It is the type's one
+// constructor: for a Messenger restored from an arrival, a create or an
+// injection, and for a replica that hops or creates locally.
+func (d *Daemon) resident(id uint64, mvm *vm.VM, node logical.NodeID, last string, lvt float64,
+	tenant string, session uint64, gate SessionGate) *Messenger {
+	m := &Messenger{ID: id, VM: mvm, Node: node, Last: last, LVT: lvt,
+		Tenant: tenant, Session: session, gate: gate}
+	d.active[id] = m
+	return m
 }
 
-// finish completes a Messenger normally.
-func (d *Daemon) finish(m *Messenger) {
-	d.Stats.Finished++
-	if d.om != nil {
-		d.om.finished.Inc()
-	}
-	if d.tr != nil {
-		d.tr.Instant(d.id, "msgr", "terminate", msgrID(m.ID))
-	}
-	delete(d.active, m.ID)
-	d.sys.sessionWork(m.Tenant, m.Session, -1)
-}
-
-// spawnLocal starts running a Messenger resident on this daemon.
-func (d *Daemon) spawnLocal(m *Messenger) {
-	d.active[m.ID] = m
-	d.step(m)
+// stepLocal runs a replica made resident by a local hop or create after
+// the cost of a local call.
+func (d *Daemon) stepLocal(m *Messenger) {
+	localCost := d.modelTime(func(cm *lan.CostModel) sim.Time { return cm.CallFixed })
+	d.exec(localCost, func() { d.step(m) })
 }
 
 // step executes the Messenger's next VM segment on this daemon. Must run on
@@ -314,7 +336,7 @@ func (d *Daemon) step(m *Messenger) {
 	node, ok := d.store.Node(m.Node)
 	if !ok {
 		// The node was deleted while the Messenger was in flight.
-		d.die(m)
+		d.end(m.ID, m.Tenant, m.Session, m.gate, endDie, nil)
 		return
 	}
 	if d.flush != nil {
@@ -332,11 +354,11 @@ func (d *Daemon) step(m *Messenger) {
 	}
 	res, err := m.VM.Run(&m.host, maxSegmentSteps)
 	if err != nil {
+		how := endError
 		if errors.Is(err, vm.ErrStepBudget) {
-			d.evict(m, err)
-			return
+			how = endEvict
 		}
-		d.fail(m, err)
+		d.end(m.ID, m.Tenant, m.Session, m.gate, how, err)
 		return
 	}
 	d.Stats.Segments++
@@ -364,12 +386,12 @@ func (d *Daemon) step(m *Messenger) {
 
 	switch res.Pause {
 	case vm.PauseEnd:
-		d.exec(cost, func() { d.finish(m) })
+		d.exec(cost, func() { d.end(m.ID, m.Tenant, m.Session, m.gate, endFinish, nil) })
 
 	case vm.PauseNative:
 		fn, ok := lookup(&d.sys.reg, d.sys.reg.natives, res.Native)
 		if !ok {
-			d.fail(m, fmt.Errorf("unknown native function %q", res.Native))
+			d.end(m.ID, m.Tenant, m.Session, m.gate, endError, fmt.Errorf("unknown native function %q", res.Native))
 			return
 		}
 		ctx := &NativeCtx{d: d, m: m, node: node}
@@ -379,7 +401,7 @@ func (d *Daemon) step(m *Messenger) {
 		}
 		v, err := fn(ctx, res.Args)
 		if err != nil {
-			d.fail(m, fmt.Errorf("native %s: %w", res.Native, err))
+			d.end(m.ID, m.Tenant, m.Session, m.gate, endError, fmt.Errorf("native %s: %w", res.Native, err))
 			return
 		}
 		m.VM.PushResult(v)
@@ -394,14 +416,9 @@ func (d *Daemon) step(m *Messenger) {
 		cost += natCost
 		d.exec(cost, func() { d.step(m) })
 
-	case vm.PauseHop, vm.PauseDelete:
+	case vm.PauseHop, vm.PauseDelete, vm.PauseCreate:
 		cost += d.modelTime(func(cm *lan.CostModel) sim.Time { return cm.MsgrHopFixed })
-		isDelete := res.Pause == vm.PauseDelete
-		d.exec(cost, func() { d.doHop(m, node, res.Arms, isDelete) })
-
-	case vm.PauseCreate:
-		cost += d.modelTime(func(cm *lan.CostModel) sim.Time { return cm.MsgrHopFixed })
-		d.exec(cost, func() { d.doCreate(m, node, res.Arms, res.All) })
+		d.exec(cost, func() { d.navigate(m, node, res.Pause, res.Arms, res.All) })
 
 	case vm.PauseSchedAbs:
 		d.exec(cost, func() { d.suspend(m, res.Time) })
@@ -412,19 +429,28 @@ func (d *Daemon) step(m *Messenger) {
 	}
 }
 
-// doHop resolves a hop/delete and replicates the Messenger to every match.
-func (d *Daemon) doHop(m *Messenger, node *logical.Node, arms []vm.NavArm, isDelete bool) {
+// navigate resolves a hop, delete or create: it finds the destinations,
+// charges m's session for them, and sends a replica of m to each, clones to
+// all but the last, which takes m's own VM. With no destination, or with
+// its node deleted under it, m dies.
+func (d *Daemon) navigate(m *Messenger, node *logical.Node, pause vm.Pause, arms []vm.NavArm, all bool) {
 	if _, ok := d.store.Node(node.ID); !ok {
-		d.die(m)
+		d.end(m.ID, m.Tenant, m.Session, m.gate, endDie, nil)
 		return
 	}
 	var matches []logical.Match
-	for _, arm := range arms {
-		ms := d.store.Match(node, navString(arm.LN), navString(arm.LL), navString(arm.LDir))
-		matches = append(matches, ms...)
+	var targets []createTarget
+	if pause == vm.PauseCreate {
+		targets = d.createTargets(arms, all)
+	} else {
+		for _, arm := range arms {
+			ms := d.store.Match(node, navString(arm.LN), navString(arm.LL), navString(arm.LDir))
+			matches = append(matches, ms...)
+		}
 	}
-	if len(matches) == 0 {
-		d.die(m)
+	n := len(matches) + len(targets)
+	if n == 0 {
+		d.end(m.ID, m.Tenant, m.Session, m.gate, endDie, nil)
 		return
 	}
 	if d.rec != nil {
@@ -434,25 +460,15 @@ func (d *Daemon) doHop(m *Messenger, node *logical.Node, arms []vm.NavArm, isDel
 		// the ack lands or the peer is declared dead (either resolves it).
 		for _, match := range matches {
 			if match.Dest.Daemon != d.id && match.Dest.Node == 0 && !d.rec.peerDead[match.Dest.Daemon] {
-				d.safeTimer(d.rec.cfg.AckTimeout/2, func() { d.doHop(m, node, arms, isDelete) })
+				d.safeTimer(d.rec.cfg.AckTimeout/2, func() { d.navigate(m, node, pause, arms, all) })
 				return
 			}
 		}
 	}
-	// Nav boundaries are where quota enforcement bites: the Messenger is
-	// about to occupy the network, so vet its serialized size against the
-	// tenant's memory cap and charge one hop per replica against the hop-
-	// rate bucket before anything replicates.
-	if m.gate != nil {
-		if err := m.gate.CheckMem(m.VM.SnapshotSize()); err != nil {
-			d.evict(m, err)
-			return
-		}
-		if err := m.gate.ChargeHop(d.eng.Now(), len(matches)); err != nil {
-			d.evict(m, err)
-			return
-		}
+	if !d.chargeNav(m, n) {
+		return
 	}
+	isDelete := pause == vm.PauseDelete
 	if isDelete {
 		// Remove the local half of every traversed link now; the remote
 		// halves are removed when the replicas arrive.
@@ -466,33 +482,36 @@ func (d *Daemon) doHop(m *Messenger, node *logical.Node, arms []vm.NavArm, isDel
 			}
 		}
 	}
-	d.sys.sessionWork(m.Tenant, m.Session, len(matches)-1)
+	clones := n - 1
+	d.sys.sessionWork(m.Tenant, m.Session, clones)
 	delete(d.active, m.ID)
-	for i, match := range matches {
-		clone := m.VM
-		if i < len(matches)-1 {
-			clone = m.VM.Clone()
+	for i := 0; i < n; i++ {
+		mvm := m.VM
+		if i < clones {
+			mvm = m.VM.Clone()
 		}
+		if pause == vm.PauseCreate {
+			d.createAt(m, mvm, node, targets[i])
+			continue
+		}
+		match := matches[i]
 		var removeLink logical.LinkID
 		if isDelete && match.Link != nil {
 			removeLink = match.Link.ID
 		}
-		d.routeMessenger(m, clone, match.Dest, match.Via, removeLink)
+		d.hopTo(m, mvm, match.Dest, match.Via, removeLink)
 	}
 }
 
-// routeMessenger delivers a (possibly cloned) Messenger VM to a destination
-// node, locally or over the network. m supplies the LVT and tenant context
-// the replica inherits.
-func (d *Daemon) routeMessenger(m *Messenger, mvm *vm.VM, dest logical.Addr, via string, removeLink logical.LinkID) {
-	lvt := m.LVT
+// hopTo sends one replica of m over a link to dest: resident here, or
+// departed to dest's daemon.
+func (d *Daemon) hopTo(m *Messenger, mvm *vm.VM, dest logical.Addr, via string, removeLink logical.LinkID) {
 	if dest.Daemon == d.id {
 		d.Stats.LocalHops++
 		if d.om != nil {
 			d.om.localHops.Inc()
 		}
-		nm := &Messenger{ID: d.newMsgrID(), VM: mvm, Node: dest.Node, Last: via, LVT: lvt,
-			Tenant: m.Tenant, Session: m.Session, gate: m.gate}
+		nm := d.resident(d.newMsgrID(), mvm, dest.Node, via, m.LVT, m.Tenant, m.Session, m.gate)
 		if d.tr != nil {
 			d.tr.Instant(d.id, "msgr", "hop.local", msgrID(nm.ID))
 		}
@@ -501,57 +520,34 @@ func (d *Daemon) routeMessenger(m *Messenger, mvm *vm.VM, dest logical.Addr, via
 				d.store.DetachHalf(n, removeLink)
 			}
 		}
-		d.active[nm.ID] = nm
-		localCost := d.modelTime(func(cm *lan.CostModel) sim.Time { return cm.CallFixed })
-		d.exec(localCost, func() { d.step(nm) })
+		d.stepLocal(nm)
 		return
 	}
 	d.Stats.RemoteHops++
 	if d.om != nil {
 		d.om.remoteHops.Inc()
 	}
-	msg := &Msg{
-		Kind:       MsgMessenger,
-		From:       d.id,
-		ProgHash:   mvm.Program().Hash(),
-		XferVM:     mvm,
-		MsgrID:     d.newMsgrID(),
-		LVT:        lvt,
-		DestNode:   dest.Node,
-		Last:       via,
-		RemoveLink: removeLink,
-		Tenant:     m.Tenant,
-		Session:    m.Session,
-	}
+	msg := &Msg{Kind: MsgMessenger, DestNode: dest.Node, Last: via, RemoveLink: removeLink}
 	// Under the shared-code registry (the paper's shared-file-system
 	// optimization) only the hash travels; the A4 ablation disables the
 	// registry cache and ships the bytecode with every hop.
 	if cm := d.eng.Model(); cm != nil && !cm.MsgrCodeCached {
 		msg.ProgBytes = mvm.Program().Encode()
 	}
-	if d.om != nil {
-		d.om.msgrBytes.Observe(int64(msg.SnapshotLen()))
-	}
-	if d.tr != nil {
-		d.tr.Instant(d.id, "msgr", "hop.depart",
-			msgrID(msg.MsgrID), obs.I("to", int64(dest.Daemon)), obs.I("bytes", int64(msg.WireSize())))
-	}
-	d.ship(dest.Daemon, msg, true)
+	d.depart(m, mvm, dest.Daemon, msg)
 }
 
-// doCreate resolves a create statement: one new node (and connecting link)
-// per arm on the chosen daemon(s); the Messenger replicates into every new
-// node and the original ceases.
-func (d *Daemon) doCreate(m *Messenger, node *logical.Node, arms []vm.NavArm, all bool) {
-	if _, ok := d.store.Node(node.ID); !ok {
-		d.die(m)
-		return
-	}
-	type target struct {
-		arm    vm.NavArm
-		daemon int
-	}
-	var targets []target
+// createTarget is one node a create makes: the arm that names it and the
+// daemon it is made on.
+type createTarget struct {
+	arm    vm.NavArm
+	daemon int
+}
+
+// createTargets chooses the daemons a create's arms make their nodes on:
+// every matching daemon under ALL, else one by round-robin.
+func (d *Daemon) createTargets(arms []vm.NavArm, all bool) []createTarget {
+	var targets []createTarget
 	for _, arm := range arms {
 		cands := d.topo.MatchDaemons(d.id, arm.DN, arm.DL, arm.DDir)
 		if len(cands) == 0 {
@@ -559,91 +555,74 @@ func (d *Daemon) doCreate(m *Messenger, node *logical.Node, arms []vm.NavArm, al
 		}
 		if all {
 			for _, td := range cands {
-				targets = append(targets, target{arm: arm, daemon: td})
+				targets = append(targets, createTarget{arm: arm, daemon: td})
 			}
 		} else {
 			td := cands[d.rr%len(cands)]
 			d.rr++
-			targets = append(targets, target{arm: arm, daemon: td})
+			targets = append(targets, createTarget{arm: arm, daemon: td})
 		}
 	}
-	if len(targets) == 0 {
-		d.die(m)
-		return
-	}
-	if m.gate != nil {
-		if err := m.gate.CheckMem(m.VM.SnapshotSize()); err != nil {
-			d.evict(m, err)
-			return
-		}
-		if err := m.gate.ChargeHop(d.eng.Now(), len(targets)); err != nil {
-			d.evict(m, err)
-			return
-		}
-	}
-	d.sys.sessionWork(m.Tenant, m.Session, len(targets)-1)
-	delete(d.active, m.ID)
-	origin := d.store.Addr(node)
-	for i, tg := range targets {
-		clone := m.VM
-		if i < len(targets)-1 {
-			clone = m.VM.Clone()
-		}
-		linkName := navCreateName(tg.arm.LL)
-		nodeName := navCreateName(tg.arm.LN)
-		dir := createDir(tg.arm.LDir)
-		linkID := d.store.NewLinkID()
-		directed := dir != 0
-		// Attach the origin half now. For a remote create the peer node ID
-		// is unknown until the ack arrives (see MsgCreateAck); FIFO
-		// delivery guarantees the ack precedes any Messenger returning
-		// over this link.
-		if tg.daemon == d.id {
-			nn := d.store.CreateNode(nodeName)
-			d.Stats.Creates++
-			if d.om != nil {
-				d.om.creates.Inc()
-			}
-			if d.tr != nil {
-				d.tr.Instant(d.id, "msgr", "create.local", msgrID(m.ID), obs.S("node", nn.Name))
-			}
-			d.store.AttachHalf(node, linkID, linkName, directed, dir == 1, d.store.Addr(nn), nn.Name)
-			h := d.store.AttachHalf(nn, linkID, linkName, directed, dir == 2, origin, node.Name)
-			nm := &Messenger{ID: d.newMsgrID(), VM: clone, Node: nn.ID,
-				Last: logical.LastName(h), LVT: m.LVT,
-				Tenant: m.Tenant, Session: m.Session, gate: m.gate}
-			d.active[nm.ID] = nm
-			localCost := d.modelTime(func(cm *lan.CostModel) sim.Time { return cm.CallFixed })
-			d.exec(localCost, func() { d.step(nm) })
-			continue
-		}
-		d.store.AttachHalf(node, linkID, linkName, directed, dir == 1,
-			logical.Addr{Daemon: tg.daemon}, nodeName)
-		msg := &Msg{
-			Kind:       MsgCreate,
-			From:       d.id,
-			ProgHash:   clone.Program().Hash(),
-			XferVM:     clone,
-			MsgrID:     d.newMsgrID(),
-			LVT:        m.LVT,
-			CreateName: nodeName,
-			LinkID:     linkID,
-			LinkName:   linkName,
-			LinkDir:    dir,
-			Origin:     origin,
-			OriginName: node.Name,
-			Tenant:     m.Tenant,
-			Session:    m.Session,
-		}
+	return targets
+}
+
+// createAt makes one new node on tg's daemon, linked to node, and sends a
+// replica of m into it.
+func (d *Daemon) createAt(m *Messenger, mvm *vm.VM, node *logical.Node, tg createTarget) {
+	linkName := navCreateName(tg.arm.LL)
+	nodeName := navCreateName(tg.arm.LN)
+	dir := createDir(tg.arm.LDir)
+	linkID := d.store.NewLinkID()
+	directed := dir != 0
+	// Attach the origin half now. For a remote create the peer node ID is
+	// unknown until the ack arrives (see MsgCreateAck); FIFO delivery
+	// guarantees the ack precedes any Messenger returning over this link.
+	if tg.daemon == d.id {
+		nn := d.store.CreateNode(nodeName)
+		d.Stats.Creates++
 		if d.om != nil {
-			d.om.msgrBytes.Observe(int64(msg.SnapshotLen()))
+			d.om.creates.Inc()
 		}
 		if d.tr != nil {
-			d.tr.Instant(d.id, "msgr", "create.depart",
-				msgrID(msg.MsgrID), obs.I("to", int64(tg.daemon)), obs.I("bytes", int64(msg.WireSize())))
+			d.tr.Instant(d.id, "msgr", "create.local", msgrID(m.ID), obs.S("node", nn.Name))
 		}
-		d.ship(tg.daemon, msg, true)
+		d.store.AttachHalf(node, linkID, linkName, directed, dir == 1, d.store.Addr(nn), nn.Name)
+		h := d.store.AttachHalf(nn, linkID, linkName, directed, dir == 2, d.store.Addr(node), node.Name)
+		d.stepLocal(d.resident(d.newMsgrID(), mvm, nn.ID, logical.LastName(h), m.LVT, m.Tenant, m.Session, m.gate))
+		return
 	}
+	d.store.AttachHalf(node, linkID, linkName, directed, dir == 1,
+		logical.Addr{Daemon: tg.daemon}, nodeName)
+	// Unlike a hop, a create departs with only the program hash even in the
+	// A4 ablation: create(ALL) runs once per worker there, and code aboard
+	// creates would change what the ablation measures.
+	d.depart(m, mvm, tg.daemon, &Msg{Kind: MsgCreate, CreateName: nodeName,
+		LinkID: linkID, LinkName: linkName, LinkDir: dir,
+		Origin: d.store.Addr(node), OriginName: node.Name})
+}
+
+// depart sends a replica of m to daemon to. msg holds what its kind needs
+// (a hop's destination, a create's link); depart stamps the Messenger on
+// it, samples its size and ships it.
+func (d *Daemon) depart(m *Messenger, mvm *vm.VM, to int, msg *Msg) {
+	msg.From = d.id
+	msg.ProgHash = mvm.Program().Hash()
+	msg.XferVM = mvm
+	msg.MsgrID = d.newMsgrID()
+	msg.LVT = m.LVT
+	msg.Tenant, msg.Session = m.Tenant, m.Session
+	if d.om != nil {
+		d.om.msgrBytes.Observe(int64(msg.SnapshotLen()))
+	}
+	if d.tr != nil {
+		name := "hop.depart"
+		if msg.Kind == MsgCreate {
+			name = "create.depart"
+		}
+		d.tr.Instant(d.id, "msgr", name,
+			msgrID(msg.MsgrID), obs.I("to", int64(to)), obs.I("bytes", int64(msg.WireSize())))
+	}
+	d.ship(to, msg, true)
 }
 
 // navCreateName renders a create name: "~" and wildcards become unnamed.
@@ -792,7 +771,7 @@ func (d *Daemon) HandleMsg(msg *Msg) {
 		}
 	}
 	switch msg.Kind {
-	case MsgMessenger:
+	case MsgMessenger, MsgCreate:
 		d.recv++
 		d.Stats.Arrived++
 		if d.om != nil {
@@ -801,18 +780,11 @@ func (d *Daemon) HandleMsg(msg *Msg) {
 		if d.rec != nil {
 			d.rec.recvFrom[msg.From]++
 		}
-		d.handleArrival(msg)
-
-	case MsgCreate:
-		d.recv++
-		d.Stats.Arrived++
-		if d.om != nil {
-			d.om.arrived.Inc()
+		if msg.Kind == MsgMessenger {
+			d.handleArrival(msg)
+		} else {
+			d.handleCreate(msg)
 		}
-		if d.rec != nil {
-			d.rec.recvFrom[msg.From]++
-		}
-		d.handleCreate(msg)
 
 	case MsgCreateAck:
 		if node, ok := d.store.Node(msg.Origin.Node); ok {
@@ -836,10 +808,6 @@ func (d *Daemon) HandleMsg(msg *Msg) {
 	case MsgGVTAdvance:
 		d.advanceGVT(msg.GVT)
 
-	case MsgHalt:
-		// Reserved for distributed (TCP) termination; in-process engines
-		// track liveness directly.
-
 	case MsgHopAck, MsgHeartbeat:
 		// Recovery-mode traffic reaching a system built without recovery
 		// (e.g. a stray heartbeat during shutdown): ignore.
@@ -849,7 +817,10 @@ func (d *Daemon) HandleMsg(msg *Msg) {
 	}
 }
 
-func (d *Daemon) restore(msg *Msg) (*vm.VM, error) {
+// restore materializes the Messenger msg carries for the handler named by
+// stage. A snapshot that will not restore ends the Messenger as an error,
+// and restore returns nil.
+func (d *Daemon) restore(msg *Msg, stage string) *vm.VM {
 	if msg.XferVM != nil {
 		// In-process delivery: the VM arrived by ownership transfer — the
 		// paper's "ship the Messenger-variable area as-is" hop, with no
@@ -859,75 +830,69 @@ func (d *Daemon) restore(msg *Msg) (*vm.VM, error) {
 		if d.om != nil {
 			d.om.zeroCopyHops.Inc()
 		}
-		return mvm, nil
+		return mvm
 	}
 	prog, ok := lookup(&d.sys.reg, d.sys.reg.byHash, msg.ProgHash)
 	if !ok {
-		return nil, fmt.Errorf("program %s not in registry", msg.ProgHash)
+		d.end(msg.MsgrID, msg.Tenant, msg.Session, nil, endError,
+			fmt.Errorf("%s: program %s not in registry", stage, msg.ProgHash))
+		return nil
 	}
 	var berth *vm.Berth
 	if n := len(d.berths); n > 0 {
 		berth, d.berths[n-1] = d.berths[n-1], nil
 		d.berths = d.berths[:n-1]
 	}
-	return vm.RestoreInto(berth, prog, msg.Snapshot)
+	mvm, err := vm.RestoreInto(berth, prog, msg.Snapshot)
+	if err != nil {
+		d.end(msg.MsgrID, msg.Tenant, msg.Session, nil, endError, fmt.Errorf("%s: %w", stage, err))
+		return nil
+	}
+	return mvm
+}
+
+// stepArrived makes the Messenger restored from msg resident at node and
+// runs it.
+func (d *Daemon) stepArrived(msg *Msg, mvm *vm.VM, node logical.NodeID, last string, lvt float64) {
+	gate := d.resolveGate(msg.Tenant, msg.Session)
+	d.step(d.resident(msg.MsgrID, mvm, node, last, lvt, msg.Tenant, msg.Session, gate))
 }
 
 func (d *Daemon) handleArrival(msg *Msg) {
-	mvm, err := d.restore(msg)
-	if err != nil {
-		d.sys.recordError(fmt.Errorf("daemon %d: arrival: %w", d.id, err))
-		d.sys.sessionWork(msg.Tenant, msg.Session, -1)
+	mvm := d.restore(msg, "arrival")
+	if mvm == nil {
 		return
 	}
 	node, ok := d.store.Node(msg.DestNode)
-	if !ok {
-		// Destination node deleted while in flight.
-		d.Stats.Died++
-		if d.om != nil {
-			d.om.died.Inc()
-		}
+	if ok {
 		if d.tr != nil {
-			d.tr.Instant(d.id, "msgr", "die", msgrID(msg.MsgrID))
+			d.tr.Instant(d.id, "msgr", "hop.arrive",
+				msgrID(msg.MsgrID), obs.I("from", int64(msg.From)))
 		}
-		d.sys.sessionWork(msg.Tenant, msg.Session, -1)
+		if msg.RemoveLink != (logical.LinkID{}) {
+			d.store.DetachHalf(node, msg.RemoveLink)
+			d.Stats.Deletes++
+			if d.om != nil {
+				d.om.deletes.Inc()
+			}
+			// Deleting the traversed link may have removed the node itself
+			// if it became a singleton; the Messenger executes in it only
+			// if it survived.
+			_, ok = d.store.Node(node.ID)
+		}
+	}
+	if !ok {
+		// The destination node was deleted while the Messenger was in
+		// flight, or went with the link it traversed.
+		d.end(msg.MsgrID, msg.Tenant, msg.Session, nil, endDie, nil)
 		return
 	}
-	if d.tr != nil {
-		d.tr.Instant(d.id, "msgr", "hop.arrive",
-			msgrID(msg.MsgrID), obs.I("from", int64(msg.From)))
-	}
-	if msg.RemoveLink != (logical.LinkID{}) {
-		d.store.DetachHalf(node, msg.RemoveLink)
-		d.Stats.Deletes++
-		if d.om != nil {
-			d.om.deletes.Inc()
-		}
-		// Deleting the traversed link may have removed the node itself if
-		// it became a singleton; the Messenger still executes in it per
-		// hop semantics only if it survived.
-		if _, ok := d.store.Node(node.ID); !ok {
-			d.Stats.Died++
-			if d.om != nil {
-				d.om.died.Inc()
-			}
-			if d.tr != nil {
-				d.tr.Instant(d.id, "msgr", "die", msgrID(msg.MsgrID))
-			}
-			d.sys.sessionWork(msg.Tenant, msg.Session, -1)
-			return
-		}
-	}
-	m := &Messenger{ID: msg.MsgrID, VM: mvm, Node: node.ID, Last: msg.Last, LVT: msg.LVT,
-		Tenant: msg.Tenant, Session: msg.Session, gate: d.resolveGate(msg.Tenant, msg.Session)}
-	d.spawnLocal(m)
+	d.stepArrived(msg, mvm, node.ID, msg.Last, msg.LVT)
 }
 
 func (d *Daemon) handleCreate(msg *Msg) {
-	mvm, err := d.restore(msg)
-	if err != nil {
-		d.sys.recordError(fmt.Errorf("daemon %d: create: %w", d.id, err))
-		d.sys.sessionWork(msg.Tenant, msg.Session, -1)
+	mvm := d.restore(msg, "create")
+	if mvm == nil {
 		return
 	}
 	nn := d.store.CreateNode(msg.CreateName)
@@ -957,17 +922,12 @@ func (d *Daemon) handleCreate(msg *Msg) {
 	} else {
 		d.sendGVT(msg.From, ack)
 	}
-	m := &Messenger{ID: msg.MsgrID, VM: mvm, Node: nn.ID,
-		Last: logical.LastName(h), LVT: msg.LVT,
-		Tenant: msg.Tenant, Session: msg.Session, gate: d.resolveGate(msg.Tenant, msg.Session)}
-	d.spawnLocal(m)
+	d.stepArrived(msg, mvm, nn.ID, logical.LastName(h), msg.LVT)
 }
 
 func (d *Daemon) handleInject(msg *Msg) {
-	mvm, err := d.restore(msg)
-	if err != nil {
-		d.sys.recordError(fmt.Errorf("daemon %d: inject: %w", d.id, err))
-		d.sys.sessionWork(msg.Tenant, msg.Session, -1)
+	mvm := d.restore(msg, "inject")
+	if mvm == nil {
 		return
 	}
 	target := d.store.Init()
@@ -987,9 +947,7 @@ func (d *Daemon) handleInject(msg *Msg) {
 		d.tr.Instant(d.id, "msgr", "inject",
 			msgrID(msg.MsgrID), obs.S("script", mvm.Program().Name), obs.S("node", target.Name))
 	}
-	m := &Messenger{ID: msg.MsgrID, VM: mvm, Node: target.ID, Last: "", LVT: lvt,
-		Tenant: msg.Tenant, Session: msg.Session, gate: d.resolveGate(msg.Tenant, msg.Session)}
-	d.spawnLocal(m)
+	d.stepArrived(msg, mvm, target.ID, "", lvt)
 }
 
 // --- VM host adapter ---

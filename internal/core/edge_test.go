@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"messengers/internal/bytecode"
+	"messengers/internal/compile"
 	"messengers/internal/logical"
+	"messengers/internal/obs"
 	"messengers/internal/value"
 )
 
@@ -31,10 +33,11 @@ func TestCreateRoundRobinChoice(t *testing.T) {
 	}
 }
 
-// TestHandleUnknownMessageKind: 5 is the reserved value that used to be a
-// program broadcast; bytes from a socket no longer reach the registry.
+// TestHandleUnknownMessageKind: 5 and 10 are the reserved values that used
+// to be a program broadcast and a halt; bytes from a socket no longer reach
+// the registry.
 func TestHandleUnknownMessageKind(t *testing.T) {
-	for _, kind := range []MsgKind{99, 5} {
+	for _, kind := range []MsgKind{99, 5, 10} {
 		_, sys := simSystem(t, 1)
 		sys.Daemon(0).HandleMsg(&Msg{Kind: kind, ProgBytes: []byte("junk")})
 		if errs := sys.Errors(); len(errs) != 1 || !strings.Contains(errs[0].Error(), "unknown message kind") {
@@ -46,16 +49,51 @@ func TestHandleUnknownMessageKind(t *testing.T) {
 	}
 }
 
+// TestArrivalWithUnknownProgram: a hop, create or injection whose snapshot
+// will not restore (its program is not registered, or the bytes are not a
+// snapshot) ends as an error like any other. The error is recorded and
+// names the handler, Stats.Errors and msgr.errors count it, an msgr error
+// instant traces it, and its liveness slot is released.
 func TestArrivalWithUnknownProgram(t *testing.T) {
-	_, sys := simSystem(t, 1)
-	d := sys.Daemon(0)
-	sys.workAdded(1)
-	d.HandleMsg(&Msg{Kind: MsgMessenger, ProgHash: bytecode.Hash{1, 2, 3}, DestNode: d.Store().Init().ID})
-	if errs := sys.Errors(); len(errs) != 1 || !strings.Contains(errs[0].Error(), "not in registry") {
-		t.Errorf("errors = %v", errs)
+	prog, err := compile.Compile("p", `x = 1;`)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if sys.Live() != 0 {
-		t.Errorf("live = %d", sys.Live())
+	unknown := bytecode.Hash{1, 2, 3}
+	for _, c := range []struct {
+		msg        Msg
+		stage, why string
+	}{
+		{Msg{Kind: MsgMessenger, ProgHash: unknown}, "arrival", "not in registry"},
+		{Msg{Kind: MsgCreate, ProgHash: unknown}, "create", "not in registry"},
+		{Msg{Kind: MsgInject, ProgHash: unknown}, "inject", "not in registry"},
+		{Msg{Kind: MsgMessenger, ProgHash: prog.Hash(), Snapshot: []byte{0xff}}, "arrival", ""},
+	} {
+		met, tr := obs.NewMetrics(), obs.NewTracer()
+		_, sys := simSystem(t, 1, WithMetrics(met), WithTracer(tr))
+		sys.Register(prog)
+		d := sys.Daemon(0)
+		sys.workAdded(1)
+		msg := c.msg
+		msg.DestNode = d.Store().Init().ID
+		d.HandleMsg(&msg)
+		errs := sys.Errors()
+		if len(errs) != 1 || !strings.Contains(errs[0].Error(), c.stage+": ") || !strings.Contains(errs[0].Error(), c.why) {
+			t.Errorf("%s %q: errors = %v", c.stage, c.why, errs)
+		}
+		if sys.Live() != 0 {
+			t.Errorf("%s %q: live = %d", c.stage, c.why, sys.Live())
+		}
+		instants := 0
+		for _, ev := range tr.Events() {
+			if ev.Cat == "msgr" && ev.Name == "error" {
+				instants++
+			}
+		}
+		if st := d.Stats.Errors; st != 1 || met.CounterValue("msgr.errors") != 1 || instants != 1 {
+			t.Errorf("%s %q: Stats.Errors = %d, msgr.errors = %d, %d error instants; want 1 each",
+				c.stage, c.why, st, met.CounterValue("msgr.errors"), instants)
+		}
 	}
 }
 

@@ -52,7 +52,7 @@ const (
 func LaneFor(k MsgKind) ExecLane {
 	switch k {
 	case MsgGVTNotify, MsgGVTQuery, MsgGVTReport, MsgGVTAdvance, MsgGVTToken,
-		MsgHopAck, MsgHeartbeat, MsgHalt:
+		MsgHopAck, MsgHeartbeat:
 		return LaneControl
 	default:
 		return LaneNet

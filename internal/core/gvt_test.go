@@ -206,7 +206,6 @@ func TestMsgEncodeDecodeRoundTrip(t *testing.T) {
 		},
 		{Kind: MsgGVTReport, From: 2, GEpoch: 5, GMin: 2.5, GSent: 10, GRecv: 9, GActive: 3},
 		{Kind: MsgMessenger, ProgBytes: []byte("prog")},
-		{Kind: MsgHalt},
 	}
 	for _, m := range msgs {
 		enc := m.Encode()

@@ -35,8 +35,8 @@ const (
 	MsgGVTReport
 	// MsgGVTAdvance broadcasts a new global virtual time.
 	MsgGVTAdvance
-	// MsgHalt broadcasts that the computation is quiescent.
-	MsgHalt
+	// 10 is reserved: it was MsgHalt, a quiescence broadcast nothing sent.
+	_
 	// MsgHopAck acknowledges receipt of a reliable message (recovery mode);
 	// MsgrID and HopSeq identify the acknowledged transfer.
 	MsgHopAck
@@ -55,9 +55,8 @@ func (k MsgKind) String() string {
 		MsgMessenger: "messenger", MsgCreate: "create", MsgCreateAck: "create-ack",
 		MsgInject: "inject", MsgGVTNotify: "gvt-notify",
 		MsgGVTQuery: "gvt-query", MsgGVTReport: "gvt-report",
-		MsgGVTAdvance: "gvt-advance", MsgHalt: "halt",
-		MsgHopAck: "hop-ack", MsgHeartbeat: "heartbeat",
-		MsgGVTToken: "gvt-token",
+		MsgGVTAdvance: "gvt-advance", MsgHopAck: "hop-ack",
+		MsgHeartbeat: "heartbeat", MsgGVTToken: "gvt-token",
 	}
 	if s, ok := names[k]; ok {
 		return s

@@ -26,7 +26,6 @@ package core
 // make their natives idempotent (see docs/FAULTS.md).
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
@@ -189,17 +188,7 @@ func (d *Daemon) ship(dst int, msg *Msg, counted bool) {
 		// of leaving a phantom transient.
 		snap, err := msg.XferVM.Snapshot()
 		if err != nil {
-			d.Stats.Errors++
-			if d.om != nil {
-				d.om.errs.Inc()
-			}
-			if d.tr != nil {
-				d.tr.Instant(d.id, "msgr", "error", msgrID(msg.MsgrID), obs.S("err", err.Error()))
-			}
-			d.sys.recordError(fmt.Errorf("daemon %d, messenger %d: %w", d.id, msg.MsgrID, err))
-			if msg.CarriesMessenger() {
-				d.sys.sessionWork(msg.Tenant, msg.Session, -1)
-			}
+			d.end(msg.MsgrID, msg.Tenant, msg.Session, nil, endError, err)
 			return
 		}
 		d.ParkVM(msg.XferVM)
@@ -344,7 +333,7 @@ func (d *Daemon) releaseFossils() {
 // unconditionally (the previous ack may have been lost), then report
 // whether this transfer was already processed. A non-duplicate
 // Messenger-carrying arrival takes its liveness slot here, before any
-// processing (its error paths release it via workDone as usual).
+// processing (whichever way it ends, end releases it).
 func (d *Daemon) dedupCheck(msg *Msg) (dup bool) {
 	d.netSend(msg.From, &Msg{Kind: MsgHopAck, From: d.id, MsgrID: msg.MsgrID, HopSeq: msg.HopSeq})
 	rec := d.rec
@@ -403,14 +392,7 @@ func (d *Daemon) redirectDead(dst int, msg *Msg) {
 		if !ok {
 			// No surviving attachment to the destination: zero matching
 			// destinations, so the Messenger ceases to exist.
-			d.Stats.Died++
-			if d.om != nil {
-				d.om.died.Inc()
-			}
-			if d.tr != nil {
-				d.tr.Instant(d.id, "msgr", "die", msgrID(msg.MsgrID))
-			}
-			d.sys.sessionWork(msg.Tenant, msg.Session, -1)
+			d.end(msg.MsgrID, msg.Tenant, msg.Session, nil, endDie, nil)
 			return
 		}
 		if d.tr != nil {

@@ -113,17 +113,17 @@ func WithMetrics(m *obs.Metrics) Option {
 // sysObs caches the registry instruments the daemons update on hot paths;
 // nil when no registry is attached (one branch disables everything).
 type sysObs struct {
-	injected, arrived, segments, steps     *obs.Counter
-	localHops, remoteHops, zeroCopyHops    *obs.Counter
-	creates, deletes, finished, died, errs *obs.Counter
-	evicted                                *obs.Counter
-	suspends, gvtRounds                    *obs.Counter
-	gvtTokenHops, gvtCommits, gvtCtlMsgs   *obs.Counter
-	netMsgs, netBytes                      *obs.Counter
-	retx, dedup, respawns, adoptions       *obs.Counter
-	deaths, restarts, peerDowns, peerUps   *obs.Counter
-	dispThreaded, dispSwitch               *obs.Counter
-	segSteps, msgrBytes, arenaBytes        *obs.Histogram
+	injected, arrived, segments, steps   *obs.Counter
+	localHops, remoteHops, zeroCopyHops  *obs.Counter
+	creates, deletes                     *obs.Counter
+	ends                                 [numEnds]*obs.Counter // by endKind
+	suspends, gvtRounds                  *obs.Counter
+	gvtTokenHops, gvtCommits, gvtCtlMsgs *obs.Counter
+	netMsgs, netBytes                    *obs.Counter
+	retx, dedup, respawns, adoptions     *obs.Counter
+	deaths, restarts, peerDowns, peerUps *obs.Counter
+	dispThreaded, dispSwitch             *obs.Counter
+	segSteps, msgrBytes, arenaBytes      *obs.Histogram
 }
 
 func newSysObs(m *obs.Metrics) *sysObs {
@@ -139,10 +139,12 @@ func newSysObs(m *obs.Metrics) *sysObs {
 		zeroCopyHops: m.Counter("msgr.hops.zerocopy"),
 		creates:      m.Counter("msgr.creates"),
 		deletes:      m.Counter("msgr.deletes"),
-		finished:     m.Counter("msgr.finished"),
-		died:         m.Counter("msgr.died"),
-		errs:         m.Counter("msgr.errors"),
-		evicted:      m.Counter("msgr.evicted"),
+		ends: [numEnds]*obs.Counter{
+			endFinish: m.Counter("msgr.finished"),
+			endDie:    m.Counter("msgr.died"),
+			endError:  m.Counter("msgr.errors"),
+			endEvict:  m.Counter("msgr.evicted"),
+		},
 		suspends:     m.Counter("gvt.suspends"),
 		gvtRounds:    m.Counter("gvt.rounds"),
 		gvtTokenHops: m.Counter("gvt.token.hops"),

@@ -126,10 +126,10 @@ func TestBurstLeavesInOneWrite(t *testing.T) {
 // socket whole, in one Write of its own, after what was sent before it.
 func TestBurstLargerThanTheBuffer(t *testing.T) {
 	sys, eng, met := meteredTCP(t)
-	big := &core.Msg{Kind: core.MsgHalt, From: 1, ProgBytes: bytes.Repeat([]byte{0xee}, 64<<10)}
+	big := &core.Msg{Kind: core.MsgHopAck, From: 1, ProgBytes: bytes.Repeat([]byte{0xee}, 64<<10)}
 	eng.Exec(1, 0, func() {
 		eng.Send(1, 0, advance(1))
-		eng.Send(1, 0, big) // a carrier only: daemon 0 ignores a halt
+		eng.Send(1, 0, big) // a carrier only: without recovery, daemon 0 ignores a hop ack
 		eng.Send(1, 0, advance(2))
 	})
 	waitCommits(t, sys, 2)
