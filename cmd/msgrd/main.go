@@ -132,10 +132,7 @@ func runService(sys *messengers.System, httpAddr, tenantsPath string, sigs <-cha
 	if err != nil {
 		fatal(err)
 	}
-	srv, err := serve.New(sys.System, serve.Config{
-		Tenants: tenants,
-		Metrics: sys.Metrics(),
-	})
+	srv, err := serve.New(sys.System, serve.Config{Tenants: tenants})
 	if err != nil {
 		fatal(err)
 	}

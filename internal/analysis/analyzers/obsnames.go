@@ -80,9 +80,12 @@ func runObsNames(pass *analysis.Pass) error {
 			recv := obsReceiver(pass, sel.X)
 			switch {
 			case recv == "Metrics":
-				switch sel.Sel.Name {
+				switch m := sel.Sel.Name; m {
 				case "Counter", "Gauge", "Histogram":
-					checkMetricName(pass, kinds, call, sel.Sel.Name)
+					checkMetricName(pass, kinds, call, m, m)
+				case "CounterFunc", "GaugeFunc":
+					// A read function registers a counter or gauge.
+					checkMetricName(pass, kinds, call, m, strings.TrimSuffix(m, "Func"))
 				}
 			case recv == "Tracer":
 				switch sel.Sel.Name {
@@ -98,14 +101,14 @@ func runObsNames(pass *analysis.Pass) error {
 	return nil
 }
 
-func checkMetricName(pass *analysis.Pass, kinds obsNameKinds, call *ast.CallExpr, kind string) {
+func checkMetricName(pass *analysis.Pass, kinds obsNameKinds, call *ast.CallExpr, method, kind string) {
 	if len(call.Args) < 1 {
 		return
 	}
 	name, lit, ok := literalString(call.Args[0])
 	if !ok {
 		pass.Reportf(call.Args[0].Pos(), "obsname",
-			"metric name passed to Metrics.%s must be a string literal (dynamic names fragment the namespace)", kind)
+			"metric name passed to Metrics.%s must be a string literal (dynamic names fragment the namespace)", method)
 		return
 	}
 	if !metricNameRE.MatchString(name) {

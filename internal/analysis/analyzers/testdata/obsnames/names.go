@@ -20,6 +20,17 @@ func metrics(m *obs.Metrics, i int) {
 	m.Counter("hops.remote").Add(2)                 // fine: same kind re-registration
 }
 
+func readFuncs(m *obs.Metrics, id string, n func() int64) {
+	m.CounterFunc("msgr.arrived", n)             // fine
+	m.GaugeFunc("serve.queue.depth", n)          // fine
+	m.CounterFunc("hops.remote", n)              // fine: a read of a counter is a counter
+	m.CounterFunc("serve.tenant."+id+".hops", n) // want "must be a string literal"
+	m.GaugeFunc("Queue", n)                      // want "lowercase dot-namespaced"
+	m.CounterFunc("madeup.reads", n)             // want "unknown namespace"
+	m.GaugeFunc("msgr.arrived", n)               // want "registered as both"
+	m.CounterFunc("gvt.value", n)                // want "registered as both"
+}
+
 func traces(t *obs.Tracer, id int) {
 	t.Instant(0, "msgr", "hop", obs.I("n", 1))      // fine
 	t.Span(0, "net", "net.send", 0, 10)             // fine

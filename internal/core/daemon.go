@@ -86,6 +86,10 @@ func (c *NativeCtx) LVT() float64 { return c.m.LVT }
 func (c *NativeCtx) Print(s string) { c.d.sys.print(c.d.id, s) }
 
 // Stats counts daemon activity over a run (reported in EXPERIMENTS.md).
+// These are the counts themselves: the registry's msgr.*, vm.segments/steps
+// and gvt.rounds/suspends/ctl.msgs counters read them (registerStats).
+// The daemon's executor is the only writer, and it writes with atomic adds,
+// so a reader may load them atomically mid-run.
 type Stats struct {
 	Arrived    int64 // Messengers received from other daemons
 	Segments   int64 // VM segments executed
@@ -114,6 +118,10 @@ type Stats struct {
 // host. All daemon state is confined to its executor; the engine guarantees
 // Exec/HandleMsg callbacks for one daemon never run concurrently.
 type Daemon struct {
+	// Stats is the first field, so its int64s are 64-bit aligned for atomic
+	// access on 32-bit platforms too.
+	Stats Stats
+
 	id    int
 	eng   Engine
 	topo  *Topology
@@ -153,8 +161,6 @@ type Daemon struct {
 	tr   *obs.Tracer
 	om   *sysObs
 	prof *vm.Profile
-
-	Stats Stats
 }
 
 func newDaemon(id int, eng Engine, topo *Topology, sys *System) *Daemon {
@@ -284,16 +290,13 @@ var endNames = [numEnds]string{endFinish: "terminate", endDie: "die", endError: 
 func (d *Daemon) end(id uint64, tenant string, session uint64, gate SessionGate, how endKind, err error) {
 	switch how {
 	case endFinish:
-		d.Stats.Finished++
+		atomic.AddInt64(&d.Stats.Finished, 1)
 	case endDie:
-		d.Stats.Died++
+		atomic.AddInt64(&d.Stats.Died, 1)
 	case endError:
-		d.Stats.Errors++
+		atomic.AddInt64(&d.Stats.Errors, 1)
 	case endEvict:
-		d.Stats.Evicted++
-	}
-	if d.om != nil {
-		d.om.ends[how].Inc()
+		atomic.AddInt64(&d.Stats.Evicted, 1)
 	}
 	if d.tr != nil {
 		if err != nil {
@@ -361,12 +364,10 @@ func (d *Daemon) step(m *Messenger) {
 		d.end(m.ID, m.Tenant, m.Session, m.gate, how, err)
 		return
 	}
-	d.Stats.Segments++
-	d.Stats.Steps += res.Steps
+	atomic.AddInt64(&d.Stats.Segments, 1)
+	atomic.AddInt64(&d.Stats.Steps, res.Steps)
 	cost := d.instrCost(res.Steps)
 	if d.om != nil {
-		d.om.segments.Inc()
-		d.om.steps.Add(res.Steps)
 		d.om.segSteps.Observe(res.Steps)
 		threaded := m.VM.ThreadedSteps()
 		d.om.dispThreaded.Add(threaded)
@@ -475,10 +476,7 @@ func (d *Daemon) navigate(m *Messenger, node *logical.Node, pause vm.Pause, arms
 		for _, match := range matches {
 			if match.Link != nil {
 				d.store.DetachHalf(node, match.Link.ID)
-				d.Stats.Deletes++
-				if d.om != nil {
-					d.om.deletes.Inc()
-				}
+				atomic.AddInt64(&d.Stats.Deletes, 1)
 			}
 		}
 	}
@@ -507,10 +505,7 @@ func (d *Daemon) navigate(m *Messenger, node *logical.Node, pause vm.Pause, arms
 // departed to dest's daemon.
 func (d *Daemon) hopTo(m *Messenger, mvm *vm.VM, dest logical.Addr, via string, removeLink logical.LinkID) {
 	if dest.Daemon == d.id {
-		d.Stats.LocalHops++
-		if d.om != nil {
-			d.om.localHops.Inc()
-		}
+		atomic.AddInt64(&d.Stats.LocalHops, 1)
 		nm := d.resident(d.newMsgrID(), mvm, dest.Node, via, m.LVT, m.Tenant, m.Session, m.gate)
 		if d.tr != nil {
 			d.tr.Instant(d.id, "msgr", "hop.local", msgrID(nm.ID))
@@ -523,10 +518,7 @@ func (d *Daemon) hopTo(m *Messenger, mvm *vm.VM, dest logical.Addr, via string, 
 		d.stepLocal(nm)
 		return
 	}
-	d.Stats.RemoteHops++
-	if d.om != nil {
-		d.om.remoteHops.Inc()
-	}
+	atomic.AddInt64(&d.Stats.RemoteHops, 1)
 	msg := &Msg{Kind: MsgMessenger, DestNode: dest.Node, Last: via, RemoveLink: removeLink}
 	// Under the shared-code registry (the paper's shared-file-system
 	// optimization) only the hash travels; the A4 ablation disables the
@@ -579,10 +571,7 @@ func (d *Daemon) createAt(m *Messenger, mvm *vm.VM, node *logical.Node, tg creat
 	// guarantees the ack precedes any Messenger returning over this link.
 	if tg.daemon == d.id {
 		nn := d.store.CreateNode(nodeName)
-		d.Stats.Creates++
-		if d.om != nil {
-			d.om.creates.Inc()
-		}
+		atomic.AddInt64(&d.Stats.Creates, 1)
 		if d.tr != nil {
 			d.tr.Instant(d.id, "msgr", "create.local", msgrID(m.ID), obs.S("node", nn.Name))
 		}
@@ -663,10 +652,7 @@ func (d *Daemon) suspend(m *Messenger, wake float64) {
 		d.step(m)
 		return
 	}
-	d.Stats.Suspends++
-	if d.om != nil {
-		d.om.suspends.Inc()
-	}
+	atomic.AddInt64(&d.Stats.Suspends, 1)
 	if d.tr != nil {
 		d.tr.Instant(d.id, "gvt", "suspend", msgrID(m.ID), obs.F("wake", wake))
 	}
@@ -685,10 +671,7 @@ func (d *Daemon) sendGVT(dst int, msg *Msg) {
 		d.HandleMsg(msg)
 		return
 	}
-	d.Stats.GVTCtlMsgs++
-	if d.om != nil {
-		d.om.gvtCtlMsgs.Inc()
-	}
+	atomic.AddInt64(&d.Stats.GVTCtlMsgs, 1)
 	d.netSend(dst, msg)
 }
 
@@ -773,10 +756,7 @@ func (d *Daemon) HandleMsg(msg *Msg) {
 	switch msg.Kind {
 	case MsgMessenger, MsgCreate:
 		d.recv++
-		d.Stats.Arrived++
-		if d.om != nil {
-			d.om.arrived.Inc()
-		}
+		atomic.AddInt64(&d.Stats.Arrived, 1)
 		if d.rec != nil {
 			d.rec.recvFrom[msg.From]++
 		}
@@ -871,10 +851,7 @@ func (d *Daemon) handleArrival(msg *Msg) {
 		}
 		if msg.RemoveLink != (logical.LinkID{}) {
 			d.store.DetachHalf(node, msg.RemoveLink)
-			d.Stats.Deletes++
-			if d.om != nil {
-				d.om.deletes.Inc()
-			}
+			atomic.AddInt64(&d.Stats.Deletes, 1)
 			// Deleting the traversed link may have removed the node itself
 			// if it became a singleton; the Messenger executes in it only
 			// if it survived.
@@ -896,10 +873,7 @@ func (d *Daemon) handleCreate(msg *Msg) {
 		return
 	}
 	nn := d.store.CreateNode(msg.CreateName)
-	d.Stats.Creates++
-	if d.om != nil {
-		d.om.creates.Inc()
-	}
+	atomic.AddInt64(&d.Stats.Creates, 1)
 	if d.tr != nil {
 		d.tr.Instant(d.id, "msgr", "create.arrive",
 			msgrID(msg.MsgrID), obs.I("from", int64(msg.From)), obs.S("node", nn.Name))

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -192,5 +193,28 @@ func TestStatsAccounting(t *testing.T) {
 	}
 	if _, ok := sys.Program("acct"); !ok {
 		t.Error("Program accessor")
+	}
+}
+
+// TestTotalStatsSumsEveryField: every Stats field of TotalStats is the sum
+// of the daemons' own, on a run where each daemon sends GVT control
+// messages and daemon 0 clocks its rounds.
+func TestTotalStatsSumsEveryField(t *testing.T) {
+	k, sys := simSystem(t, 3)
+	ringWorkloads[0].load(t, sys)
+	runSim(t, k, sys)
+	total := reflect.ValueOf(sys.TotalStats())
+	for i := 0; i < total.NumField(); i++ {
+		var sum int64
+		for d := 0; d < sys.NumDaemons(); d++ {
+			sum += reflect.ValueOf(sys.Daemon(d).Stats).Field(i).Int()
+		}
+		name := total.Type().Field(i).Name
+		if got := total.Field(i).Int(); got != sum {
+			t.Errorf("TotalStats().%s = %d, the daemons counted %d", name, got, sum)
+		}
+		if (name == "GVTCtlMsgs" || name == "GVTRoundTime") && sum == 0 {
+			t.Errorf("the run sent no %s", name)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sync/atomic"
 
 	"messengers/internal/obs"
 	"messengers/internal/sim"
@@ -97,7 +98,7 @@ func (g *gvtInitiator) handle(msg *Msg) {
 		g.reports = nil
 		// The star's round is over with its reduction, whatever it found: an
 		// advance is sent and forgotten.
-		g.d.Stats.GVTRoundTime += g.d.eng.Now() - g.roundFrom
+		atomic.AddInt64((*int64)(&g.d.Stats.GVTRoundTime), int64(g.d.eng.Now()-g.roundFrom))
 		g.conclude(min, sent, recv)
 	case msg.GPass == 1:
 		g.conclude(msg.GMin, msg.GSent, msg.GRecv)
@@ -138,10 +139,7 @@ func (g *gvtInitiator) startRound() {
 	g.epoch++
 	g.open = true
 	g.roundFrom = d.eng.Now()
-	d.Stats.GVTRounds++
-	if d.om != nil {
-		d.om.gvtRounds.Inc()
-	}
+	atomic.AddInt64(&d.Stats.GVTRounds, 1)
 	if d.tr != nil {
 		d.tr.Instant(d.id, "gvt", "gvt.round", obs.I("epoch", g.epoch))
 	}
@@ -226,7 +224,7 @@ func (g *gvtInitiator) conclude(min float64, sent, recv int64) {
 // all if it ends unbalanced or quiescent.
 func (g *gvtInitiator) roundDone() {
 	if g.ring {
-		g.d.Stats.GVTRoundTime += g.d.eng.Now() - g.roundFrom
+		atomic.AddInt64((*int64)(&g.d.Stats.GVTRoundTime), int64(g.d.eng.Now()-g.roundFrom))
 	}
 	g.d.safeTimer(g.d.sys.gvtInterval, g.restart)
 }

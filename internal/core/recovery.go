@@ -619,9 +619,6 @@ func (s *System) Restart(d int) {
 	s.eng.Exec(d, 0, func() { dae.restartReset() })
 }
 
-// Down reports whether daemon d is currently crashed.
-func (s *System) Down(d int) bool { return s.daemons[d].down() }
-
 // NotifyPeerDown delivers a failure notice for dead to observer's executor.
 func (s *System) NotifyPeerDown(observer, dead int) {
 	dae := s.daemons[observer]

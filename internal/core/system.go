@@ -103,22 +103,20 @@ func WithTracer(t *obs.Tracer) Option {
 	return func(s *System) { s.trace = t }
 }
 
-// WithMetrics attaches a metrics registry: daemons count every lifecycle
-// transition, hop, network send, and executed opcode into it (the registry
-// is the single source of truth the bench harness reads).
+// WithMetrics attaches a metrics registry: it reads the daemons' Stats
+// (lifecycle transitions, hops, segments, GVT rounds), and daemons count
+// network sends, recovery events and executed opcodes into it (the
+// registry is the single source of truth the bench harness reads).
 func WithMetrics(m *obs.Metrics) Option {
 	return func(s *System) { s.metrics = m }
 }
 
 // sysObs caches the registry instruments the daemons update on hot paths;
-// nil when no registry is attached (one branch disables everything).
+// nil when no registry is attached (one branch disables everything). The
+// counts Stats keeps are not here: the registry reads them (registerStats).
 type sysObs struct {
-	injected, arrived, segments, steps   *obs.Counter
-	localHops, remoteHops, zeroCopyHops  *obs.Counter
-	creates, deletes                     *obs.Counter
-	ends                                 [numEnds]*obs.Counter // by endKind
-	suspends, gvtRounds                  *obs.Counter
-	gvtTokenHops, gvtCommits, gvtCtlMsgs *obs.Counter
+	injected, zeroCopyHops               *obs.Counter
+	gvtTokenHops, gvtCommits             *obs.Counter
 	netMsgs, netBytes                    *obs.Counter
 	retx, dedup, respawns, adoptions     *obs.Counter
 	deaths, restarts, peerDowns, peerUps *obs.Counter
@@ -128,28 +126,12 @@ type sysObs struct {
 
 func newSysObs(m *obs.Metrics) *sysObs {
 	return &sysObs{
-		injected:   m.Counter("msgr.injected"),
-		arrived:    m.Counter("msgr.arrived"),
-		segments:   m.Counter("vm.segments"),
-		steps:      m.Counter("vm.steps"),
-		localHops:  m.Counter("msgr.hops.local"),
-		remoteHops: m.Counter("msgr.hops.remote"),
+		injected: m.Counter("msgr.injected"),
 		// zeroCopyHops counts remote hops whose Messenger state travelled
 		// by in-process ownership transfer (no serialization at all).
 		zeroCopyHops: m.Counter("msgr.hops.zerocopy"),
-		creates:      m.Counter("msgr.creates"),
-		deletes:      m.Counter("msgr.deletes"),
-		ends: [numEnds]*obs.Counter{
-			endFinish: m.Counter("msgr.finished"),
-			endDie:    m.Counter("msgr.died"),
-			endError:  m.Counter("msgr.errors"),
-			endEvict:  m.Counter("msgr.evicted"),
-		},
-		suspends:     m.Counter("gvt.suspends"),
-		gvtRounds:    m.Counter("gvt.rounds"),
 		gvtTokenHops: m.Counter("gvt.token.hops"),
 		gvtCommits:   m.Counter("gvt.commits"),
-		gvtCtlMsgs:   m.Counter("gvt.ctl.msgs"),
 		netMsgs:      m.Counter("net.msgs"),
 		netBytes:     m.Counter("net.bytes"),
 		retx:         m.Counter("msgr.retx"),
@@ -168,6 +150,32 @@ func newSysObs(m *obs.Metrics) *sysObs {
 		segSteps:     m.Histogram("vm.segment.steps"),
 		msgrBytes:    m.Histogram("net.msgr.bytes"),
 		arenaBytes:   m.Histogram("vm.arena.bytes"),
+	}
+}
+
+// registerStats makes the registry read the counts the daemons keep in
+// Stats, summed over this system's daemons, and the process-wide wire pool
+// counters, which a registry shared by several systems reads once.
+func (s *System) registerStats(m *obs.Metrics) {
+	m.CounterFunc("msgr.arrived", func() int64 { return s.TotalStats().Arrived })
+	m.CounterFunc("msgr.creates", func() int64 { return s.TotalStats().Creates })
+	m.CounterFunc("msgr.deletes", func() int64 { return s.TotalStats().Deletes })
+	m.CounterFunc("msgr.finished", func() int64 { return s.TotalStats().Finished })
+	m.CounterFunc("msgr.died", func() int64 { return s.TotalStats().Died })
+	m.CounterFunc("msgr.errors", func() int64 { return s.TotalStats().Errors })
+	m.CounterFunc("msgr.evicted", func() int64 { return s.TotalStats().Evicted })
+	m.CounterFunc("msgr.hops.local", func() int64 { return s.TotalStats().LocalHops })
+	m.CounterFunc("msgr.hops.remote", func() int64 { return s.TotalStats().RemoteHops })
+	m.CounterFunc("vm.segments", func() int64 { return s.TotalStats().Segments })
+	m.CounterFunc("vm.steps", func() int64 { return s.TotalStats().Steps })
+	m.CounterFunc("gvt.rounds", func() int64 { return s.TotalStats().GVTRounds })
+	m.CounterFunc("gvt.suspends", func() int64 { return s.TotalStats().Suspends })
+	m.CounterFunc("gvt.ctl.msgs", func() int64 { return s.TotalStats().GVTCtlMsgs })
+	if !m.Has("wire.pool.gets") {
+		m.GaugeFunc("wire.pool.gets", func() int64 { return wire.ReadStats().PoolGets })
+		m.GaugeFunc("wire.pool.hits", func() int64 { return wire.ReadStats().PoolHits })
+		m.GaugeFunc("wire.pool.misses", func() int64 { return wire.ReadStats().PoolMisses })
+		m.GaugeFunc("wire.bytes.encoded", func() int64 { return wire.ReadStats().BytesEncoded })
 	}
 }
 
@@ -201,6 +209,9 @@ func NewSystem(eng Engine, topo *Topology, opts ...Option) *System {
 	s.daemons = make([]*Daemon, eng.NumDaemons())
 	for i := range s.daemons {
 		s.daemons[i] = newDaemon(i, eng, topo, s)
+	}
+	if s.metrics != nil {
+		s.registerStats(s.metrics)
 	}
 	if b, ok := eng.(binder); ok {
 		b.Bind(s.daemons)
@@ -277,18 +288,6 @@ func (s *System) FlushVMProfiles() {
 			}
 		}
 	}
-	s.publishWireStats()
-}
-
-// publishWireStats copies the process-wide wire pool counters into the
-// registry as wire.* gauges. Gauges, not counters: the totals are monotonic
-// and process-wide, so repeated flushes overwrite instead of double-count.
-func (s *System) publishWireStats() {
-	st := wire.ReadStats()
-	s.metrics.Gauge("wire.pool.gets").Set(st.PoolGets)
-	s.metrics.Gauge("wire.pool.hits").Set(st.PoolHits)
-	s.metrics.Gauge("wire.pool.misses").Set(st.PoolMisses)
-	s.metrics.Gauge("wire.bytes.encoded").Set(st.BytesEncoded)
 }
 
 // Daemon returns daemon i for post-run inspection. During a run its state
@@ -468,23 +467,27 @@ func (s *System) CommitLog() []float64 {
 	return out
 }
 
-// TotalStats aggregates daemon statistics (post-run).
+// TotalStats sums every Stats field over the daemons. The loads are
+// atomic, so it may be called mid-run.
 func (s *System) TotalStats() Stats {
 	var t Stats
 	for _, d := range s.daemons {
-		t.Arrived += d.Stats.Arrived
-		t.Segments += d.Stats.Segments
-		t.Steps += d.Stats.Steps
-		t.LocalHops += d.Stats.LocalHops
-		t.RemoteHops += d.Stats.RemoteHops
-		t.Creates += d.Stats.Creates
-		t.Deletes += d.Stats.Deletes
-		t.Finished += d.Stats.Finished
-		t.Died += d.Stats.Died
-		t.Errors += d.Stats.Errors
-		t.Evicted += d.Stats.Evicted
-		t.GVTRounds += d.Stats.GVTRounds
-		t.Suspends += d.Stats.Suspends
+		st := &d.Stats
+		t.Arrived += atomic.LoadInt64(&st.Arrived)
+		t.Segments += atomic.LoadInt64(&st.Segments)
+		t.Steps += atomic.LoadInt64(&st.Steps)
+		t.LocalHops += atomic.LoadInt64(&st.LocalHops)
+		t.RemoteHops += atomic.LoadInt64(&st.RemoteHops)
+		t.Creates += atomic.LoadInt64(&st.Creates)
+		t.Deletes += atomic.LoadInt64(&st.Deletes)
+		t.Finished += atomic.LoadInt64(&st.Finished)
+		t.Died += atomic.LoadInt64(&st.Died)
+		t.Errors += atomic.LoadInt64(&st.Errors)
+		t.Evicted += atomic.LoadInt64(&st.Evicted)
+		t.GVTRounds += atomic.LoadInt64(&st.GVTRounds)
+		t.Suspends += atomic.LoadInt64(&st.Suspends)
+		t.GVTCtlMsgs += atomic.LoadInt64(&st.GVTCtlMsgs)
+		t.GVTRoundTime += sim.Time(atomic.LoadInt64((*int64)(&st.GVTRoundTime)))
 	}
 	return t
 }

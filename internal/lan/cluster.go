@@ -18,20 +18,10 @@ type Bus struct {
 	busyUntil sim.Time
 
 	// Observability (nil when off): every frame becomes a span on the bus
-	// track and updates the bus.* counters.
+	// track and counts into the bus.* counters.
 	tr                *obs.Tracer
 	track             int
 	msgs, bytes, busy *obs.Counter
-
-	// Stats accumulates utilization counters for the experiment reports.
-	Stats BusStats
-}
-
-// BusStats records bus activity over a run.
-type BusStats struct {
-	Messages int64
-	Bytes    int64
-	BusyTime sim.Time
 }
 
 // NewBus returns an idle bus on kernel k.
@@ -50,14 +40,9 @@ func (b *Bus) Transmit(size int, deliver func()) sim.Time {
 	}
 	done := start + tx
 	b.busyUntil = done
-	b.Stats.Messages++
-	b.Stats.Bytes += int64(size)
-	b.Stats.BusyTime += tx
-	if b.msgs != nil {
-		b.msgs.Inc()
-		b.bytes.Add(int64(size))
-		b.busy.Add(int64(tx))
-	}
+	b.msgs.Inc()
+	b.bytes.Add(int64(size))
+	b.busy.Add(int64(tx))
 	if b.tr != nil {
 		b.tr.Span(b.track, "lan", "frame", int64(start), int64(tx), obs.I("bytes", int64(size)))
 	}
@@ -76,16 +61,8 @@ type Host struct {
 	k       *sim.Kernel
 	cpuFree sim.Time
 
-	// busy mirrors Stats.BusyTime into the metrics registry (nil when off).
+	// busy counts CPU busy time into host.<i>.busy_ns (nil when off).
 	busy *obs.Counter
-
-	// Stats accumulates CPU busy time for utilization reports.
-	Stats HostStats
-}
-
-// HostStats records per-host activity.
-type HostStats struct {
-	BusyTime sim.Time
 }
 
 // Exec reserves the host CPU for cost (already scaled) and schedules fn when
@@ -100,10 +77,7 @@ func (h *Host) Exec(cost sim.Time, fn func()) sim.Time {
 	}
 	done := start + cost
 	h.cpuFree = done
-	h.Stats.BusyTime += cost
-	if h.busy != nil {
-		h.busy.Add(int64(cost))
-	}
+	h.busy.Add(int64(cost))
 	if fn != nil {
 		h.k.At(done, fn)
 	}
@@ -162,11 +136,11 @@ func NewCluster(k *sim.Kernel, cm *CostModel, n int, spec HostSpec) *Cluster {
 }
 
 // Observe wires a tracer and metrics registry into the cluster: bus frames
-// become spans on a dedicated bus track (one past the last host), bus.* and
-// host.<i>.busy_ns counters mirror the Stats fields. Also binds the tracer's
-// clock to the simulation kernel so every trace timestamp is simulated time
-// (two identical runs then export byte-identical traces). Either argument
-// may be nil.
+// become spans on a dedicated bus track (one past the last host), and the
+// bus.* and host.<i>.busy_ns counters are the cluster's utilization counts.
+// Also binds the tracer's clock to the simulation kernel so every trace
+// timestamp is simulated time (two identical runs then export
+// byte-identical traces). Either argument may be nil.
 func (c *Cluster) Observe(tr *obs.Tracer, m *obs.Metrics) {
 	busTrack := len(c.Hosts)
 	if tr != nil {

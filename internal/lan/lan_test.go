@@ -3,8 +3,17 @@ package lan
 import (
 	"testing"
 
+	"messengers/internal/obs"
 	"messengers/internal/sim"
 )
+
+// observed returns a one-host cluster on k with a registry attached.
+func observed(k *sim.Kernel, cm *CostModel) (*Cluster, *obs.Metrics) {
+	c := NewCluster(k, cm, 1, SPARC110)
+	m := obs.NewMetrics()
+	c.Observe(nil, m)
+	return c, m
+}
 
 func TestWireTime(t *testing.T) {
 	cm := DefaultCostModel()
@@ -84,7 +93,8 @@ func TestMacCostBlockVsNaiveGap(t *testing.T) {
 func TestBusSerializesTransmissions(t *testing.T) {
 	k := sim.New()
 	cm := DefaultCostModel()
-	b := NewBus(k, cm)
+	c, m := observed(k, cm)
+	b := c.Bus
 	var first, second sim.Time
 	b.Transmit(1000, func() { first = k.Now() })
 	b.Transmit(1000, func() { second = k.Now() })
@@ -96,14 +106,16 @@ func TestBusSerializesTransmissions(t *testing.T) {
 	if second != 2*tx+cm.PropDelay {
 		t.Errorf("second delivery at %v, want %v (serialized)", second, 2*tx+cm.PropDelay)
 	}
-	if b.Stats.Messages != 2 || b.Stats.Bytes != 2000 || b.Stats.BusyTime != 2*tx {
-		t.Errorf("stats = %+v", b.Stats)
+	if m.CounterValue("bus.msgs") != 2 || m.CounterValue("bus.bytes") != 2000 ||
+		m.CounterValue("bus.busy_ns") != int64(2*tx) {
+		t.Errorf("bus counters = %v", m.Snapshot())
 	}
 }
 
 func TestHostExecSerializes(t *testing.T) {
 	k := sim.New()
-	h := &Host{ID: 0, Spec: SPARC110, k: k}
+	c, m := observed(k, DefaultCostModel())
+	h := c.Hosts[0]
 	var done1, done2 sim.Time
 	h.Exec(100, func() { done1 = k.Now() })
 	h.Exec(50, func() { done2 = k.Now() })
@@ -111,8 +123,8 @@ func TestHostExecSerializes(t *testing.T) {
 	if done1 != 100 || done2 != 150 {
 		t.Errorf("done1=%v done2=%v, want 100, 150", done1, done2)
 	}
-	if h.Stats.BusyTime != 150 {
-		t.Errorf("BusyTime = %v", h.Stats.BusyTime)
+	if busy := m.CounterValue("host.0.busy_ns"); busy != 150 {
+		t.Errorf("host.0.busy_ns = %v", busy)
 	}
 	if got := h.Exec(-5, nil); got != k.Now()+150-150 {
 		// negative cost clamps to zero: completes "now" given free CPU
@@ -168,12 +180,14 @@ func TestClusterSendRemoteAndLocal(t *testing.T) {
 
 	k2 := sim.New()
 	c2 := NewCluster(k2, cm, 2, SPARC110)
+	m2 := obs.NewMetrics()
+	c2.Observe(nil, m2)
 	c2.Send(1, 1, 1000, 10, 20, func() { localAt = k2.Now() })
 	k2.Run()
 	if localAt != 30 {
 		t.Errorf("local delivery at %v, want 30 (no bus)", localAt)
 	}
-	if c2.Bus.Stats.Messages != 0 {
+	if m2.CounterValue("bus.msgs") != 0 {
 		t.Error("local send must not touch the bus")
 	}
 }

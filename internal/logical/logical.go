@@ -250,11 +250,6 @@ func (s *Store) DetachHalf(n *Node, id LinkID) bool {
 	return false
 }
 
-// RemoveNode forcibly removes a node (used by teardown paths).
-func (s *Store) RemoveNode(id NodeID) {
-	delete(s.nodes, id)
-}
-
 // Match resolves a hop/delete destination specification (ln, ll, ldir) from
 // node c: every half-link of c whose link name matches ll, direction
 // matches ldir, and peer node name matches ln yields one Match (one

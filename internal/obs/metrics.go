@@ -205,13 +205,23 @@ type Sample struct {
 }
 
 // Metrics is a named registry of counters, gauges, and histograms — the
-// single source of truth for run statistics. A nil *Metrics hands out nil
-// instruments, whose updates are no-ops.
+// single source of truth for run statistics. An instrument is either held
+// by the registry (Counter, Gauge, Histogram) or read from where its
+// subsystem already keeps the count (CounterFunc, GaugeFunc). A nil
+// *Metrics hands out nil instruments, whose updates are no-ops.
 type Metrics struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
+	reads      []readFunc // registration only appends
+}
+
+// readFunc is one CounterFunc or GaugeFunc registration.
+type readFunc struct {
+	name string
+	kind MetricKind
+	f    func() int64
 }
 
 // NewMetrics returns an empty registry.
@@ -271,6 +281,44 @@ func (m *Metrics) Histogram(name string) *Histogram {
 	return h
 }
 
+// CounterFunc registers f as a read of the named counter: the count is
+// kept where the event happens, and Snapshot, CounterValue and the
+// exporters call f to read it. A name registered more than once reads as
+// the sum, so a registry shared by two systems reads their total. f runs
+// outside the registry lock and must be safe to call from any goroutine.
+func (m *Metrics) CounterFunc(name string, f func() int64) { m.register(name, KindCounter, f) }
+
+// GaugeFunc registers f as a read of the named gauge, as CounterFunc does
+// for a counter.
+func (m *Metrics) GaugeFunc(name string, f func() int64) { m.register(name, KindGauge, f) }
+
+func (m *Metrics) register(name string, kind MetricKind, f func() int64) {
+	if m == nil {
+		return
+	}
+	m.mu.Lock()
+	m.reads = append(m.reads, readFunc{name, kind, f})
+	m.mu.Unlock()
+}
+
+// Has reports whether name is registered under any kind.
+func (m *Metrics) Has(name string) bool {
+	if m == nil {
+		return false
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.counters[name] != nil || m.gauges[name] != nil || m.histograms[name] != nil {
+		return true
+	}
+	for _, r := range m.reads {
+		if r.name == name {
+			return true
+		}
+	}
+	return false
+}
+
 // CounterValue reads a counter without creating it (0 if absent or nil).
 func (m *Metrics) CounterValue(name string) int64 {
 	if m == nil {
@@ -278,12 +326,20 @@ func (m *Metrics) CounterValue(name string) int64 {
 	}
 	m.mu.Lock()
 	c := m.counters[name]
+	reads := m.reads
 	m.mu.Unlock()
-	return c.Value()
+	v := c.Value()
+	for _, r := range reads {
+		if r.kind == KindCounter && r.name == name {
+			v += r.f()
+		}
+	}
+	return v
 }
 
 // Snapshot returns every registered instrument sorted by name (counters,
-// then gauges, then histograms interleaved alphabetically).
+// then gauges, then histograms interleaved alphabetically), calling each
+// read function once.
 func (m *Metrics) Snapshot() []Sample {
 	if m == nil {
 		return nil
@@ -304,7 +360,27 @@ func (m *Metrics) Snapshot() []Sample {
 			P50: h.Quantile(0.5), P99: h.Quantile(0.99),
 		})
 	}
+	reads := m.reads
 	m.mu.Unlock()
+	// Read functions run outside the lock: they take their subsystem's own.
+	type key struct {
+		name string
+		kind MetricKind
+	}
+	at := make(map[key]int, len(out))
+	for i, s := range out {
+		at[key{s.Name, s.Kind}] = i
+	}
+	for _, r := range reads {
+		v := r.f()
+		k := key{r.name, r.kind}
+		if i, ok := at[k]; ok {
+			out[i].Value += v
+			continue
+		}
+		at[k] = len(out)
+		out = append(out, Sample{Name: r.name, Kind: r.kind, Value: v})
+	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Name != out[j].Name {
 			return out[i].Name < out[j].Name

@@ -27,7 +27,9 @@ func TestNilSafety(t *testing.T) {
 	if m.Counter("a") != nil || m.Gauge("b") != nil || m.Histogram("c") != nil {
 		t.Error("nil registry should hand out nil instruments")
 	}
-	if m.CounterValue("a") != 0 || m.Snapshot() != nil {
+	m.CounterFunc("a", func() int64 { return 1 })
+	m.GaugeFunc("b", func() int64 { return 1 })
+	if m.CounterValue("a") != 0 || m.Snapshot() != nil || m.Has("a") {
 		t.Error("nil registry should read as empty")
 	}
 	var c *Counter
@@ -105,6 +107,48 @@ func TestMetricsRegistry(t *testing.T) {
 	}
 	if snap[2].Kind != KindHistogram || snap[2].Count != 5 {
 		t.Errorf("histogram sample wrong: %+v", snap[2])
+	}
+}
+
+// TestReadFunctions: a read function is called at every read, a name
+// registered more than once reads as the sum (beside a held counter of the
+// same name too), and the exporters show the reads.
+func TestReadFunctions(t *testing.T) {
+	m := NewMetrics()
+	if m.Has("msgr.arrived") {
+		t.Error("empty registry has msgr.arrived")
+	}
+	var a, b int64 = 3, 4
+	m.CounterFunc("msgr.arrived", func() int64 { return a })
+	m.CounterFunc("msgr.arrived", func() int64 { return b })
+	m.Counter("msgr.arrived").Add(10)
+	m.GaugeFunc("serve.queue.depth", func() int64 { return a * b })
+	if !m.Has("msgr.arrived") || !m.Has("serve.queue.depth") {
+		t.Error("registered read functions not found")
+	}
+	if got := m.CounterValue("msgr.arrived"); got != 17 {
+		t.Errorf("msgr.arrived = %d, want 3 + 4 + 10", got)
+	}
+	if got := m.CounterValue("serve.queue.depth"); got != 0 {
+		t.Errorf("CounterValue of a gauge = %d", got)
+	}
+	a = 5
+	snap := m.Snapshot()
+	if len(snap) != 2 {
+		t.Fatalf("snapshot = %+v, want one sample per name", snap)
+	}
+	if s := snap[0]; s.Name != "msgr.arrived" || s.Kind != KindCounter || s.Value != 19 {
+		t.Errorf("counter sample = %+v, want msgr.arrived 19", s)
+	}
+	if s := snap[1]; s.Name != "serve.queue.depth" || s.Kind != KindGauge || s.Value != 20 {
+		t.Errorf("gauge sample = %+v, want serve.queue.depth 20", s)
+	}
+	var buf bytes.Buffer
+	if err := WriteMetricsCSV(&buf, m); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "serve.queue.depth,gauge,20") || !strings.Contains(FormatMetrics(m), "19") {
+		t.Errorf("exporters do not show the reads:\n%s%s", buf.String(), FormatMetrics(m))
 	}
 }
 

@@ -3,7 +3,6 @@ package pvm
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"sync/atomic"
 
 	"messengers/internal/lan"
@@ -104,14 +103,6 @@ func (p *Proc) PkInt(vs ...int64) {
 	p.chargeCopy(8*len(vs), func(cm *lan.CostModel) sim.Time { return cm.PVMPackPerByte }, false)
 }
 
-// PkDouble packs float64s (pvm_pkdouble).
-func (p *Proc) PkDouble(vs ...float64) {
-	p.checkKilled()
-	b := p.send()
-	b.data = wire.AppendF64s(b.data, vs)
-	p.chargeCopy(8*len(vs), func(cm *lan.CostModel) sim.Time { return cm.PVMPackPerByte }, false)
-}
-
 // PkBytes packs a byte block (pvm_pkbyte).
 func (p *Proc) PkBytes(bs []byte) {
 	p.checkKilled()
@@ -120,9 +111,6 @@ func (p *Proc) PkBytes(bs []byte) {
 	b.data = append(b.data, bs...)
 	p.chargeCopy(len(bs), func(cm *lan.CostModel) sim.Time { return cm.PVMPackPerByte }, false)
 }
-
-// PkStr packs a string (pvm_pkstr).
-func (p *Proc) PkStr(s string) { p.PkBytes([]byte(s)) }
 
 // PkMat packs a matrix as dims plus row-major float64 data.
 func (p *Proc) PkMat(m *value.Mat) {
@@ -153,13 +141,6 @@ func (p *Proc) UpkInt(b *Buffer) int64 {
 	return v
 }
 
-// UpkDouble unpacks one float64.
-func (p *Proc) UpkDouble(b *Buffer) float64 {
-	v := math.Float64frombits(binary.LittleEndian.Uint64(p.upkN(b, 8)))
-	p.chargeCopy(8, func(cm *lan.CostModel) sim.Time { return cm.PVMUnpackPerByte }, true)
-	return v
-}
-
 // UpkBytes unpacks a byte block (copying it out of the buffer).
 func (p *Proc) UpkBytes(b *Buffer) []byte {
 	n := int(binary.LittleEndian.Uint32(p.upkN(b, 4)))
@@ -169,9 +150,6 @@ func (p *Proc) UpkBytes(b *Buffer) []byte {
 	p.chargeCopy(n, func(cm *lan.CostModel) sim.Time { return cm.PVMUnpackPerByte }, true)
 	return out
 }
-
-// UpkStr unpacks a string.
-func (p *Proc) UpkStr(b *Buffer) string { return string(p.UpkBytes(b)) }
 
 // UpkMat unpacks a matrix into dst, a block the caller owns, as
 // pvm_upkdouble(dp, n, 1) fills the caller's array. A packed matrix whose

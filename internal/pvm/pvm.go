@@ -3,9 +3,9 @@
 //
 // The API mirrors the calls in the paper's program listings (Fig. 2 and
 // Fig. 9): spawn, typed pack/unpack into send buffers, send/receive with
-// source and tag matching (wildcards -1), multicast, dynamic groups, and
-// barriers. Tasks run either as real goroutines (NewRealMachine) or as
-// blocking processes under the simulated cluster (NewSimMachine).
+// source and tag matching (wildcards -1), multicast, and groups with
+// explicit instances. Tasks run either as real goroutines (NewRealMachine)
+// or as blocking processes under the simulated cluster (NewSimMachine).
 //
 // In simulation the library pays PVM's cost signature, per the paper's
 // §2.1 analysis of message-passing overheads: a user-level pack copy at
@@ -52,7 +52,6 @@ type Machine struct {
 	// rxBacklog tracks bytes queued at each host's pvmd awaiting
 	// processing (kernel thread only).
 	rxBacklog map[int]int
-	stats     Stats
 	// spawnCost overrides the model's pvm_spawn cost when >= 0 (for
 	// experiments that time only a post-startup phase).
 	spawnCost sim.Time
@@ -61,25 +60,14 @@ type Machine struct {
 	tr *obs.Tracer
 	mo *pvmObs
 
-	mu       sync.Mutex
-	nextTID  TID
-	tasks    map[TID]*Proc
-	groups   map[string]*group
-	barriers map[string]*barrier
-	errs     []error
+	mu      sync.Mutex
+	nextTID TID
+	tasks   map[TID]*Proc
+	groups  map[string]*group
+	errs    []error
 
 	wg sync.WaitGroup // real-mode task goroutines
 }
-
-// Stats counts transport events over a run.
-type Stats struct {
-	// Drops is the number of fragments dropped at full pvmd buffers (each
-	// costs a retransmission timeout).
-	Drops int64
-}
-
-// Stats returns transport statistics (post-run).
-func (m *Machine) Stats() Stats { return m.stats }
 
 // pvmObs caches the registry instruments the transport updates.
 type pvmObs struct {
@@ -124,7 +112,6 @@ func NewSimMachine(cluster *lan.Cluster) *Machine {
 		spawnCost: -1,
 		tasks:     map[TID]*Proc{},
 		groups:    map[string]*group{},
-		barriers:  map[string]*barrier{},
 	}
 }
 
@@ -137,7 +124,6 @@ func NewRealMachine(nHosts int) *Machine {
 		spawnCost: -1,
 		tasks:     map[TID]*Proc{},
 		groups:    map[string]*group{},
-		barriers:  map[string]*barrier{},
 	}
 }
 
@@ -234,11 +220,10 @@ type Proc struct {
 	parent TID
 	name   string
 
-	mbox             *mailbox
-	sendBuf          *Buffer
-	recvBuf          *Buffer  // active receive buffer, freed by the next Recv/NRecv
-	killed           bool     // guarded by condMu in real mode; kernel thread in sim
-	releasedBarriers []string // barriers released for this task, same guard
+	mbox    *mailbox
+	sendBuf *Buffer
+	recvBuf *Buffer // active receive buffer, freed by the next Recv/NRecv
+	killed  bool    // guarded by condMu in real mode; kernel thread in sim
 
 	simProc     *sim.Proc // simulated mode
 	mboxWaiting bool      // sim: parked in a mailbox wait (vs a CPU wait)

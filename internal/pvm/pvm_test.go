@@ -7,6 +7,7 @@ import (
 
 	"messengers/internal/lan"
 	"messengers/internal/matmul"
+	"messengers/internal/obs"
 	"messengers/internal/sim"
 	"messengers/internal/value"
 )
@@ -30,14 +31,12 @@ func checkErrs(t *testing.T, m *Machine) {
 
 func TestSendRecvRoundTripSim(t *testing.T) {
 	var got int64
-	var gotStr string
-	var gotD float64
+	var gotBytes []byte
 	k2, m2 := simMachine(t, 2)
 	recvTID := m2.SpawnAt("receiver", 1, func(p *Proc) {
 		b := p.Recv(AnySource, 7)
 		got = p.UpkInt(b)
-		gotD = p.UpkDouble(b)
-		gotStr = p.UpkStr(b)
+		gotBytes = p.UpkBytes(b)
 		if b.Sender() == 0 || b.Tag() != 7 {
 			t.Errorf("sender/tag = %d/%d", b.Sender(), b.Tag())
 		}
@@ -45,14 +44,13 @@ func TestSendRecvRoundTripSim(t *testing.T) {
 	m2.SpawnAt("sender", 0, func(p *Proc) {
 		p.InitSend()
 		p.PkInt(42)
-		p.PkDouble(2.5)
-		p.PkStr("hello")
+		p.PkBytes([]byte("hello"))
 		p.Send(recvTID, 7)
 	})
 	k2.Run()
 	checkErrs(t, m2)
-	if got != 42 || gotD != 2.5 || gotStr != "hello" {
-		t.Errorf("got %d %v %q", got, gotD, gotStr)
+	if got != 42 || string(gotBytes) != "hello" {
+		t.Errorf("got %d %q", got, gotBytes)
 	}
 }
 
@@ -179,15 +177,12 @@ func TestGroupsAndMcast(t *testing.T) {
 		i := i
 		m.SpawnAt("w", i, func(p *Proc) {
 			p.JoinGroupAs("row", i)
-			p.Barrier("joined", members)
 			if i == 0 {
-				// Instance 0 multicasts to the whole row.
+				// Instance 0 multicasts to the whole row, once Gettid has
+				// found every member joined.
 				var dsts []TID
 				for j := 0; j < members; j++ {
 					dsts = append(dsts, p.Gettid("row", j))
-				}
-				if p.Gsize("row") != members {
-					t.Errorf("gsize = %d", p.Gsize("row"))
 				}
 				p.InitSend()
 				p.PkInt(99)
@@ -204,29 +199,6 @@ func TestGroupsAndMcast(t *testing.T) {
 	checkErrs(t, m)
 	if mu.Load() != members-1 {
 		t.Errorf("mcast reached %d members, want %d", mu.Load(), members-1)
-	}
-}
-
-func TestBarrierBlocksUntilAll(t *testing.T) {
-	k, m := simMachine(t, 3)
-	var after []sim.Time
-	for i := 0; i < 3; i++ {
-		i := i
-		m.SpawnAt("b", i, func(p *Proc) {
-			p.Compute(sim.Time(i+1) * 10 * sim.Millisecond)
-			p.Barrier("sync", 3)
-			after = append(after, p.Now())
-		})
-	}
-	k.Run()
-	checkErrs(t, m)
-	if len(after) != 3 {
-		t.Fatalf("released %d", len(after))
-	}
-	for _, ts := range after {
-		if ts < 30*sim.Millisecond {
-			t.Errorf("task released at %v, before the slowest arrival", ts)
-		}
 	}
 }
 
@@ -309,6 +281,8 @@ func TestFragmentationAndWindowPacing(t *testing.T) {
 	// A large message must take longer per byte than a small one and keep
 	// the bus busy for at least its wire time.
 	k, m := simMachine(t, 2)
+	reg := obs.NewMetrics()
+	m.cluster.Observe(nil, reg)
 	cm := m.cm
 	payload := make([]byte, 10*cm.PVMFragSize)
 	recv := m.SpawnAt("r", 1, func(p *Proc) {
@@ -328,7 +302,7 @@ func TestFragmentationAndWindowPacing(t *testing.T) {
 		t.Errorf("end %v < pure wire time %v", end, wire)
 	}
 	// All 10 fragments plus acks crossed the bus.
-	if msgs := m.cluster.Bus.Stats.Messages; msgs < 20 {
+	if msgs := reg.CounterValue("bus.msgs"); msgs < 20 {
 		t.Errorf("bus messages = %d, want >= 20 (frags + acks)", msgs)
 	}
 }
@@ -346,6 +320,8 @@ func TestSendToDeadTaskIsDropped(t *testing.T) {
 
 func TestLocalDeliverySkipsBus(t *testing.T) {
 	k, m := simMachine(t, 1)
+	reg := obs.NewMetrics()
+	m.cluster.Observe(nil, reg)
 	recv := m.SpawnAt("r", 0, func(p *Proc) { p.Recv(AnySource, AnyTag) })
 	m.SpawnAt("s", 0, func(p *Proc) {
 		p.InitSend()
@@ -354,8 +330,8 @@ func TestLocalDeliverySkipsBus(t *testing.T) {
 	})
 	k.Run()
 	checkErrs(t, m)
-	if m.cluster.Bus.Stats.Messages != 0 {
-		t.Errorf("local send used the bus: %d messages", m.cluster.Bus.Stats.Messages)
+	if msgs := reg.CounterValue("bus.msgs"); msgs != 0 {
+		t.Errorf("local send used the bus: %d messages", msgs)
 	}
 }
 

@@ -69,38 +69,8 @@ func TestRealMachineBlockMatmul(t *testing.T) {
 	}
 }
 
-// TestRealMachineBarrierConcurrency stresses the barrier across real
+// TestRealMachineGroupsDynamics exercises the blocking Gettid across
 // goroutines.
-func TestRealMachineBarrierConcurrency(t *testing.T) {
-	const tasks, rounds = 8, 20
-	mach := NewRealMachine(tasks)
-	var mu sync.Mutex
-	phase := make([]int, tasks)
-	for i := 0; i < tasks; i++ {
-		i := i
-		mach.SpawnAt("b", i, func(p *Proc) {
-			for r := 0; r < rounds; r++ {
-				mu.Lock()
-				phase[i] = r
-				// Nobody may be more than one phase away at a barrier.
-				for j, ph := range phase {
-					if ph < r-1 || ph > r+1 {
-						t.Errorf("task %d at phase %d while task %d at %d", j, ph, i, r)
-					}
-				}
-				mu.Unlock()
-				p.Barrier("round", tasks)
-			}
-		})
-	}
-	mach.Wait()
-	for _, err := range mach.Errors() {
-		t.Fatalf("task error: %v", err)
-	}
-}
-
-// TestRealMachineGroupsDynamics exercises join-order instances, Gsize, and
-// the blocking Gettid across goroutines.
 func TestRealMachineGroupsDynamics(t *testing.T) {
 	mach := NewRealMachine(2)
 	got := make(chan TID, 1)
@@ -114,13 +84,8 @@ func TestRealMachineGroupsDynamics(t *testing.T) {
 	})
 	var joined TID
 	mach.SpawnAt("joiner", 1, func(p *Proc) {
-		if inst := p.JoinGroup("g"); inst != 0 {
-			t.Errorf("first join instance = %d", inst)
-		}
+		p.JoinGroupAs("g", 0)
 		joined = p.MyTID()
-		if p.Gsize("g") != 1 {
-			t.Errorf("gsize = %d", p.Gsize("g"))
-		}
 		// Stay in the group until the resolver has found us (exiting
 		// leaves all groups).
 		p.Recv(AnySource, 9)

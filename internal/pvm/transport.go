@@ -146,7 +146,6 @@ func (t *transfer) sendFrag(i int) {
 		// A fragment arriving at a full pvmd buffer is dropped (UDP) and
 		// retransmitted after the fixed timeout.
 		if cm.PVMRxBuffer > 0 && t.m.rxBacklog[t.dstHost]+size > cm.PVMRxBuffer {
-			t.m.stats.Drops++
 			if t.m.mo != nil {
 				t.m.mo.drops.Inc()
 			}
@@ -244,36 +243,12 @@ func (p *Proc) NRecv(src TID, tag int) *Buffer {
 
 type group struct {
 	members map[int]TID // instance -> tid
-	next    int
 }
 
-type barrier struct {
-	need    int
-	arrived int
-	waiters []*Proc
-}
-
-// JoinGroup adds the task to a named group and returns its instance number
-// (pvm_joingroup). Instances are assigned in join order.
-func (p *Proc) JoinGroup(name string) int {
-	p.checkKilled()
-	p.m.mu.Lock()
-	g := p.m.groups[name]
-	if g == nil {
-		g = &group{members: map[int]TID{}}
-		p.m.groups[name] = g
-	}
-	inst := g.next
-	g.next++
-	g.members[inst] = p.tid
-	p.m.mu.Unlock()
-	p.m.wakeAll() // tasks blocked in Gettid re-check membership
-	return inst
-}
-
-// JoinGroupAs joins with an explicit instance number. The paper's Fig. 9
-// indexes workers by block coordinates (pid_in_group(i*m+k)); explicit
-// instances make that mapping deterministic.
+// JoinGroupAs joins a named group with an explicit instance number
+// (pvm_joingroup). The paper's Fig. 9 indexes workers by block coordinates
+// (pid_in_group(i*m+k)); explicit instances make that mapping
+// deterministic.
 func (p *Proc) JoinGroupAs(name string, inst int) {
 	p.checkKilled()
 	p.m.mu.Lock()
@@ -287,11 +262,8 @@ func (p *Proc) JoinGroupAs(name string, inst int) {
 		panic(fmt.Sprintf("pvm: group %q instance %d already taken by tid %d", name, inst, old))
 	}
 	g.members[inst] = p.tid
-	if inst >= g.next {
-		g.next = inst + 1
-	}
 	p.m.mu.Unlock()
-	p.m.wakeAll()
+	p.m.wakeAll() // tasks blocked in Gettid re-check membership
 }
 
 // Gettid resolves a group instance to a task ID (pvm_gettid). It blocks
@@ -313,69 +285,6 @@ func (p *Proc) Gettid(name string, inst int) TID {
 		return ok
 	})
 	return tid
-}
-
-// Gsize returns the current size of a group (pvm_gsize).
-func (p *Proc) Gsize(name string) int {
-	p.m.mu.Lock()
-	defer p.m.mu.Unlock()
-	g := p.m.groups[name]
-	if g == nil {
-		return 0
-	}
-	return len(g.members)
-}
-
-// Barrier blocks until count tasks have called Barrier on the same name
-// (pvm_barrier).
-func (p *Proc) Barrier(name string, count int) {
-	p.checkKilled()
-	p.m.mu.Lock()
-	b := p.m.barriers[name]
-	if b == nil || b.need == 0 {
-		b = &barrier{need: count}
-		p.m.barriers[name] = b
-	}
-	b.arrived++
-	release := b.arrived >= b.need
-	if release {
-		waiters := b.waiters
-		b.waiters = nil
-		b.arrived = 0
-		b.need = 0
-		p.m.mu.Unlock()
-		for _, w := range waiters {
-			w.barrierDone(name)
-		}
-		return
-	}
-	b.waiters = append(b.waiters, p)
-	p.m.mu.Unlock()
-	p.block(func() bool { return p.barrierReleased(name) })
-}
-
-// barrier release handshake: a released waiter gets a flag message-style
-// wakeup via its mailbox condition.
-func (p *Proc) barrierDone(name string) {
-	if p.m.Sim() {
-		p.releasedBarriers = append(p.releasedBarriers, name)
-		p.wake()
-		return
-	}
-	p.condMu.Lock()
-	p.releasedBarriers = append(p.releasedBarriers, name)
-	p.condMu.Unlock()
-	p.wake()
-}
-
-func (p *Proc) barrierReleased(name string) bool {
-	for i, n := range p.releasedBarriers {
-		if n == name {
-			p.releasedBarriers = append(p.releasedBarriers[:i], p.releasedBarriers[i+1:]...)
-			return true
-		}
-	}
-	return false
 }
 
 // wakeAll wakes every task so it can re-check a blocked condition (group

@@ -151,6 +151,64 @@ func TestRejectTaxonomy(t *testing.T) {
 	}
 }
 
+// TestMetricsReadServerCounts: the serve.* series of a system's registry
+// read the server's own counts and levels, mid-run and after it.
+func TestMetricsReadServerCounts(t *testing.T) {
+	reg := messengers.NewMetrics()
+	sys, srv := simService(t, 2, messengers.Config{Metrics: reg}, serve.Config{
+		Tenants: []serve.TenantConfig{
+			{ID: "a", Quota: serve.Quota{MaxLive: 1, MaxQueue: 1}},
+			{ID: "b", Quota: serve.Quota{StepBudget: 100}},
+		},
+	})
+	for _, sub := range []serve.Submission{walkerSub("a", 1, 0), walkerSub("a", 1, 0), walkerSub("a", 1, 0), walkerSub("b", 50, 1)} {
+		srv.Submit(sub) // admitted, queued, refused, admitted
+	}
+	gauge := func(name string) int64 {
+		for _, s := range reg.Snapshot() {
+			if s.Name == name {
+				return s.Value
+			}
+		}
+		t.Fatalf("no %s in the registry", name)
+		return 0
+	}
+	for name, want := range map[string]int64{
+		"serve.queue.depth": 1, "serve.sessions.live": 2, "serve.tenant.a.queue": 1, "serve.tenant.a.live": 1,
+	} {
+		if got := gauge(name); got != want {
+			t.Errorf("before the run %s = %d, want %d", name, got, want)
+		}
+	}
+	sys.RunSim()
+	var admitted, completed, evicted int64
+	for _, ts := range srv.Stats() {
+		admitted, completed, evicted = admitted+ts.Admitted, completed+ts.Completed, evicted+ts.Evicted
+		for suffix, want := range map[string]int64{
+			"admitted": ts.Admitted, "rejected": ts.Rejected, "evicted": ts.Evicted,
+			"completed": ts.Completed, "steps": ts.Steps, "hops": ts.Hops,
+		} {
+			if got := reg.CounterValue("serve.tenant." + ts.ID + "." + suffix); got != want {
+				t.Errorf("serve.tenant.%s.%s = %d, Stats %d", ts.ID, suffix, got, want)
+			}
+		}
+		if q, l := gauge("serve.tenant."+ts.ID+".queue"), gauge("serve.tenant."+ts.ID+".live"); q != 0 || l != 0 {
+			t.Errorf("tenant %s: queue %d, live %d after the run", ts.ID, q, l)
+		}
+	}
+	if admitted != 3 || completed != 2 || evicted != 1 {
+		t.Errorf("admitted %d, completed %d, evicted %d; want 3, 2, 1", admitted, completed, evicted)
+	}
+	for name, want := range map[string]int64{"serve.admitted": admitted, "serve.completed": completed, "serve.evicted": evicted} {
+		if got := reg.CounterValue(name); got != want {
+			t.Errorf("%s = %d, the tenants counted %d", name, got, want)
+		}
+	}
+	if d, l := gauge("serve.queue.depth"), gauge("serve.sessions.live"); d != 0 || l != 0 {
+		t.Errorf("queue depth %d, live sessions %d after the run", d, l)
+	}
+}
+
 // evictionRun drives one eviction scenario on the sim engine and returns
 // the completions and final stats.
 func evictionRun(t *testing.T, quota serve.Quota, sub serve.Submission) (serve.Completion, serve.TenantStats, *messengers.System) {

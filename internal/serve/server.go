@@ -132,29 +132,23 @@ type Config struct {
 	// the sim engine pass a Kernel.At wrapper; nil defaults to
 	// time.AfterFunc.
 	After func(d sim.Time, fn func())
-	// Metrics receives serve.* instruments (nil = no metrics).
-	Metrics *obs.Metrics
 	// OnComplete, if set, is invoked for every session completion, on the
 	// daemon executor that finished the session. Keep it fast.
 	OnComplete func(Completion)
 }
 
-// serverObs holds the server-wide instruments.
+// serverObs holds the server-wide counters no account keeps.
 type serverObs struct {
-	admitted, queued, completed, evicted *obs.Counter
-	rejVerify, rejTenant, rejTooLarge    *obs.Counter
-	rejBackpressure, rejDraining         *obs.Counter
-	rejIllTyped, rejStateBound           *obs.Counter
-	unknown                              *obs.Counter
-	queueDepth, liveSessions             *obs.Gauge
+	queued                            *obs.Counter
+	rejVerify, rejTenant, rejTooLarge *obs.Counter
+	rejBackpressure, rejDraining      *obs.Counter
+	rejIllTyped, rejStateBound        *obs.Counter
+	unknown                           *obs.Counter
 }
 
 func newServerObs(m *obs.Metrics) *serverObs {
 	return &serverObs{
-		admitted:        m.Counter("serve.admitted"),
 		queued:          m.Counter("serve.queued"),
-		completed:       m.Counter("serve.completed"),
-		evicted:         m.Counter("serve.evicted"),
 		rejVerify:       m.Counter("serve.reject.verify"),
 		rejTenant:       m.Counter("serve.reject.tenant"),
 		rejTooLarge:     m.Counter("serve.reject.toolarge"),
@@ -163,8 +157,32 @@ func newServerObs(m *obs.Metrics) *serverObs {
 		rejIllTyped:     m.Counter("serve.reject.illtyped"),
 		rejStateBound:   m.Counter("serve.reject.statebound"),
 		unknown:         m.Counter("serve.sessions.unknown"),
-		queueDepth:      m.Gauge("serve.queue.depth"),
-		liveSessions:    m.Gauge("serve.sessions.live"),
+	}
+}
+
+// register makes m read the server-wide admitted/completed/evicted counts
+// and the queue and live-session levels where the server keeps them.
+func (s *Server) register(m *obs.Metrics) {
+	sum := func(n func(*account) int64) func() int64 {
+		return func() int64 {
+			var t int64
+			for _, id := range s.order {
+				t += n(s.accounts[id])
+			}
+			return t
+		}
+	}
+	m.CounterFunc("serve.admitted", sum(func(a *account) int64 { return a.admitted.Load() }))
+	m.CounterFunc("serve.completed", sum(func(a *account) int64 { return a.completed.Load() }))
+	m.CounterFunc("serve.evicted", sum(func(a *account) int64 { return a.evicted.Load() }))
+	m.GaugeFunc("serve.queue.depth", func() int64 {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return int64(s.queueDepth)
+	})
+	m.GaugeFunc("serve.sessions.live", func() int64 { return int64(s.LiveSessions()) })
+	for _, id := range s.order {
+		s.accounts[id].register(m)
 	}
 }
 
@@ -213,7 +231,7 @@ func New(sys *core.System, cfg Config) (*Server, error) {
 		cfg:       cfg,
 		clock:     cfg.Clock,
 		after:     cfg.After,
-		som:       newServerObs(cfg.Metrics),
+		som:       newServerObs(sys.Metrics()),
 		accounts:  make(map[string]*account),
 		progCache: make(map[progKey]*bytecode.Program),
 		sessions:  make(map[uint64]*session),
@@ -237,8 +255,11 @@ func New(sys *core.System, cfg Config) (*Server, error) {
 		if _, dup := s.accounts[tc.ID]; dup {
 			return nil, fmt.Errorf("serve: duplicate tenant %q", tc.ID)
 		}
-		s.accounts[tc.ID] = newAccount(tc, cfg.Metrics)
+		s.accounts[tc.ID] = newAccount(tc)
 		s.order = append(s.order, tc.ID)
+	}
+	if m := sys.Metrics(); m != nil {
+		s.register(m)
 	}
 	sys.SetAdmission(s)
 	return s, nil
@@ -284,7 +305,7 @@ func (s *Server) finish(ss *session) {
 	s.smu.Unlock()
 
 	a := ss.acct
-	a.om.live.Set(a.live.Add(-1))
+	a.live.Add(-1)
 	var used int64
 	if ss.budget > 0 {
 		left := ss.stepsLeft.Load()
@@ -304,12 +325,8 @@ func (s *Server) finish(ss *session) {
 	evicted := ss.evict.Load()
 	if evicted {
 		a.evicted.Add(1)
-		a.om.evicted.Inc()
-		s.som.evicted.Inc()
 	} else {
 		a.completed.Add(1)
-		a.om.completed.Inc()
-		s.som.completed.Inc()
 	}
 	if s.cfg.OnComplete != nil {
 		reason, _ := ss.reason.Load().(string)
@@ -325,7 +342,6 @@ func (s *Server) finish(ss *session) {
 
 	s.idleMu.Lock()
 	s.totalLive--
-	s.som.liveSessions.Set(int64(s.totalLive))
 	if s.totalLive == 0 {
 		s.idleCond.Broadcast()
 	}
@@ -379,9 +395,7 @@ func (s *Server) Submit(sub Submission) (uint64, Status, error) {
 				fmt.Sprintf("tenant %q admission queue full (%d)", a.id, a.q.MaxQueue)})
 		}
 		a.queue = append(a.queue, p)
-		a.om.queue.Set(int64(len(a.queue)))
 		s.queueDepth++
-		s.som.queueDepth.Set(int64(s.queueDepth))
 		a.mu.Unlock()
 		s.armPumpLocked(now)
 		s.mu.Unlock()
@@ -508,7 +522,6 @@ func (s *Server) launchLocked(a *account, p *pending, now sim.Time) error {
 
 	s.idleMu.Lock()
 	s.totalLive++
-	s.som.liveSessions.Set(int64(s.totalLive))
 	s.idleMu.Unlock()
 
 	d := p.daemon
@@ -523,17 +536,14 @@ func (s *Server) launchLocked(a *account, p *pending, now sim.Time) error {
 		s.smu.Unlock()
 		s.idleMu.Lock()
 		s.totalLive--
-		s.som.liveSessions.Set(int64(s.totalLive))
 		if s.totalLive == 0 {
 			s.idleCond.Broadcast()
 		}
 		s.idleMu.Unlock()
 		return err
 	}
-	a.om.live.Set(a.live.Add(1))
+	a.live.Add(1)
 	a.admitted.Add(1)
-	a.om.admitted.Inc()
-	s.som.admitted.Inc()
 	return nil
 }
 
@@ -558,9 +568,7 @@ func (s *Server) pump() {
 				}
 				p := a.queue[0]
 				a.queue = a.queue[1:]
-				a.om.queue.Set(int64(len(a.queue)))
 				s.queueDepth--
-				s.som.queueDepth.Set(int64(s.queueDepth))
 				a.mu.Unlock()
 				// Launch errors surface via stats only; the session was
 				// never created on failure.
@@ -613,7 +621,6 @@ func (s *Server) armPumpLocked(now sim.Time) {
 func (s *Server) rejected(a *account, r *Reject) error {
 	if a != nil {
 		a.rejected.Add(1)
-		a.om.rejected.Inc()
 		if r.Code == RejectIllTyped {
 			a.illTyped.Add(1)
 		}
@@ -648,16 +655,11 @@ func (s *Server) Drain() {
 		a.mu.Lock()
 		flushed := len(a.queue)
 		a.queue = nil
-		a.om.queue.Set(0)
 		a.mu.Unlock()
-		for i := 0; i < flushed; i++ {
-			a.rejected.Add(1)
-			a.om.rejected.Inc()
-			s.som.rejDraining.Inc()
-		}
+		a.rejected.Add(int64(flushed))
+		s.som.rejDraining.Add(int64(flushed))
 		s.queueDepth -= flushed
 	}
-	s.som.queueDepth.Set(int64(s.queueDepth))
 	s.mu.Unlock()
 }
 

@@ -98,36 +98,6 @@ func (b *bucket) wait(now sim.Time, n float64) sim.Time {
 	return sim.Time((n - b.tokens) / b.rate * float64(sim.Second))
 }
 
-// acctObs is one tenant's metric instruments (nil registry ⇒ nil-safe
-// no-op instruments, so accounts hold them unconditionally).
-type acctObs struct {
-	admitted, rejected, evicted, completed *obs.Counter
-	steps, hops                            *obs.Counter
-	queue, live                            *obs.Gauge
-}
-
-func newAcctObs(m *obs.Metrics, id string) *acctObs {
-	name := func(suffix string) string { return "serve.tenant." + id + "." + suffix }
-	return &acctObs{
-		//lint:obsname per-tenant series, bounded by the tenant config
-		admitted: m.Counter(name("admitted")),
-		//lint:obsname per-tenant series, bounded by the tenant config
-		rejected: m.Counter(name("rejected")),
-		//lint:obsname per-tenant series, bounded by the tenant config
-		evicted: m.Counter(name("evicted")),
-		//lint:obsname per-tenant series, bounded by the tenant config
-		completed: m.Counter(name("completed")),
-		//lint:obsname per-tenant series, bounded by the tenant config
-		steps: m.Counter(name("steps")),
-		//lint:obsname per-tenant series, bounded by the tenant config
-		hops: m.Counter(name("hops")),
-		//lint:obsname per-tenant series, bounded by the tenant config
-		queue: m.Gauge(name("queue")),
-		//lint:obsname per-tenant series, bounded by the tenant config
-		live: m.Gauge(name("live")),
-	}
-}
-
 // account is one tenant's admission state.
 type account struct {
 	id string
@@ -149,18 +119,36 @@ type account struct {
 	hops            atomic.Int64
 	maxSessionSteps atomic.Int64
 	violations      atomic.Int64
-
-	om *acctObs
 }
 
-func newAccount(cfg TenantConfig, m *obs.Metrics) *account {
+func newAccount(cfg TenantConfig) *account {
 	return &account{
 		id:    cfg.ID,
 		q:     cfg.Quota,
 		hopTB: newBucket(cfg.HopRate, cfg.HopBurst),
 		injTB: newBucket(cfg.InjectRate, cfg.InjectBurst),
-		om:    newAcctObs(m, cfg.ID),
 	}
+}
+
+// register makes m read the tenant's serve.tenant.<id>.* series from the
+// account's own counts.
+func (a *account) register(m *obs.Metrics) {
+	for _, c := range []struct {
+		suffix string
+		n      *atomic.Int64
+	}{
+		{"admitted", &a.admitted}, {"rejected", &a.rejected}, {"evicted", &a.evicted},
+		{"completed", &a.completed}, {"steps", &a.steps}, {"hops", &a.hops},
+	} {
+		m.CounterFunc("serve.tenant."+a.id+"."+c.suffix, func() int64 { return c.n.Load() }) //lint:obsname per-tenant series, bounded by the tenant config
+	}
+	//lint:obsname per-tenant series, bounded by the tenant config
+	m.GaugeFunc("serve.tenant."+a.id+".queue", func() int64 {
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		return int64(len(a.queue))
+	})
+	m.GaugeFunc("serve.tenant."+a.id+".live", func() int64 { return a.live.Load() }) //lint:obsname per-tenant series, bounded by the tenant config
 }
 
 // pending is one submission: admitted immediately or parked in the
@@ -218,7 +206,6 @@ func (ss *session) Charge(n int64) {
 		return
 	}
 	ss.acct.steps.Add(n)
-	ss.acct.om.steps.Add(n)
 	if ss.budget > 0 {
 		ss.stepsLeft.Add(-n)
 	}
@@ -236,7 +223,6 @@ func (ss *session) ChargeHop(now sim.Time, n int) error {
 		return err
 	}
 	a.hops.Add(int64(n))
-	a.om.hops.Add(int64(n))
 	return nil
 }
 

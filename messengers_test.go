@@ -54,7 +54,8 @@ func TestPublicAPIOnRealSystem(t *testing.T) {
 
 func TestPublicAPIOnSimSystem(t *testing.T) {
 	var log bytes.Buffer
-	sys, err := NewSimSystem(Config{Daemons: 3, Output: &log})
+	reg := NewMetrics()
+	sys, err := NewSimSystem(Config{Daemons: 3, Output: &log, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestPublicAPIOnSimSystem(t *testing.T) {
 	if sys.Kernel() == nil || sys.Cluster() == nil {
 		t.Error("sim accessors should be populated")
 	}
-	if sys.Cluster().Bus.Stats.Messages == 0 {
+	if reg.CounterValue("bus.msgs") == 0 {
 		t.Error("no simulated traffic recorded")
 	}
 }
