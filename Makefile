@@ -15,7 +15,8 @@ vet: build
 	@out=$$(gofmt -l *.go cmd examples internal); test -z "$$out" || { echo "gofmt -l:"; echo "$$out"; exit 1; }
 
 # Repo-specific analyzers (determinism, sticky errors, obs namespace,
-# lock discipline); see docs/ANALYSIS.md. Exits nonzero on findings.
+# lock discipline, dispatch layering, kind switches, dead code); see
+# docs/ANALYSIS.md. Exits nonzero on findings.
 lint: build
 	$(GO) run ./cmd/mlint
 

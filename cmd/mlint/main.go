@@ -28,6 +28,7 @@ var suite = []*analysis.Analyzer{
 	analyzers.LockHold,
 	analyzers.VMDispatch,
 	analyzers.KindSwitch,
+	analyzers.DeadCode,
 }
 
 func main() {
@@ -44,34 +45,23 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	pkgs, err := analysis.ModulePackages(root)
+	loaded, err := analysis.NewLoader(root).LoadModule()
 	if err != nil {
 		fatal(err)
 	}
-
-	loader := analysis.NewLoader(root)
-	shared := map[string]any{}
-	findings := 0
-	for _, pkgPath := range pkgs {
-		lp, err := loader.Load(analysis.PackageDir(root, pkgPath), pkgPath)
-		if err != nil {
-			fatal(fmt.Errorf("loading %s: %w", pkgPath, err))
-		}
-		diags, err := analysis.RunAnalyzers(lp, suite, shared)
-		if err != nil {
-			fatal(err)
-		}
-		for _, d := range diags {
-			rel, rerr := filepath.Rel(root, d.Pos.Filename)
-			if rerr != nil {
-				rel = d.Pos.Filename
-			}
-			fmt.Printf("%s:%d:%d: %s [%s]\n", rel, d.Pos.Line, d.Pos.Column, d.Message, d.Analyzer)
-			findings++
-		}
+	diags, err := analysis.Run(loaded, suite)
+	if err != nil {
+		fatal(err)
 	}
-	if findings > 0 {
-		fmt.Fprintf(os.Stderr, "mlint: %d finding(s)\n", findings)
+	for _, d := range diags {
+		rel, rerr := filepath.Rel(root, d.Pos.Filename)
+		if rerr != nil {
+			rel = d.Pos.Filename
+		}
+		fmt.Printf("%s:%d:%d: %s [%s]\n", rel, d.Pos.Line, d.Pos.Column, d.Message, d.Analyzer)
+	}
+	if len(diags) > 0 {
+		fmt.Fprintf(os.Stderr, "mlint: %d finding(s)\n", len(diags))
 		os.Exit(1)
 	}
 }

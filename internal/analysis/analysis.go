@@ -29,6 +29,10 @@ type Analyzer struct {
 	// Run applies the analyzer to one package, reporting findings through
 	// pass.Reportf.
 	Run func(*Pass) error
+	// RunModule, when set instead of Run, applies the analyzer once to
+	// every loaded package together (pass.Packages), after the
+	// per-package runs.
+	RunModule func(*Pass) error
 }
 
 // A Pass provides one analyzer with one type-checked package and collects
@@ -41,11 +45,12 @@ type Pass struct {
 	PkgPath string
 	Fset    *token.FileSet
 	Files   []*ast.File
-	Pkg     *types.Package
 	Info    *types.Info
 	// Shared persists across packages within one driver run, keyed by
 	// analyzer name; obsnames uses it to detect cross-package duplicates.
 	Shared map[string]any
+	// Packages is every loaded package, set only for RunModule.
+	Packages []*LoadedPackage
 
 	diags *[]Diagnostic
 }
@@ -88,10 +93,7 @@ func (p *Pass) ObjectOf(id *ast.Ident) types.Object {
 	if p.Info == nil {
 		return nil
 	}
-	if o := p.Info.ObjectOf(id); o != nil {
-		return o
-	}
-	return nil
+	return p.Info.ObjectOf(id)
 }
 
 // CalleeObj resolves the called function or method of a call expression to

@@ -8,10 +8,13 @@
 // message contains substr; findings on lines without a want comment, and
 // want comments without a finding, both fail the test. Suppression
 // directives (//lint:...) are honored, so the escape hatch itself is
-// testable.
+// testable. A testdata directory whose subdirectories hold packages is a
+// small module: each subdirectory loads as its own package, and module
+// analyzers see them all at once.
 package analysistest
 
 import (
+	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -22,20 +25,43 @@ import (
 
 var wantRE = regexp.MustCompile(`//\s*want\s+"((?:[^"\\]|\\.)*)"`)
 
-// Run loads the package in dir pretending it has import path asPath, runs
-// the analyzer, and compares diagnostics against // want comments.
-func Run(t *testing.T, dir, asPath string, analyzers ...*analysis.Analyzer) {
+// loader serves every Run, so the standard library is type-checked once.
+// Load caches only imports, so a testdata package posing as a real path
+// never stands in for it.
+var loader *analysis.Loader
+
+// Run loads the package in dir pretending it has import path asPath (or,
+// when dir has package subdirectories, each of them under asPath/<name>),
+// runs the analyzers, per package and then module-wide, and compares
+// diagnostics against // want comments.
+func Run(t *testing.T, dir, asPath string, analyzers ...*analysis.Analyzer) { //lint:deadcode test support: the analyzer tests of package analyzers
 	t.Helper()
-	repoRoot, err := findRepoRoot()
-	if err != nil {
-		t.Fatal(err)
+	if loader == nil {
+		// Tests run in their package's directory, three levels below the root.
+		repoRoot, err := filepath.Abs("../../..")
+		if err != nil {
+			t.Fatal(err)
+		}
+		loader = analysis.NewLoader(repoRoot)
 	}
-	loader := analysis.NewLoader(repoRoot)
-	lp, err := loader.Load(dir, asPath)
-	if err != nil {
-		t.Fatalf("loading %s: %v", dir, err)
+	var loaded []*analysis.LoadedPackage
+	load := func(dir, path string) {
+		lp, err := loader.Load(dir, path)
+		if err != nil {
+			t.Fatalf("loading %s: %v", dir, err)
+		}
+		loaded = append(loaded, lp)
 	}
-	diags, err := analysis.RunAnalyzers(lp, analyzers, map[string]any{})
+	ents, _ := os.ReadDir(dir)
+	for _, e := range ents {
+		if e.IsDir() {
+			load(filepath.Join(dir, e.Name()), asPath+"/"+e.Name())
+		}
+	}
+	if len(loaded) == 0 {
+		load(dir, asPath)
+	}
+	diags, err := analysis.Run(loaded, analyzers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,17 +71,19 @@ func Run(t *testing.T, dir, asPath string, analyzers ...*analysis.Analyzer) {
 		line int
 	}
 	wants := map[key][]string{}
-	for _, f := range lp.Files {
-		name := lp.Fset.Position(f.Pos()).Filename
-		src, err := readFile(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, lineText := range strings.Split(src, "\n") {
-			for _, m := range wantRE.FindAllStringSubmatch(lineText, -1) {
-				sub := strings.ReplaceAll(m[1], `\"`, `"`)
-				k := key{name, i + 1}
-				wants[k] = append(wants[k], sub)
+	for _, lp := range loaded {
+		for _, f := range lp.Files {
+			name := lp.Fset.Position(f.Pos()).Filename
+			src, err := os.ReadFile(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, lineText := range strings.Split(string(src), "\n") {
+				for _, m := range wantRE.FindAllStringSubmatch(lineText, -1) {
+					sub := strings.ReplaceAll(m[1], `\"`, `"`)
+					k := key{name, i + 1}
+					wants[k] = append(wants[k], sub)
+				}
 			}
 		}
 	}
@@ -85,22 +113,5 @@ func Run(t *testing.T, dir, asPath string, analyzers ...*analysis.Analyzer) {
 			t.Errorf("missing finding at %s:%d: want message containing %q",
 				filepath.Base(k.file), k.line, w)
 		}
-	}
-}
-
-func findRepoRoot() (string, error) {
-	dir, err := filepath.Abs(".")
-	if err != nil {
-		return "", err
-	}
-	for {
-		if ok, _ := fileExists(filepath.Join(dir, "go.mod")); ok {
-			return dir, nil
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", errNoRoot
-		}
-		dir = parent
 	}
 }

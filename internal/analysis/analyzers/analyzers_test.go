@@ -58,3 +58,11 @@ func TestVMDispatchConfinement(t *testing.T) {
 	analysistest.Run(t, "testdata/vmdispatch", "messengers/internal/transport",
 		analyzers.VMDispatch)
 }
+
+func TestDeadCode(t *testing.T) {
+	// A library and the main package that calls it, loaded under their
+	// real paths so the importer's copy of the library and its own load
+	// name each declaration alike.
+	analysistest.Run(t, "testdata/deadcode", "messengers/internal/analysis/analyzers/testdata/deadcode",
+		analyzers.DeadCode)
+}

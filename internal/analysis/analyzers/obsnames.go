@@ -89,7 +89,7 @@ func runObsNames(pass *analysis.Pass) error {
 				}
 			case recv == "Tracer":
 				switch sel.Sel.Name {
-				case "Instant", "Span", "Counter":
+				case "Instant", "Span":
 					// (track, cat, name, ...)
 					checkTraceArg(pass, call, 1, "category")
 					checkTraceArg(pass, call, 2, "name")

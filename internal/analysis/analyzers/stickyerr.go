@@ -10,7 +10,7 @@ import (
 // StickyErr enforces the wire layer's sticky-error contract, both halves.
 // An Encoder swallows write errors (oversized strings, bad frames) into an
 // internal sticky error, so code that extracts the encoded bytes with Bytes
-// or Detach MUST consult Err (or EndFrame, which returns it) somewhere in
+// MUST consult Err (or EndFrame, which returns it) somewhere in
 // the same function — otherwise truncated garbage ships as if it were a
 // valid message. A Decoder answers a short or forged buffer with zeros and
 // the same kind of error, so a function that makes one with NewDecoder MUST
@@ -40,8 +40,8 @@ func runStickyErr(pass *analysis.Pass) error {
 }
 
 // checkFuncSticky applies the rule for one of the two wire types: the
-// calls that rely on the sticky error being clean (Bytes and Detach on an
-// Encoder, NewDecoder for a Decoder) need a call that consults it.
+// calls that rely on the sticky error being clean (Bytes on an Encoder,
+// NewDecoder for a Decoder) need a call that consults it.
 func checkFuncSticky(pass *analysis.Pass, fd *ast.FuncDecl, typ string) {
 	var consumes []*ast.SelectorExpr
 	checked := false
@@ -61,7 +61,7 @@ func checkFuncSticky(pass *analysis.Pass, fd *ast.FuncDecl, typ string) {
 			return true
 		}
 		switch sel.Sel.Name {
-		case "Bytes", "Detach":
+		case "Bytes":
 			consumes = append(consumes, sel)
 		case "Err", "EndFrame", "Finish", "Fail":
 			// Fail counts: the function is explicitly managing the error

@@ -34,7 +34,6 @@ func readFuncs(m *obs.Metrics, id string, n func() int64) {
 func traces(t *obs.Tracer, id int) {
 	t.Instant(0, "msgr", "hop", obs.I("n", 1))      // fine
 	t.Span(0, "net", "net.send", 0, 10)             // fine
-	t.Counter(0, "gvt", "gvt.live", 3)              // fine
 	t.Instant(0, "msgr", fmt.Sprintf("hop.%d", id)) // want "built with Sprintf"
 	t.Instant(0, "Msgr!", "hop")                    // want "must match"
 }

@@ -7,7 +7,7 @@ import "messengers/internal/wire"
 func bad(s string) []byte {
 	e := wire.NewEncoder()
 	e.Str(s)
-	return e.Detach() // want "never checks"
+	return e.Bytes() // want "never checks"
 }
 
 func badBytes(s string) int {
@@ -25,7 +25,7 @@ func good(s string) ([]byte, error) {
 		e.Release()
 		return nil, err
 	}
-	return e.Detach(), nil
+	return e.Bytes(), nil
 }
 
 // goodFrame: EndFrame returns the sticky error, which counts as the check.
@@ -37,7 +37,7 @@ func goodFrame(s string) ([]byte, error) {
 		e.Release()
 		return nil, err
 	}
-	return e.Detach(), nil
+	return e.Bytes(), nil
 }
 
 func encodeInto(e *wire.Encoder, s string) error {
@@ -58,8 +58,8 @@ func goodTransfer(s string) []byte {
 // suppressed documents why the check is unnecessary.
 func suppressed() []byte {
 	e := wire.NewEncoder()
-	e.U32(7)          // fixed-width writes cannot set the sticky error
-	return e.Detach() //lint:stickyerr U32-only encoding cannot fail
+	e.U32(7)         // fixed-width writes cannot set the sticky error
+	return e.Bytes() //lint:stickyerr U32-only encoding cannot fail
 }
 
 // badDecode takes what the decoder returns without asking whether the

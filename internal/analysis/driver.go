@@ -4,10 +4,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"io/fs"
-	"os"
-	"path/filepath"
-	"sort"
 	"strings"
 )
 
@@ -60,26 +56,40 @@ func (s suppressions) covers(d Diagnostic) bool {
 	return s[d.Pos.Filename][d.Pos.Line][d.Category]
 }
 
-// RunAnalyzers applies every analyzer to one loaded package and returns
-// the unsuppressed findings, sorted by position.
-func RunAnalyzers(lp *LoadedPackage, analyzers []*Analyzer, shared map[string]any) ([]Diagnostic, error) {
+// Run applies the analyzers to pkgs, which share one FileSet: each
+// per-package analyzer to every package in turn, then each module analyzer
+// once to all of them. It returns the unsuppressed findings, sorted by
+// position.
+func Run(pkgs []*LoadedPackage, analyzers []*Analyzer) ([]Diagnostic, error) {
+	if len(pkgs) == 0 {
+		return nil, nil
+	}
 	var diags []Diagnostic
-	for _, a := range analyzers {
-		pass := &Pass{
-			Analyzer: a,
-			PkgPath:  lp.PkgPath,
-			Fset:     lp.Fset,
-			Files:    lp.Files,
-			Pkg:      lp.Pkg,
-			Info:     lp.Info,
-			Shared:   shared,
-			diags:    &diags,
-		}
-		if err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("%s on %s: %w", a.Name, lp.PkgPath, err)
+	var files []*ast.File
+	shared := map[string]any{}
+	for _, lp := range pkgs {
+		files = append(files, lp.Files...)
+		for _, a := range analyzers {
+			if a.Run == nil {
+				continue
+			}
+			pass := &Pass{Analyzer: a, PkgPath: lp.PkgPath, Fset: lp.Fset, Files: lp.Files, Info: lp.Info,
+				Shared: shared, diags: &diags}
+			if err := a.Run(pass); err != nil {
+				return nil, fmt.Errorf("%s on %s: %w", a.Name, lp.PkgPath, err)
+			}
 		}
 	}
-	sup := collectSuppressions(lp.Fset, lp.Files)
+	for _, a := range analyzers {
+		if a.RunModule == nil {
+			continue
+		}
+		pass := &Pass{Analyzer: a, Fset: pkgs[0].Fset, Files: files, Packages: pkgs, diags: &diags}
+		if err := a.RunModule(pass); err != nil {
+			return nil, fmt.Errorf("%s: %w", a.Name, err)
+		}
+	}
+	sup := collectSuppressions(pkgs[0].Fset, files)
 	kept := diags[:0]
 	for _, d := range diags {
 		if !sup.covers(d) {
@@ -88,56 +98,4 @@ func RunAnalyzers(lp *LoadedPackage, analyzers []*Analyzer, shared map[string]an
 	}
 	sortDiags(kept)
 	return kept, nil
-}
-
-// ModulePackages lists the import paths of every package directory under
-// the repo root (sorted), skipping testdata, hidden, and vendor-like
-// directories. Directories without Go files are skipped silently.
-func ModulePackages(repoRoot string) ([]string, error) {
-	var pkgs []string
-	err := filepath.WalkDir(repoRoot, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !d.IsDir() {
-			return nil
-		}
-		name := d.Name()
-		if path != repoRoot && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
-			name == "testdata" || name == "vendor") {
-			return filepath.SkipDir
-		}
-		ents, err := os.ReadDir(path)
-		if err != nil {
-			return err
-		}
-		for _, e := range ents {
-			if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") && !strings.HasSuffix(e.Name(), "_test.go") {
-				rel, err := filepath.Rel(repoRoot, path)
-				if err != nil {
-					return err
-				}
-				if rel == "." {
-					pkgs = append(pkgs, modulePath)
-				} else {
-					pkgs = append(pkgs, modulePath+"/"+filepath.ToSlash(rel))
-				}
-				break
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	sort.Strings(pkgs)
-	return pkgs, nil
-}
-
-// PackageDir maps an import path under the module back to its directory.
-func PackageDir(repoRoot, pkgPath string) string {
-	if pkgPath == modulePath {
-		return repoRoot
-	}
-	return filepath.Join(repoRoot, filepath.FromSlash(strings.TrimPrefix(pkgPath, modulePath+"/")))
 }

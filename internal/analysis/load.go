@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"go/ast"
 	"go/build"
-	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io/fs"
+	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -24,10 +26,9 @@ type Loader struct {
 	RepoRoot string
 	Fset     *token.FileSet
 
-	ctx      build.Context
-	imports  map[string]*types.Package
-	compiled types.Importer // fallback for GOROOT packages, when available
-	loading  map[string]bool
+	ctx     build.Context
+	imports map[string]*types.Package
+	loading map[string]bool
 }
 
 // NewLoader returns a loader rooted at the module directory.
@@ -36,24 +37,18 @@ func NewLoader(repoRoot string) *Loader {
 	// Cgo files would need a C toolchain pass; every package we analyze or
 	// import has pure-Go fallbacks.
 	ctx.CgoEnabled = false
-	l := &Loader{
+	return &Loader{
 		RepoRoot: repoRoot,
 		Fset:     token.NewFileSet(),
 		ctx:      ctx,
 		imports:  map[string]*types.Package{},
 		loading:  map[string]bool{},
 	}
-	// Prefer export data for GOROOT packages when the toolchain has it
-	// compiled (fast, and sidesteps source quirks deep in the runtime);
-	// fall back to type-checking stdlib source otherwise.
-	l.compiled = importer.Default()
-	return l
 }
 
 // A LoadedPackage is one fully type-checked package ready for analysis.
 type LoadedPackage struct {
 	PkgPath string
-	Dir     string
 	Fset    *token.FileSet
 	Files   []*ast.File
 	Pkg     *types.Package
@@ -89,12 +84,45 @@ func (l *Loader) Load(dir, asPath string) (*LoadedPackage, error) {
 	}
 	return &LoadedPackage{
 		PkgPath: asPath,
-		Dir:     dir,
 		Fset:    l.Fset,
 		Files:   files,
 		Pkg:     pkg,
 		Info:    info,
 	}, nil
+}
+
+// LoadModule loads every package under the repo root in walk order,
+// skipping testdata, hidden and vendor-like directories and directories
+// without production Go files.
+func (l *Loader) LoadModule() ([]*LoadedPackage, error) {
+	var pkgs []*LoadedPackage
+	err := filepath.WalkDir(l.RepoRoot, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		name := d.Name()
+		if path != l.RepoRoot && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
+			name == "testdata" || name == "vendor") {
+			return filepath.SkipDir
+		}
+		ents, err := os.ReadDir(path)
+		if err != nil || !slices.ContainsFunc(ents, func(e fs.DirEntry) bool {
+			return !e.IsDir() && strings.HasSuffix(e.Name(), ".go") && !strings.HasSuffix(e.Name(), "_test.go")
+		}) {
+			return err
+		}
+		pkgPath := modulePath
+		if path != l.RepoRoot {
+			pkgPath += "/" + filepath.ToSlash(strings.TrimPrefix(path, l.RepoRoot+string(filepath.Separator)))
+		}
+		lp, err := l.Load(path, pkgPath)
+		if err != nil {
+			return fmt.Errorf("loading %s: %w", pkgPath, err)
+		}
+		pkgs = append(pkgs, lp)
+		return nil
+	})
+	return pkgs, err
 }
 
 func (l *Loader) parseFiles(dir string, names []string) ([]*ast.File, error) {
@@ -111,9 +139,9 @@ func (l *Loader) parseFiles(dir string, names []string) ([]*ast.File, error) {
 }
 
 // loaderImporter resolves import paths for the type checker: repo packages
-// from the module directory, everything else from GOROOT (export data when
-// present, source otherwise). Imported packages are checked without
-// function bodies — only their API matters here.
+// from the module directory, everything else from GOROOT source. Imported
+// packages are checked without function bodies — only their API matters
+// here.
 type loaderImporter Loader
 
 func (li *loaderImporter) Import(path string) (*types.Package, error) {
@@ -135,12 +163,6 @@ func (li *loaderImporter) Import(path string) (*types.Package, error) {
 	case strings.HasPrefix(path, modulePath+"/"):
 		dir = filepath.Join(l.RepoRoot, filepath.FromSlash(strings.TrimPrefix(path, modulePath+"/")))
 	default:
-		if l.compiled != nil {
-			if pkg, err := l.compiled.Import(path); err == nil && pkg.Complete() {
-				l.imports[path] = pkg
-				return pkg, nil
-			}
-		}
 		goroot := l.ctx.GOROOT
 		dir = filepath.Join(goroot, "src", filepath.FromSlash(path))
 		if _, err := l.ctx.ImportDir(dir, 0); err != nil {

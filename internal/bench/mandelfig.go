@@ -83,18 +83,6 @@ func (f *MandelFigure) Table() *Table {
 	return t
 }
 
-// SpeedupOverSeq returns the MESSENGERS speedup over sequential for a grid
-// index at a processor index.
-func (f *MandelFigure) SpeedupOverSeq(gi, pi int) float64 {
-	return float64(f.Seq) / float64(f.Msgr[gi][pi])
-}
-
-// MsgrOverPVM returns PVM time / MESSENGERS time (>1 means MESSENGERS
-// faster) for a grid index at a processor index.
-func (f *MandelFigure) MsgrOverPVM(gi, pi int) float64 {
-	return float64(f.PVM[gi][pi]) / float64(f.Msgr[gi][pi])
-}
-
 // Fig4Sweep is Figure 4 (320x320). Pass short to trim the axes for quick
 // runs.
 func Fig4Sweep(short bool) MandelSweep { return mandelSweep("Figure 4", 320, short) }

@@ -152,3 +152,15 @@ func TestTableRendering(t *testing.T) {
 		t.Errorf("rendering wrong:\n%s\n%s", txt, tb.CSV())
 	}
 }
+
+// SpeedupOverSeq returns the MESSENGERS speedup over sequential for a grid
+// index at a processor index.
+func (f *MandelFigure) SpeedupOverSeq(gi, pi int) float64 {
+	return float64(f.Seq) / float64(f.Msgr[gi][pi])
+}
+
+// MsgrOverPVM returns PVM time / MESSENGERS time (>1 means MESSENGERS
+// faster) for a grid index at a processor index.
+func (f *MandelFigure) MsgrOverPVM(gi, pi int) float64 {
+	return float64(f.PVM[gi][pi]) / float64(f.Msgr[gi][pi])
+}

@@ -244,10 +244,6 @@ func (p *Program) encode(source bool) []byte {
 // Encode serializes the program (including source) for the wire or disk.
 func (p *Program) Encode() []byte { return p.encode(true) }
 
-// WireSize is the encoded size, used to charge transfer costs when code
-// caching is disabled (ablation A4).
-func (p *Program) WireSize() int { return len(p.encode(false)) }
-
 // Decode deserializes a program produced by Encode and verifies it. The
 // source text may be absent (an encoding that stops after the code), but
 // not cut short, and nothing may follow it.
@@ -289,19 +285,4 @@ func Decode(buf []byte) (*Program, error) {
 		return nil, err
 	}
 	return p, nil
-}
-
-// Func returns function i, panicking on a bad index (compiler bug).
-func (p *Program) Func(i int) *FuncInfo {
-	return &p.Funcs[i]
-}
-
-// FindFunc returns the index of the named function, or -1.
-func (p *Program) FindFunc(name string) int {
-	for i := range p.Funcs {
-		if p.Funcs[i].Name == name {
-			return i
-		}
-	}
-	return -1
 }

@@ -120,15 +120,6 @@ func TestHashMemo(t *testing.T) {
 	}
 }
 
-func TestWireSizeExcludesSource(t *testing.T) {
-	p := sampleProgram()
-	base := p.WireSize()
-	p.Source = strings.Repeat("x", 10000)
-	if p.WireSize() != base {
-		t.Error("WireSize must not include source")
-	}
-}
-
 func TestDecodeRejectsCorruptInput(t *testing.T) {
 	enc := sampleProgram().Encode()
 	for cut := 0; cut < len(enc)-1; cut += 7 {
@@ -145,19 +136,6 @@ func TestDecodeRejectsCorruptInput(t *testing.T) {
 	bad.Funcs[0].Code[0].Op = Op(200)
 	if _, err := Decode(bad.Encode()); err == nil {
 		t.Error("unknown opcode should fail decode")
-	}
-}
-
-func TestFindFunc(t *testing.T) {
-	p := sampleProgram()
-	if p.FindFunc("helper") != 1 {
-		t.Errorf("FindFunc(helper) = %d", p.FindFunc("helper"))
-	}
-	if p.FindFunc("nope") != -1 {
-		t.Error("FindFunc of unknown should be -1")
-	}
-	if p.Func(1).Name != "helper" {
-		t.Error("Func accessor broken")
 	}
 }
 

@@ -331,7 +331,7 @@ func nativeEffect(name string, args []AbsKind) (result AbsKind, fault string, kn
 // The vm package asserts this set equals its inline builtin table: a name
 // here that paused to the daemon instead would let a native mutate
 // Messenger variables behind proofs that say otherwise.
-func KnownNatives() []string {
+func KnownNatives() []string { //lint:deadcode test support: the vm tests pin this table to the VM's builtins
 	names := []string{
 		"len", "print", "str", "int", "num", "abs", "min", "max",
 		"floor", "ceil", "sqrt", "pow", "array", "bytes", "copy",
@@ -344,7 +344,7 @@ func KnownNatives() []string {
 // NativeResultKind exposes the modeled result kind of a known builtin for
 // the given argument kinds (for the vm cross-check tests); ok=false for
 // unknown natives.
-func NativeResultKind(name string, args []AbsKind) (AbsKind, bool) {
+func NativeResultKind(name string, args []AbsKind) (AbsKind, bool) { //lint:deadcode test support: the vm tests check each modeled kind against the builtin
 	r, _, known := nativeEffect(name, args)
 	return r, known
 }

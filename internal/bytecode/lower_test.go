@@ -420,13 +420,16 @@ func TestLoweredMVarSlots(t *testing.T) {
 			{Op: OpEnd},
 		}}},
 	}
-	unverified := p.VarTable()
+	if p.VarTable() != nil {
+		t.Error("an unverified program has a variable table")
+	}
+	unverified := p.buildVarTable()
 	if err := p.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
 	vt := p.VarTable()
 	if !reflect.DeepEqual(vt, unverified) {
-		t.Errorf("the table of the unverified program %+v differs from the verified one's %+v", unverified, vt)
+		t.Errorf("the table built from the code %+v differs from the verified one's %+v", unverified, vt)
 	}
 	if !reflect.DeepEqual(vt.Names, []string{"y", "x"}) || !reflect.DeepEqual(vt.Slot, []int32{1, 0, -1, 1}) ||
 		!reflect.DeepEqual(vt.Sorted, []int32{1, 0}) {

@@ -21,19 +21,12 @@ type VarTable struct {
 	Sorted []int32
 }
 
-// VarTable returns the program's Messenger-variable table. Validate builds
-// it once; an unverified program, which only hand-built tests run, gets a
-// fresh one on every call.
-func (p *Program) VarTable() *VarTable {
-	if p.verified {
-		return p.vars
-	}
-	return p.buildVarTable()
-}
+// VarTable returns the program's Messenger-variable table, which Validate
+// builds.
+func (p *Program) VarTable() *VarTable { return p.vars }
 
-// buildVarTable derives the table from the code. Name indices outside the
-// pool are skipped; Validate refuses them. Two pool entries that spell the
-// same name share a slot.
+// buildVarTable derives the table from code whose operands Validate has
+// checked. Two pool entries that spell the same name share a slot.
 func (p *Program) buildVarTable() *VarTable {
 	t := &VarTable{Slot: make([]int32, len(p.Names))}
 	for i := range t.Slot {
@@ -42,10 +35,7 @@ func (p *Program) buildVarTable() *VarTable {
 	byName := map[string]int32{}
 	for fi := range p.Funcs {
 		for _, ins := range p.Funcs[fi].Code {
-			if (ins.Op != OpLoadM && ins.Op != OpStoreM) || ins.A < 0 || int(ins.A) >= len(p.Names) {
-				continue
-			}
-			if t.Slot[ins.A] >= 0 {
+			if ins.Op != OpLoadM && ins.Op != OpStoreM || t.Slot[ins.A] >= 0 {
 				continue
 			}
 			name := p.Names[ins.A]

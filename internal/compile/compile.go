@@ -22,7 +22,7 @@ func Compile(name, src string) (*bytecode.Program, error) {
 
 // MustCompile is Compile for statically known-good scripts; it panics on
 // error.
-func MustCompile(name, src string) *bytecode.Program {
+func MustCompile(name, src string) *bytecode.Program { //lint:deadcode test support: tests in most packages compile fixed scripts with it
 	p, err := Compile(name, src)
 	if err != nil {
 		panic(err)
@@ -74,7 +74,6 @@ type compiler struct {
 // fnCtx is per-function compilation state.
 type fnCtx struct {
 	c      *compiler
-	fi     int
 	code   []bytecode.Instr
 	inFunc bool // bare identifiers are locals rather than Messenger vars
 	locals map[string]int32
@@ -87,7 +86,7 @@ type loopCtx struct {
 }
 
 func (c *compiler) compileMain(body []script.Stmt) error {
-	fc := &fnCtx{c: c, fi: 0}
+	fc := &fnCtx{c: c}
 	for _, st := range body {
 		if err := fc.stmt(st); err != nil {
 			return err
@@ -99,7 +98,7 @@ func (c *compiler) compileMain(body []script.Stmt) error {
 }
 
 func (c *compiler) compileFunc(fi int, f *script.FuncDecl) error {
-	fc := &fnCtx{c: c, fi: fi, inFunc: true, locals: map[string]int32{}}
+	fc := &fnCtx{c: c, inFunc: true, locals: map[string]int32{}}
 	for _, p := range f.Params {
 		fc.locals[p] = int32(len(fc.locals))
 	}

@@ -181,19 +181,19 @@ func TestPropCompiledExpressionsMatchReference(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		src, want := genExpr(r, 5)
-		prog, err := Compile("prop", "result = "+src+";")
+		prog, err := Compile("prop", "print("+src+");")
 		if err != nil {
 			t.Logf("compile %q: %v", src, err)
 			return false
 		}
-		m := vm.New(prog, nil)
-		if _, err := m.Run(newRefHost(), 1<<22); err != nil {
+		h := newRefHost()
+		if _, err := vm.New(prog, nil).Run(h, 1<<22); err != nil {
 			t.Logf("run %q: %v", src, err)
 			return false
 		}
-		got := m.Var("result").AsInt()
-		if got != want {
-			t.Logf("%s = %d, want %d", src, got, want)
+		got := h.out[len(h.out)-1]
+		if got != fmt.Sprint(want) {
+			t.Logf("%s = %s, want %d", src, got, want)
 			return false
 		}
 		return true
@@ -229,7 +229,7 @@ func TestPropRandomControlFlowTerminates(t *testing.T) {
 			}
 		}
 		m := run(t, src)
-		return m.Var("count").AsInt() == want
+		return m.Vars()["count"].AsInt() == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -282,11 +282,11 @@ func TestAssignmentExpressions(t *testing.T) {
 	`)
 	checks := map[string]int64{"a": 6, "b": 5, "c": 10, "d": 14}
 	for name, want := range checks {
-		if got := m.Var(name).AsInt(); got != want {
+		if got := m.Vars()[name].AsInt(); got != want {
 			t.Errorf("%s = %d, want %d", name, got, want)
 		}
 	}
-	arr := m.Var("arr")
+	arr := m.Vars()["arr"]
 	if e, _ := arr.Index(1); e.AsInt() != 9 {
 		t.Errorf("arr[1] = %v", e)
 	}
@@ -311,7 +311,7 @@ func TestCompoundAssignOnNodeIndex(t *testing.T) {
 	if _, err := m.Run(newRefHost(), 1<<20); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Var("x").AsInt(); got != 22 {
+	if got := m.Vars()["x"].AsInt(); got != 22 {
 		t.Errorf("x = %d", got)
 	}
 }
@@ -332,7 +332,7 @@ func TestCompileErrorPaths(t *testing.T) {
 
 func TestStringConcatChains(t *testing.T) {
 	m := run(t, `s = "a" + 1 + "b" + 2.5 + "c";`)
-	if got := m.Var("s").AsStr(); got != "a1b2.5c" {
+	if got := m.Vars()["s"].AsStr(); got != "a1b2.5c" {
 		t.Errorf("s = %q", got)
 	}
 }
@@ -349,7 +349,7 @@ func TestDeeplyNestedExpressions(t *testing.T) {
 	}
 	b.WriteString(";")
 	m := run(t, b.String())
-	if got := m.Var("x").AsInt(); got != 200 {
+	if got := m.Vars()["x"].AsInt(); got != 200 {
 		t.Errorf("x = %d", got)
 	}
 }

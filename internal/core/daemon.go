@@ -58,9 +58,6 @@ type NativeCtx struct {
 // DaemonID returns the executing daemon's ID.
 func (c *NativeCtx) DaemonID() int { return c.d.id }
 
-// NumDaemons returns the daemon count.
-func (c *NativeCtx) NumDaemons() int { return c.d.eng.NumDaemons() }
-
 // Model returns the simulation cost model, or nil on real engines.
 func (c *NativeCtx) Model() *lan.CostModel { return c.d.eng.Model() }
 
@@ -81,9 +78,6 @@ func (c *NativeCtx) NodeName() string { return c.node.Name }
 
 // LVT returns the invoking Messenger's local virtual time.
 func (c *NativeCtx) LVT() float64 { return c.m.LVT }
-
-// Print emits a line to the system output.
-func (c *NativeCtx) Print(s string) { c.d.sys.print(c.d.id, s) }
 
 // Stats counts daemon activity over a run (reported in EXPERIMENTS.md).
 // These are the counts themselves: the registry's msgr.*, vm.segments/steps
@@ -188,15 +182,9 @@ func newDaemon(id int, eng Engine, topo *Topology, sys *System) *Daemon {
 	return d
 }
 
-// ID returns the daemon's ID.
-func (d *Daemon) ID() int { return d.id }
-
 // Store exposes the logical-network store (inspection and the net-builder
 // service; must only be touched from the daemon's executor).
 func (d *Daemon) Store() *logical.Store { return d.store }
-
-// GVT returns the daemon's view of global virtual time.
-func (d *Daemon) GVT() float64 { return d.gvt }
 
 func (d *Daemon) exec(cost sim.Time, fn func()) {
 	if d.rec != nil {
@@ -310,7 +298,7 @@ func (d *Daemon) end(id uint64, tenant string, session uint64, gate SessionGate,
 	}
 	delete(d.active, id)
 	if how == endError {
-		d.sys.recordError(fmt.Errorf("daemon %d, messenger %d: %w", d.id, id, err))
+		d.sys.errs.Add(fmt.Errorf("daemon %d, messenger %d: %w", d.id, id, err))
 	}
 	d.sys.sessionWork(tenant, session, -1)
 }
@@ -793,7 +781,7 @@ func (d *Daemon) HandleMsg(msg *Msg) {
 		// (e.g. a stray heartbeat during shutdown): ignore.
 
 	default:
-		d.sys.recordError(fmt.Errorf("daemon %d: unknown message kind %v", d.id, msg.Kind))
+		d.sys.errs.Add(fmt.Errorf("daemon %d: unknown message kind %v", d.id, msg.Kind))
 	}
 }
 

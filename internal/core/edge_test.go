@@ -182,13 +182,7 @@ func TestStatsAccounting(t *testing.T) {
 	if st.Finished != 2 || st.Segments == 0 || st.Steps == 0 {
 		t.Errorf("stats = %+v", st)
 	}
-	if sys.Daemon(1).ID() != 1 {
-		t.Error("ID accessor")
-	}
-	if sys.Daemon(0).GVT() != 0 {
-		t.Error("GVT accessor")
-	}
-	if sys.Engine() == nil || sys.NumDaemons() != 3 {
+	if sys.NumDaemons() != 3 {
 		t.Error("system accessors")
 	}
 	if _, ok := sys.Program("acct"); !ok {

@@ -235,7 +235,7 @@ func (m *Msg) AppendTo(e *wire.Encoder) {
 // Encode serializes the message into a standalone slice, allocated at its
 // exact encoded size. The TCP transport uses EncodeFrame (pooled, framed)
 // instead.
-func (m *Msg) Encode() []byte {
+func (m *Msg) Encode() []byte { //lint:deadcode test support: the wire goldens and decoder tests of several packages
 	e := wire.AppendingTo(make([]byte, 0, m.EncodedSize()))
 	m.AppendTo(e)
 	if err := e.Err(); err != nil {

@@ -39,13 +39,12 @@ import (
 type RecoveryConfig struct {
 	// AckTimeout is the initial retransmission timeout for an
 	// unacknowledged reliable message; it doubles on every attempt with
-	// per-entry jitter (see internal/backoff).
+	// per-entry jitter (see internal/backoff), up to 32 times its initial
+	// value. Retransmission never gives up: a transfer whose destination is
+	// unreachable but never declared dead retries at that cadence forever
+	// (an unhealed partition without a crash notice stalls the run rather
+	// than corrupting it).
 	AckTimeout sim.Time
-	// MaxBackoff caps the per-attempt timeout growth. Retransmission never
-	// gives up: a transfer whose destination is unreachable but never
-	// declared dead retries at this cadence forever (an unhealed partition
-	// without a crash notice stalls the run rather than corrupting it).
-	MaxBackoff sim.Time
 	// RetainBudget caps how many acknowledged Messenger transfers a daemon
 	// retains for GVT-safe respawn. Zero (the default) keeps every acked
 	// entry until fossil collection frees it — full respawnability, but a
@@ -59,9 +58,6 @@ type RecoveryConfig struct {
 func (c RecoveryConfig) withDefaults() RecoveryConfig {
 	if c.AckTimeout <= 0 {
 		c.AckTimeout = 20 * sim.Millisecond
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 32 * c.AckTimeout
 	}
 	return c
 }
@@ -245,7 +241,7 @@ func (d *Daemon) retxFire(e *retxEntry) {
 	// across entries so a healed partition doesn't trigger a synchronized
 	// retransmit burst from every pending hop at once.
 	e.timeout = sim.Time(backoff.Jittered(
-		time.Duration(rec.cfg.AckTimeout), time.Duration(rec.cfg.MaxBackoff),
+		time.Duration(rec.cfg.AckTimeout), time.Duration(32*rec.cfg.AckTimeout),
 		e.attempts, backoff.Key(d.id, e.dst, int(e.seq), e.attempts)))
 	if d.om != nil {
 		d.om.retx.Inc()

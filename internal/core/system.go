@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -25,7 +26,6 @@ const defaultGVTInterval = 25 * sim.Millisecond
 // functions, injection, output collection, and liveness tracking.
 type System struct {
 	eng         Engine
-	topo        *Topology
 	daemons     []*Daemon
 	reg         registry
 	gvtInterval sim.Time
@@ -48,7 +48,7 @@ type System struct {
 	cond    *sync.Cond
 	outputs []string
 	outW    io.Writer
-	errs    []error
+	errs    ErrorLog
 	// commits is daemon 0's strictly increasing sequence of installed GVT
 	// values — the differential-testing signal that the coordinator and the
 	// ring compute the same virtual-time history.
@@ -187,8 +187,7 @@ func NewSystem(eng Engine, topo *Topology, opts ...Option) *System {
 			topo.NumDaemons(), eng.NumDaemons()))
 	}
 	s := &System{
-		eng:  eng,
-		topo: topo,
+		eng: eng,
 		reg: registry{
 			byHash:  map[bytecode.Hash]*bytecode.Program{},
 			byName:  map[string]*bytecode.Program{},
@@ -258,12 +257,6 @@ func (s *System) registerSystemNatives() {
 		return value.Nil(), nil
 	}
 }
-
-// Engine returns the engine driving this system.
-func (s *System) Engine() Engine { return s.eng }
-
-// Tracer returns the attached tracer (nil when tracing is off).
-func (s *System) Tracer() *obs.Tracer { return s.trace }
 
 // Metrics returns the attached metrics registry (nil when off).
 func (s *System) Metrics() *obs.Metrics { return s.metrics }
@@ -399,7 +392,7 @@ func (s *System) workDone(n int) {
 }
 
 // Live returns the number of live Messengers plus in-flight transfers.
-func (s *System) Live() int64 { return s.live.Load() }
+func (s *System) Live() int64 { return s.live.Load() } //lint:deadcode test support: tests of several packages assert quiescence with it
 
 // Wait blocks until no live Messengers or in-flight transfers remain (real
 // engines; on the simulated engine run the kernel instead).
@@ -423,7 +416,7 @@ func (s *System) print(daemon int, line string) {
 }
 
 // Output returns all print output so far.
-func (s *System) Output() []string {
+func (s *System) Output() []string { //lint:deadcode test support: tests of several packages read what programs print
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]string, len(s.outputs))
@@ -431,20 +424,9 @@ func (s *System) Output() []string {
 	return out
 }
 
-func (s *System) recordError(err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.errs = append(s.errs, err)
-}
-
-// Errors returns runtime errors that destroyed Messengers.
-func (s *System) Errors() []error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]error, len(s.errs))
-	copy(out, s.errs)
-	return out
-}
+// Errors returns the last 64 runtime errors that destroyed Messengers,
+// oldest first; TotalStats().Errors counts them all.
+func (s *System) Errors() []error { return s.errs.List() }
 
 // recordCommit logs a GVT value installed on daemon 0. advanceGVT already
 // guarantees strict monotonicity, so the log is the sequence of distinct
@@ -560,4 +542,45 @@ func (s *System) ReadNodeVars(daemon int, nodeName string) (map[string]value.Val
 		return nil, false
 	}
 	return value.CloneEnv(nodes[0].Vars), true
+}
+
+// maxErrors bounds an ErrorLog: a program that fails in every session of a
+// long-lived server, or a flapping link under chaos, would otherwise grow
+// the log without limit.
+const maxErrors = 64
+
+// An ErrorLog keeps the most recent maxErrors errors, evicting the oldest
+// first, and counts what it evicts. It is safe for concurrent use.
+type ErrorLog struct {
+	mu      sync.Mutex
+	errs    []error
+	next    int // the oldest entry, once full
+	dropped int64
+}
+
+// Add records err.
+func (l *ErrorLog) Add(err error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.errs) < maxErrors {
+		l.errs = append(l.errs, err)
+		return
+	}
+	l.errs[l.next] = err
+	l.next = (l.next + 1) % maxErrors
+	l.dropped++
+}
+
+// List returns the kept errors, oldest first.
+func (l *ErrorLog) List() []error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return slices.Concat(l.errs[l.next:], l.errs[:l.next])
+}
+
+// Dropped returns how many errors Add has evicted.
+func (l *ErrorLog) Dropped() int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.dropped
 }

@@ -102,9 +102,6 @@ func (h *Host) ExecProcScaled(p *sim.Proc, base sim.Time) {
 	h.ExecProc(p, h.Spec.scale(base))
 }
 
-// Scale converts a 110 MHz-calibrated cost to this host's clock.
-func (h *Host) Scale(base sim.Time) sim.Time { return h.Spec.scale(base) }
-
 // Cluster is the simulated testbed: n hosts on one shared Ethernet segment.
 type Cluster struct {
 	Kernel *sim.Kernel

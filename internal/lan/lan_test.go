@@ -139,9 +139,6 @@ func TestHostExecScaled(t *testing.T) {
 	if done != 1100 {
 		t.Errorf("ExecScaled done = %v, want 1100", done)
 	}
-	if h.Scale(1700) != 1100 {
-		t.Errorf("Scale = %v", h.Scale(1700))
-	}
 }
 
 func TestHostExecProcBlocksAndContends(t *testing.T) {

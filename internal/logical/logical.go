@@ -162,14 +162,8 @@ func NewStore(daemon int) *Store {
 	return s
 }
 
-// Daemon returns the owning daemon's ID.
-func (s *Store) Daemon() int { return s.daemon }
-
 // Init returns the daemon's init node.
 func (s *Store) Init() *Node { return s.init }
-
-// Len returns the number of nodes resident on this daemon.
-func (s *Store) Len() int { return len(s.nodes) }
 
 // Node returns the resident node with the given ID.
 func (s *Store) Node(id NodeID) (*Node, bool) {
@@ -221,15 +215,6 @@ func (s *Store) AttachHalf(n *Node, id LinkID, name string, directed, outgoing b
 		last: RefName(id, name)}
 	n.Links = append(n.Links, h)
 	return h
-}
-
-// LinkLocal creates a complete link between two nodes resident on this
-// daemon. If directed, the direction is a -> b.
-func (s *Store) LinkLocal(a, b *Node, name string, directed bool) LinkID {
-	id := s.NewLinkID()
-	s.AttachHalf(a, id, name, directed, true, s.Addr(b), b.Name)
-	s.AttachHalf(b, id, name, directed, false, s.Addr(a), a.Name)
-	return id
 }
 
 // DetachHalf removes the endpoint of link id from node n. It reports

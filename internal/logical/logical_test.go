@@ -8,14 +8,14 @@ import (
 
 func TestNewStoreHasInit(t *testing.T) {
 	s := NewStore(3)
-	if s.Daemon() != 3 {
-		t.Errorf("Daemon = %d", s.Daemon())
+	if s.daemon != 3 {
+		t.Errorf("daemon = %d", s.daemon)
 	}
 	if s.Init() == nil || s.Init().Name != InitName {
 		t.Fatalf("init node = %+v", s.Init())
 	}
-	if s.Len() != 1 {
-		t.Errorf("Len = %d", s.Len())
+	if len(s.nodes) != 1 {
+		t.Errorf("nodes = %d", len(s.nodes))
 	}
 	if got := s.FindByName("init"); len(got) != 1 || got[0] != s.Init() {
 		t.Errorf("FindByName(init) = %v", got)
@@ -284,4 +284,13 @@ func TestOrphansAndAdopt(t *testing.T) {
 	if ms := s.Match(a, "v", "l3", "+"); len(ms) != 1 {
 		t.Errorf("directed match after adoption = %+v", ms)
 	}
+}
+
+// LinkLocal creates a complete link between two nodes resident on this
+// daemon. If directed, the direction is a -> b.
+func (s *Store) LinkLocal(a, b *Node, name string, directed bool) LinkID {
+	id := s.NewLinkID()
+	s.AttachHalf(a, id, name, directed, true, s.Addr(b), b.Name)
+	s.AttachHalf(b, id, name, directed, false, s.Addr(a), a.Name)
+	return id
 }

@@ -22,7 +22,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"math"
 	"sync"
 )
@@ -236,20 +235,6 @@ func (img *Image) Checksum() uint64 {
 		h.Write(buf[:])
 	}
 	return h.Sum64()
-}
-
-// WritePGM writes the image as a binary 16-bit PGM for visual inspection.
-func (img *Image) WritePGM(w io.Writer, maxVal int) error {
-	if _, err := fmt.Fprintf(w, "P5\n%d %d\n%d\n", img.W, img.H, maxVal); err != nil {
-		return err
-	}
-	buf := make([]byte, 2*len(img.Pix))
-	for i, p := range img.Pix {
-		buf[2*i] = byte(p >> 8)
-		buf[2*i+1] = byte(p)
-	}
-	_, err := w.Write(buf)
-	return err
 }
 
 // ComputeImage computes the whole image sequentially (the paper's

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand"
-	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -111,21 +110,6 @@ func TestChecksumDistinguishesImages(t *testing.T) {
 	b.Pix[5] = 1
 	if a.Checksum() == b.Checksum() {
 		t.Error("different images should differ")
-	}
-}
-
-func TestWritePGM(t *testing.T) {
-	img, _ := ComputeImage(PaperRegion, 16, 12, 64)
-	var buf bytes.Buffer
-	if err := img.WritePGM(&buf, 64); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.HasPrefix(out, "P5\n16 12\n64\n") {
-		t.Errorf("header = %q", out[:20])
-	}
-	if buf.Len() != len("P5\n16 12\n64\n")+2*16*12 {
-		t.Errorf("size = %d", buf.Len())
 	}
 }
 

@@ -116,7 +116,7 @@ func MACs(n int) int64 { return int64(n) * int64(n) * int64(n) }
 
 // MaxAbsDiff returns the largest absolute elementwise difference, for
 // validating the parallel implementations against the sequential ones.
-func MaxAbsDiff(a, b *value.Mat) float64 {
+func MaxAbsDiff(a, b *value.Mat) float64 { //lint:deadcode test support: the matmul, pvm and apps tests compare products with it
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		return math.Inf(1)
 	}

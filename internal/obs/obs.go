@@ -65,18 +65,11 @@ func S(key, v string) Field { return Field{Key: key, kind: fieldStr, s: v} }
 // Int returns the integer slot (0 unless built with I).
 func (f Field) Int() int64 { return f.i }
 
-// Float returns the floating-point slot (0 unless built with F).
-func (f Field) Float() float64 { return f.f }
-
-// Str returns the string slot ("" unless built with S).
-func (f Field) Str() string { return f.s }
-
 // Event phases, mirroring the Chrome trace_event "ph" values the exporter
 // emits.
 const (
 	PhaseSpan    byte = 'X' // complete event: TS..TS+Dur
 	PhaseInstant byte = 'i' // instantaneous event
-	PhaseCounter byte = 'C' // sampled counter value
 )
 
 // Event is one recorded trace event.
@@ -89,7 +82,7 @@ type Event struct {
 	// Track is the horizontal lane the event belongs to: daemon/host ID,
 	// or an auxiliary track registered with NameTrack.
 	Track int
-	// Ph is the phase (PhaseSpan, PhaseInstant, PhaseCounter).
+	// Ph is the phase (PhaseSpan or PhaseInstant).
 	Ph byte
 	// Cat is the event category ("msgr", "vm", "gvt", "lan", "pvm", "net").
 	Cat string
@@ -184,15 +177,6 @@ func (t *Tracer) Span(track int, cat, name string, start, dur int64, args ...Fie
 	t.Emit(Event{TS: start, Dur: dur, Track: track, Ph: PhaseSpan, Cat: cat, Name: name, Args: args})
 }
 
-// Counter records a sampled counter value (rendered as a filled series).
-func (t *Tracer) Counter(track int, cat, name string, v int64) {
-	if t == nil {
-		return
-	}
-	t.Emit(Event{TS: t.Now(), Track: track, Ph: PhaseCounter, Cat: cat, Name: name,
-		Args: []Field{I("value", v)}})
-}
-
 // Len returns the number of recorded events (0 on nil).
 func (t *Tracer) Len() int {
 	if t == nil {
@@ -227,14 +211,4 @@ func (t *Tracer) Tracks() map[int]string {
 		out[k] = v
 	}
 	return out
-}
-
-// Reset discards all recorded events (track names are kept).
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.events = nil
-	t.mu.Unlock()
 }

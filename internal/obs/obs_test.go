@@ -17,8 +17,6 @@ func TestNilSafety(t *testing.T) {
 	tr.Emit(Event{})
 	tr.Instant(0, "c", "n")
 	tr.Span(0, "c", "n", 0, 1)
-	tr.Counter(0, "c", "n", 1)
-	tr.Reset()
 	if tr.Now() != 0 || tr.Len() != 0 || tr.Events() != nil || tr.Tracks() != nil {
 		t.Error("nil tracer should observe nothing")
 	}
@@ -67,10 +65,6 @@ func TestTracerClockAndEvents(t *testing.T) {
 	}
 	if evs[1].TS != 1800 || evs[1].Dur != 150 || evs[1].Ph != PhaseSpan {
 		t.Errorf("span event wrong: %+v", evs[1])
-	}
-	tr.Reset()
-	if tr.Len() != 0 {
-		t.Error("reset should discard events")
 	}
 }
 
@@ -187,7 +181,6 @@ func TestChromeTraceSchema(t *testing.T) {
 	now = 1001
 	tr.Instant(0, "msgr", "inject", I("msgr", 1))
 	tr.Span(5, "lan", "frame", 2000, 12345, I("bytes", 1500))
-	tr.Counter(0, "gvt", "gvt", 3)
 
 	var buf bytes.Buffer
 	if err := WriteChromeTrace(&buf, tr); err != nil {
@@ -221,7 +214,7 @@ func TestChromeTraceSchema(t *testing.T) {
 			}
 		}
 	}
-	if phases["i"] != 1 || phases["X"] != 1 || phases["C"] != 1 {
+	if phases["i"] != 1 || phases["X"] != 1 {
 		t.Errorf("phase counts wrong: %v", phases)
 	}
 	// Metadata: process_name + 2 tracks x (thread_name + sort index).

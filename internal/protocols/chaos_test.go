@@ -8,6 +8,10 @@ import (
 // every fault-injecting nemesis, a seed spread — zero safety violations,
 // and a decision everywhere the nemesis doesn't excuse one.
 
+// ChaosNemeses is the subset of Nemeses that actually injects faults (the
+// acceptance matrix of cmd/mproto).
+var ChaosNemeses = []string{NemesisDrop, NemesisPartition, NemesisLeaderCrash, NemesisStorm}
+
 func chaosSeeds(t *testing.T) []uint64 {
 	n := 8
 	if testing.Short() {

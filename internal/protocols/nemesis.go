@@ -33,10 +33,6 @@ const (
 // Nemeses is the catalog in sweep order.
 var Nemeses = []string{NemesisNone, NemesisDrop, NemesisPartition, NemesisLeaderCrash, NemesisStorm}
 
-// ChaosNemeses is the subset that actually injects faults (the acceptance
-// matrix of cmd/mproto).
-var ChaosNemeses = []string{NemesisDrop, NemesisPartition, NemesisLeaderCrash, NemesisStorm}
-
 func mixNem(z uint64) uint64 {
 	z += 0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9

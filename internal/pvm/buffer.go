@@ -57,12 +57,6 @@ func newSendBuf() *Buffer {
 // Sender returns the sending task (after Recv).
 func (b *Buffer) Sender() TID { return b.src }
 
-// Tag returns the message tag (after Recv).
-func (b *Buffer) Tag() int { return b.tag }
-
-// Len returns the packed payload size in bytes.
-func (b *Buffer) Len() int { return len(b.data) }
-
 // InitSend clears the task's send buffer (pvm_initsend), recycling any
 // packed-but-unsent storage.
 func (p *Proc) InitSend() {

@@ -171,7 +171,7 @@ func (m *Machine) spawn(name string, host int, parent TID, fn TaskFunc) TID {
 		panic(fmt.Sprintf("pvm: spawn %q on unknown host %d", name, host))
 	}
 	tid := m.allocTID()
-	p := &Proc{m: m, tid: tid, host: host, parent: parent, name: name}
+	p := &Proc{m: m, tid: tid, host: host, parent: parent}
 	p.mbox = newMailbox(p)
 	// The cond must exist before the task is published in m.tasks: any
 	// delivery can look the task up and wake() it from another goroutine.
@@ -218,7 +218,6 @@ type Proc struct {
 	tid    TID
 	host   int
 	parent TID
-	name   string
 
 	mbox    *mailbox
 	sendBuf *Buffer
@@ -240,17 +239,6 @@ func (p *Proc) Parent() TID { return p.parent }
 // Host returns the host index this task runs on.
 func (p *Proc) Host() int { return p.host }
 
-// Machine returns the owning machine.
-func (p *Proc) Machine() *Machine { return p.m }
-
-// Now returns the simulated time (0 on real machines).
-func (p *Proc) Now() sim.Time {
-	if p.simProc != nil {
-		return p.simProc.Now()
-	}
-	return 0
-}
-
 // Spawn starts a child task on the given host (pvm_spawn). In simulation
 // it charges the paper-era spawn cost, serialized on the spawning host.
 func (p *Proc) Spawn(name string, host int, fn TaskFunc) TID {
@@ -271,9 +259,6 @@ func (p *Proc) Compute(cost sim.Time) {
 		p.m.cluster.Hosts[p.host].ExecProcScaled(p.simProc, cost)
 	}
 }
-
-// Exit terminates the task (pvm_exit followed by process exit).
-func (p *Proc) Exit() { panic(taskKilled{}) }
 
 // Kill terminates another task (pvm_kill). The victim unwinds at its next
 // blocking or packing call.

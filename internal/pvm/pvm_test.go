@@ -37,8 +37,8 @@ func TestSendRecvRoundTripSim(t *testing.T) {
 		b := p.Recv(AnySource, 7)
 		got = p.UpkInt(b)
 		gotBytes = p.UpkBytes(b)
-		if b.Sender() == 0 || b.Tag() != 7 {
-			t.Errorf("sender/tag = %d/%d", b.Sender(), b.Tag())
+		if b.Sender() == 0 || b.tag != 7 {
+			t.Errorf("sender/tag = %d/%d", b.Sender(), b.tag)
 		}
 	})
 	m2.SpawnAt("sender", 0, func(p *Proc) {
@@ -60,9 +60,9 @@ func TestTagAndSourceMatching(t *testing.T) {
 	recv := m.SpawnAt("r", 1, func(p *Proc) {
 		// Receive tag 2 first even though tag 1 arrives first.
 		b2 := p.Recv(AnySource, 2)
-		order = append(order, b2.Tag())
+		order = append(order, b2.tag)
 		b1 := p.Recv(AnySource, 1)
-		order = append(order, b1.Tag())
+		order = append(order, b1.tag)
 	})
 	m.SpawnAt("s", 0, func(p *Proc) {
 		p.InitSend()
@@ -127,8 +127,8 @@ func TestSpawnParentAndKill(t *testing.T) {
 	if childSaw != managerTID {
 		t.Errorf("child's parent = %d, want %d", childSaw, managerTID)
 	}
-	if k.Parked() != 0 {
-		t.Errorf("parked procs remain: %d", k.Parked())
+	if len(m.tasks) != 0 {
+		t.Errorf("tasks remain: %d", len(m.tasks))
 	}
 }
 
@@ -146,7 +146,10 @@ func TestShutdownUnwindsLiveTasksSilently(t *testing.T) {
 		defer func() { unwound++ }()
 		p.Compute(sim.Second)
 	})
-	k.RunUntil(sim.Millisecond)
+	cut := false
+	k.At(sim.Millisecond, func() { cut = true })
+	for !cut && k.Step() {
+	}
 	k.Shutdown()
 	checkErrs(t, m)
 	if unwound != 2 {

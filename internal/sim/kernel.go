@@ -66,9 +66,7 @@ type Kernel struct {
 	heap    []entry  // pending events, a binary min-heap under entry.before
 	fns     []func() // callbacks by slot; nil when the slot is free
 	free    []int32  // free slots of fns
-	parked  int      // processes blocked in Park with no pending wake
-	stopped bool
-	failure any // panic value captured from a process
+	failure any      // panic value captured from a process
 
 	allProcs []*Proc
 }
@@ -119,14 +117,6 @@ func (k *Kernel) After(d Time, fn func()) {
 	}
 	k.At(k.now+d, fn)
 }
-
-// Parked reports how many processes are blocked with no pending wake-up.
-// A nonzero value when Run returns indicates a deadlock in the simulated
-// system (e.g. a PVM receive with no matching send).
-func (k *Kernel) Parked() int { return k.parked }
-
-// Stop makes Run return after the current event completes.
-func (k *Kernel) Stop() { k.stopped = true }
 
 // Step fires the single next event. It reports false when no events remain.
 func (k *Kernel) Step() bool {
@@ -191,23 +181,9 @@ func (k *Kernel) down() {
 	h[i] = e
 }
 
-// Run fires events until none remain or Stop is called. It returns the
-// final simulated time.
+// Run fires events until none remain. It returns the final simulated time.
 func (k *Kernel) Run() Time {
-	k.stopped = false
-	for !k.stopped && k.Step() {
-	}
-	return k.now
-}
-
-// RunUntil fires events with timestamps <= t, then sets the clock to t.
-func (k *Kernel) RunUntil(t Time) Time {
-	k.stopped = false
-	for !k.stopped && len(k.heap) > 0 && k.heap[0].at <= t {
-		k.Step()
-	}
-	if k.now < t {
-		k.now = t
+	for k.Step() {
 	}
 	return k.now
 }

@@ -83,27 +83,6 @@ func TestNegativeAfterClampsToNow(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	k := New()
-	var count int
-	for i := 1; i <= 5; i++ {
-		k.At(Time(i), func() {
-			count++
-			if count == 2 {
-				k.Stop()
-			}
-		})
-	}
-	k.Run()
-	if count != 2 {
-		t.Errorf("count = %d, want 2 (stopped)", count)
-	}
-	k.Run() // resumes
-	if count != 5 {
-		t.Errorf("count after resume = %d, want 5", count)
-	}
-}
-
 func TestRunUntil(t *testing.T) {
 	k := New()
 	var fired []Time

@@ -46,15 +46,6 @@ func (e *ProcPanic) Error() string {
 	return fmt.Sprintf("sim: process %q panicked: %v\n%s", e.Proc, e.Value, e.Stack)
 }
 
-// Name returns the process name given at Spawn.
-func (p *Proc) Name() string { return p.name }
-
-// Kernel returns the owning kernel.
-func (p *Proc) Kernel() *Kernel { return p.k }
-
-// Now returns the current simulated time.
-func (p *Proc) Now() Time { return p.k.now }
-
 // Spawn starts fn as a simulated process at the current time. fn begins
 // executing when the kernel reaches the start event; it must only touch the
 // simulation through p.
@@ -89,10 +80,7 @@ func (k *Kernel) Shutdown() {
 			continue
 		}
 		p.killed = true
-		if p.parked {
-			p.parked = false
-			k.parked--
-		}
+		p.parked = false
 		// Every live process is suspended (not yet started, or in Advance
 		// or Park); resuming it unwinds via procKilled.
 		p.resume()
@@ -108,20 +96,10 @@ func (p *Proc) yieldToKernel() {
 	}
 }
 
-// Advance consumes d nanoseconds of simulated time (e.g. modeled CPU work).
-func (p *Proc) Advance(d Time) {
-	if d < 0 {
-		panic("sim: Advance with negative duration")
-	}
-	p.k.After(d, p.resume)
-	p.yieldToKernel()
-}
-
 // Park blocks the process until another component calls Unpark. It is the
 // building block for condition-style waiting (mailboxes, barriers).
 func (p *Proc) Park() {
 	p.parked = true
-	p.k.parked++
 	p.yieldToKernel()
 }
 
@@ -133,66 +111,8 @@ func (p *Proc) Unpark() {
 		panic(fmt.Sprintf("sim: Unpark of non-parked process %q", p.name))
 	}
 	p.parked = false
-	p.k.parked--
 	p.k.After(0, p.resume)
 }
 
 // Parked reports whether the process is currently parked.
 func (p *Proc) Parked() bool { return p.parked }
-
-// Mailbox is an unbounded deterministic FIFO queue connecting simulated
-// components. Any event callback or process may Put; only processes may
-// block in Get.
-type Mailbox struct {
-	k      *Kernel
-	items  []any
-	waiter *Proc
-}
-
-// NewMailbox returns an empty mailbox on kernel k.
-func NewMailbox(k *Kernel) *Mailbox {
-	return &Mailbox{k: k}
-}
-
-// Len returns the number of queued items.
-func (m *Mailbox) Len() int { return len(m.items) }
-
-// Put enqueues an item and wakes the waiting process, if any.
-func (m *Mailbox) Put(item any) {
-	m.items = append(m.items, item)
-	if m.waiter != nil {
-		w := m.waiter
-		m.waiter = nil
-		w.Unpark()
-	}
-}
-
-// Get dequeues the next item, parking p until one is available. At most one
-// process may wait on a mailbox at a time.
-func (m *Mailbox) Get(p *Proc) any {
-	for len(m.items) == 0 {
-		if m.waiter != nil && m.waiter != p {
-			panic("sim: multiple processes waiting on one mailbox")
-		}
-		m.waiter = p
-		p.Park()
-	}
-	return m.take()
-}
-
-// TryGet dequeues the next item without blocking.
-func (m *Mailbox) TryGet() (any, bool) {
-	if len(m.items) == 0 {
-		return nil, false
-	}
-	return m.take(), true
-}
-
-// take removes the head item. It clears the head's slot first: the backing
-// array outlives the reslice, and the garbage collector scans all of it.
-func (m *Mailbox) take() any {
-	item := m.items[0]
-	m.items[0] = nil
-	m.items = m.items[1:]
-	return item
-}

@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestProcAdvance(t *testing.T) {
@@ -113,49 +112,6 @@ func TestMailboxPutFromEventCallback(t *testing.T) {
 	}
 }
 
-func TestMailboxTryGet(t *testing.T) {
-	k := New()
-	mb := NewMailbox(k)
-	if _, ok := mb.TryGet(); ok {
-		t.Error("TryGet on empty mailbox should fail")
-	}
-	mb.Put(1)
-	mb.Put(2)
-	if mb.Len() != 2 {
-		t.Errorf("Len = %d", mb.Len())
-	}
-	if v, ok := mb.TryGet(); !ok || v.(int) != 1 {
-		t.Errorf("TryGet = %v, %v", v, ok)
-	}
-}
-
-// TestMailboxReleasesTakenItems: once an item is taken, the mailbox holds
-// no reference to it, even while later items keep the backing array alive.
-func TestMailboxReleasesTakenItems(t *testing.T) {
-	k := New()
-	mb := NewMailbox(k)
-	released := make(chan struct{})
-	func() {
-		item := new([64]byte)
-		runtime.SetFinalizer(item, func(*[64]byte) { close(released) })
-		mb.Put(item)
-	}()
-	mb.Put(2)
-	if _, ok := mb.TryGet(); !ok {
-		t.Fatal("TryGet on a full mailbox failed")
-	}
-	for i := 0; i < 5; i++ {
-		runtime.GC()
-		select {
-		case <-released:
-			runtime.KeepAlive(mb)
-			return
-		case <-time.After(20 * time.Millisecond):
-		}
-	}
-	t.Errorf("a taken item is still reachable through the mailbox (%d items left)", mb.Len())
-}
-
 func TestDeadlockedProcessIsReportedParked(t *testing.T) {
 	k := New()
 	defer k.Shutdown()
@@ -257,11 +213,11 @@ func TestProcNameAndKernel(t *testing.T) {
 	k := New()
 	defer k.Shutdown()
 	k.Spawn("n1", func(p *Proc) {
-		if p.Name() != "n1" {
-			t.Errorf("Name = %q", p.Name())
+		if p.name != "n1" {
+			t.Errorf("name = %q", p.name)
 		}
-		if p.Kernel() != k {
-			t.Error("Kernel() mismatch")
+		if p.k != k {
+			t.Error("kernel mismatch")
 		}
 	})
 	k.Run()

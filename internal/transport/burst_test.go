@@ -136,7 +136,7 @@ func TestBurstLargerThanTheBuffer(t *testing.T) {
 	if f, w := met.CounterValue("transport.frames"), met.CounterValue("transport.writes"); f != 3 || w != 3 {
 		t.Errorf("small, 64 KB, small: transport.frames = %d, transport.writes = %d, want 3 and 3 (flush, direct write, flush)", f, w)
 	}
-	if errs := eng.Errors(); len(errs) != 0 {
+	if errs := eng.errs.List(); len(errs) != 0 {
 		t.Errorf("transport errors: %v", errs)
 	}
 }
@@ -240,7 +240,7 @@ func TestCloseFlushes(t *testing.T) {
 	if f, w := met.CounterValue("transport.frames"), met.CounterValue("transport.writes"); f != 3 || w != 2 {
 		t.Errorf("after Close: transport.frames = %d, transport.writes = %d, want 3 and 2", f, w)
 	}
-	if errs := eng.Errors(); len(errs) != 0 {
+	if errs := eng.errs.List(); len(errs) != 0 {
 		t.Errorf("transport errors: %v", errs)
 	}
 }
@@ -273,7 +273,7 @@ func TestKillDaemonDropsBufferedFrames(t *testing.T) {
 	if got := sys.CommitLog(); len(got) != 0 {
 		t.Errorf("a frame to a killed daemon was delivered: %v", got)
 	}
-	if errs := eng.Errors(); len(errs) != 0 {
+	if errs := eng.errs.List(); len(errs) != 0 {
 		t.Errorf("dropping on purpose produced errors: %v", errs)
 	}
 }
@@ -339,7 +339,7 @@ func TestRedialLosesNothingAcknowledged(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(60 * time.Second):
-		t.Fatalf("no quiescence (live=%d, transport errs=%v)", sys.Live(), eng.Errors())
+		t.Fatalf("no quiescence (live=%d, transport errs=%v)", sys.Live(), eng.errs.List())
 	}
 	close(stop)
 	if n := <-dropped; n < 5 {

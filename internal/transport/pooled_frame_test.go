@@ -31,12 +31,12 @@ func TestPooledFrameReaderMatchesReadFrame(t *testing.T) {
 		want   [][]byte // payloads read before the stream errors out
 	}{
 		{"empty then small then big", bytes.Join([][]byte{
-			frame(frameMagic, 0, nil), frame(frameMagic, 3, []byte{1, 2, 3}), frame(frameMagic, uint32(len(big)), big),
+			frame(wire.FrameMagic, 0, nil), frame(wire.FrameMagic, 3, []byte{1, 2, 3}), frame(wire.FrameMagic, uint32(len(big)), big),
 		}, nil), [][]byte{{}, {1, 2, 3}, big}},
 		{"short header", []byte{1, 2, 3}, nil},
 		{"bad magic", frame(0xffff, 1, []byte{9}), nil},
-		{"oversized", frame(frameMagic, maxFrame+1, nil), nil},
-		{"truncated body", append(frame(frameMagic, 1, []byte{5}), frame(frameMagic, 10, []byte{1, 2})...), [][]byte{{5}}},
+		{"oversized", frame(wire.FrameMagic, wire.MaxFrame+1, nil), nil},
+		{"truncated body", append(frame(wire.FrameMagic, 1, []byte{5}), frame(wire.FrameMagic, 10, []byte{1, 2})...), [][]byte{{5}}},
 	}
 	for _, tc := range cases {
 		plain := bytes.NewReader(tc.stream)
@@ -66,9 +66,9 @@ func TestPooledFrameReaderMatchesReadFrame(t *testing.T) {
 // what they allocated on the way tracks the 16 bytes, not the claim.
 func TestFrameBodyTracksBytesReceived(t *testing.T) {
 	var stream []byte
-	stream = binary.LittleEndian.AppendUint16(stream, frameMagic)
+	stream = binary.LittleEndian.AppendUint16(stream, wire.FrameMagic)
 	stream = binary.LittleEndian.AppendUint16(stream, wire.FrameVersion)
-	stream = binary.LittleEndian.AppendUint32(stream, maxFrame)
+	stream = binary.LittleEndian.AppendUint32(stream, wire.MaxFrame)
 	stream = append(stream, bytes.Repeat([]byte{1}, 16)...)
 	for name, read := range map[string]func() error{
 		"ReadFrame": func() error {

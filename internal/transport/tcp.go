@@ -44,25 +44,12 @@ import (
 	"messengers/internal/wire"
 )
 
-// Frame constants now live in internal/wire (the layout is shared with the
-// pooled encoder); these aliases keep the transport's vocabulary.
-const (
-	frameMagic = wire.FrameMagic
-	maxFrame   = wire.MaxFrame
-)
-
-// maxErrors bounds the retained transport error log: a flapping link under
-// chaos would otherwise grow the slice without limit. Older errors are
-// evicted first; the number evicted is surfaced as the
-// transport.errors.dropped counter and by ErrorsDropped.
-const maxErrors = 64
-
 // WriteFrame writes one length-prefixed message frame. The message send
 // path encodes header and payload into a single pooled buffer instead (see
 // Send); this helper remains for hello frames and out-of-band uses.
 func WriteFrame(w io.Writer, payload []byte) error {
 	var hdr [wire.FrameHeaderLen]byte
-	binary.LittleEndian.PutUint16(hdr[0:], frameMagic)
+	binary.LittleEndian.PutUint16(hdr[0:], wire.FrameMagic)
 	binary.LittleEndian.PutUint16(hdr[2:], wire.FrameVersion)
 	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(payload)))
 	if _, err := w.Write(hdr[:]); err != nil {
@@ -175,18 +162,15 @@ type TCPEngine struct {
 	mu        sync.Mutex
 	listeners []net.Listener
 	dials     map[connKey]*dialState
-	errs      []error
-	errsNext  int
-	errsLost  int64
 
-	hb *heartbeats
+	errs core.ErrorLog // transport-level errors; evictions are transport.errors.dropped
+	hb   *heartbeats
 
 	// Nil-safe obs counters, resolved at SetMetrics. frames counts frames
 	// handed to a connection's writer and writes the Write calls that
 	// reached a socket: writes/frames is the coalescing ratio, read where
 	// the work happens.
-	errsDropped, reconnects *obs.Counter
-	frames, writes          *obs.Counter
+	reconnects, frames, writes *obs.Counter
 
 	closed  chan struct{}
 	closeMu sync.Once
@@ -298,7 +282,7 @@ func (e *TCPEngine) SetTracer(t *obs.Tracer) { e.tr = t }
 // (transport.frames, transport.writes, transport.errors.dropped,
 // net.reconnects). Call before traffic flows.
 func (e *TCPEngine) SetMetrics(m *obs.Metrics) {
-	e.errsDropped = m.Counter("transport.errors.dropped")
+	m.CounterFunc("transport.errors.dropped", e.errs.Dropped)
 	e.reconnects = m.Counter("net.reconnects")
 	e.frames = m.Counter("transport.frames")
 	e.writes = m.Counter("transport.writes")
@@ -356,7 +340,7 @@ func (e *TCPEngine) Send(src, dst int, msg *core.Msg) {
 	enc := wire.NewEncoder()
 	defer enc.Release()
 	if err := msg.EncodeFrame(enc); err != nil {
-		e.recordError(fmt.Errorf("transport: encode %v message to daemon %d: %w", msg.Kind, dst, err))
+		e.errs.Add(fmt.Errorf("transport: encode %v message to daemon %d: %w", msg.Kind, dst, err))
 		return
 	}
 	if msg.XferVM != nil {
@@ -413,7 +397,7 @@ func (e *TCPEngine) Send(src, dst int, msg *core.Msg) {
 func (e *TCPEngine) writeFrame(src, dst int, frame []byte, now bool) {
 	pc, err := e.conn(src, dst)
 	if err != nil {
-		e.recordError(err)
+		e.errs.Add(err)
 		return
 	}
 	pc.mu.Lock()
@@ -486,7 +470,7 @@ func (e *TCPEngine) writeFailed(pc *peerConn, werr error) {
 	if pc.dead.Load() {
 		return
 	}
-	e.recordError(fmt.Errorf("transport: write frame %d->%d: %w", pc.src, pc.dst, werr))
+	e.errs.Add(fmt.Errorf("transport: write frame %d->%d: %w", pc.src, pc.dst, werr))
 	e.mu.Lock()
 	e.slots[pc.src][pc.dst].CompareAndSwap(pc, nil)
 	e.mu.Unlock()
@@ -606,7 +590,7 @@ func (e *TCPEngine) acceptLoop(d int, l net.Listener) {
 			if e.killed[d].Load() {
 				return // KillDaemon closed the listener
 			}
-			e.recordError(fmt.Errorf("transport: daemon %d accept: %w", d, err))
+			e.errs.Add(fmt.Errorf("transport: daemon %d accept: %w", d, err))
 			return
 		}
 		e.netWG.Add(1)
@@ -625,7 +609,7 @@ func (e *TCPEngine) acceptLoop(d int, l net.Listener) {
 				msg, err := core.DecodeMsg(*box)
 				if err != nil {
 					wire.PutBuf(box)
-					e.recordError(fmt.Errorf("transport: daemon %d: %w", d, err))
+					e.errs.Add(fmt.Errorf("transport: daemon %d: %w", d, err))
 					continue
 				}
 				if msg.Kind == core.MsgHeartbeat {
@@ -646,39 +630,6 @@ func (e *TCPEngine) acceptLoop(d int, l net.Listener) {
 			}
 		}()
 	}
-}
-
-func (e *TCPEngine) recordError(err error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if len(e.errs) < maxErrors {
-		e.errs = append(e.errs, err)
-		return
-	}
-	// Ring: evict the oldest.
-	e.errs[e.errsNext] = err
-	e.errsNext = (e.errsNext + 1) % maxErrors
-	e.errsLost++
-	e.errsDropped.Inc()
-}
-
-// Errors returns the retained transport-level errors, oldest first. At most
-// maxErrors are kept; ErrorsDropped counts evictions.
-func (e *TCPEngine) Errors() []error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]error, 0, len(e.errs))
-	for i := 0; i < len(e.errs); i++ {
-		out = append(out, e.errs[(e.errsNext+i)%len(e.errs)])
-	}
-	return out
-}
-
-// ErrorsDropped returns how many errors were evicted from the bounded log.
-func (e *TCPEngine) ErrorsDropped() int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.errsLost
 }
 
 // --- daemon kill / revive (chaos support) ---

@@ -18,6 +18,7 @@ import (
 	"messengers/internal/obs"
 	"messengers/internal/sim"
 	"messengers/internal/value"
+	"messengers/internal/wire"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -88,12 +89,12 @@ func waitQuiesce(t *testing.T, sys *core.System, eng *TCPEngine) {
 	select {
 	case <-done:
 	case <-time.After(30 * time.Second):
-		t.Fatalf("no quiescence (live=%d, transport errs=%v)", sys.Live(), eng.Errors())
+		t.Fatalf("no quiescence (live=%d, transport errs=%v)", sys.Live(), eng.errs.List())
 	}
 	for _, err := range sys.Errors() {
 		t.Errorf("runtime error: %v", err)
 	}
-	for _, err := range eng.Errors() {
+	for _, err := range eng.errs.List() {
 		t.Errorf("transport error: %v", err)
 	}
 }
@@ -307,18 +308,18 @@ func TestZeroLengthFrame(t *testing.T) {
 }
 
 func TestOversizedFrameRejected(t *testing.T) {
-	// A header advertising more than maxFrame must be rejected before any
+	// A header advertising more than wire.MaxFrame must be rejected before any
 	// allocation, not after attempting to read gigabytes.
 	var hdr [8]byte
-	binary.LittleEndian.PutUint16(hdr[0:], frameMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], maxFrame+1)
+	binary.LittleEndian.PutUint16(hdr[0:], wire.FrameMagic)
+	binary.LittleEndian.PutUint32(hdr[4:], wire.MaxFrame+1)
 	_, err := ReadFrame(bytes.NewReader(hdr[:]))
 	if err == nil || !strings.Contains(err.Error(), "exceeds limit") {
 		t.Errorf("oversized frame: %v", err)
 	}
-	// Exactly maxFrame is allowed through to the body read (which then
+	// Exactly wire.MaxFrame is allowed through to the body read (which then
 	// fails on the empty reader, proving the limit check passed).
-	binary.LittleEndian.PutUint32(hdr[4:], maxFrame)
+	binary.LittleEndian.PutUint32(hdr[4:], wire.MaxFrame)
 	_, err = ReadFrame(bytes.NewReader(hdr[:]))
 	if err == nil || strings.Contains(err.Error(), "exceeds limit") {
 		t.Errorf("frame at the limit should pass the size check: %v", err)
@@ -331,7 +332,7 @@ func TestMidFrameConnectionClose(t *testing.T) {
 	client, server := net.Pipe()
 	go func() {
 		var hdr [8]byte
-		binary.LittleEndian.PutUint16(hdr[0:], frameMagic)
+		binary.LittleEndian.PutUint16(hdr[0:], wire.FrameMagic)
 		binary.LittleEndian.PutUint32(hdr[4:], 100)
 		client.Write(hdr[:])
 		client.Write(make([]byte, 10)) // 10 of the promised 100 bytes
@@ -348,7 +349,7 @@ func TestMidFrameConnectionClose(t *testing.T) {
 	go func() {
 		WriteFrame(client2, []byte("whole frame"))
 		var hdr [8]byte
-		binary.LittleEndian.PutUint16(hdr[0:], frameMagic)
+		binary.LittleEndian.PutUint16(hdr[0:], wire.FrameMagic)
 		binary.LittleEndian.PutUint32(hdr[4:], 5)
 		client2.Write(hdr[:])
 		client2.Close()
@@ -479,13 +480,14 @@ func TestCloseDrainsExecutors(t *testing.T) {
 // TestErrorRingBounded: the transport error log is a bounded ring that
 // keeps the newest errors and counts evictions.
 func TestErrorRingBounded(t *testing.T) {
+	const maxErrors = 64 // core.ErrorLog's bound
 	_, eng := tcpSystem(t, 1)
 	m := obs.NewMetrics()
 	eng.SetMetrics(m)
 	for i := 0; i < maxErrors+50; i++ {
-		eng.recordError(fmt.Errorf("err %d", i))
+		eng.errs.Add(fmt.Errorf("err %d", i))
 	}
-	errs := eng.Errors()
+	errs := eng.errs.List()
 	if len(errs) != maxErrors {
 		t.Fatalf("retained %d errors, want %d", len(errs), maxErrors)
 	}
@@ -494,9 +496,6 @@ func TestErrorRingBounded(t *testing.T) {
 	}
 	if got := errs[len(errs)-1].Error(); got != fmt.Sprintf("err %d", maxErrors+49) {
 		t.Errorf("newest retained = %q", got)
-	}
-	if eng.ErrorsDropped() != 50 {
-		t.Errorf("dropped = %d, want 50", eng.ErrorsDropped())
 	}
 	if m.CounterValue("transport.errors.dropped") != 50 {
 		t.Errorf("dropped counter = %d, want 50", m.CounterValue("transport.errors.dropped"))
@@ -594,7 +593,7 @@ func TestFaultHookDrop(t *testing.T) {
 	if dropped.Load() != 1 {
 		t.Fatalf("hook consulted %d times, want 1", dropped.Load())
 	}
-	if errs := eng.Errors(); len(errs) != 0 {
+	if errs := eng.errs.List(); len(errs) != 0 {
 		t.Errorf("dropping produced errors: %v", errs)
 	}
 	eng.SetFaultHook(nil)

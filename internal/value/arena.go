@@ -52,7 +52,7 @@ func NewArena(n int) *Arena {
 // it can never bleed into a neighboring allocation). When the slab cannot
 // hold n more, the slice comes from the heap instead.
 func (a *Arena) Values(n int) []Value {
-	if a == nil || n > len(a.slab)-a.used {
+	if n > len(a.slab)-a.used {
 		return make([]Value, n)
 	}
 	s := a.slab[a.used : a.used+n : a.used+n]
@@ -64,25 +64,11 @@ func (a *Arena) Values(n int) []Value {
 // so that a slab waiting for reuse pins nothing its Values referenced. The
 // owner must have dropped every slice Values gave it.
 func (a *Arena) Reset() {
-	if a == nil {
-		return
-	}
 	clear(a.slab[:a.used])
 	a.used = 0
 }
 
-// Used reports how many Values have been served from the slab.
-func (a *Arena) Used() int {
-	if a == nil {
-		return 0
-	}
-	return a.used
-}
-
 // Bytes reports the slab's memory footprint (the vm.arena.bytes metric).
 func (a *Arena) Bytes() int64 {
-	if a == nil {
-		return 0
-	}
 	return int64(len(a.slab)) * valueSize
 }

@@ -16,7 +16,7 @@ import (
 func decode(buf []byte) (Value, int, error) {
 	d := wire.NewDecoder(buf)
 	v := DecodeFrom(&d)
-	return v, d.Pos(), d.Err()
+	return v, len(buf) - d.Remaining(), d.Err()
 }
 
 // genValue builds a random value of bounded depth for property tests.

@@ -154,9 +154,6 @@ func (v Value) AsStr() string { return v.s }
 // AsBytes returns the byte payload, or nil.
 func (v Value) AsBytes() []byte { return v.bytes }
 
-// AsArr returns the array payload, or nil.
-func (v Value) AsArr() []Value { return v.arr }
-
 // AsMat returns the matrix payload, or nil.
 func (v Value) AsMat() *Mat { return v.mat }
 

@@ -158,17 +158,17 @@ func TestCloneIsDeep(t *testing.T) {
 	orig := Arr([]Value{inner, Bytes([]byte{9}), Matrix(m)})
 	cl := orig.Clone()
 
-	orig.AsArr()[0].AsArr()[0] = Int(100)
-	orig.AsArr()[1].AsBytes()[0] = 100
+	orig.arr[0].arr[0] = Int(100)
+	orig.arr[1].AsBytes()[0] = 100
 	m.Data[0] = 100
 
-	if cl.AsArr()[0].AsArr()[0].AsInt() != 1 {
+	if cl.arr[0].arr[0].AsInt() != 1 {
 		t.Error("nested array not deep-copied")
 	}
-	if cl.AsArr()[1].AsBytes()[0] != 9 {
+	if cl.arr[1].AsBytes()[0] != 9 {
 		t.Error("bytes not deep-copied")
 	}
-	if cl.AsArr()[2].AsMat().Data[0] != 0 {
+	if cl.arr[2].AsMat().Data[0] != 0 {
 		t.Error("matrix not deep-copied")
 	}
 }

@@ -95,8 +95,8 @@ func TestReleasedBerthHoldsNoValue(t *testing.T) {
 	if b.tx != nil && !reflect.DeepEqual(*b.tx, texec{}) {
 		t.Error("the threaded loop's scratch still holds its last segment")
 	}
-	if b.arena.Used() != 0 {
-		t.Errorf("arena not reset: %d values in use", b.arena.Used())
+	if arenaUsed(b.arena) != 0 {
+		t.Errorf("arena not reset: %d values in use", arenaUsed(b.arena))
 	}
 	zero("arena slab", b.arena.Values(int(b.arena.Bytes()/int64(unsafe.Sizeof(value.Value{})))))
 	runtime.KeepAlive(berth)
@@ -125,14 +125,14 @@ func TestBerthExposesNothingOfItsLastOccupant(t *testing.T) {
 		t.Errorf("restored into a used berth, the VM snapshots to %x, want %x", got, lean)
 	}
 	for _, name := range []string{"b", "c", "d"} {
-		if !m.Var(name).IsNil() {
-			t.Errorf("variable %q of the last occupant is visible: %v", name, m.Var(name))
+		if !m.Vars()[name].IsNil() {
+			t.Errorf("variable %q of the last occupant is visible: %v", name, m.Vars()[name])
 		}
 	}
 	if res, err := m.Run(newTestHost(), 0); err != nil || res.Pause != PauseEnd {
 		t.Fatalf("resume: pause %v, err %v", res.Pause, err)
 	}
-	if got := m.Var("seen").AsInt(); got != 40 {
+	if got := m.Vars()["seen"].AsInt(); got != 40 {
 		t.Errorf("seen = %d, want 40 (b is unset, not 2)", got)
 	}
 }
@@ -300,9 +300,9 @@ func TestForgedSnapshotsRejectedThroughUsedBerth(t *testing.T) {
 			t.Errorf("%s: through a berth the refusal reads %q, fresh %q", c.name, err, fresh)
 		}
 		b := (*VM)(berth)
-		if slices.Contains(b.present, true) || b.tail != nil || len(b.frames) != 0 || b.stack != nil || b.arena.Used() != 0 {
+		if slices.Contains(b.present, true) || b.tail != nil || len(b.frames) != 0 || b.stack != nil || arenaUsed(b.arena) != 0 {
 			t.Fatalf("%s: the refused restore left the berth half-filled (present %v, tail %v, %d frames, %d arena values)",
-				c.name, b.present, b.tail, len(b.frames), b.arena.Used())
+				c.name, b.present, b.tail, len(b.frames), arenaUsed(b.arena))
 		}
 	}
 	deep, good := pausedDeepVM(t)
@@ -313,8 +313,8 @@ func TestForgedSnapshotsRejectedThroughUsedBerth(t *testing.T) {
 	if m.Program() != deep.Program() && m.Program().Hash() != deep.Program().Hash() {
 		t.Fatal("test set-up: the good snapshot is of another program")
 	}
-	if res, err := m.Run(newTestHost(), 0); err != nil || res.Pause != PauseEnd || m.Var("total").AsInt() != 109 {
-		t.Errorf("resumed in the berth: pause %v, err %v, total %v", res.Pause, err, m.Var("total"))
+	if res, err := m.Run(newTestHost(), 0); err != nil || res.Pause != PauseEnd || m.Vars()["total"].AsInt() != 109 {
+		t.Errorf("resumed in the berth: pause %v, err %v, total %v", res.Pause, err, m.Vars()["total"])
 	}
 }
 
@@ -356,4 +356,10 @@ func TestRestoreIntoAllocatesNothing(t *testing.T) {
 	if fresh < 5 {
 		t.Errorf("Restore: %v allocs; the comparison above proves little", fresh)
 	}
+}
+
+// arenaUsed reads how many Values an arena has served since its last
+// Reset.
+func arenaUsed(a *value.Arena) int64 {
+	return reflect.ValueOf(a).Elem().FieldByName("used").Int()
 }

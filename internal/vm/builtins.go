@@ -40,13 +40,6 @@ var builtins = map[string]builtinFunc{
 	"matset": biMatSet,
 }
 
-// IsBuiltin reports whether name is an inline builtin (so the compiler and
-// tools can distinguish builtins from natives).
-func IsBuiltin(name string) bool {
-	_, ok := builtins[name]
-	return ok
-}
-
 func wantArgs(args []value.Value, n int) error {
 	if len(args) != n {
 		return fmt.Errorf("want %d arguments, got %d", n, len(args))

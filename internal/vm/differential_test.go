@@ -288,8 +288,8 @@ func TestDispatchDifferentialResumeFromSnapshot(t *testing.T) {
 		} else if got != want {
 			t.Errorf("%v: restored run ended with %q, switch oracle %q", mode, got, want)
 		}
-		if r.Var("done").AsInt() != 0+1+4+9 {
-			t.Errorf("%v: done=%v", mode, r.Var("done"))
+		if r.Vars()["done"].AsInt() != 0+1+4+9 {
+			t.Errorf("%v: done=%v", mode, r.Vars()["done"])
 		}
 	}
 }

@@ -95,9 +95,9 @@ func (m *VM) eachVar(f func(name string, v value.Value)) {
 	}
 }
 
-// Restore rebuilds a VM from a snapshot against its program. For verified
-// programs (every compiled or wire-decoded program) the restored state is
-// checked against the verifier's stack-depth metadata: each frame must
+// Restore rebuilds a VM from a snapshot against its program, which must be
+// verified (every compiled or wire-decoded program is). The restored state
+// is checked against the verifier's stack-depth metadata: each frame must
 // resume at a reachable PC, interior frames must sit just past the call
 // instruction that entered their callee, and the operand stack must have
 // exactly the depth the verifier proved for that resume point. A snapshot
@@ -143,6 +143,9 @@ func (m *VM) Release() *Berth {
 // fresh VM. When the restore fails the berth is released again: reusable,
 // never half-filled.
 func RestoreInto(berth *Berth, prog *bytecode.Program, buf []byte) (*VM, error) {
+	if !prog.Verified() {
+		return nil, fmt.Errorf("vm: restore against unverified program %q", prog.Name)
+	}
 	m := (*VM)(berth)
 	if m == nil || m.prog != prog {
 		// A single-frame snapshot's locals and stack land in one slab of
@@ -205,23 +208,20 @@ func (m *VM) restore(buf []byte) error {
 			return fmt.Errorf("vm: snapshot carries %d locals for %q declaring %d",
 				nloc, prog.Funcs[fn].Name, prog.Funcs[fn].NumLocals)
 		}
-		fr := frame{fn: fn, pc: pc, locals: m.allocValues(nloc)}
+		fr := frame{fn: fn, pc: pc, locals: m.arena.Values(nloc)}
 		for j := range fr.locals {
 			fr.locals[j] = value.DecodeFrom(&d)
 		}
 		m.frames = append(m.frames, fr)
 	}
-	m.stack = m.allocValues(d.Count(1))
+	m.stack = m.arena.Values(d.Count(1))
 	for i := 0; i < len(m.stack) && d.Err() == nil; i++ {
 		m.stack[i] = value.DecodeFrom(&d)
 	}
 	if err := d.Finish(); err != nil {
 		return fmt.Errorf("vm: restore: %w", err)
 	}
-	if prog.Verified() {
-		return m.checkResumeState()
-	}
-	return nil
+	return m.checkResumeState()
 }
 
 // checkResumeState proves a restored VM consistent with the verifier's

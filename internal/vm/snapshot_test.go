@@ -85,7 +85,7 @@ func TestSnapshotRestoreAtDepth(t *testing.T) {
 	}
 	// total = 3 + (6 ones + 100) — only correct if every frame's locals and
 	// every pending operand survived the round trip.
-	if got := m2.Var("total").AsInt(); got != 109 {
+	if got := m2.Vars()["total"].AsInt(); got != 109 {
 		t.Errorf("total = %d, want 109", got)
 	}
 }

@@ -2,17 +2,16 @@
 //
 // The switch loop in vm.go re-decodes every instruction on every execution:
 // a table lookup per Messenger-variable access, a constant clone per push,
-// an append (with its capacity check) per stack write. For a verified
-// program the bytecode verifier has already proven every jump in range,
+// an append (with its capacity check) per stack write. For every program it
+// runs the bytecode verifier has already proven every jump in range,
 // every stack depth exact, and every nav statement at a boundary — so this
 // file spends that proof. Execution runs over the program's lowered direct
 // stream (bytecode.Lowered): one handler function per direct opcode, indexed
 // from a flat table, operating on a flattened frame (locals, stack base+sp)
 // with raw indexed stack access whose bounds the verifier guarantees.
 //
-// The switch loop remains authoritative: it runs unverified programs, is
-// the oracle the differential tests compare against, and takes over
-// mid-segment (a "tail") whenever the fast path would need a dynamic
+// The switch loop remains authoritative: it is the oracle the differential
+// tests compare against, and takes over mid-segment (a "tail") whenever the fast path would need a dynamic
 // guard — most importantly when the next instruction's step cost N could
 // straddle the step budget, so budget-exhaustion semantics, error text,
 // and meter charges come from exactly one implementation.
@@ -39,8 +38,7 @@ import (
 // Dispatch selects the interpreter loop for a VM.
 type Dispatch uint8
 
-// Dispatch modes. Auto resolves to Specialized for verified programs;
-// unverified programs always take the switch loop regardless of mode.
+// Dispatch modes. Auto resolves to Specialized.
 const (
 	DispatchAuto Dispatch = iota
 	// DispatchSwitch forces the classic switch interpreter (the oracle).
@@ -249,7 +247,7 @@ func (m *VM) runThreaded(host Host, low *bytecode.Lowered, limit int64, steps *i
 	// once per call.
 	need := len(m.stack) + m.prog.MaxStack(top.fn)
 	if cap(m.stackBuf) < need {
-		buf := m.allocValues(need)
+		buf := m.arena.Values(need)
 		copy(buf, m.stack)
 		m.stackBuf = buf
 	} else if len(m.stack) > 0 && &m.stackBuf[0] != &m.stack[0] {
@@ -434,7 +432,7 @@ func init() {
 		}
 		fi, argc := int(d.A), int(d.B)
 		callee := &m.prog.Funcs[fi]
-		locals := m.allocValues(callee.NumLocals)
+		locals := m.arena.Values(callee.NumLocals)
 		copy(locals, t.stack[t.sp-argc:t.sp])
 		t.sp -= argc
 		top := &m.frames[len(m.frames)-1]

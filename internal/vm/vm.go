@@ -196,39 +196,30 @@ func (m *VM) SetMeter(sm StepMeter) { m.meter = sm }
 // memory.
 const arenaHeadroom = 8
 
-// allocValues serves locals/stack allocations from the arena when one is
-// attached, the heap otherwise.
-func (m *VM) allocValues(n int) []value.Value {
-	if m.arena != nil {
-		return m.arena.Values(n)
-	}
-	return make([]value.Value, n)
-}
-
 // namedVar is one variable of a VM's tail.
 type namedVar struct {
 	name string
 	v    value.Value
 }
 
-// newVM returns a VM of prog that holds no state yet. Its variable area is
-// sized by the program's table, its value arena by the verifier's metadata
-// for the main body: the locals plus the proven worst-case operand stack,
-// with a little call headroom. Unverified programs get no arena (nil is a
-// valid Arena receiver that always falls back to the heap).
+// newVM returns a VM of a verified prog that holds no state yet. Its
+// variable area is sized by the program's table, its value arena by the
+// verifier's metadata for the main body: the locals plus the proven
+// worst-case operand stack, with a little call headroom.
 func newVM(prog *bytecode.Program) *VM {
 	n := len(prog.VarTable().Names)
-	m := &VM{prog: prog, vars: make([]value.Value, n), present: make([]bool, n)}
-	if prog.Verified() {
-		m.arena = value.NewArena(prog.Funcs[0].NumLocals + prog.MaxStack(0) + arenaHeadroom)
-	}
-	return m
+	return &VM{prog: prog, vars: make([]value.Value, n), present: make([]bool, n),
+		arena: value.NewArena(prog.Funcs[0].NumLocals + prog.MaxStack(0) + arenaHeadroom)}
 }
 
 // New returns a VM at the start of the program's main body with the given
 // initial Messenger variables (may be nil). The VM takes the values, not
-// the map.
+// the map. prog must be verified, as compile.Compile and bytecode.Decode
+// leave it: New panics otherwise.
 func New(prog *bytecode.Program, vars map[string]value.Value) *VM {
+	if !prog.Verified() {
+		panic(fmt.Sprintf("vm: New of unverified program %q", prog.Name))
+	}
 	m, vt := newVM(prog), prog.VarTable()
 	for _, name := range slices.Sorted(maps.Keys(vars)) {
 		if s, ok := vt.Lookup(name); ok {
@@ -237,7 +228,7 @@ func New(prog *bytecode.Program, vars map[string]value.Value) *VM {
 			m.tail = append(m.tail, namedVar{name, vars[name]})
 		}
 	}
-	m.frames = []frame{{fn: 0, locals: m.allocValues(prog.Funcs[0].NumLocals)}}
+	m.frames = []frame{{fn: 0, locals: m.arena.Values(prog.Funcs[0].NumLocals)}}
 	return m
 }
 
@@ -246,14 +237,11 @@ func (m *VM) Program() *bytecode.Program { return m.prog }
 
 // Vars returns a deep copy of the Messenger variables (the state that
 // travels with the Messenger) by name.
-func (m *VM) Vars() map[string]value.Value {
+func (m *VM) Vars() map[string]value.Value { //lint:deadcode test support: the vm and compile tests read results here
 	out := map[string]value.Value{}
 	m.eachVar(func(name string, v value.Value) { out[name] = v.Clone() })
 	return out
 }
-
-// Var reads one Messenger variable, as a deep copy; nil when unset.
-func (m *VM) Var(name string) value.Value { return m.Vars()[name] }
 
 // ThreadedSteps reports how many of the last Run segment's source
 // instructions ran on the threaded fast path; the rest of Result.Steps ran
@@ -261,7 +249,7 @@ func (m *VM) Var(name string) value.Value { return m.Vars()[name] }
 func (m *VM) ThreadedSteps() int64 { return m.segThreaded }
 
 // ArenaBytes reports the memory pinned by the VM's value arena (the
-// vm.arena.bytes metric); 0 without an arena.
+// vm.arena.bytes metric).
 func (m *VM) ArenaBytes() int64 { return m.arena.Bytes() }
 
 // PushResult delivers a native function's return value before resuming.
@@ -276,10 +264,10 @@ func (m *VM) Clone() *VM {
 	cloneValues(c.vars, m.vars)
 	copy(c.present, m.present)
 	c.tail = m.tail
-	c.stack = cloneValues(c.allocValues(len(m.stack)), m.stack)
+	c.stack = cloneValues(c.arena.Values(len(m.stack)), m.stack)
 	c.frames = make([]frame, len(m.frames))
 	for i, fr := range m.frames {
-		c.frames[i] = frame{fn: fr.fn, pc: fr.pc, locals: cloneValues(c.allocValues(len(fr.locals)), fr.locals)}
+		c.frames[i] = frame{fn: fr.fn, pc: fr.pc, locals: cloneValues(c.arena.Values(len(fr.locals)), fr.locals)}
 	}
 	return c
 }
@@ -314,11 +302,10 @@ func (m *VM) runtimeError(format string, args ...any) error {
 // runtime error — a runaway Messenger). On error the Messenger must be
 // destroyed by the daemon.
 //
-// Verified programs execute on the token-threaded fast path over the
-// lowered instruction stream (threaded.go) unless the dispatch mode pins
-// the switch loop; unverified programs, and the tail of any segment the
-// fast path hands back (step budget about to trip), run on the switch
-// loop below. Both loops share the cumulative step counter, so meter
+// Programs execute on the token-threaded fast path over the lowered
+// instruction stream (threaded.go) unless the dispatch mode pins the
+// switch loop; the tail of any segment the fast path hands back (step
+// budget about to trip) runs on the switch loop below. Both loops share the cumulative step counter, so meter
 // charges and Result.Steps are identical whichever executed.
 func (m *VM) Run(host Host, maxSteps int64) (Result, error) {
 	var steps int64
@@ -339,7 +326,7 @@ func (m *VM) Run(host Host, maxSteps int64) (Result, error) {
 		}
 		defer func() { m.meter.Charge(steps) }()
 	}
-	if mode := m.dispatch; mode != DispatchSwitch && m.prog.Verified() {
+	if mode := m.dispatch; mode != DispatchSwitch {
 		lm := bytecode.LowerPlain
 		switch mode {
 		case DispatchFused:
@@ -347,39 +334,30 @@ func (m *VM) Run(host Host, maxSteps int64) (Result, error) {
 		case DispatchSpecialized, DispatchAuto:
 			lm = bytecode.LowerKind
 		}
-		if low := m.prog.Lowered(lm); low != nil {
-			res, err, done := m.runThreaded(host, low, limit, &steps)
-			m.segThreaded = steps // the counter starts the segment at 0
-			if done {
-				return res, err
-			}
+		res, err, done := m.runThreaded(host, m.prog.Lowered(lm), limit, &steps)
+		m.segThreaded = steps // the counter starts the segment at 0
+		if done {
+			return res, err
 		}
 	}
 	return m.runSwitch(host, maxSteps, limit, metered, &steps)
 }
 
-// runSwitch is the classic switch-dispatch interpreter: the only loop for
-// unverified programs, the budget-boundary tail for threaded segments, and
-// the oracle the differential tests hold the fast path to. steps is the
+// runSwitch is the classic switch-dispatch interpreter: the budget-boundary
+// tail for threaded segments, and the oracle the differential tests hold
+// the fast path to. steps is the
 // segment-cumulative counter shared with the threaded loop.
 func (m *VM) runSwitch(host Host, maxSteps, limit int64, metered bool, stepsp *int64) (Result, error) {
 	prof := m.prof
-	// Verified programs have statically proven control flow: every jump
-	// target is in range and no path falls off the end of the code, so the
-	// per-step PC bounds check is redundant (Restore already vets resume
-	// PCs against the same metadata). Unverified programs — hand-built in
-	// tests — keep the dynamic guard.
-	verified := m.prog.Verified()
+	// The verifier proved the control flow: every jump target is in range
+	// and no path falls off the end of the code, so no step checks the PC
+	// (Restore vets resume PCs against the same metadata).
 	vt := m.prog.VarTable()
 	steps := *stepsp
 	defer func() { *stepsp = steps }()
 	for {
 		f := m.top()
-		code := m.prog.Funcs[f.fn].Code
-		if !verified && (f.pc < 0 || f.pc >= len(code)) {
-			return Result{}, m.runtimeError("program counter out of range (%d)", f.pc)
-		}
-		ins := code[f.pc]
+		ins := m.prog.Funcs[f.fn].Code[f.pc]
 		f.pc++
 		steps++
 		if prof != nil && int(ins.Op) < NumOps {

@@ -81,7 +81,7 @@ func TestArithmeticAndVariables(t *testing.T) {
 		"s": value.Str("xy1"),
 	}
 	for name, want := range tests {
-		if got := m.Var(name); !got.Equal(want) {
+		if got := m.Vars()[name]; !got.Equal(want) {
 			t.Errorf("%s = %v, want %v", name, got, want)
 		}
 	}
@@ -100,7 +100,7 @@ func TestComparisonsAndLogic(t *testing.T) {
 	`)
 	want := map[string]int64{"a": 1, "b": 0, "c": 1, "d": 0, "e": 1, "f": 0, "g": 1, "h": 1}
 	for name, w := range want {
-		if got := m.Var(name).AsInt(); got != w {
+		if got := m.Vars()[name].AsInt(); got != w {
 			t.Errorf("%s = %d, want %d", name, got, w)
 		}
 	}
@@ -116,8 +116,8 @@ func TestShortCircuitSkipsSideEffects(t *testing.T) {
 	if res.Pause != PauseEnd {
 		t.Fatalf("pause = %v (short-circuit failed, tried to call boom)", res.Pause)
 	}
-	if m.Var("x").AsInt() != 0 || m.Var("y").AsInt() != 1 {
-		t.Errorf("x=%v y=%v", m.Var("x"), m.Var("y"))
+	if m.Vars()["x"].AsInt() != 0 || m.Vars()["y"].AsInt() != 1 {
+		t.Errorf("x=%v y=%v", m.Vars()["x"], m.Vars()["y"])
 	}
 }
 
@@ -134,13 +134,13 @@ func TestControlFlow(t *testing.T) {
 		neg = 10;
 		neg -= 3;
 	`)
-	if got := m.Var("total").AsInt(); got != 1+3+5+7 {
+	if got := m.Vars()["total"].AsInt(); got != 1+3+5+7 {
 		t.Errorf("total = %d, want 16", got)
 	}
-	if got := m.Var("n").AsInt(); got != 5 {
+	if got := m.Vars()["n"].AsInt(); got != 5 {
 		t.Errorf("n = %d", got)
 	}
-	if got := m.Var("neg").AsInt(); got != 7 {
+	if got := m.Vars()["neg"].AsInt(); got != 7 {
 		t.Errorf("neg = %d", got)
 	}
 }
@@ -158,13 +158,13 @@ func TestAssignmentAsExpression(t *testing.T) {
 		arr = [0, 0];
 		c = (arr[1] = 9) + 1;
 	`)
-	if m2.Var("a").AsInt() != 6 || m2.Var("b").AsInt() != 5 {
-		t.Errorf("a=%v b=%v", m2.Var("a"), m2.Var("b"))
+	if m2.Vars()["a"].AsInt() != 6 || m2.Vars()["b"].AsInt() != 5 {
+		t.Errorf("a=%v b=%v", m2.Vars()["a"], m2.Vars()["b"])
 	}
-	if m2.Var("c").AsInt() != 10 {
-		t.Errorf("c=%v", m2.Var("c"))
+	if m2.Vars()["c"].AsInt() != 10 {
+		t.Errorf("c=%v", m2.Vars()["c"])
 	}
-	if e, _ := m2.Var("arr").Index(1); e.AsInt() != 9 {
+	if e, _ := m2.Vars()["arr"].Index(1); e.AsInt() != 9 {
 		t.Errorf("arr[1]=%v", e)
 	}
 }
@@ -180,16 +180,16 @@ func TestArraysAndIndexing(t *testing.T) {
 		b[2] = 9;
 		n = len(a);
 	`)
-	if got := m.Var("x").AsInt(); got != 50 {
+	if got := m.Vars()["x"].AsInt(); got != 50 {
 		t.Errorf("x = %d", got)
 	}
-	if e, _ := m.Var("a").Index(1); e.AsInt() != 7 {
+	if e, _ := m.Vars()["a"].Index(1); e.AsInt() != 7 {
 		t.Errorf("a[1] = %v", e)
 	}
-	if e, _ := m.Var("b").Index(2); e.AsInt() != 9 {
+	if e, _ := m.Vars()["b"].Index(2); e.AsInt() != 9 {
 		t.Errorf("b[2] = %v", e)
 	}
-	if got := m.Var("n").AsInt(); got != 3 {
+	if got := m.Vars()["n"].AsInt(); got != 3 {
 		t.Errorf("n = %d", got)
 	}
 }
@@ -204,10 +204,10 @@ func TestNodeAndNetworkVariables(t *testing.T) {
 	if got := h.node["counter"].AsInt(); got != 42 {
 		t.Errorf("node.counter = %d", got)
 	}
-	if got := m.Var("here").AsStr(); got != "d0" {
+	if got := m.Vars()["here"].AsStr(); got != "d0" {
 		t.Errorf("here = %q", got)
 	}
-	if got := m.Var("via").AsStr(); got != "link0" {
+	if got := m.Vars()["via"].AsStr(); got != "link0" {
 		t.Errorf("via = %q", got)
 	}
 }
@@ -222,11 +222,11 @@ func TestUserFunctions(t *testing.T) {
 		r = fib(10);
 		touch();
 	`)
-	if got := m.Var("r").AsInt(); got != 55 {
+	if got := m.Vars()["r"].AsInt(); got != 55 {
 		t.Errorf("fib(10) = %d", got)
 	}
-	if got := m.Var("touched").AsInt(); got != 1 {
-		t.Errorf("touched = %v (msgr.x inside function failed)", m.Var("touched"))
+	if got := m.Vars()["touched"].AsInt(); got != 1 {
+		t.Errorf("touched = %v (msgr.x inside function failed)", m.Vars()["touched"])
 	}
 }
 
@@ -235,10 +235,10 @@ func TestFunctionLocalsAreNotMessengerVars(t *testing.T) {
 		func f(a) { temp = a * 2; return temp; }
 		r = f(21);
 	`)
-	if got := m.Var("r").AsInt(); got != 42 {
+	if got := m.Vars()["r"].AsInt(); got != 42 {
 		t.Errorf("r = %d", got)
 	}
-	if !m.Var("temp").IsNil() {
+	if !m.Vars()["temp"].IsNil() {
 		t.Error("function local leaked into Messenger variables")
 	}
 }
@@ -272,7 +272,7 @@ func TestBuiltins(t *testing.T) {
 		"k": value.Str("mess"),
 	}
 	for name, want := range checks {
-		if got := m.Var(name); !got.Equal(want) {
+		if got := m.Vars()[name]; !got.Equal(want) {
 			t.Errorf("%s = %v, want %v", name, got, want)
 		}
 	}
@@ -289,8 +289,8 @@ func TestMatrixBuiltins(t *testing.T) {
 		r = rows(mm);
 		c = cols(mm);
 	`)
-	if m.Var("v").AsNum() != 7.5 || m.Var("r").AsInt() != 2 || m.Var("c").AsInt() != 3 {
-		t.Errorf("v=%v r=%v c=%v", m.Var("v"), m.Var("r"), m.Var("c"))
+	if m.Vars()["v"].AsNum() != 7.5 || m.Vars()["r"].AsInt() != 2 || m.Vars()["c"].AsInt() != 3 {
+		t.Errorf("v=%v r=%v c=%v", m.Vars()["v"], m.Vars()["r"], m.Vars()["c"])
 	}
 }
 
@@ -301,7 +301,7 @@ func TestCopyIsDeep(t *testing.T) {
 		a[0] = 99;
 		x = b[0];
 	`)
-	if got := m.Var("x").AsInt(); got != 1 {
+	if got := m.Vars()["x"].AsInt(); got != 1 {
 		t.Errorf("copy not deep: x = %d", got)
 	}
 }
@@ -322,7 +322,7 @@ func TestHopPause(t *testing.T) {
 	if arm.LN.AsStr() != "*" || arm.LL.AsStr() != "row" || arm.LDir.AsStr() != "-" {
 		t.Errorf("arm = %+v", arm)
 	}
-	if m.Var("steps").AsInt() != 1 {
+	if m.Vars()["steps"].AsInt() != 1 {
 		t.Error("statements after hop should not have run")
 	}
 	// Resuming (as a clone at the destination would) continues after the
@@ -331,8 +331,8 @@ func TestHopPause(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.Pause != PauseEnd || m.Var("steps").AsInt() != 2 {
-		t.Errorf("after resume: pause=%v steps=%v", res2.Pause, m.Var("steps"))
+	if res2.Pause != PauseEnd || m.Vars()["steps"].AsInt() != 2 {
+		t.Errorf("after resume: pause=%v steps=%v", res2.Pause, m.Vars()["steps"])
 	}
 }
 
@@ -380,8 +380,8 @@ func TestNativePauseAndResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.Pause != PauseEnd || m.Var("r").AsInt() != 6 {
-		t.Errorf("r = %v", m.Var("r"))
+	if res2.Pause != PauseEnd || m.Vars()["r"].AsInt() != 6 {
+		t.Errorf("r = %v", m.Vars()["r"])
 	}
 }
 
@@ -406,8 +406,8 @@ func TestSchedPauses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res3.Pause != PauseEnd || m.Var("x").AsInt() != 1 {
-		t.Errorf("final: %+v x=%v", res3, m.Var("x"))
+	if res3.Pause != PauseEnd || m.Vars()["x"].AsInt() != 1 {
+		t.Errorf("final: %+v x=%v", res3, m.Vars()["x"])
 	}
 }
 
@@ -417,8 +417,8 @@ func TestEndStatement(t *testing.T) {
 		end;
 		x = 2;
 	`)
-	if res.Pause != PauseEnd || m.Var("x").AsInt() != 1 {
-		t.Errorf("end did not terminate: %v", m.Var("x"))
+	if res.Pause != PauseEnd || m.Vars()["x"].AsInt() != 1 {
+		t.Errorf("end did not terminate: %v", m.Vars()["x"])
 	}
 }
 
@@ -428,8 +428,8 @@ func TestReturnInMainTerminates(t *testing.T) {
 		return;
 		x = 2;
 	`)
-	if res.Pause != PauseEnd || m.Var("x").AsInt() != 1 {
-		t.Errorf("return did not terminate main: %v", m.Var("x"))
+	if res.Pause != PauseEnd || m.Vars()["x"].AsInt() != 1 {
+		t.Errorf("return did not terminate main: %v", m.Vars()["x"])
 	}
 }
 
@@ -573,10 +573,10 @@ func TestCloneIndependence(t *testing.T) {
 	if _, err := c1.Run(h, 0); err != nil {
 		t.Fatal(err)
 	}
-	if e, _ := c1.Var("a").Index(0); e.AsInt() != 101 {
+	if e, _ := c1.Vars()["a"].Index(0); e.AsInt() != 101 {
 		t.Errorf("clone 1 a[0] = %v", e)
 	}
-	if e, _ := c2.Var("a").Index(0); e.AsInt() != 1 {
+	if e, _ := c2.Vars()["a"].Index(0); e.AsInt() != 1 {
 		t.Errorf("clone 2 saw clone 1's mutation: %v", e)
 	}
 }
@@ -623,11 +623,11 @@ func TestSnapshotRestoreMidExecution(t *testing.T) {
 	if res2.Pause != PauseEnd {
 		t.Fatalf("restored run pause = %v", res2.Pause)
 	}
-	if e, _ := m2.Var("acc").Index(0); e.AsInt() != 47 {
+	if e, _ := m2.Vars()["acc"].Index(0); e.AsInt() != 47 {
 		t.Errorf("acc[0] = %v, want 47 (5 + 42)", e)
 	}
-	if m2.Var("before").AsInt() != 21 {
-		t.Errorf("before = %v", m2.Var("before"))
+	if m2.Vars()["before"].AsInt() != 21 {
+		t.Errorf("before = %v", m2.Vars()["before"])
 	}
 }
 
@@ -686,8 +686,8 @@ func TestProgramEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Pause != PauseHop || m.Var("x").AsNum() != 3.5 {
-		t.Errorf("decoded program: %v x=%v", res.Pause, m.Var("x"))
+	if res.Pause != PauseHop || m.Vars()["x"].AsNum() != 3.5 {
+		t.Errorf("decoded program: %v x=%v", res.Pause, m.Vars()["x"])
 	}
 }
 
@@ -718,8 +718,20 @@ func TestDisassembleMentionsKeyOps(t *testing.T) {
 	}
 }
 
-func TestIsBuiltin(t *testing.T) {
-	if !IsBuiltin("len") || IsBuiltin("definitely_not") {
-		t.Error("IsBuiltin misclassifies")
+// TestUnverifiedProgramsAreRefused: the VM runs only what the verifier
+// proved, so a hand-built program that never passed Validate is refused at
+// both ways in, New and RestoreInto.
+func TestUnverifiedProgramsAreRefused(t *testing.T) {
+	p := &bytecode.Program{Name: "raw", Funcs: []bytecode.FuncInfo{{Name: "<main>", Code: []bytecode.Instr{{Op: bytecode.OpEnd}}}}}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("New accepted an unverified program")
+			}
+		}()
+		New(p, nil)
+	}()
+	if _, err := RestoreInto(nil, p, nil); err == nil || !strings.Contains(err.Error(), "unverified") {
+		t.Errorf("RestoreInto of an unverified program: err = %v", err)
 	}
 }

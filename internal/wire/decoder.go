@@ -34,9 +34,6 @@ func (d *Decoder) Fail(err error) {
 	}
 }
 
-// Pos is the number of bytes consumed so far.
-func (d *Decoder) Pos() int { return d.pos }
-
 // Remaining is the number of bytes not yet consumed.
 func (d *Decoder) Remaining() int { return len(d.buf) - d.pos }
 

@@ -39,7 +39,7 @@ func TestDecoderReadsWhatEncoderWrites(t *testing.T) {
 		t.Errorf("Str = %q", s)
 	}
 	blob := d.Blob()
-	if string(blob) != "payload" || cap(blob) != len(blob) || &blob[0] != &e.Bytes()[d.Pos()-len(blob)] {
+	if string(blob) != "payload" || cap(blob) != len(blob) || &blob[0] != &e.Bytes()[d.pos-len(blob)] {
 		t.Errorf("Blob = %q (cap %d): want a capped alias of the buffer", blob, cap(blob))
 	}
 	if empty := d.Blob(); empty != nil {
@@ -61,11 +61,11 @@ func TestDecoderErrorSticks(t *testing.T) {
 	if d.U32() != 0x04030201 || d.Err() != nil {
 		t.Fatal("first read should succeed")
 	}
-	if d.U32() != 0 || d.Err() == nil || d.Pos() != 4 {
-		t.Fatalf("short read: err %v at %d", d.Err(), d.Pos())
+	if d.U32() != 0 || d.Err() == nil || d.pos != 4 {
+		t.Fatalf("short read: err %v at %d", d.Err(), d.pos)
 	}
 	first := d.Err()
-	if d.U8() != 0 || d.Str() != "" || d.Blob() != nil || d.Count(0) != 0 || d.Pos() != 4 || d.Err() != first {
+	if d.U8() != 0 || d.Str() != "" || d.Blob() != nil || d.Count(0) != 0 || d.pos != 4 || d.Err() != first {
 		t.Error("reads after the first error must return zero and leave the decoder as it was")
 	}
 	if d.Finish() != first {
@@ -125,7 +125,7 @@ func FuzzDecoder(f *testing.F) {
 			return int(script[*i]) % mod
 		}
 		for i := 0; i < len(script); i++ {
-			before, failed := d.Pos(), d.Err() != nil
+			before, failed := d.pos, d.Err() != nil
 			zero := true
 			switch script[i] % 9 {
 			case 0:
@@ -151,7 +151,7 @@ func FuzzDecoder(f *testing.F) {
 			case 7:
 				b := d.Blob()
 				zero = b == nil
-				if len(b) > 0 && (cap(b) != len(b) || &b[0] != &buf[d.Pos()-len(b)]) {
+				if len(b) > 0 && (cap(b) != len(b) || &b[0] != &buf[d.pos-len(b)]) {
 					t.Fatalf("Blob is not a capped window of the buffer: len %d cap %d", len(b), cap(b))
 				}
 			case 8:
@@ -162,11 +162,11 @@ func FuzzDecoder(f *testing.F) {
 					t.Fatalf("Count(%d) = %d with %d bytes left", min, n, d.Remaining())
 				}
 			}
-			if failed && (!zero || d.Pos() != before) {
-				t.Fatalf("op %d after the first error: zero result %v, cursor %d -> %d", script[i]%9, zero, before, d.Pos())
+			if failed && (!zero || d.pos != before) {
+				t.Fatalf("op %d after the first error: zero result %v, cursor %d -> %d", script[i]%9, zero, before, d.pos)
 			}
-			if d.Pos() < before || d.Pos() > len(buf) || d.Pos()+d.Remaining() != len(buf) {
-				t.Fatalf("cursor %d -> %d, %d left of %d", before, d.Pos(), d.Remaining(), len(buf))
+			if d.pos < before || d.pos > len(buf) || d.pos+d.Remaining() != len(buf) {
+				t.Fatalf("cursor %d -> %d, %d left of %d", before, d.pos, d.Remaining(), len(buf))
 			}
 		}
 		clean := d.Err() == nil && d.Remaining() == 0

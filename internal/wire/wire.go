@@ -12,9 +12,8 @@
 // come from a process-wide pool so steady-state encoding allocates nothing.
 //
 // Ownership contract: a pooled Encoder is owned by the caller of NewEncoder
-// until Release or Detach. Release recycles the buffer — no slice derived
-// from Bytes() may be used afterwards. Detach transfers the buffer out of
-// the pool's custody (it is garbage-collected normally).
+// until Release, which recycles the buffer — no slice derived from Bytes()
+// may be used afterwards.
 //
 // Inbound frames are pooled too, under a lifetime rule: the TCP transport
 // reads each frame into a GetBuf buffer and owns it until the daemon's
@@ -73,7 +72,7 @@ type Stats struct {
 	PoolMisses int64
 	// PoolHits is PoolGets - PoolMisses.
 	PoolHits int64
-	// BytesEncoded totals bytes handed out of encoders via Release/Detach.
+	// BytesEncoded totals bytes handed out of encoders via Release.
 	BytesEncoded int64
 }
 
@@ -139,8 +138,7 @@ type Encoder struct {
 	box *[]byte
 }
 
-// NewEncoder returns an encoder over a pooled buffer. Pair with Release
-// (recycle) or Detach (keep the bytes).
+// NewEncoder returns an encoder over a pooled buffer. Pair with Release.
 func NewEncoder() *Encoder {
 	e := encPool.Get().(*Encoder)
 	e.box = GetBuf()
@@ -165,19 +163,6 @@ func (e *Encoder) Release() {
 		e.buf, e.err, e.box = nil, nil, nil
 		encPool.Put(e)
 	}
-}
-
-// Detach returns the encoded bytes, transferring ownership to the caller;
-// the buffer is not recycled. The encoder itself returns to the pool.
-func (e *Encoder) Detach() []byte {
-	b := e.buf
-	bytesEncoded.Add(int64(len(b)))
-	if e.box != nil {
-		// The box leaves with the bytes: it is garbage, like them.
-		e.buf, e.err, e.box = nil, nil, nil
-		encPool.Put(e)
-	}
-	return b
 }
 
 // Err returns the first append failure, or nil.
@@ -214,14 +199,6 @@ func (e *Encoder) U8(v uint8) {
 		return
 	}
 	e.buf = append(e.buf, v)
-}
-
-// U16 appends a little-endian uint16.
-func (e *Encoder) U16(v uint16) {
-	if e.err != nil {
-		return
-	}
-	e.buf = binary.LittleEndian.AppendUint16(e.buf, v)
 }
 
 // U32 appends a little-endian uint32.
@@ -360,12 +337,4 @@ func ParseFrameHeader(hdr []byte) (int, error) {
 		return 0, fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
 	}
 	return int(n), nil
-}
-
-// Sizer reports the exact encoded size of an object, so encode buffers can
-// be allocated in one piece and simulated engines can charge wire costs
-// without materializing the bytes. Implementations must agree byte-for-byte
-// with the object's AppendTo encoding.
-type Sizer interface {
-	EncodedSize() int
 }
