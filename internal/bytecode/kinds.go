@@ -3,7 +3,7 @@ package bytecode
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"messengers/internal/value"
 )
@@ -327,18 +327,30 @@ func nativeEffect(name string, args []AbsKind) (result AbsKind, fault string, kn
 	return KindTop, "", false
 }
 
-// KnownNatives lists the builtin names the kind analysis models, sorted.
-// The vm package asserts this set equals its inline builtin table: a name
-// here that paused to the daemon instead would let a native mutate
-// Messenger variables behind proofs that say otherwise.
+// knownNatives lists the builtin names the kind analysis models, sorted.
+// A builtin's index here is its identity after lowering: DCallNative
+// carries it in A, and the vm package's builtin table is in this order.
+var knownNatives = []string{
+	"abs", "array", "bytes", "ceil", "cols", "copy", "floor", "int",
+	"len", "matget", "matrix", "matset", "max", "min", "num", "pow",
+	"print", "rows", "sqrt", "str", "substr",
+}
+
+// KnownNatives returns the builtin names in index order (sorted). The vm
+// package asserts this list equals its inline builtin table, entry by
+// entry: a name here that paused to the daemon instead would let a native
+// mutate Messenger variables behind proofs that say otherwise.
 func KnownNatives() []string { //lint:deadcode test support: the vm tests pin this table to the VM's builtins
-	names := []string{
-		"len", "print", "str", "int", "num", "abs", "min", "max",
-		"floor", "ceil", "sqrt", "pow", "array", "bytes", "copy",
-		"substr", "matrix", "rows", "cols", "matget", "matset",
+	return slices.Clone(knownNatives)
+}
+
+// NativeIndex returns name's index in KnownNatives, or -1 when name is not
+// a builtin (a daemon-registered native, resolved by name when it runs).
+func NativeIndex(name string) int32 {
+	if i, ok := slices.BinarySearch(knownNatives, name); ok {
+		return int32(i)
 	}
-	sort.Strings(names)
-	return names
+	return -1
 }
 
 // NativeResultKind exposes the modeled result kind of a known builtin for

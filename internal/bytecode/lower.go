@@ -11,8 +11,9 @@ package bytecode
 //
 //   - operands are pre-decoded: constants become the value.Value itself
 //     (tagged with whether a defensive clone is needed), names become the
-//     string, and Messenger-variable names become slots of the program's
-//     VarTable, the indices of the VM's variable area;
+//     string, a builtin's name becomes its index in KnownNatives, and
+//     Messenger-variable names become slots of the program's VarTable,
+//     the indices of the VM's variable area;
 //   - jump targets are resolved to direct-stream indices;
 //   - adjacent opcode sequences are fused into superinstructions: pairs,
 //     plus two four-wide loop idioms over Messenger variables (the
@@ -78,7 +79,8 @@ const (
 	DArr
 	DCallFunc
 	DRet
-	// DCallNative invokes builtin or native Name with B stack arguments.
+	// DCallNative invokes builtin A (its index in KnownNatives) or, when
+	// A is -1, the daemon native Name, with B stack arguments.
 	DCallNative
 	DHop
 	DCreate
@@ -406,11 +408,11 @@ func (o DOp) Constituents() (ops [4]Op, n int) {
 }
 
 // DInstr is one direct-stream instruction. A, B, and C carry pre-decoded
-// operands (slot indices, argument counts, resolved jump targets); Val and
-// Name carry the decoded constant and name-pool entry where the opcode
-// needs them. Src is the source PC of the first constituent and N the
-// number of source instructions covered — the step meter charges N so
-// fused and unfused execution meter identically.
+// operands (slot indices, builtin indices, argument counts, resolved jump
+// targets); Val and Name carry the decoded constant and name-pool entry
+// where the opcode needs them. Src is the source PC of the first
+// constituent and N the number of source instructions covered — the step
+// meter charges N so fused and unfused execution meter identically.
 type DInstr struct {
 	Op      DOp
 	N       uint8
@@ -832,7 +834,7 @@ func (p *Program) buildLowered(mode LowerMode) *Lowered {
 			case OpRet:
 				d.Op = DRet
 			case OpCallNative:
-				d.Op, d.Name, d.B = DCallNative, p.Names[ins.A], ins.B
+				d.Op, d.Name, d.A, d.B = DCallNative, p.Names[ins.A], NativeIndex(p.Names[ins.A]), ins.B
 			case OpHop:
 				d.Op, d.A = DHop, ins.A
 			case OpCreate:

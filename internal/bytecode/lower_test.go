@@ -3,9 +3,18 @@ package bytecode
 import (
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"messengers/internal/value"
 )
+
+// TestDInstrFitsACacheLine pins the direct instruction, which embeds a
+// constant value.Value, to one 64-byte line.
+func TestDInstrFitsACacheLine(t *testing.T) {
+	if got := unsafe.Sizeof(DInstr{}); got > 64 {
+		t.Errorf("unsafe.Sizeof(DInstr{}) = %d, want <= 64", got)
+	}
+}
 
 // loopProgram is a canonical counting loop: i = 0; while (i < 10) { i = i + 1 }
 // Its loop head and increment are exactly the two quad idioms the lowering
@@ -78,6 +87,34 @@ func TestLoweredPlainIsOneToOne(t *testing.T) {
 	}
 	if code[10].Op != DJmp || code[10].A != 2 {
 		t.Errorf("jmp lowered to %v A=%d", code[10].Op, code[10].A)
+	}
+}
+
+// TestLoweredCallNativeCarriesBuiltinIndex: a builtin's name is resolved
+// once, at lowering, to its KnownNatives index; any other name keeps -1 and
+// is looked up by the daemon when the call pauses.
+func TestLoweredCallNativeCarriesBuiltinIndex(t *testing.T) {
+	p := &Program{
+		Name:   "calls",
+		Consts: []value.Value{value.Num(4)},
+		Names:  []string{"sqrt", "spin"},
+		Funcs: []FuncInfo{{Name: "<main>", Code: []Instr{
+			{Op: OpConst, A: 0},
+			{Op: OpCallNative, A: 0, B: 1},
+			{Op: OpCallNative, A: 1, B: 1},
+			{Op: OpPop},
+			{Op: OpEnd},
+		}}},
+	}
+	if err := p.Validate(); err != nil {
+		t.Fatalf("Validate: %v", err)
+	}
+	code := p.Lowered(LowerPlain).Funcs[0].Code
+	if d := code[1]; d.Op != DCallNative || d.A != NativeIndex("sqrt") || d.A < 0 || d.Name != "sqrt" {
+		t.Errorf("sqrt lowered to %v A=%d Name=%q", d.Op, d.A, d.Name)
+	}
+	if d := code[2]; d.Op != DCallNative || d.A != -1 || d.Name != "spin" {
+		t.Errorf("spin lowered to %v A=%d Name=%q", d.Op, d.A, d.Name)
 	}
 }
 

@@ -72,6 +72,28 @@ func TestInjectAndPrint(t *testing.T) {
 	}
 }
 
+// TestBuiltinWinsOverNative: lowering resolves a builtin's name once, so a
+// daemon native registered under the same name never runs, while a native
+// under any other name still pauses to the daemon by name.
+func TestBuiltinWinsOverNative(t *testing.T) {
+	k, sys := simSystem(t, 1)
+	sys.RegisterNative("len", func(*NativeCtx, []value.Value) (value.Value, error) {
+		return value.Int(99), nil
+	})
+	sys.RegisterNative("twice", func(_ *NativeCtx, args []value.Value) (value.Value, error) {
+		return value.Int(2 * args[0].AsInt()), nil
+	})
+	register(t, sys, "calls", `node.a = len("abc"); node.b = twice(4);`)
+	if err := sys.Inject(0, "calls", nil); err != nil {
+		t.Fatal(err)
+	}
+	runSim(t, k, sys)
+	vars := sys.Daemon(0).Store().Init().Vars
+	if a, b := vars["a"].AsInt(), vars["b"].AsInt(); a != 3 || b != 8 {
+		t.Errorf("len(\"abc\") = %d, twice(4) = %d; want the builtin's 3 and the native's 8", a, b)
+	}
+}
+
 func TestInjectUnknownScript(t *testing.T) {
 	_, sys := simSystem(t, 1)
 	if err := sys.Inject(0, "nope", nil); err == nil {

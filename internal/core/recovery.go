@@ -325,13 +325,26 @@ func (d *Daemon) releaseFossils() {
 	d.rec.advanceFloor()
 }
 
-// dedupCheck runs on every inbound reliable message: re-acknowledge
-// unconditionally (the previous ack may have been lost), then report
-// whether this transfer was already processed. A non-duplicate
-// Messenger-carrying arrival takes its liveness slot here, before any
-// processing (whichever way it ends, end releases it).
+// dedupCheck runs on every inbound reliable message: report whether this
+// transfer was already processed, then re-acknowledge unconditionally (the
+// previous ack may have been lost). A non-duplicate Messenger-carrying
+// arrival takes its liveness slot here, before any processing (whichever
+// way it ends, end releases it) and before the ack: the sender releases
+// its own slot when the ack arrives, on its own executor, so acking first
+// would let Live pass through 0 and System.Wait return before the
+// Messenger runs.
 func (d *Daemon) dedupCheck(msg *Msg) (dup bool) {
+	dup = d.seenBefore(msg)
+	if !dup && msg.CarriesMessenger() {
+		d.sys.sessionWork(msg.Tenant, msg.Session, 1)
+	}
 	d.netSend(msg.From, &Msg{Kind: MsgHopAck, From: d.id, MsgrID: msg.MsgrID, HopSeq: msg.HopSeq})
+	return dup
+}
+
+// seenBefore records an inbound reliable message's HopSeq and reports
+// whether it was already recorded.
+func (d *Daemon) seenBefore(msg *Msg) bool {
 	rec := d.rec
 	from := msg.From
 	sm := rec.seen[from]
@@ -347,12 +360,8 @@ func (d *Daemon) dedupCheck(msg *Msg) (dup bool) {
 		rec.evictedTo[from]++
 		delete(sm, rec.evictedTo[from])
 	}
-	if msg.HopSeq <= rec.evictedTo[from] {
-		dup = true
-	} else if _, seen := sm[msg.HopSeq]; seen {
-		dup = true
-	}
-	if dup {
+	_, seen := sm[msg.HopSeq]
+	if seen || msg.HopSeq <= rec.evictedTo[from] {
 		if d.om != nil {
 			d.om.dedup.Inc()
 		}
@@ -362,9 +371,6 @@ func (d *Daemon) dedupCheck(msg *Msg) (dup bool) {
 		return true
 	}
 	sm[msg.HopSeq] = struct{}{}
-	if msg.CarriesMessenger() {
-		d.sys.sessionWork(msg.Tenant, msg.Session, 1)
-	}
 	return false
 }
 

@@ -91,6 +91,60 @@ func TestRecoveryDuplicateSuppression(t *testing.T) {
 	}
 }
 
+// ackProbe is a simulated engine that reads System.Live at the moment a
+// daemon acknowledges a Messenger transfer. The sender's retransmission
+// entry holds one liveness slot until that ack arrives, and the receiver
+// must already hold the arrival's, so Live is at least 2 there: a receiver
+// that acknowledged first would let a real engine's sender release its slot
+// while the receiver's is not yet taken, and System.Wait return before the
+// Messenger runs.
+type ackProbe struct {
+	*SimEngine
+	sys   *System
+	xfers map[[3]uint64]bool // (src, dst, HopSeq) of each Messenger transfer sent
+	acks  int
+	low   []string
+}
+
+func (e *ackProbe) Send(src, dst int, msg *Msg) {
+	switch key := [3]uint64{uint64(src), uint64(dst), msg.HopSeq}; {
+	case msg.CarriesMessenger():
+		e.xfers[key] = true
+	case msg.Kind == MsgHopAck && e.xfers[[3]uint64{uint64(dst), uint64(src), msg.HopSeq}]:
+		e.acks++
+		if live := e.sys.Live(); live < 2 {
+			e.low = append(e.low, fmt.Sprintf("d%d acked d%d's hop %d with Live() = %d", src, dst, msg.HopSeq, live))
+		}
+	}
+	e.SimEngine.Send(src, dst, msg)
+}
+
+// TestHopAckFollowsLivenessSlot: a receiver takes an arrival's liveness
+// slot before it sends the hop ack, on every transfer of a walk that
+// creates, hops and replicates across three daemons.
+func TestHopAckFollowsLivenessSlot(t *testing.T) {
+	k := sim.New()
+	eng := &ackProbe{SimEngine: NewSimEngine(lan.NewCluster(k, lan.DefaultCostModel(), 3, lan.SPARC110)), xfers: map[[3]uint64]bool{}}
+	sys := NewSystem(eng, FullMesh(3), distGVTEnv([]Option{WithRecovery(RecoveryConfig{})})...)
+	eng.sys = sys
+	register(t, sys, "walker", `
+		create(ALL);
+		hop(ll = $last);
+		hop(ll = $last);
+		node.visits = node.visits + 1;
+	`)
+	if err := sys.Inject(0, "walker", nil); err != nil {
+		t.Fatal(err)
+	}
+	runSim(t, k, sys)
+	if eng.acks == 0 {
+		t.Fatal("no Messenger transfer was acknowledged; test is vacuous")
+	}
+	for _, l := range eng.low {
+		t.Error(l)
+	}
+}
+
 // gvtShapes are the GVT initiator's two wave shapes. Every test below that
 // crashes a daemon or loses control traffic runs under both: the stale-wave
 // drop, the watchdog, the dead-peer handling and the crash reset they

@@ -32,39 +32,37 @@ func (v Value) appendTo(e *wire.Encoder, depth int) {
 	e.U8(byte(v.kind))
 	switch v.kind {
 	case KindNil:
-	case KindInt:
-		e.U64(uint64(v.i))
-	case KindNum:
-		e.F64(v.n)
+	case KindInt, KindNum:
+		e.U64(v.bits)
 	case KindStr:
-		if len(v.s) > maxWireLen {
-			e.Fail(fmt.Errorf("value: encode str: length %d exceeds limit (%d)", len(v.s), maxWireLen))
+		if v.bits > maxWireLen {
+			e.Fail(fmt.Errorf("value: encode str: length %d exceeds limit (%d)", v.bits, maxWireLen))
 			return
 		}
-		e.Str(v.s)
+		e.Str(v.str())
 	case KindBytes:
-		if len(v.bytes) > maxWireLen {
-			e.Fail(fmt.Errorf("value: encode bytes: length %d exceeds limit (%d)", len(v.bytes), maxWireLen))
+		if v.bits > maxWireLen {
+			e.Fail(fmt.Errorf("value: encode bytes: length %d exceeds limit (%d)", v.bits, maxWireLen))
 			return
 		}
-		e.Blob(v.bytes)
+		e.Blob(v.byt())
 	case KindArr:
 		// Every element encodes to at least one byte, so any array the
 		// decoder would accept has at most maxWireLen elements.
-		if len(v.arr) > maxWireLen {
-			e.Fail(fmt.Errorf("value: encode array: %d elements exceed limit (%d)", len(v.arr), maxWireLen))
+		if v.bits > maxWireLen {
+			e.Fail(fmt.Errorf("value: encode array: %d elements exceed limit (%d)", v.bits, maxWireLen))
 			return
 		}
 		if depth == MaxDepth {
 			e.Fail(fmt.Errorf("value: encode array: nested deeper than %d", MaxDepth))
 			return
 		}
-		e.U32(uint32(len(v.arr)))
-		for _, el := range v.arr {
+		e.U32(uint32(v.bits))
+		for _, el := range v.arr() {
 			el.appendTo(e, depth+1)
 		}
 	case KindMat:
-		m := v.mat
+		m := v.mat()
 		if m == nil {
 			m = &Mat{}
 		}

@@ -1,20 +1,20 @@
 // In-place numeric fast paths for the VM's threaded dispatch loop.
 //
-// A Value is a wide struct (every push/pop copies it), but the numeric
-// kinds live entirely in two scalar fields. The helpers here let the
-// interpreter's hot handlers compute through *Value without materializing
-// intermediate Values: an add writes kind+payload into an existing slot
-// and never copies the other 80-odd bytes. They intentionally handle only
-// the cases whose semantics are trivially identical to the general paths
-// (arith in the VM, Compare/Equal here) and report ok=false otherwise —
-// nil coercion, strings, div-by-zero errors and such stay on the one
-// authoritative slow path.
+// A Value is three words: kind, a 64-bit payload, and one pointer (see
+// Value). The numeric kinds live entirely in the first two, so the helpers
+// here let the interpreter's hot handlers compute through *Value without
+// materializing intermediate Values: an add writes kind and bits into an
+// existing slot and leaves the pointer word alone, which takes no GC write
+// barrier. They intentionally handle only the cases whose semantics are
+// trivially identical to the general paths (arith in the VM, Compare/Equal
+// here) and report ok=false otherwise — nil coercion, strings,
+// div-by-zero errors and such stay on the one authoritative slow path.
 //
 // Writing a scalar kind over a slot that held a reference kind leaves the
-// old reference fields in place; no reader looks at fields outside the
-// current kind, so this only extends the liveness of the old payload until
-// the slot is overwritten again — the same retention an operand stack has
-// below its stack pointer.
+// old pointer in place. Every accessor checks the kind, so nothing reads
+// it back; it only extends the liveness of the old payload until the slot
+// is overwritten again — the same retention an operand stack has below its
+// stack pointer.
 package value
 
 import "math"
@@ -32,29 +32,27 @@ const (
 )
 
 // SetInt overwrites v in place with an integer.
-func (v *Value) SetInt(i int64) { v.kind, v.i = KindInt, i }
+func (v *Value) SetInt(i int64) { v.kind, v.bits = KindInt, uint64(i) }
 
 // SetNum overwrites v in place with a float.
-func (v *Value) SetNum(f float64) { v.kind, v.n = KindNum, f }
+func (v *Value) SetNum(f float64) { v.kind, v.bits = KindNum, math.Float64bits(f) }
 
 // SetBool overwrites v in place with Int(1) or Int(0).
 func (v *Value) SetBool(b bool) {
-	v.kind = KindInt
+	v.kind, v.bits = KindInt, 0
 	if b {
-		v.i = 1
-	} else {
-		v.i = 0
+		v.bits = 1
 	}
 }
 
 // IntRaw returns the int payload without inspecting the kind tag. Only for
 // callers holding a static proof that v is an Int (the bytecode kind-flow
 // verifier plus the VM's snapshot admission checks); on any other kind the
-// result is a stale payload field.
-func (v *Value) IntRaw() int64 { return v.i }
+// result is the other kind's payload bits.
+func (v *Value) IntRaw() int64 { return int64(v.bits) }
 
 // NumRaw is IntRaw for the float payload: proof-carrying callers only.
-func (v *Value) NumRaw() float64 { return v.n }
+func (v *Value) NumRaw() float64 { return math.Float64frombits(v.bits) }
 
 // FastBinary computes op(a, b) into *out when both operands are strictly
 // numeric, returning false (out untouched) for anything the general arith
@@ -64,7 +62,7 @@ func (v *Value) NumRaw() float64 { return v.n }
 // path's promotion rule, including float division by zero yielding ±Inf.
 func FastBinary(op NumOp, a, b, out *Value) bool {
 	if a.kind == KindInt && b.kind == KindInt {
-		x, y := a.i, b.i
+		x, y := int64(a.bits), int64(b.bits)
 		var r int64
 		switch op {
 		case NumAdd:
@@ -84,23 +82,23 @@ func FastBinary(op NumOp, a, b, out *Value) bool {
 			}
 			r = x % y
 		}
-		out.kind, out.i = KindInt, r
+		out.kind, out.bits = KindInt, uint64(r)
 		return true
 	}
 	var x, y float64
 	switch a.kind {
 	case KindInt:
-		x = float64(a.i)
+		x = float64(int64(a.bits))
 	case KindNum:
-		x = a.n
+		x = math.Float64frombits(a.bits)
 	default:
 		return false
 	}
 	switch b.kind {
 	case KindInt:
-		y = float64(b.i)
+		y = float64(int64(b.bits))
 	case KindNum:
-		y = b.n
+		y = math.Float64frombits(b.bits)
 	default:
 		return false
 	}
@@ -117,7 +115,7 @@ func FastBinary(op NumOp, a, b, out *Value) bool {
 	default:
 		r = math.Mod(x, y)
 	}
-	out.kind, out.n = KindNum, r
+	out.kind, out.bits = KindNum, math.Float64bits(r)
 	return true
 }
 
@@ -129,17 +127,17 @@ func FastCompare(a, b *Value) (cmp int, ok bool) {
 	var x, y float64
 	switch a.kind {
 	case KindInt:
-		x = float64(a.i)
+		x = float64(int64(a.bits))
 	case KindNum:
-		x = a.n
+		x = math.Float64frombits(a.bits)
 	default:
 		return 0, false
 	}
 	switch b.kind {
 	case KindInt:
-		y = float64(b.i)
+		y = float64(int64(b.bits))
 	case KindNum:
-		y = b.n
+		y = math.Float64frombits(b.bits)
 	default:
 		return 0, false
 	}
@@ -158,22 +156,22 @@ func FastCompare(a, b *Value) (cmp int, ok bool) {
 // through float64 — Equal's own rule.
 func FastEqual(a, b *Value) (eq bool, ok bool) {
 	if a.kind == KindInt && b.kind == KindInt {
-		return a.i == b.i, true
+		return a.bits == b.bits, true
 	}
 	var x, y float64
 	switch a.kind {
 	case KindInt:
-		x = float64(a.i)
+		x = float64(int64(a.bits))
 	case KindNum:
-		x = a.n
+		x = math.Float64frombits(a.bits)
 	default:
 		return false, false
 	}
 	switch b.kind {
 	case KindInt:
-		y = float64(b.i)
+		y = float64(int64(b.bits))
 	case KindNum:
-		y = b.n
+		y = math.Float64frombits(b.bits)
 	default:
 		return false, false
 	}
@@ -184,20 +182,14 @@ func FastEqual(a, b *Value) (eq bool, ok bool) {
 // copy the Value just to test it.
 func TruthyPtr(v *Value) bool {
 	switch v.kind {
-	case KindNil:
-		return false
 	case KindInt:
-		return v.i != 0
+		return v.bits != 0
 	case KindNum:
-		return v.n != 0
-	case KindStr:
-		return v.s != ""
-	case KindBytes:
-		return len(v.bytes) > 0
-	case KindArr:
-		return len(v.arr) > 0
+		return math.Float64frombits(v.bits) != 0
+	case KindStr, KindBytes, KindArr:
+		return v.bits != 0
 	case KindMat:
-		return v.mat != nil && len(v.mat.Data) > 0
+		return v.p != nil && len(v.mat().Data) > 0
 	default:
 		return false
 	}

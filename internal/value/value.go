@@ -11,10 +11,12 @@
 package value
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Kind identifies the dynamic type of a Value.
@@ -78,36 +80,56 @@ func (m *Mat) Clone() *Mat {
 }
 
 // Value is a dynamically typed MSL value. The zero Value is nil.
+//
+// A Value is three words, 24 bytes with one pointer word, because every
+// operand-stack slot, local, Messenger variable, native argument and node
+// variable is one and the interpreter copies them on every push and pop:
+//
+//   - int and num keep their payload in bits (a num as math.Float64bits);
+//   - str, bytes and arr keep their data pointer in p and their length in
+//     bits. A zero length stores p = nil, so there is one empty form and p
+//     never points past the end of an allocation;
+//   - mat keeps its *Mat in p.
+//
+// Every accessor checks the kind, so a payload left behind by an in-place
+// scalar write (see fast.go) is never read back; it only stays reachable
+// until the slot is overwritten.
 type Value struct {
-	kind  Kind
-	i     int64
-	n     float64
-	s     string
-	bytes []byte
-	arr   []Value
-	mat   *Mat
+	kind Kind
+	bits uint64
+	p    unsafe.Pointer
 }
 
 // Nil returns the nil Value.
 func Nil() Value { return Value{} }
 
 // Int returns an integer Value.
-func Int(i int64) Value { return Value{kind: KindInt, i: i} }
+func Int(i int64) Value { return Value{kind: KindInt, bits: uint64(i)} }
 
 // Num returns a floating-point Value.
-func Num(f float64) Value { return Value{kind: KindNum, n: f} }
+func Num(f float64) Value { return Value{kind: KindNum, bits: math.Float64bits(f)} }
 
 // Str returns a string Value.
-func Str(s string) Value { return Value{kind: KindStr, s: s} }
+func Str(s string) Value { return ref(KindStr, unsafe.Pointer(unsafe.StringData(s)), len(s)) }
 
-// Bytes returns a byte-block Value. The slice is not copied.
-func Bytes(b []byte) Value { return Value{kind: KindBytes, bytes: b} }
+// Bytes returns a byte-block Value. The slice is not copied; AsBytes gives
+// back the same bytes with no spare capacity.
+func Bytes(b []byte) Value { return ref(KindBytes, unsafe.Pointer(unsafe.SliceData(b)), len(b)) }
 
 // Arr returns an array Value. The slice is not copied.
-func Arr(vs []Value) Value { return Value{kind: KindArr, arr: vs} }
+func Arr(vs []Value) Value { return ref(KindArr, unsafe.Pointer(unsafe.SliceData(vs)), len(vs)) }
+
+// ref is a pointer-and-length Value; a zero length keeps p nil, the one
+// empty form.
+func ref(k Kind, p unsafe.Pointer, n int) Value {
+	if n == 0 {
+		return Value{kind: k}
+	}
+	return Value{kind: k, bits: uint64(n), p: p}
+}
 
 // Matrix returns a matrix Value. The matrix is not copied.
-func Matrix(m *Mat) Value { return Value{kind: KindMat, mat: m} }
+func Matrix(m *Mat) Value { return Value{kind: KindMat, p: unsafe.Pointer(m)} }
 
 // Bool returns Int(1) or Int(0); MSL has no distinct boolean type, like C.
 func Bool(b bool) Value {
@@ -116,6 +138,16 @@ func Bool(b bool) Value {
 	}
 	return Int(0)
 }
+
+// The raw payload views below read p and bits as the named kind. Callers
+// have checked the kind first.
+
+func (v Value) int() int64   { return int64(v.bits) }
+func (v Value) num() float64 { return math.Float64frombits(v.bits) }
+func (v Value) str() string  { return unsafe.String((*byte)(v.p), int(v.bits)) }
+func (v Value) byt() []byte  { return unsafe.Slice((*byte)(v.p), int(v.bits)) }
+func (v Value) arr() []Value { return unsafe.Slice((*Value)(v.p), int(v.bits)) }
+func (v Value) mat() *Mat    { return (*Mat)(v.p) }
 
 // Kind reports the dynamic type.
 func (v Value) Kind() Kind { return v.kind }
@@ -127,9 +159,9 @@ func (v Value) IsNil() bool { return v.kind == KindNil }
 func (v Value) AsInt() int64 {
 	switch v.kind {
 	case KindInt:
-		return v.i
+		return v.int()
 	case KindNum:
-		return int64(v.n)
+		return int64(v.num())
 	default:
 		return 0
 	}
@@ -139,9 +171,9 @@ func (v Value) AsInt() int64 {
 func (v Value) AsNum() float64 {
 	switch v.kind {
 	case KindInt:
-		return float64(v.i)
+		return float64(v.int())
 	case KindNum:
-		return v.n
+		return v.num()
 	default:
 		return 0
 	}
@@ -149,55 +181,48 @@ func (v Value) AsNum() float64 {
 
 // AsStr returns the string payload (empty for non-strings; use Format for a
 // printable rendering of any value).
-func (v Value) AsStr() string { return v.s }
+func (v Value) AsStr() string {
+	if v.kind != KindStr {
+		return ""
+	}
+	return v.str()
+}
 
-// AsBytes returns the byte payload, or nil.
-func (v Value) AsBytes() []byte { return v.bytes }
+// AsBytes returns the byte payload, or nil. Its capacity is its length, so
+// an append copies rather than writing past the block.
+func (v Value) AsBytes() []byte {
+	if v.kind != KindBytes {
+		return nil
+	}
+	return v.byt()
+}
 
 // AsMat returns the matrix payload, or nil.
-func (v Value) AsMat() *Mat { return v.mat }
+func (v Value) AsMat() *Mat {
+	if v.kind != KindMat {
+		return nil
+	}
+	return v.mat()
+}
 
 // IsNumeric reports whether the value is an int or num.
 func (v Value) IsNumeric() bool { return v.kind == KindInt || v.kind == KindNum }
 
 // Truthy implements C-style truth: nonzero numbers, nonempty strings,
 // arrays, byte blocks, and matrices are true.
-func (v Value) Truthy() bool {
-	switch v.kind {
-	case KindNil:
-		return false
-	case KindInt:
-		return v.i != 0
-	case KindNum:
-		return v.n != 0
-	case KindStr:
-		return v.s != ""
-	case KindBytes:
-		return len(v.bytes) > 0
-	case KindArr:
-		return len(v.arr) > 0
-	case KindMat:
-		return v.mat != nil && len(v.mat.Data) > 0
-	default:
-		return false
-	}
-}
+func (v Value) Truthy() bool { return TruthyPtr(&v) }
 
 // Len returns the element count for strings, byte blocks, and arrays, and
 // Rows*Cols for matrices; 0 otherwise.
 func (v Value) Len() int {
 	switch v.kind {
-	case KindStr:
-		return len(v.s)
-	case KindBytes:
-		return len(v.bytes)
-	case KindArr:
-		return len(v.arr)
+	case KindStr, KindBytes, KindArr:
+		return int(v.bits)
 	case KindMat:
-		if v.mat == nil {
+		if v.p == nil {
 			return 0
 		}
-		return len(v.mat.Data)
+		return len(v.mat().Data)
 	default:
 		return 0
 	}
@@ -209,25 +234,25 @@ func (v Value) Len() int {
 func (v Value) Index(i int) (Value, bool) {
 	switch v.kind {
 	case KindArr:
-		if i < 0 || i >= len(v.arr) {
+		if i < 0 || i >= int(v.bits) {
 			return Nil(), false
 		}
-		return v.arr[i], true
+		return v.arr()[i], true
 	case KindBytes:
-		if i < 0 || i >= len(v.bytes) {
+		if i < 0 || i >= int(v.bits) {
 			return Nil(), false
 		}
-		return Int(int64(v.bytes[i])), true
+		return Int(int64(v.byt()[i])), true
 	case KindMat:
-		if v.mat == nil || i < 0 || i >= len(v.mat.Data) {
+		if v.p == nil || i < 0 || i >= len(v.mat().Data) {
 			return Nil(), false
 		}
-		return Num(v.mat.Data[i]), true
+		return Num(v.mat().Data[i]), true
 	case KindStr:
-		if i < 0 || i >= len(v.s) {
+		if i < 0 || i >= int(v.bits) {
 			return Nil(), false
 		}
-		return Int(int64(v.s[i])), true
+		return Int(int64(v.str()[i])), true
 	default:
 		return Nil(), false
 	}
@@ -238,22 +263,22 @@ func (v Value) Index(i int) (Value, bool) {
 func (v Value) SetIndex(i int, x Value) bool {
 	switch v.kind {
 	case KindArr:
-		if i < 0 || i >= len(v.arr) {
+		if i < 0 || i >= int(v.bits) {
 			return false
 		}
-		v.arr[i] = x
+		v.arr()[i] = x
 		return true
 	case KindBytes:
-		if i < 0 || i >= len(v.bytes) {
+		if i < 0 || i >= int(v.bits) {
 			return false
 		}
-		v.bytes[i] = byte(x.AsInt())
+		v.byt()[i] = byte(x.AsInt())
 		return true
 	case KindMat:
-		if v.mat == nil || i < 0 || i >= len(v.mat.Data) {
+		if v.p == nil || i < 0 || i >= len(v.mat().Data) {
 			return false
 		}
-		v.mat.Data[i] = x.AsNum()
+		v.mat().Data[i] = x.AsNum()
 		return true
 	default:
 		return false
@@ -265,20 +290,19 @@ func (v Value) SetIndex(i int, x Value) bool {
 func (v Value) Clone() Value {
 	switch v.kind {
 	case KindBytes:
-		b := make([]byte, len(v.bytes))
-		copy(b, v.bytes)
-		return Bytes(b)
+		return Bytes(bytes.Clone(v.byt()))
 	case KindArr:
-		a := make([]Value, len(v.arr))
-		for i := range v.arr {
-			a[i] = v.arr[i].Clone()
+		src := v.arr()
+		a := make([]Value, len(src))
+		for i := range src {
+			a[i] = src[i].Clone()
 		}
 		return Arr(a)
 	case KindMat:
-		if v.mat == nil {
+		if v.p == nil {
 			return v
 		}
-		return Matrix(v.mat.Clone())
+		return Matrix(v.mat().Clone())
 	default:
 		return v
 	}
@@ -286,11 +310,8 @@ func (v Value) Clone() Value {
 
 // Equal reports deep equality. Int and Num compare numerically.
 func (v Value) Equal(o Value) bool {
-	if v.IsNumeric() && o.IsNumeric() {
-		if v.kind == KindInt && o.kind == KindInt {
-			return v.i == o.i
-		}
-		return v.AsNum() == o.AsNum()
+	if eq, ok := FastEqual(&v, &o); ok {
+		return eq
 	}
 	if v.kind != o.kind {
 		return false
@@ -299,36 +320,30 @@ func (v Value) Equal(o Value) bool {
 	case KindNil:
 		return true
 	case KindStr:
-		return v.s == o.s
+		return v.str() == o.str()
 	case KindBytes:
-		if len(v.bytes) != len(o.bytes) {
-			return false
-		}
-		for i := range v.bytes {
-			if v.bytes[i] != o.bytes[i] {
-				return false
-			}
-		}
-		return true
+		return bytes.Equal(v.byt(), o.byt())
 	case KindArr:
-		if len(v.arr) != len(o.arr) {
+		if v.bits != o.bits {
 			return false
 		}
-		for i := range v.arr {
-			if !v.arr[i].Equal(o.arr[i]) {
+		oa := o.arr()
+		for i, e := range v.arr() {
+			if !e.Equal(oa[i]) {
 				return false
 			}
 		}
 		return true
 	case KindMat:
-		if v.mat == nil || o.mat == nil {
-			return v.mat == o.mat
+		a, b := v.mat(), o.mat()
+		if a == nil || b == nil {
+			return a == b
 		}
-		if v.mat.Rows != o.mat.Rows || v.mat.Cols != o.mat.Cols {
+		if a.Rows != b.Rows || a.Cols != b.Cols {
 			return false
 		}
-		for i := range v.mat.Data {
-			if v.mat.Data[i] != o.mat.Data[i] {
+		for i := range a.Data {
+			if a.Data[i] != b.Data[i] {
 				return false
 			}
 		}
@@ -341,19 +356,11 @@ func (v Value) Equal(o Value) bool {
 // Compare orders two numeric or string values: -1, 0, or +1. The second
 // result is false when the values are not comparable.
 func (v Value) Compare(o Value) (int, bool) {
-	if v.IsNumeric() && o.IsNumeric() {
-		a, b := v.AsNum(), o.AsNum()
-		switch {
-		case a < b:
-			return -1, true
-		case a > b:
-			return 1, true
-		default:
-			return 0, true
-		}
+	if c, ok := FastCompare(&v, &o); ok {
+		return c, true
 	}
 	if v.kind == KindStr && o.kind == KindStr {
-		return strings.Compare(v.s, o.s), true
+		return strings.Compare(v.str(), o.str()), true
 	}
 	return 0, false
 }
@@ -367,21 +374,19 @@ func (v Value) WireSize() int {
 		return 1
 	case KindInt, KindNum:
 		return 9
-	case KindStr:
-		return 5 + len(v.s)
-	case KindBytes:
-		return 5 + len(v.bytes)
+	case KindStr, KindBytes:
+		return 5 + int(v.bits)
 	case KindArr:
 		n := 5
-		for _, e := range v.arr {
+		for _, e := range v.arr() {
 			n += e.WireSize()
 		}
 		return n
 	case KindMat:
-		if v.mat == nil {
+		if v.p == nil {
 			return 9
 		}
-		return 9 + 8*len(v.mat.Data)
+		return 9 + 8*len(v.mat().Data)
 	default:
 		return 1
 	}
@@ -393,20 +398,21 @@ func (v Value) Format() string {
 	case KindNil:
 		return "nil"
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.int(), 10)
 	case KindNum:
-		if v.n == math.Trunc(v.n) && math.Abs(v.n) < 1e15 {
-			return strconv.FormatFloat(v.n, 'f', 1, 64)
+		n := v.num()
+		if n == math.Trunc(n) && math.Abs(n) < 1e15 {
+			return strconv.FormatFloat(n, 'f', 1, 64)
 		}
-		return strconv.FormatFloat(v.n, 'g', -1, 64)
+		return strconv.FormatFloat(n, 'g', -1, 64)
 	case KindStr:
-		return v.s
+		return v.str()
 	case KindBytes:
-		return fmt.Sprintf("bytes[%d]", len(v.bytes))
+		return fmt.Sprintf("bytes[%d]", v.bits)
 	case KindArr:
 		var b strings.Builder
 		b.WriteByte('[')
-		for i, e := range v.arr {
+		for i, e := range v.arr() {
 			if i > 0 {
 				b.WriteString(", ")
 			}
@@ -415,10 +421,10 @@ func (v Value) Format() string {
 		b.WriteByte(']')
 		return b.String()
 	case KindMat:
-		if v.mat == nil {
+		if v.p == nil {
 			return "matrix(nil)"
 		}
-		return fmt.Sprintf("matrix(%dx%d)", v.mat.Rows, v.mat.Cols)
+		return fmt.Sprintf("matrix(%dx%d)", v.mat().Rows, v.mat().Cols)
 	default:
 		return "?"
 	}
@@ -427,7 +433,7 @@ func (v Value) Format() string {
 // String implements fmt.Stringer with kind annotation, for debugging.
 func (v Value) String() string {
 	if v.kind == KindStr {
-		return strconv.Quote(v.s)
+		return strconv.Quote(v.str())
 	}
 	return v.Format()
 }

@@ -3,7 +3,57 @@ package value
 import (
 	"math"
 	"testing"
+	"unsafe"
 )
+
+// TestValueIsThreeWords pins the layout every stack slot, local and
+// Messenger variable pays for on each copy: kind, payload bits, one pointer.
+func TestValueIsThreeWords(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got != 24 {
+		t.Errorf("unsafe.Sizeof(Value{}) = %d, want 24", got)
+	}
+}
+
+// TestScalarOverReferenceReadsNoStaleState: an in-place scalar write keeps
+// the old pointer word, and no accessor may hand it back.
+func TestScalarOverReferenceReadsNoStaleState(t *testing.T) {
+	for _, old := range []Value{Str("stale"), Bytes([]byte{1, 2}), Arr([]Value{Int(1)}), Matrix(NewMat(1, 1))} {
+		for _, set := range []func(*Value){
+			func(v *Value) { v.SetInt(1) },
+			func(v *Value) { v.SetNum(1) },
+			func(v *Value) { v.SetBool(true) },
+		} {
+			v := old
+			set(&v)
+			if v.AsStr() != "" || v.AsBytes() != nil || v.AsMat() != nil || v.Len() != 0 {
+				t.Errorf("%v written over %v reads back str %q, bytes %v, mat %v, len %d",
+					v, old, v.AsStr(), v.AsBytes(), v.AsMat(), v.Len())
+			}
+			if c := v.Clone(); !c.Equal(Int(1)) || c.WireSize() != 9 {
+				t.Errorf("clone of %v written over %v is %v (wire size %d)", v, old, c, c.WireSize())
+			}
+		}
+	}
+}
+
+// TestEmptyHasOneForm: a zero-length string, byte block or array stores no
+// pointer, whatever slice it was made from.
+func TestEmptyHasOneForm(t *testing.T) {
+	buf := make([]byte, 4)
+	vals := make([]Value, 4)
+	for _, pair := range [][2]Value{
+		{Str(""), Str("abc"[3:])},
+		{Bytes(nil), Bytes(buf[4:])},
+		{Arr(nil), Arr(vals[4:])},
+	} {
+		if pair[0] != pair[1] || pair[0].p != nil {
+			t.Errorf("empty %v has two forms: %#v and %#v", pair[0].Kind(), pair[0], pair[1])
+		}
+	}
+	if b := Bytes(buf[:2]).AsBytes(); cap(b) != 2 {
+		t.Errorf("AsBytes capacity %d, want its length 2", cap(b))
+	}
+}
 
 func TestKindString(t *testing.T) {
 	tests := []struct {
@@ -158,17 +208,17 @@ func TestCloneIsDeep(t *testing.T) {
 	orig := Arr([]Value{inner, Bytes([]byte{9}), Matrix(m)})
 	cl := orig.Clone()
 
-	orig.arr[0].arr[0] = Int(100)
-	orig.arr[1].AsBytes()[0] = 100
+	orig.arr()[0].arr()[0] = Int(100)
+	orig.arr()[1].AsBytes()[0] = 100
 	m.Data[0] = 100
 
-	if cl.arr[0].arr[0].AsInt() != 1 {
+	if cl.arr()[0].arr()[0].AsInt() != 1 {
 		t.Error("nested array not deep-copied")
 	}
-	if cl.arr[1].AsBytes()[0] != 9 {
+	if cl.arr()[1].AsBytes()[0] != 9 {
 		t.Error("bytes not deep-copied")
 	}
-	if cl.arr[2].AsMat().Data[0] != 0 {
+	if cl.arr()[2].AsMat().Data[0] != 0 {
 		t.Error("matrix not deep-copied")
 	}
 }

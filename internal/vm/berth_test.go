@@ -81,7 +81,7 @@ func TestReleasedBerthHoldsNoValue(t *testing.T) {
 	}
 	zero := func(what string, vs []value.Value) {
 		for i := range vs {
-			if !reflect.DeepEqual(vs[i], value.Value{}) {
+			if vs[i] != (value.Value{}) {
 				t.Errorf("%s[%d] still holds %v", what, i, vs[i])
 			}
 		}

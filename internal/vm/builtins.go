@@ -15,29 +15,33 @@ import (
 type builtinFunc func(m *VM, host Host, args []value.Value) (value.Value, error)
 
 // builtins is the table of inline library functions available to every
-// script.
-var builtins = map[string]builtinFunc{
-	"len":    biLen,
-	"print":  biPrint,
-	"str":    biStr,
-	"int":    biInt,
-	"num":    biNum,
-	"abs":    biAbs,
-	"min":    biMinMax(true),
-	"max":    biMinMax(false),
-	"floor":  biFloor,
-	"ceil":   biCeil,
-	"sqrt":   biSqrt,
-	"pow":    biPow,
-	"array":  biArray,
-	"bytes":  biBytes,
-	"copy":   biCopy,
-	"substr": biSubstr,
-	"matrix": biMatrix,
-	"rows":   biRows,
-	"cols":   biCols,
-	"matget": biMatGet,
-	"matset": biMatSet,
+// script, in bytecode.KnownNatives() order: lowering resolves a call's name
+// to its index once, and the threaded loop indexes this table with it.
+var builtins = [...]struct {
+	name string
+	fn   builtinFunc
+}{
+	{"abs", biAbs},
+	{"array", biArray},
+	{"bytes", biBytes},
+	{"ceil", biCeil},
+	{"cols", biCols},
+	{"copy", biCopy},
+	{"floor", biFloor},
+	{"int", biInt},
+	{"len", biLen},
+	{"matget", biMatGet},
+	{"matrix", biMatrix},
+	{"matset", biMatSet},
+	{"max", biMinMax(false)},
+	{"min", biMinMax(true)},
+	{"num", biNum},
+	{"pow", biPow},
+	{"print", biPrint},
+	{"rows", biRows},
+	{"sqrt", biSqrt},
+	{"str", biStr},
+	{"substr", biSubstr},
 }
 
 func wantArgs(args []value.Value, n int) error {

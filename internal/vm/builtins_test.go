@@ -1,7 +1,7 @@
 package vm
 
 import (
-	"sort"
+	"slices"
 	"testing"
 
 	"messengers/internal/bytecode"
@@ -9,28 +9,31 @@ import (
 	"messengers/internal/value"
 )
 
-// TestBuiltinsMatchKnownNatives pins the two native tables to each other.
-// The kind-flow verifier models exactly bytecode.KnownNatives(); a builtin
-// the verifier does not know would be honestly ⊤ (fine but slow), while a
-// known native the VM does not implement would be a modeled signature with
-// no implementation behind it — a proof about nothing. Both drifts fail.
+// TestBuiltinsMatchKnownNatives pins the two native tables to each other,
+// entry by entry. The kind-flow verifier models exactly
+// bytecode.KnownNatives(); a builtin the verifier does not know would be
+// honestly ⊤ (fine but slow), while a known native the VM does not
+// implement would be a modeled signature with no implementation behind it
+// — a proof about nothing. Lowering resolves a builtin to its index in
+// that list, so the VM's table must also be in the same order, and the
+// list sorted for bytecode.NativeIndex's search. Any drift fails.
 func TestBuiltinsMatchKnownNatives(t *testing.T) {
 	known := bytecode.KnownNatives()
-	sort.Strings(known)
-	impl := make([]string, 0, len(builtins))
-	for name := range builtins {
-		impl = append(impl, name)
+	impl := make([]string, len(builtins))
+	for i, b := range builtins {
+		impl[i] = b.name
 	}
-	sort.Strings(impl)
-	if len(known) != len(impl) {
-		t.Fatalf("KnownNatives has %d entries, vm builtins %d:\n known=%v\n impl=%v",
-			len(known), len(impl), known, impl)
+	if !slices.Equal(known, impl) || !slices.IsSorted(known) {
+		t.Fatalf("native tables diverge (KnownNatives must be sorted and match the VM's table in order):\n known=%v\n impl=%v",
+			known, impl)
 	}
-	for i := range known {
-		if known[i] != impl[i] {
-			t.Fatalf("native tables diverge at %q vs %q:\n known=%v\n impl=%v",
-				known[i], impl[i], known, impl)
+	for i, name := range known {
+		if got := bytecode.NativeIndex(name); got != int32(i) {
+			t.Errorf("NativeIndex(%q) = %d, want %d", name, got, i)
 		}
+	}
+	if got := bytecode.NativeIndex("spin"); got != -1 {
+		t.Errorf("NativeIndex of a non-builtin = %d, want -1", got)
 	}
 }
 
@@ -84,7 +87,7 @@ func TestNativeResultKindSoundness(t *testing.T) {
 			continue
 		}
 		m := New(prog, nil)
-		got, err := builtins[name](m, newTestHost(), args)
+		got, err := builtins[bytecode.NativeIndex(name)].fn(m, newTestHost(), args)
 		if err != nil {
 			t.Errorf("builtin %q(%v) failed on modeled-kind inputs: %v", name, args, err)
 			continue

@@ -3,8 +3,8 @@ package vm
 import (
 	"bytes"
 	"encoding/binary"
+	"maps"
 	"math"
-	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -228,7 +228,7 @@ func TestEnvRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	vars["x"] = value.Int(2)
-	if got := r.Vars(); !reflect.DeepEqual(got, vars) {
+	if got := r.Vars(); !maps.EqualFunc(got, vars, value.Value.Equal) {
 		t.Errorf("restored variables %v, want %v", got, vars)
 	}
 	huge := New(prog, map[string]value.Value{"m": value.Matrix(&value.Mat{Rows: wire.MaxLen + 1, Cols: 1})})

@@ -475,11 +475,11 @@ func init() {
 	}
 	h[bytecode.DCallNative] = func(t *texec, d *bytecode.DInstr) bool {
 		argc := int(d.B)
-		if fn, ok := builtins[d.Name]; ok {
+		if d.A >= 0 {
 			// Builtins never touch VM state (they see only their args and
 			// the host), so they run against a stack window with no copy.
 			args := t.stack[t.sp-argc : t.sp : t.sp]
-			r, err := fn(t.m, t.host, args)
+			r, err := builtins[d.A].fn(t.m, t.host, args)
 			if err != nil {
 				return t.fail(d.Src, "%s: %v", d.Name, err)
 			}

@@ -529,8 +529,8 @@ func (m *VM) runSwitch(host Host, maxSteps, limit int64, metered bool, stepsp *i
 			for i := argc - 1; i >= 0; i-- {
 				args[i] = m.pop()
 			}
-			if fn, ok := builtins[name]; ok {
-				r, err := fn(m, host, args)
+			if bi := bytecode.NativeIndex(name); bi >= 0 {
+				r, err := builtins[bi].fn(m, host, args)
 				if err != nil {
 					return Result{}, m.runtimeError("%s: %v", name, err)
 				}

@@ -3,7 +3,7 @@ package messengers
 import (
 	"bytes"
 	"fmt"
-	"reflect"
+	"maps"
 	"strings"
 	"testing"
 	"time"
@@ -354,7 +354,8 @@ func TestReplicasShareNothingMutable(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := run(par, par.Wait)
-	if !reflect.DeepEqual(got, want) {
+	sameVars := func(a, b map[string]Value) bool { return maps.EqualFunc(a, b, Value.Equal) }
+	if !maps.EqualFunc(got, want, sameVars) {
 		t.Errorf("replicas on three daemons left %v, the sequential run %v", got, want)
 	}
 	visits := 0
