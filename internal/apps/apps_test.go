@@ -2,6 +2,7 @@ package apps
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -104,10 +105,14 @@ func TestMatmulAllImplementationsAgree(t *testing.T) {
 
 // TestMatmulSkipArithmeticMatchesArithmetic runs every implementation with
 // and without arithmetic. The skip run must take the same simulated time,
-// move the same messages and bytes and commit the same GVT sequence, while
-// returning no product and leaving its shared block zero.
+// move the same messages and bytes, drop the same PVM fragments and commit
+// the same GVT sequence, while returning no product and leaving its shared
+// block zero. The grids span blocks in one PVM fragment and in several, and
+// one cost model has a pvmd receive buffer small enough to drop fragments.
 func TestMatmulSkipArithmeticMatchesArithmetic(t *testing.T) {
-	cm := lan.DefaultCostModel()
+	def := lan.DefaultCostModel()
+	lossy := lan.DefaultCostModel()
+	lossy.PVMRxBuffer = 2 * lossy.PVMFragSize
 	// A runner returns the blocks it handed out, nil for the sequential
 	// baselines, which use none.
 	type runner func(*lan.CostModel, MatmulParams) (*MatmulResult, *matmulBlocks, error)
@@ -135,13 +140,30 @@ func TestMatmulSkipArithmeticMatchesArithmetic(t *testing.T) {
 		{"seq_naive", seq(MatmulSequentialNaive)},
 		{"seq_block", seq(MatmulSequentialBlock)},
 	}
-	counters := []string{"bus.msgs", "bus.bytes", "pvm.pack.bytes", "pvm.unpack.bytes"}
+	counters := []string{
+		"bus.msgs", "bus.bytes",
+		"pvm.sends", "pvm.send.bytes", "pvm.recvs", "pvm.drops", "pvm.pack.bytes", "pvm.unpack.bytes",
+	}
+	grids := []struct {
+		m, s  int
+		cm    *lan.CostModel
+		drops bool // the PVM run must drop fragments
+	}{
+		{2, 8, def, false},
+		{3, 5, def, false},
+		{2, 40, def, false}, // a block spans four fragments
+		{3, 40, lossy, true},
+	}
 	for _, im := range impls {
-		for _, g := range []struct{ m, s int }{{2, 8}, {3, 5}} {
-			t.Run(fmt.Sprintf("%s/%dx%d_s%d", im.name, g.m, g.m, g.s), func(t *testing.T) {
+		for _, g := range grids {
+			name := fmt.Sprintf("%s/%dx%d_s%d", im.name, g.m, g.m, g.s)
+			if g.drops {
+				name += "_lossy"
+			}
+			t.Run(name, func(t *testing.T) {
 				run := func(skip bool) (*MatmulResult, *matmulBlocks) {
 					p := MatmulParams{M: g.m, S: g.s, Host: lan.SPARC110, Seed: 3, SkipArithmetic: skip}
-					r, mb, err := im.run(cm, p)
+					r, mb, err := im.run(g.cm, p)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -170,6 +192,9 @@ func TestMatmulSkipArithmeticMatchesArithmetic(t *testing.T) {
 					if full.Obs.CounterValue("pvm.unpack.bytes") == 0 {
 						t.Error("PVM run unpacked nothing")
 					}
+					if drops := full.Obs.CounterValue("pvm.drops"); g.drops != (drops > 0) {
+						t.Errorf("PVM run dropped %d fragments, want drops: %v", drops, g.drops)
+					}
 				}
 				if full.C == nil {
 					t.Error("arithmetic run returned no product")
@@ -187,6 +212,29 @@ func TestMatmulSkipArithmeticMatchesArithmetic(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestSkippedPVMMatmulAllocatesNoBlock runs one PVM cell of a skipped
+// sweep. Blocks travel by shape, so the run copies none and allocates none
+// to receive into: all of it allocates less than one S x S block.
+func TestSkippedPVMMatmulAllocatesNoBlock(t *testing.T) {
+	p := MatmulParams{M: 3, S: 200, Host: lan.SPARC170, SkipArithmetic: true}
+	mb, err := newMatmulBlocks(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cm := lan.DefaultCostModel()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = matmulPVM(cm, p, mb)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	block := uint64(8 * p.S * p.S)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= block {
+		t.Errorf("skipped PVM cell allocated %d bytes, want < %d (one %dx%d block)", got, block, p.S, p.S)
 	}
 }
 

@@ -34,8 +34,10 @@ type MatmulParams struct {
 	// values are neither generated nor copied. The simulated cost depends
 	// only on block sizes, so one zero S x S block serves read-only as every
 	// node's A, B and C, no multiply runs and no N x N result is assembled.
-	// Timing results and charged counts are identical; use it for large
-	// parameter sweeps.
+	// The PVM workers pack and unpack blocks by shape (pvm.PkMatShape), so
+	// no block is copied into or out of a message and none is allocated to
+	// receive one. Timing results and charged counts are identical; use it
+	// for large parameter sweeps.
 	SkipArithmetic bool
 	// Trace, when non-nil, receives the run's events (one track per
 	// daemon/host plus the bus track, simulated-time timestamps).
@@ -308,11 +310,31 @@ func matmulPVM(cm *lan.CostModel, p MatmulParams, mb *matmulBlocks) (*MatmulResu
 			south := w.Gettid("mmult", ((i+1)%m)*m+j)
 
 			blockA, blockB, blockC := mb.node(i, j)
-			// Unpack destinations are the worker's own, so the shared block
-			// under SkipArithmetic is never written. PkMat copies a block
+			// Unpack destinations are the worker's own. PkMat copies a block
 			// into the send buffer, so B may be unpacked into the block just
-			// packed.
-			recvA, recvB := value.NewMat(p.S, p.S), value.NewMat(p.S, p.S)
+			// packed. Under SkipArithmetic nobody reads a block, so blocks
+			// travel by shape, there is nothing to unpack into, and the
+			// shared block stays every block the worker holds.
+			var recvA, recvB *value.Mat
+			if !p.SkipArithmetic {
+				recvA, recvB = value.NewMat(p.S, p.S), value.NewMat(p.S, p.S)
+			}
+			pack := func(blk *value.Mat) {
+				if p.SkipArithmetic {
+					w.PkMatShape(p.S, p.S)
+				} else {
+					w.PkMat(blk)
+				}
+			}
+			// unpack returns the block that now holds buf's matrix.
+			unpack := func(buf *pvm.Buffer, dst *value.Mat) *value.Mat {
+				if p.SkipArithmetic {
+					w.UpkMatShape(buf, p.S, p.S)
+					return mb.zero
+				}
+				w.UpkMat(buf, dst)
+				return dst
+			}
 
 			for kk := 0; kk < m; kk++ {
 				currA := blockA
@@ -320,12 +342,10 @@ func matmulPVM(cm *lan.CostModel, p MatmulParams, mb *matmulBlocks) (*MatmulResu
 					// This worker holds the block to distribute: multicast
 					// it to the rest of its row.
 					w.InitSend()
-					w.PkMat(blockA)
+					pack(blockA)
 					w.Mcast(myRow, tagABase+kk)
 				} else {
-					buf := w.Recv(pvm.AnySource, tagABase+kk)
-					w.UpkMat(buf, recvA)
-					currA = recvA
+					currA = unpack(w.Recv(pvm.AnySource, tagABase+kk), recvA)
 				}
 				if !p.SkipArithmetic {
 					matmul.AddMul(blockC, currA, blockB)
@@ -335,11 +355,9 @@ func matmulPVM(cm *lan.CostModel, p MatmulParams, mb *matmulBlocks) (*MatmulResu
 				// southern one.
 				if m > 1 {
 					w.InitSend()
-					w.PkMat(blockB)
+					pack(blockB)
 					w.Send(north, tagBBase+kk)
-					buf := w.Recv(south, tagBBase+kk)
-					blockB = recvB
-					w.UpkMat(buf, blockB)
+					blockB = unpack(w.Recv(south, tagBBase+kk), recvB)
 				}
 			}
 			mb.gather(i, j, blockC) // result stays distributed; gathered for validation

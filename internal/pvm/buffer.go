@@ -17,12 +17,20 @@ import (
 // simulation each copy is charged at the corresponding per-byte rate
 // (chargeCopy): the modeled cost is independent of whether this
 // implementation physically pays it, so pooling the backing storage below
-// does not change any figure.
+// does not change any figure. For the same reason a matrix whose values
+// nobody reads may be packed by its shape (PkMatShape): its header is held,
+// its payload only counted, and the message's length is both.
 type Buffer struct {
 	data []byte
-	pos  int
-	src  TID
-	tag  int
+	// shapes holds the offset in data of each matrix packed by shape, in
+	// pack order; counted is the sum of their payloads, charged and routed
+	// but never held. next indexes the shape the reader reaches next.
+	shapes  []int
+	counted int
+	next    int
+	pos     int
+	src     TID
+	tag     int
 	// refs counts live references to pooled backing storage — Mcast shares
 	// one data slice across every destination's Buffer — and is nil for
 	// unpooled buffers. The last release recycles data into the wire pool,
@@ -44,6 +52,16 @@ func (b *Buffer) release() {
 	}
 	b.refs, b.box = nil, nil
 	b.data = nil
+}
+
+// length is the message's length on the wire: the held bytes plus the counted
+// ones. The transport counts, fragments and routes this many bytes.
+func (b *Buffer) length() int { return len(b.data) + b.counted }
+
+// message is the buffer as sent from src with tag: it shares the packed
+// storage and its pool reference.
+func (b *Buffer) message(src TID, tag int) *Buffer {
+	return &Buffer{data: b.data, shapes: b.shapes, counted: b.counted, src: src, tag: tag, refs: b.refs, box: b.box}
 }
 
 // newSendBuf draws a pack buffer from the wire pool, holding one reference.
@@ -110,10 +128,27 @@ func (p *Proc) PkBytes(bs []byte) {
 func (p *Proc) PkMat(m *value.Mat) {
 	p.checkKilled()
 	b := p.send()
-	b.data = binary.LittleEndian.AppendUint32(b.data, uint32(m.Rows))
-	b.data = binary.LittleEndian.AppendUint32(b.data, uint32(m.Cols))
+	b.appendDims(m.Rows, m.Cols)
 	b.data = wire.AppendF64s(b.data, m.Data)
 	p.chargeCopy(8*len(m.Data), func(cm *lan.CostModel) sim.Time { return cm.PVMPackPerByte }, false)
+}
+
+// PkMatShape packs a rows x cols matrix by its shape: the dims PkMat writes,
+// and a payload of 8*rows*cols bytes that is charged, counted and routed as
+// PkMat's is but never held. It serves runs whose values nobody reads; the
+// receiver unpacks it with UpkMatShape.
+func (p *Proc) PkMatShape(rows, cols int) {
+	p.checkKilled()
+	b := p.send()
+	b.shapes = append(b.shapes, len(b.data))
+	b.appendDims(rows, cols)
+	b.counted += 8 * rows * cols
+	p.chargeCopy(8*rows*cols, func(cm *lan.CostModel) sim.Time { return cm.PVMPackPerByte }, false)
+}
+
+func (b *Buffer) appendDims(rows, cols int) {
+	b.data = binary.LittleEndian.AppendUint32(b.data, uint32(rows))
+	b.data = binary.LittleEndian.AppendUint32(b.data, uint32(cols))
 }
 
 // unpack helpers; PVM's upk calls abort the task on type/size mismatch,
@@ -122,6 +157,9 @@ func (p *Proc) PkMat(m *value.Mat) {
 func (p *Proc) upkN(b *Buffer, n int) []byte {
 	if b.pos+n > len(b.data) {
 		panic(fmt.Sprintf("pvm: unpack of %d bytes beyond message end (%d/%d)", n, b.pos, len(b.data)))
+	}
+	if b.next < len(b.shapes) && b.shapes[b.next] < b.pos+n {
+		panic(fmt.Sprintf("pvm: unpack of %d bytes across a matrix packed by shape at %d", n, b.shapes[b.next]))
 	}
 	out := b.data[b.pos : b.pos+n]
 	b.pos += n
@@ -147,13 +185,32 @@ func (p *Proc) UpkBytes(b *Buffer) []byte {
 
 // UpkMat unpacks a matrix into dst, a block the caller owns, as
 // pvm_upkdouble(dp, n, 1) fills the caller's array. A packed matrix whose
-// shape differs from dst's aborts the task and leaves dst untouched.
+// shape differs from dst's, or one packed by shape, aborts the task and
+// leaves dst untouched.
 func (p *Proc) UpkMat(b *Buffer, dst *value.Mat) {
-	rows := int(binary.LittleEndian.Uint32(p.upkN(b, 4)))
-	cols := int(binary.LittleEndian.Uint32(p.upkN(b, 4)))
-	if rows != dst.Rows || cols != dst.Cols {
-		panic(fmt.Sprintf("pvm: unpack matrix %dx%d into %dx%d", rows, cols, dst.Rows, dst.Cols))
-	}
+	p.upkDims(b, dst.Rows, dst.Cols)
 	wire.ReadF64s(dst.Data, p.upkN(b, 8*len(dst.Data)))
 	p.chargeCopy(8*len(dst.Data), func(cm *lan.CostModel) sim.Time { return cm.PVMUnpackPerByte }, true)
+}
+
+// UpkMatShape unpacks a rows x cols matrix packed by PkMatShape, charging
+// and counting what UpkMat would; nothing is copied. The next field must be
+// such a matrix of that shape, or the task aborts.
+func (p *Proc) UpkMatShape(b *Buffer, rows, cols int) {
+	if b.next == len(b.shapes) || b.shapes[b.next] != b.pos {
+		panic(fmt.Sprintf("pvm: unpack by shape at %d, where no matrix was packed by shape", b.pos))
+	}
+	b.next++
+	p.upkDims(b, rows, cols)
+	p.chargeCopy(8*rows*cols, func(cm *lan.CostModel) sim.Time { return cm.PVMUnpackPerByte }, true)
+}
+
+// upkDims reads a packed matrix's dims, aborting the task unless they are
+// rows x cols.
+func (p *Proc) upkDims(b *Buffer, rows, cols int) {
+	r := int(binary.LittleEndian.Uint32(p.upkN(b, 4)))
+	c := int(binary.LittleEndian.Uint32(p.upkN(b, 4)))
+	if r != rows || c != cols {
+		panic(fmt.Sprintf("pvm: unpack matrix %dx%d into %dx%d", r, c, rows, cols))
+	}
 }

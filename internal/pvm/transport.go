@@ -15,9 +15,8 @@ func (p *Proc) Send(dst TID, tag int) {
 	buf := p.send()
 	// The message inherits the send buffer's pool reference; the receiver's
 	// side releases it (next Recv) and recycles the storage.
-	msg := &Buffer{data: buf.data, src: p.tid, tag: tag, refs: buf.refs, box: buf.box}
 	p.sendBuf = nil
-	p.deliver(dst, msg)
+	p.deliver(dst, buf.message(p.tid, tag))
 }
 
 // Mcast transmits the send buffer to every task in dsts (pvm_mcast). Each
@@ -47,8 +46,7 @@ func (p *Proc) Mcast(dsts []TID, tag int) {
 		if dst == p.tid {
 			continue
 		}
-		msg := &Buffer{data: buf.data, src: p.tid, tag: tag, refs: buf.refs, box: buf.box}
-		p.deliver(dst, msg)
+		p.deliver(dst, buf.message(p.tid, tag))
 	}
 }
 
@@ -63,11 +61,11 @@ func (p *Proc) deliver(dst TID, msg *Buffer) {
 	}
 	if p.m.mo != nil {
 		p.m.mo.sends.Inc()
-		p.m.mo.sendBytes.Add(int64(len(msg.data)))
+		p.m.mo.sendBytes.Add(int64(msg.length()))
 	}
 	if p.m.tr != nil {
 		p.m.tr.Instant(p.host, "pvm", "pvm.send",
-			obs.I("dst", int64(dst)), obs.I("bytes", int64(len(msg.data))))
+			obs.I("dst", int64(dst)), obs.I("bytes", int64(msg.length())))
 	}
 	if !p.m.Sim() {
 		if p.m.mo != nil {
@@ -75,7 +73,7 @@ func (p *Proc) deliver(dst TID, msg *Buffer) {
 		}
 		if p.m.tr != nil {
 			p.m.tr.Instant(target.host, "pvm", "pvm.recv",
-				obs.I("src", int64(msg.src)), obs.I("bytes", int64(len(msg.data))))
+				obs.I("src", int64(msg.src)), obs.I("bytes", int64(msg.length())))
 		}
 		target.mbox.deliver(msg)
 		return
@@ -84,9 +82,9 @@ func (p *Proc) deliver(dst TID, msg *Buffer) {
 	// and per-fragment processing, serialized on this host's CPU (the
 	// task blocks for it — it shares the CPU with its pvmd).
 	cm := p.m.cm
-	frags := cm.Frags(len(msg.data))
+	frags := cm.Frags(msg.length())
 	sendCPU := cm.PVMSendFixed +
-		sim.Time(len(msg.data))*cm.PVMRoutePerByte +
+		sim.Time(msg.length())*cm.PVMRoutePerByte +
 		sim.Time(frags)*cm.PVMFragFixed
 	p.Compute(sendCPU)
 	t := &transfer{
@@ -97,6 +95,10 @@ func (p *Proc) deliver(dst TID, msg *Buffer) {
 		msg:     msg,
 		frags:   frags,
 	}
+	t.arriveFn = func() { t.arrive(t.onBus.pop()) }
+	t.processedFn = func() { t.fragProcessed(t.atCPU.pop()) }
+	t.resendFn = func() { t.sendFrag(t.retx.pop()) }
+	t.ackFn = t.acked
 	t.pump()
 }
 
@@ -115,11 +117,19 @@ type transfer struct {
 	sent     int
 	inflight int
 	done     int
+
+	// A fragment's events carry no state of their own. The bus, a host's
+	// CPU and the retransmit timer each fire a transfer's events in the
+	// order it scheduled them, so each stage keeps its fragments' indices
+	// in a FIFO and one callback per stage, made once per transfer, takes
+	// the front.
+	onBus, atCPU, retx                     fifo
+	arriveFn, processedFn, resendFn, ackFn func()
 }
 
 func (t *transfer) fragSize(i int) int {
 	cm := t.m.cm
-	total := len(t.msg.data)
+	total := t.msg.length()
 	if total == 0 {
 		return 64 // empty message still occupies one datagram
 	}
@@ -140,38 +150,41 @@ func (t *transfer) pump() {
 }
 
 func (t *transfer) sendFrag(i int) {
-	cm := t.m.cm
-	size := t.fragSize(i)
-	arrive := func() {
-		// A fragment arriving at a full pvmd buffer is dropped (UDP) and
-		// retransmitted after the fixed timeout.
-		if cm.PVMRxBuffer > 0 && t.m.rxBacklog[t.dstHost]+size > cm.PVMRxBuffer {
-			if t.m.mo != nil {
-				t.m.mo.drops.Inc()
-			}
-			if t.m.tr != nil {
-				t.m.tr.Instant(t.dstHost, "pvm", "pvm.drop", obs.I("bytes", int64(size)))
-			}
-			t.m.cluster.Kernel.After(cm.PVMRetransmit, func() { t.sendFrag(i) })
-			return
-		}
-		t.m.rxBacklog[t.dstHost] += size
-		// pvmd processing at the receiver: routing copy plus fixed cost,
-		// serialized on the destination host CPU.
-		recvCPU := sim.Time(size)*cm.PVMRoutePerByte + cm.PVMFragFixed
-		t.m.cluster.Hosts[t.dstHost].ExecScaled(recvCPU, func() {
-			t.m.rxBacklog[t.dstHost] -= size
-			t.fragProcessed()
-		})
-	}
 	if t.srcHost == t.dstHost {
-		arrive()
+		t.arrive(i)
 		return
 	}
-	t.m.cluster.Bus.Transmit(size, arrive)
+	t.onBus.push(i)
+	t.m.cluster.Bus.Transmit(t.fragSize(i), t.arriveFn)
 }
 
-func (t *transfer) fragProcessed() {
+// arrive hands fragment i to the receiving pvmd. A fragment arriving at a
+// full pvmd buffer is dropped (UDP) and retransmitted after the fixed
+// timeout.
+func (t *transfer) arrive(i int) {
+	cm := t.m.cm
+	size := t.fragSize(i)
+	if cm.PVMRxBuffer > 0 && t.m.rxBacklog[t.dstHost]+size > cm.PVMRxBuffer {
+		if t.m.mo != nil {
+			t.m.mo.drops.Inc()
+		}
+		if t.m.tr != nil {
+			t.m.tr.Instant(t.dstHost, "pvm", "pvm.drop", obs.I("bytes", int64(size)))
+		}
+		t.retx.push(i)
+		t.m.cluster.Kernel.After(cm.PVMRetransmit, t.resendFn)
+		return
+	}
+	t.m.rxBacklog[t.dstHost] += size
+	// pvmd processing at the receiver: routing copy plus fixed cost,
+	// serialized on the destination host CPU.
+	recvCPU := sim.Time(size)*cm.PVMRoutePerByte + cm.PVMFragFixed
+	t.atCPU.push(i)
+	t.m.cluster.Hosts[t.dstHost].ExecScaled(recvCPU, t.processedFn)
+}
+
+func (t *transfer) fragProcessed(i int) {
+	t.m.rxBacklog[t.dstHost] -= t.fragSize(i)
 	t.done++
 	if t.done == t.frags {
 		// Reassembled: hand to the task (the user-level unpack copy is
@@ -182,21 +195,48 @@ func (t *transfer) fragProcessed() {
 			}
 			if t.m.tr != nil {
 				t.m.tr.Instant(t.dstHost, "pvm", "pvm.recv",
-					obs.I("src", int64(t.msg.src)), obs.I("bytes", int64(len(t.msg.data))))
+					obs.I("src", int64(t.msg.src)), obs.I("bytes", int64(t.msg.length())))
 			}
 			t.dst.mbox.deliver(t.msg)
 		})
 	}
 	// Acknowledge to release the sender's window slot.
-	ackDone := func() {
-		t.inflight--
-		t.pump()
-	}
 	if t.srcHost == t.dstHost {
-		ackDone()
+		t.acked()
 		return
 	}
-	t.m.cluster.Bus.Transmit(t.m.cm.PVMAckBytes, ackDone)
+	t.m.cluster.Bus.Transmit(t.m.cm.PVMAckBytes, t.ackFn)
+}
+
+func (t *transfer) acked() {
+	t.inflight--
+	t.pump()
+}
+
+// fifo is a first-in, first-out queue of ints: a ring that doubles when
+// full. A transfer's stages hold at most PVMWindow fragments each.
+type fifo struct {
+	buf     []int
+	head, n int
+}
+
+func (f *fifo) push(v int) {
+	if f.n == len(f.buf) {
+		grown := make([]int, max(4, 2*len(f.buf)))
+		for k := range f.n {
+			grown[k] = f.buf[(f.head+k)%len(f.buf)]
+		}
+		f.buf, f.head = grown, 0
+	}
+	f.buf[(f.head+f.n)%len(f.buf)] = v
+	f.n++
+}
+
+func (f *fifo) pop() int {
+	v := f.buf[f.head]
+	f.head = (f.head + 1) % len(f.buf)
+	f.n--
+	return v
 }
 
 // Recv blocks until a message matching (src, tag) arrives and returns it
