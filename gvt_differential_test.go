@@ -9,6 +9,7 @@ import (
 	"messengers/internal/apps"
 	"messengers/internal/core"
 	"messengers/internal/lan"
+	"messengers/internal/wire"
 )
 
 // These tests are the differential acceptance for the distributed
@@ -121,7 +122,9 @@ const ringWalk = `
 // sockets under both GVT implementations: neither may record an error, and
 // the ring must stay inside its budget of 2 control messages per daemon per
 // round (net of quiescence notifications, one per suspend) with real
-// concurrency. The logged wall-clock columns are what docs/GVT.md quotes.
+// concurrency. The logged wall-clock columns are what docs/GVT.md quotes;
+// wire is every encoded frame's bytes, the walkers' hops included, per
+// round.
 func TestGVTRingWalkTCP(t *testing.T) {
 	const n, epochs = 8, 10
 	for _, impl := range []string{"coordinator", "ring"} {
@@ -142,7 +145,7 @@ func TestGVTRingWalkTCP(t *testing.T) {
 			if err := sys.CompileAndRegister("walk", ringWalk); err != nil {
 				t.Fatal(err)
 			}
-			start := time.Now()
+			start, encoded := time.Now(), wire.ReadStats().BytesEncoded
 			for i := 0; i < n; i++ {
 				err := sys.InjectAt(i, "walk", fmt.Sprintf("r%d", i), map[string]Value{"epochs": IntValue(epochs)})
 				if err != nil {
@@ -179,8 +182,9 @@ func TestGVTRingWalkTCP(t *testing.T) {
 					maxPerRound = adj
 				}
 			}
-			t.Logf("n=%d rounds=%.0f ctl/max/round=%.2f round=%.3fms hops/s=%.0f", n, rounds, maxPerRound,
-				float64(stats[0].GVTRoundTime)/rounds/float64(time.Millisecond), float64(hops)/wall.Seconds())
+			t.Logf("n=%d rounds=%.0f ctl/max/round=%.2f round=%.3fms hops/s=%.0f wire=%.0fB/round", n, rounds, maxPerRound,
+				float64(stats[0].GVTRoundTime)/rounds/float64(time.Millisecond), float64(hops)/wall.Seconds(),
+				float64(wire.ReadStats().BytesEncoded-encoded)/rounds)
 			if ring && maxPerRound > 2.0 {
 				t.Errorf("%.2f control messages per daemon per round, budget 2", maxPerRound)
 			}

@@ -106,14 +106,13 @@ func (d *Daemon) chargeNav(m *Messenger, n int) bool {
 
 // InjectSession injects a tenant-tagged Messenger of a verified program
 // into daemon d. The program must already be registered (Register) so
-// remote daemons can restore hops; budget is carried on the injection
-// frame for cross-process admission fronts. The admission layer is
-// responsible for having counted the session with its gate before this
-// call returns work to it.
+// remote daemons can restore hops. The admission layer is responsible for
+// having counted the session with its gate before this call returns work
+// to it.
 func (s *System) InjectSession(d int, prog *bytecode.Program, node string,
-	vars map[string]value.Value, tenant string, session uint64, budget int64) error {
+	vars map[string]value.Value, tenant string, session uint64) error {
 	if tenant == "" {
 		return fmt.Errorf("core: InjectSession requires a tenant")
 	}
-	return s.injectProg(d, prog, node, vars, 0, tenant, session, budget)
+	return s.injectProg(d, prog, node, vars, 0, tenant, session)
 }

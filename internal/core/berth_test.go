@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 
@@ -107,23 +106,6 @@ func TestExecQueueIdleHook(t *testing.T) {
 	<-done
 	if !sawClosed {
 		t.Error("Run returned without a last idle call")
-	}
-}
-
-// TestReservedTailRejected: the frame's last u32 is reserved zero; a frame
-// that carries anything else there is refused, not read as a batch.
-func TestReservedTailRejected(t *testing.T) {
-	msg := &Msg{Kind: MsgMessenger, From: 1, Snapshot: []byte{1, 2, 3}, Last: "ring"}
-	buf := msg.Encode()
-	if len(buf) != msg.EncodedSize() {
-		t.Fatalf("encoded %d bytes, EncodedSize says %d", len(buf), msg.EncodedSize())
-	}
-	if _, err := DecodeMsg(buf); err != nil {
-		t.Fatal(err)
-	}
-	buf[len(buf)-4] = 2
-	if _, err := DecodeMsg(buf); err == nil || !strings.Contains(err.Error(), "reserved") {
-		t.Errorf("nonzero reserved tail: err = %v", err)
 	}
 }
 

@@ -599,7 +599,7 @@ func (d *Daemon) depart(m *Messenger, mvm *vm.VM, to int, msg *Msg) {
 		d.tr.Instant(d.id, "msgr", name,
 			msgrID(msg.MsgrID), obs.I("to", int64(to)), obs.I("bytes", int64(msg.WireSize())))
 	}
-	d.ship(to, msg, true)
+	d.ship(to, msg)
 }
 
 // navCreateName renders a create name: "~" and wildcards become unnamed.
@@ -737,7 +737,7 @@ func (d *Daemon) HandleMsg(msg *Msg) {
 			// the transfer stays pending at the sender).
 			return
 		}
-		if reliableKind(msg.Kind) && msg.From != d.id && d.dedupCheck(msg) {
+		if kinds[msg.Kind].reliable && msg.From != d.id && d.dedupCheck(msg) {
 			return
 		}
 	}
@@ -880,7 +880,7 @@ func (d *Daemon) handleCreate(msg *Msg) {
 		// The ack completes the origin's half-link; losing it would strand
 		// any Messenger that later traverses the link, so it travels
 		// reliably too (uncounted: it carries no computation).
-		d.ship(msg.From, ack, false)
+		d.ship(msg.From, ack)
 	} else {
 		d.sendGVT(msg.From, ack)
 	}

@@ -96,11 +96,11 @@ func TestForgedCountsAllocateNothing(t *testing.T) {
 	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 	tag := func(k value.Kind) []byte { return []byte{byte(k)} }
 	forged, ten := le(0xFFFFFFFF), make([]byte, 10)
-	msgHead := valid["msg"][:1+4+len(prog.Hash())] // Kind, From, ProgHash: the snapshot's length is next
-	oneVar := cat(le(1, 1), []byte("k"))           // one variable named k, its value next
-	oneFrame := le(0, 1, 0, 0)                     // no variables, one frame of main at pc 0, its local count next
-	noFuncs := le(0, 0, 0)                         // a nameless program, no constants, no names, the function count next
-	oneFunc := cat(noFuncs, le(1, 0, 0, 0))        // one nameless function, its instruction count next
+	msgHead := valid["msg"][:1+4+8+8+len(prog.Hash())] // Kind, From, HopSeq, AckFloor, ProgHash: the snapshot's length is next
+	oneVar := cat(le(1, 1), []byte("k"))               // one variable named k, its value next
+	oneFrame := le(0, 1, 0, 0)                         // no variables, one frame of main at pc 0, its local count next
+	noFuncs := le(0, 0, 0)                             // a nameless program, no constants, no names, the function count next
+	oneFunc := cat(noFuncs, le(1, 0, 0, 0))            // one nameless function, its instruction count next
 	cases := []struct {
 		decoder, name string
 		buf           []byte

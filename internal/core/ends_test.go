@@ -105,7 +105,7 @@ func (r *endsRun) start(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := sys.InjectSession(1, hog, "", nil, "tenant", 1, 0); err != nil {
+	if err := sys.InjectSession(1, hog, "", nil, "tenant", 1); err != nil {
 		t.Fatal(err)
 	}
 	sys.workAdded(1) // the slot the unrestorable injection releases

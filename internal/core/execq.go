@@ -49,15 +49,7 @@ const (
 )
 
 // LaneFor maps a message kind to the lane its delivery runs on.
-func LaneFor(k MsgKind) ExecLane {
-	switch k {
-	case MsgGVTNotify, MsgGVTQuery, MsgGVTReport, MsgGVTAdvance, MsgGVTToken,
-		MsgHopAck, MsgHeartbeat:
-		return LaneControl
-	default:
-		return LaneNet
-	}
-}
+func LaneFor(k MsgKind) ExecLane { return kinds[k].lane }
 
 // execLane is one FIFO: items[head:] are pending. Popping advances head
 // instead of reslicing, so the backing array is reused from its base once

@@ -21,7 +21,7 @@ import (
 // of testing/quick the random loop this replaced made (a hundred of them:
 // seeds are also the pool mutations start from, and noise must not crowd
 // out the real frames), the frames both engines emit
-// (testdata/wire_crossengine.txt) and a control message.
+// (testdata/wire_crossengine.txt) and one frame of every kind.
 func FuzzDecodeMsg(f *testing.F) {
 	r := rand.New(rand.NewSource(1))
 	for i := 0; i < 100; i++ {
@@ -39,7 +39,9 @@ func FuzzDecodeMsg(f *testing.F) {
 		}
 		f.Add(frame)
 	}
-	f.Add((&Msg{Kind: MsgGVTToken, From: 2, GEpoch: 7, GMin: 1.5, GPass: 2, Tenant: "t", AckFloor: 9}).Encode())
+	for _, m := range oneOfEachKind() {
+		f.Add(m.Encode())
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := DecodeMsg(data)
 		if err != nil {

@@ -248,13 +248,12 @@ func (g *gvtInitiator) crashReset() {
 // minimum and the books.
 func (d *Daemon) answerQuery(q *Msg) {
 	d.sendGVT(q.From, &Msg{
-		Kind:    MsgGVTReport,
-		From:    d.id,
-		GEpoch:  q.GEpoch,
-		GMin:    d.localMin(),
-		GSent:   d.sent,
-		GRecv:   d.recv,
-		GActive: int64(len(d.active)),
+		Kind:   MsgGVTReport,
+		From:   d.id,
+		GEpoch: q.GEpoch,
+		GMin:   d.localMin(),
+		GSent:  d.sent,
+		GRecv:  d.recv,
 	})
 }
 

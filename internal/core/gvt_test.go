@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -191,34 +190,6 @@ func TestGVTManyEpochsConverge(t *testing.T) {
 	}
 	if total != 4*3*20 {
 		t.Errorf("progress = %d, want %d", total, 4*3*20)
-	}
-}
-
-func TestMsgEncodeDecodeRoundTrip(t *testing.T) {
-	msgs := []*Msg{
-		{
-			Kind: MsgMessenger, From: 3, Snapshot: []byte{1, 2, 3}, MsgrID: 42,
-			LVT: 1.5, DestNode: 7, Last: "row",
-		},
-		{
-			Kind: MsgCreate, From: 1, CreateName: "worker", LinkName: "corridor",
-			LinkDir: 2, OriginName: "init", Snapshot: []byte{9},
-		},
-		{Kind: MsgGVTReport, From: 2, GEpoch: 5, GMin: 2.5, GSent: 10, GRecv: 9, GActive: 3},
-		{Kind: MsgMessenger, ProgBytes: []byte("prog")},
-	}
-	for _, m := range msgs {
-		enc := m.Encode()
-		dec, err := DecodeMsg(enc)
-		if err != nil {
-			t.Fatalf("%v: %v", m.Kind, err)
-		}
-		if fmt.Sprintf("%+v", dec) != fmt.Sprintf("%+v", m) {
-			t.Errorf("round trip mismatch:\n got %+v\nwant %+v", dec, m)
-		}
-	}
-	if _, err := DecodeMsg([]byte{1, 2}); err == nil {
-		t.Error("truncated message should fail")
 	}
 }
 

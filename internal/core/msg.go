@@ -49,29 +49,74 @@ const (
 	MsgGVTToken
 )
 
+// kindInfo is everything that depends on a message's kind alone.
+type kindInfo struct {
+	name      string
+	lane      ExecLane // where its delivery runs
+	reliable  bool     // under recovery: retained until acked, duplicates dropped
+	messenger bool     // transfers computation, so it is a GVT transient
+	body      msgBody  // what follows the header on the wire
+}
+
+// msgBody names what a kind's encoding carries after the header. AppendTo
+// defines each; docs/WIRE.md tables them.
+type msgBody uint8
+
+const (
+	bodyUnknown   msgBody = iota // no such kind: DecodeMsg refuses it
+	bodyTransfer                 // a Messenger
+	bodyCreate                   // a Messenger and the node it starts at
+	bodyCreateAck                // the far half of a link
+	bodyGVT                      // every GVT number, whichever the kind reads
+	bodyHopAck                   // the acknowledged MsgrID
+	bodyNone                     // a heartbeat
+)
+
+// kinds is the one table of message kinds, with a slot for every byte a
+// kind can be. A slot without an entry (0, the blanks 5 and 10, anything
+// past MsgGVTToken) is the zero kindInfo: an unknown kind.
+var kinds = [256]kindInfo{
+	MsgMessenger:  {"messenger", LaneNet, true, true, bodyTransfer},
+	MsgCreate:     {"create", LaneNet, true, true, bodyCreate},
+	MsgCreateAck:  {"create-ack", LaneNet, true, false, bodyCreateAck},
+	MsgInject:     {"inject", LaneNet, false, true, bodyCreate},
+	MsgGVTNotify:  {"gvt-notify", LaneControl, false, false, bodyGVT},
+	MsgGVTQuery:   {"gvt-query", LaneControl, false, false, bodyGVT},
+	MsgGVTReport:  {"gvt-report", LaneControl, false, false, bodyGVT},
+	MsgGVTAdvance: {"gvt-advance", LaneControl, false, false, bodyGVT},
+	MsgHopAck:     {"hop-ack", LaneControl, false, false, bodyHopAck},
+	MsgHeartbeat:  {"heartbeat", LaneControl, false, false, bodyNone},
+	MsgGVTToken:   {"gvt-token", LaneControl, false, false, bodyGVT},
+}
+
 // String names the kind.
 func (k MsgKind) String() string {
-	names := map[MsgKind]string{
-		MsgMessenger: "messenger", MsgCreate: "create", MsgCreateAck: "create-ack",
-		MsgInject: "inject", MsgGVTNotify: "gvt-notify",
-		MsgGVTQuery: "gvt-query", MsgGVTReport: "gvt-report",
-		MsgGVTAdvance: "gvt-advance", MsgHopAck: "hop-ack",
-		MsgHeartbeat: "heartbeat", MsgGVTToken: "gvt-token",
-	}
-	if s, ok := names[k]; ok {
-		return s
+	if n := kinds[k].name; n != "" {
+		return n
 	}
 	return fmt.Sprintf("msg(%d)", uint8(k))
 }
 
-// Msg is one daemon-to-daemon message. A single struct covers all kinds;
-// unused fields stay zero. It has a deterministic binary encoding for the
-// TCP transport and for wire-size accounting in the simulator.
+// Msg is one daemon-to-daemon message. In memory a single struct covers all
+// kinds and the fields a kind does not use stay zero; on the wire a message
+// is a header and its kind's body only (msgBody), encoded by AppendTo for
+// the TCP transport.
 type Msg struct {
+	// The header, which every kind carries.
 	Kind MsgKind
 	From int
+	// HopSeq is the sender's per-daemon reliable-transfer sequence number
+	// (recovery mode; zero otherwise). With From it keys duplicate
+	// suppression and MsgHopAck matching.
+	HopSeq uint64
+	// AckFloor piggybacks the sender's reliable-delivery floor: every
+	// HopSeq at or below it has been released (acknowledged and processed),
+	// so the receiver can evict its dedup entries up to the floor. Keeps
+	// the duplicate-suppression map bounded in long-running service mode.
+	AckFloor uint64
 
-	// Messenger payload (MsgMessenger, MsgCreate, MsgInject).
+	// A transfer (MsgMessenger, MsgCreate, MsgInject; MsgHopAck's body is
+	// the MsgrID it acknowledges).
 	ProgHash bytecode.Hash
 	Snapshot []byte
 	// XferVM, when non-nil, carries the hopping Messenger's VM by ownership
@@ -94,8 +139,16 @@ type Msg struct {
 	// RemoveLink, when nonzero, is the half-link to delete at the
 	// destination node before the Messenger runs (delete traversal).
 	RemoveLink logical.LinkID
+	// Bytecode aboard a hop, A4 ablation only (MsgrCodeCached off); unread.
+	ProgBytes []byte
+	// Tenant and Session tag a Messenger admitted through a multi-tenant
+	// admission gate (internal/serve); they follow the Messenger through
+	// every hop, create, and recovery respawn so quota charging survives
+	// migration. Empty/zero outside service mode.
+	Tenant  string
+	Session uint64
 
-	// Create request (MsgCreate).
+	// A create request (MsgCreate; MsgInject's start node is CreateName).
 	CreateName string
 	LinkID     logical.LinkID
 	LinkName   string
@@ -103,51 +156,23 @@ type Msg struct {
 	Origin     logical.Addr
 	OriginName string
 
-	// Create ack (MsgCreateAck): LinkID above plus the new node.
+	// A create ack (MsgCreateAck): LinkID and Origin above plus the new node.
 	AckPeer     logical.Addr
 	AckPeerName string
 
-	// Bytecode aboard a hop, A4 ablation only (MsgrCodeCached off); unread.
-	ProgBytes []byte
-
-	// GVT fields (MsgGVT*).
-	GEpoch  int64
-	GMin    float64
-	GSent   int64
-	GRecv   int64
-	GActive int64
-	GVT     float64
-	// GPass is the ring-token pass number (MsgGVTToken): 1 accumulates,
-	// 2 commits.
-	GPass uint8
-
-	// HopSeq is the sender's per-daemon reliable-transfer sequence number
-	// (recovery mode; zero otherwise). Together with From it keys duplicate
-	// suppression and MsgHopAck matching.
-	HopSeq uint64
-
-	// Tenant and Session tag a Messenger admitted through a multi-tenant
-	// admission gate (internal/serve); they follow the Messenger through
-	// every hop, create, and recovery respawn so quota charging survives
-	// migration. Empty/zero outside service mode.
-	Tenant  string
-	Session uint64
-	// Budget is the session's instruction-step budget, carried on the
-	// injection frame so a remote admission front end can communicate the
-	// grant; daemons account against the gate, not this field.
-	Budget int64
-	// AckFloor piggybacks the sender's reliable-delivery floor: every
-	// HopSeq at or below it has been released (acknowledged and processed),
-	// so the receiver can evict its dedup entries up to the floor. Keeps
-	// the duplicate-suppression map bounded in long-running service mode.
-	AckFloor uint64
+	// GVT control (MsgGVT*). GPass is the ring token's pass number: 1
+	// accumulates, 2 commits.
+	GEpoch int64
+	GMin   float64
+	GSent  int64
+	GRecv  int64
+	GVT    float64
+	GPass  uint8
 }
 
 // CarriesMessenger reports whether this message transfers computation (and
 // therefore participates in GVT transient counting).
-func (m *Msg) CarriesMessenger() bool {
-	return m.Kind == MsgMessenger || m.Kind == MsgCreate || m.Kind == MsgInject
-}
+func (m *Msg) CarriesMessenger() bool { return kinds[m.Kind].messenger }
 
 // SnapshotLen is the length in bytes of the Messenger state this message
 // carries: the materialized snapshot, or the exact encoded size of the VM
@@ -162,81 +187,70 @@ func (m *Msg) SnapshotLen() int {
 	return len(m.Snapshot)
 }
 
-// EncodedSize is the exact length of the Encode output, implementing
-// wire.Sizer. The previous 64+len(Snapshot)+len(ProgBytes) heuristic
-// undercounted the variable-length header fields, forcing a mid-encode
-// regrow (and full copy) on every large hop.
-func (m *Msg) EncodedSize() int {
-	return 1 + 4 + len(m.ProgHash) + // Kind, From, ProgHash
-		4 + m.SnapshotLen() + // snapshot blob
-		8 + 8 + 8 + // MsgrID, LVT, DestNode
-		4 + len(m.Last) + 12 + // Last, RemoveLink
-		4 + len(m.CreateName) + 12 + 4 + len(m.LinkName) + 1 + // create request
-		12 + 4 + len(m.OriginName) + // Origin
-		12 + 4 + len(m.AckPeerName) + // AckPeer
-		4 + len(m.ProgBytes) + // program blob
-		6*8 + 1 + // GVT fields, GPass
-		8 + // HopSeq
-		4 + len(m.Tenant) + 8 + 8 + 8 + // Tenant, Session, Budget, AckFloor
-		4 // reserved tail
-}
-
-// AppendTo serializes the message into e in one pass. A Messenger carried
-// by XferVM is encoded directly into the frame through a reserved length
-// slot — no intermediate snapshot slice is ever built.
+// AppendTo serializes the message into e in one pass: the header, then
+// the body of its kind. A Messenger carried by XferVM is encoded directly
+// into the frame through a reserved length slot — no intermediate snapshot
+// slice is ever built.
 func (m *Msg) AppendTo(e *wire.Encoder) {
 	e.U8(byte(m.Kind))
 	e.U32(uint32(m.From))
-	e.Raw(m.ProgHash[:])
-	if m.XferVM != nil {
-		off := e.Reserve(4)
-		start := e.Len()
-		m.XferVM.AppendSnapshot(e)
-		n := e.Len() - start
-		if n > wire.MaxLen {
-			e.Fail(fmt.Errorf("core: snapshot of %d bytes exceeds limit (%d)", n, wire.MaxLen))
-			return
-		}
-		e.PatchU32(off, uint32(n))
-	} else {
-		e.Blob(m.Snapshot)
-	}
-	e.U64(m.MsgrID)
-	e.F64(m.LVT)
-	e.U64(uint64(m.DestNode))
-	e.Str(m.Last)
-	appendLinkIDTo(e, m.RemoveLink)
-	e.Str(m.CreateName)
-	appendLinkIDTo(e, m.LinkID)
-	e.Str(m.LinkName)
-	e.U8(m.LinkDir)
-	appendAddrTo(e, m.Origin)
-	e.Str(m.OriginName)
-	appendAddrTo(e, m.AckPeer)
-	e.Str(m.AckPeerName)
-	e.Blob(m.ProgBytes)
-	e.U64(uint64(m.GEpoch))
-	e.F64(m.GMin)
-	e.U64(uint64(m.GSent))
-	e.U64(uint64(m.GRecv))
-	e.U64(uint64(m.GActive))
-	e.F64(m.GVT)
-	e.U8(m.GPass)
 	e.U64(m.HopSeq)
-	e.Str(m.Tenant)
-	e.U64(m.Session)
-	e.U64(uint64(m.Budget))
 	e.U64(m.AckFloor)
-	// Reserved tail: always zero, and DecodeMsg rejects anything else. It
-	// keeps frames byte-identical with the committed wire goldens.
-	e.U32(0)
+	switch body := kinds[m.Kind].body; body {
+	case bodyTransfer, bodyCreate:
+		e.Raw(m.ProgHash[:])
+		if m.XferVM != nil {
+			off := e.Reserve(4)
+			start := e.Len()
+			m.XferVM.AppendSnapshot(e)
+			n := e.Len() - start
+			if n > wire.MaxLen {
+				e.Fail(fmt.Errorf("core: snapshot of %d bytes exceeds limit (%d)", n, wire.MaxLen))
+				return
+			}
+			e.PatchU32(off, uint32(n))
+		} else {
+			e.Blob(m.Snapshot)
+		}
+		e.U64(m.MsgrID)
+		e.F64(m.LVT)
+		e.U64(uint64(m.DestNode))
+		e.Str(m.Last)
+		appendLinkIDTo(e, m.RemoveLink)
+		e.Blob(m.ProgBytes)
+		e.Str(m.Tenant)
+		e.U64(m.Session)
+		if body == bodyCreate {
+			e.Str(m.CreateName)
+			appendLinkIDTo(e, m.LinkID)
+			e.Str(m.LinkName)
+			e.U8(m.LinkDir)
+			appendAddrTo(e, m.Origin)
+			e.Str(m.OriginName)
+		}
+	case bodyCreateAck:
+		appendLinkIDTo(e, m.LinkID)
+		appendAddrTo(e, m.Origin)
+		appendAddrTo(e, m.AckPeer)
+		e.Str(m.AckPeerName)
+	case bodyGVT:
+		e.U64(uint64(m.GEpoch))
+		e.F64(m.GMin)
+		e.U64(uint64(m.GSent))
+		e.U64(uint64(m.GRecv))
+		e.F64(m.GVT)
+		e.U8(m.GPass)
+	case bodyHopAck:
+		e.U64(m.MsgrID)
+	case bodyUnknown:
+		e.Fail(fmt.Errorf("core: encode %v: no such message kind", m.Kind))
+	}
 }
 
-// Encode serializes the message into a standalone slice, allocated at its
-// exact encoded size. The TCP transport uses EncodeFrame (pooled, framed)
-// instead.
+// Encode serializes the message into a standalone slice. The TCP transport
+// uses EncodeFrame (pooled, framed) instead.
 func (m *Msg) Encode() []byte { //lint:deadcode test support: the wire goldens and decoder tests of several packages
-	e := wire.AppendingTo(make([]byte, 0, m.EncodedSize()))
+	e := wire.AppendingTo(nil)
 	m.AppendTo(e)
 	if err := e.Err(); err != nil {
 		// Production paths frame through EncodeFrame and handle the sticky
@@ -257,60 +271,63 @@ func (m *Msg) EncodeFrame(e *wire.Encoder) error {
 }
 
 // WireSize is the size charged on the simulated network. Control messages
-// are charged a small fixed size rather than their padded struct encoding.
+// are charged a small fixed size, which their encodings fit in.
 func (m *Msg) WireSize() int {
-	switch m.Kind {
-	case MsgMessenger, MsgCreate, MsgInject:
+	if m.CarriesMessenger() {
 		return 48 + m.SnapshotLen() + len(m.Last) + len(m.CreateName) + len(m.LinkName) + len(m.ProgBytes) + len(m.Tenant)
-	default:
-		return 64
 	}
+	return 64
 }
 
-// DecodeMsg deserializes a message produced by Encode, which must be the
-// whole of buf: bytes after the reserved tail are an error. The returned Msg
-// aliases buf — Snapshot and ProgBytes are wire.Decoder.Blob subslices of
-// it — so buf's owner must keep it untouched until the message has been
-// consumed. On the TCP engine that is a lifetime rule: the transport owns
-// the (pooled) frame until HandleMsg returns and recycles it then, so
-// nothing reachable after HandleMsg may keep a subslice of Snapshot or
-// ProgBytes. The one inbound consumer, vm.Restore, runs inside HandleMsg
-// and copies what it keeps.
+// DecodeMsg deserializes a message produced by AppendTo, which must be the
+// whole of buf: an unknown kind, or bytes after the kind's body, is an
+// error. The returned Msg aliases buf (Snapshot and ProgBytes are Blob
+// subslices of it), so buf must stay untouched until the message has been
+// consumed: on the TCP engine, until HandleMsg returns (docs/WIRE.md, "The
+// frame's lifetime rule").
 func DecodeMsg(buf []byte) (*Msg, error) {
 	d := wire.NewDecoder(buf)
 	m := &Msg{}
 	m.Kind = MsgKind(d.U8())
 	m.From = int(d.U32())
-	d.Raw(m.ProgHash[:])
-	m.Snapshot = d.Blob()
-	m.MsgrID = d.U64()
-	m.LVT = d.F64()
-	m.DestNode = logical.NodeID(d.U64())
-	m.Last = d.Str()
-	m.RemoveLink = readLinkID(&d)
-	m.CreateName = d.Str()
-	m.LinkID = readLinkID(&d)
-	m.LinkName = d.Str()
-	m.LinkDir = d.U8()
-	m.Origin = readAddr(&d)
-	m.OriginName = d.Str()
-	m.AckPeer = readAddr(&d)
-	m.AckPeerName = d.Str()
-	m.ProgBytes = d.Blob()
-	m.GEpoch = int64(d.U64())
-	m.GMin = d.F64()
-	m.GSent = int64(d.U64())
-	m.GRecv = int64(d.U64())
-	m.GActive = int64(d.U64())
-	m.GVT = d.F64()
-	m.GPass = d.U8()
 	m.HopSeq = d.U64()
-	m.Tenant = d.Str()
-	m.Session = d.U64()
-	m.Budget = int64(d.U64())
 	m.AckFloor = d.U64()
-	if n := d.U32(); n != 0 {
-		d.Fail(fmt.Errorf("reserved tail is %d, want 0", n))
+	switch body := kinds[m.Kind].body; body {
+	case bodyTransfer, bodyCreate:
+		d.Raw(m.ProgHash[:])
+		m.Snapshot = d.Blob()
+		m.MsgrID = d.U64()
+		m.LVT = d.F64()
+		m.DestNode = logical.NodeID(d.U64())
+		m.Last = d.Str()
+		m.RemoveLink = readLinkID(&d)
+		m.ProgBytes = d.Blob()
+		m.Tenant = d.Str()
+		m.Session = d.U64()
+		if body == bodyCreate {
+			m.CreateName = d.Str()
+			m.LinkID = readLinkID(&d)
+			m.LinkName = d.Str()
+			m.LinkDir = d.U8()
+			m.Origin = readAddr(&d)
+			m.OriginName = d.Str()
+		}
+	case bodyCreateAck:
+		m.LinkID = readLinkID(&d)
+		m.Origin = readAddr(&d)
+		m.AckPeer = readAddr(&d)
+		m.AckPeerName = d.Str()
+	case bodyGVT:
+		m.GEpoch = int64(d.U64())
+		m.GMin = d.F64()
+		m.GSent = int64(d.U64())
+		m.GRecv = int64(d.U64())
+		m.GVT = d.F64()
+		m.GPass = d.U8()
+	case bodyHopAck:
+		m.MsgrID = d.U64()
+	case bodyUnknown:
+		d.Fail(fmt.Errorf("unknown message kind %d", uint8(m.Kind)))
 	}
 	if err := d.Finish(); err != nil {
 		return nil, fmt.Errorf("core: decode %v message: %w", m.Kind, err)

@@ -72,13 +72,6 @@ func WithRecovery(cfg RecoveryConfig) Option {
 	return func(s *System) { s.recCfg = &c }
 }
 
-// reliableKind reports whether a message kind carries state the sender must
-// not lose: Messenger transfers, create requests, and the acks that
-// complete cross-daemon links.
-func reliableKind(k MsgKind) bool {
-	return k == MsgMessenger || k == MsgCreate || k == MsgCreateAck
-}
-
 // retxEntry is one reliable send, retained until it is acknowledged AND
 // global virtual time has passed its LVT — until then the snapshot may
 // still be needed to respawn the Messenger without violating GVT.
@@ -168,10 +161,10 @@ func (d *Daemon) safeTimer(delay sim.Time, fn func()) {
 }
 
 // ship routes a daemon-to-daemon message: reliably under recovery, directly
-// otherwise. counted marks messages that participate in GVT transient
-// counting. A destination already known dead is recovered locally, skipping
-// the wire and the books entirely.
-func (d *Daemon) ship(dst int, msg *Msg, counted bool) {
+// otherwise. A Messenger transfer counts among GVT's transients. A
+// destination already known dead is recovered locally, skipping the wire
+// and the books entirely.
+func (d *Daemon) ship(dst int, msg *Msg) {
 	if d.rec != nil && d.rec.peerDead[dst] {
 		d.redirectDead(dst, msg)
 		return
@@ -191,7 +184,7 @@ func (d *Daemon) ship(dst int, msg *Msg, counted bool) {
 		msg.Snapshot = snap
 		msg.XferVM = nil
 	}
-	if counted {
+	if msg.CarriesMessenger() {
 		d.sent++
 		if d.rec != nil {
 			d.rec.sentTo[dst]++

@@ -251,7 +251,7 @@ func (s *System) registerSystemNatives() {
 		// parent's tenant/session, so script-spawned children stay inside
 		// the session's quota instead of escaping the books.
 		if err := s.injectAt(ctx.DaemonID(), script, node, vars, ctx.LVT(),
-			ctx.m.Tenant, ctx.m.Session, 0); err != nil {
+			ctx.m.Tenant, ctx.m.Session); err != nil {
 			return value.Nil(), err
 		}
 		return value.Nil(), nil
@@ -331,20 +331,20 @@ func (s *System) Inject(d int, script string, vars map[string]value.Value) error
 // InjectAt injects at a named logical node of daemon d (first node with
 // that name; init when absent).
 func (s *System) InjectAt(d int, script, node string, vars map[string]value.Value) error {
-	return s.injectAt(d, script, node, vars, 0, "", 0, 0)
+	return s.injectAt(d, script, node, vars, 0, "", 0)
 }
 
 func (s *System) injectAt(d int, script, node string, vars map[string]value.Value,
-	lvt float64, tenant string, session uint64, budget int64) error {
+	lvt float64, tenant string, session uint64) error {
 	prog, ok := s.Program(script)
 	if !ok {
 		return fmt.Errorf("core: script %q not registered", script)
 	}
-	return s.injectProg(d, prog, node, vars, lvt, tenant, session, budget)
+	return s.injectProg(d, prog, node, vars, lvt, tenant, session)
 }
 
 func (s *System) injectProg(d int, prog *bytecode.Program, node string, vars map[string]value.Value,
-	lvt float64, tenant string, session uint64, budget int64) error {
+	lvt float64, tenant string, session uint64) error {
 	if d < 0 || d >= len(s.daemons) {
 		return fmt.Errorf("core: no daemon %d", d)
 	}
@@ -360,7 +360,6 @@ func (s *System) injectProg(d int, prog *bytecode.Program, node string, vars map
 		CreateName: node,
 		Tenant:     tenant,
 		Session:    session,
-		Budget:     budget,
 	}
 	s.sessionWork(tenant, session, 1)
 	dae := s.daemons[d]

@@ -529,7 +529,7 @@ func (s *Server) launchLocked(a *account, p *pending, now sim.Time) error {
 		d = s.rrDaemon % s.sys.NumDaemons()
 		s.rrDaemon++
 	}
-	if err := s.sys.InjectSession(d, p.prog, p.node, p.vars, a.id, p.id, a.q.StepBudget); err != nil {
+	if err := s.sys.InjectSession(d, p.prog, p.node, p.vars, a.id, p.id); err != nil {
 		// Injection failed before any Messenger existed: unwind.
 		s.smu.Lock()
 		delete(s.sessions, p.id)

@@ -9,6 +9,7 @@ import (
 	"messengers/internal/compile"
 	"messengers/internal/core"
 	"messengers/internal/faults"
+	"messengers/internal/logical"
 	"messengers/internal/obs"
 	"messengers/internal/sim"
 	"messengers/internal/value"
@@ -126,10 +127,13 @@ func TestBurstLeavesInOneWrite(t *testing.T) {
 // socket whole, in one Write of its own, after what was sent before it.
 func TestBurstLargerThanTheBuffer(t *testing.T) {
 	sys, eng, met := meteredTCP(t)
-	big := &core.Msg{Kind: core.MsgHopAck, From: 1, ProgBytes: bytes.Repeat([]byte{0xee}, 64<<10)}
+	// A carrier only: daemon 0 ignores a create ack for a node it does not
+	// have.
+	big := &core.Msg{Kind: core.MsgCreateAck, From: 1, Origin: logical.Addr{Node: 1 << 40},
+		AckPeerName: string(bytes.Repeat([]byte{0xee}, 64<<10))}
 	eng.Exec(1, 0, func() {
 		eng.Send(1, 0, advance(1))
-		eng.Send(1, 0, big) // a carrier only: without recovery, daemon 0 ignores a hop ack
+		eng.Send(1, 0, big)
 		eng.Send(1, 0, advance(2))
 	})
 	waitCommits(t, sys, 2)

@@ -162,6 +162,10 @@ type TCPEngine struct {
 	mu        sync.Mutex
 	listeners []net.Listener
 	dials     map[connKey]*dialState
+	// accepted maps each connection a listener accepted to its daemon.
+	// Its reader blocks in a read for as long as the peer keeps it open,
+	// so Close and KillDaemon close it rather than wait for the peer.
+	accepted map[net.Conn]int
 
 	errs core.ErrorLog // transport-level errors; evictions are transport.errors.dropped
 	hb   *heartbeats
@@ -228,6 +232,7 @@ func NewTCPEngine(addrs []string) (*TCPEngine, error) {
 	e := &TCPEngine{
 		addrs:     make([]string, len(addrs)),
 		dials:     map[connKey]*dialState{},
+		accepted:  map[net.Conn]int{},
 		killed:    make([]atomic.Bool, len(addrs)),
 		slots:     make([][]atomic.Pointer[peerConn], len(addrs)),
 		outs:      make([]outbound, len(addrs)),
@@ -593,10 +598,14 @@ func (e *TCPEngine) acceptLoop(d int, l net.Listener) {
 			e.errs.Add(fmt.Errorf("transport: daemon %d accept: %w", d, err))
 			return
 		}
+		if !e.track(d, c) {
+			c.Close()
+			continue // the listener is closing too
+		}
 		e.netWG.Add(1)
 		go func() {
 			defer e.netWG.Done()
-			defer c.Close()
+			defer e.untrack(c)
 			r := bufio.NewReader(c)
 			if _, err := ReadFrame(r); err != nil {
 				return // bad hello
@@ -632,12 +641,51 @@ func (e *TCPEngine) acceptLoop(d int, l net.Listener) {
 	}
 }
 
+// track registers c, accepted by daemon d's listener, for Close and
+// KillDaemon to close. It refuses once either has collected d's
+// connections, so that none is missed.
+func (e *TCPEngine) track(d int, c net.Conn) bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	select {
+	case <-e.closed:
+		return false
+	default:
+	}
+	if e.killed[d].Load() {
+		return false
+	}
+	e.accepted[c] = d
+	return true
+}
+
+// untrack closes an accepted connection whose reader is done.
+func (e *TCPEngine) untrack(c net.Conn) {
+	e.mu.Lock()
+	delete(e.accepted, c)
+	e.mu.Unlock()
+	c.Close()
+}
+
+// acceptedBy lists the accepted connections of daemon d, or of every
+// daemon for d < 0. The caller holds e.mu.
+func (e *TCPEngine) acceptedBy(d int) []net.Conn {
+	var cs []net.Conn
+	for c, owner := range e.accepted {
+		if d < 0 || owner == d {
+			cs = append(cs, c)
+		}
+	}
+	return cs
+}
+
 // --- daemon kill / revive (chaos support) ---
 
 // KillDaemon severs daemon d from the network: its listener closes and
-// every connection touching it is torn down. Frames to or from it vanish.
-// The daemon's executor keeps running (the core's down flag gates it); call
-// core's Crash alongside. No-op if already killed.
+// every connection touching it, dialled or accepted, is torn down. Frames
+// to or from it vanish. The daemon's executor keeps running (the core's
+// down flag gates it); call core's Crash alongside. No-op if already
+// killed.
 func (e *TCPEngine) KillDaemon(d int) {
 	e.mu.Lock()
 	if e.killed[d].Load() {
@@ -656,12 +704,16 @@ func (e *TCPEngine) KillDaemon(d int) {
 			}
 		}
 	}
+	accepted := e.acceptedBy(d)
 	e.mu.Unlock()
 	if l != nil {
 		l.Close()
 	}
 	for _, pc := range drop {
 		pc.close()
+	}
+	for _, c := range accepted {
+		c.Close()
 	}
 	if e.hb != nil {
 		e.hb.reset(d)
@@ -839,7 +891,8 @@ func (e *TCPEngine) hbTick() {
 // Close shuts down the engine: executors first — queued daemon work drains
 // while the network is still up, so in-flight handler sends still go out,
 // and each executor's last act is the flush of what it sent — then
-// listeners, connections, and the network goroutines.
+// listeners, connections (dialled and accepted), and the network
+// goroutines.
 func (e *TCPEngine) Close() {
 	e.closeMu.Do(func() {
 		close(e.closed)
@@ -864,6 +917,7 @@ func (e *TCPEngine) Close() {
 				}
 			}
 		}
+		accepted := e.acceptedBy(-1)
 		e.mu.Unlock()
 		for _, l := range listeners {
 			if l != nil {
@@ -872,6 +926,9 @@ func (e *TCPEngine) Close() {
 		}
 		for _, pc := range conns {
 			pc.close()
+		}
+		for _, c := range accepted {
+			c.Close()
 		}
 		e.netWG.Wait()
 	})

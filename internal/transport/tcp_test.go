@@ -602,3 +602,69 @@ func TestFaultHookDrop(t *testing.T) {
 		t.Error("cleared hook still consulted")
 	}
 }
+
+// TestCloseClosesAcceptedConnections: a peer that connects and then goes
+// quiet, halfway through its hello or after it, holds no reader of the
+// engine's open: KillDaemon and Close close the connections the engine
+// accepted instead of waiting for the peer to.
+func TestCloseClosesAcceptedConnections(t *testing.T) {
+	var hello bytes.Buffer
+	if err := WriteFrame(&hello, []byte{7}); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		sent []byte
+	}{
+		{"half a hello", hello.Bytes()[:2]},
+		{"idle after a hello", hello.Bytes()},
+	} {
+		for _, kill := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/kill=%v", c.name, kill), func(t *testing.T) {
+				eng, err := NewTCPEngine([]string{"127.0.0.1:0"})
+				if err != nil {
+					t.Fatal(err)
+				}
+				conn, err := net.Dial("tcp", eng.Addrs()[0])
+				if err != nil {
+					eng.Close()
+					t.Fatal(err)
+				}
+				defer conn.Close()
+				if _, err := conn.Write(c.sent); err != nil {
+					eng.Close()
+					t.Fatal(err)
+				}
+				for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+					eng.mu.Lock()
+					n := len(eng.accepted)
+					eng.mu.Unlock()
+					if n == 1 {
+						break
+					}
+					if time.Now().After(deadline) {
+						eng.Close()
+						t.Fatal("the engine never accepted the connection")
+					}
+				}
+				if kill {
+					eng.KillDaemon(0)
+					conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+					if _, err := conn.Read(make([]byte, 1)); err == nil || os.IsTimeout(err) {
+						t.Errorf("after KillDaemon the peer reads %v, want its connection closed", err)
+					}
+				}
+				closed := make(chan struct{})
+				go func() {
+					eng.Close()
+					close(closed)
+				}()
+				select {
+				case <-closed:
+				case <-time.After(5 * time.Second):
+					t.Fatal("Close still waiting after 5s on a connection the peer keeps open")
+				}
+			})
+		}
+	}
+}

@@ -55,7 +55,7 @@ func (m *VM) Snapshot() ([]byte, error) {
 }
 
 // SnapshotSize returns the exact encoded size of AppendSnapshot's output
-// without building it — the Sizer half of the single-walk contract. The sim
+// without building it — the size half of the single-walk contract. The sim
 // engine charges this as modeled wire cost without materializing bytes, so
 // it must agree byte-for-byte with AppendSnapshot.
 func (m *VM) SnapshotSize() int {
