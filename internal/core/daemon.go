@@ -134,6 +134,11 @@ type Daemon struct {
 
 	initiator *gvtInitiator // non-nil on daemon 0, which runs the GVT rounds
 
+	// out is the slot a control message built as a value leaves through
+	// (sendOut): the engine copies or encodes it before Send returns, so
+	// the slot is free again as soon as sendOut is.
+	out Msg
+
 	// berths are spent VMs kept for their storage: fed where this daemon
 	// has just serialised a departing Messenger, drained by restore. At most
 	// maxBerths, executor-confined like all daemon state.
@@ -177,6 +182,9 @@ func newDaemon(id int, eng Engine, topo *Topology, sys *System) *Daemon {
 	}
 	if id == 0 {
 		d.initiator = &gvtInitiator{d: d, ring: sys.distGVT}
+		if !sys.distGVT {
+			d.initiator.reports = make([]gvtReport, eng.NumDaemons())
+		}
 	}
 	d.flush, _ = eng.(flusher)
 	return d
@@ -235,6 +243,13 @@ func (d *Daemon) netSend(dst int, msg *Msg) {
 		d.om.netBytes.Add(int64(msg.WireSize()))
 	}
 	d.eng.Send(d.id, dst, msg)
+}
+
+// sendOut ships a message built as a value through the daemon's outgoing
+// slot, so sending it allocates nothing.
+func (d *Daemon) sendOut(dst int, msg Msg) {
+	d.out = msg
+	d.netSend(dst, &d.out)
 }
 
 // maxBerths bounds the free list of spent VMs: the depth of a burst of
@@ -648,19 +663,23 @@ func (d *Daemon) suspend(m *Messenger, wake float64) {
 	d.waitQ.Push(wakeEntry{at: wake, seq: m.ID, m: m})
 	if !d.notified {
 		d.notified = true
-		d.sendGVT(0, &Msg{Kind: MsgGVTNotify, From: d.id})
+		d.sendGVT(0, Msg{Kind: MsgGVTNotify, From: d.id})
 	}
 	d.armRenotify()
 }
 
-// sendGVT routes a GVT control message, short-circuiting self-sends.
-func (d *Daemon) sendGVT(dst int, msg *Msg) {
+// sendGVT routes a GVT control message, short-circuiting self-sends. A
+// self-send lends HandleMsg a local copy, not the outgoing slot, which
+// HandleMsg may send through before it returns; the copy is made in its
+// branch so that, should it ever escape, only self-sends allocate.
+func (d *Daemon) sendGVT(dst int, msg Msg) {
 	if dst == d.id {
-		d.HandleMsg(msg)
+		self := msg
+		d.HandleMsg(&self)
 		return
 	}
 	atomic.AddInt64(&d.Stats.GVTCtlMsgs, 1)
-	d.netSend(dst, msg)
+	d.sendOut(dst, msg)
 }
 
 // localMin is this daemon's lower bound on any future virtual-time event it
@@ -868,7 +887,7 @@ func (d *Daemon) handleCreate(msg *Msg) {
 	}
 	h := d.store.AttachHalf(nn, msg.LinkID, msg.LinkName, msg.LinkDir != 0, msg.LinkDir == 2,
 		msg.Origin, msg.OriginName)
-	ack := &Msg{
+	ack := Msg{
 		Kind:        MsgCreateAck,
 		From:        d.id,
 		LinkID:      msg.LinkID,
@@ -879,8 +898,10 @@ func (d *Daemon) handleCreate(msg *Msg) {
 	if d.rec != nil && msg.From != d.id {
 		// The ack completes the origin's half-link; losing it would strand
 		// any Messenger that later traverses the link, so it travels
-		// reliably too (uncounted: it carries no computation).
-		d.ship(msg.From, ack)
+		// reliably too (uncounted: it carries no computation), and recovery
+		// keeps it for retransmission.
+		retained := ack
+		d.ship(msg.From, &retained)
 	} else {
 		d.sendGVT(msg.From, ack)
 	}

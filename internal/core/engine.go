@@ -20,7 +20,10 @@ type Engine interface {
 	// the work itself takes real time there).
 	Exec(d int, cost sim.Time, fn func())
 	// Send ships msg from src to dst; the destination daemon's HandleMsg
-	// runs on dst's executor after transfer costs.
+	// runs on dst's executor after transfer costs. Send copies or encodes
+	// msg before it returns, so the caller may reuse it at once, and
+	// HandleMsg borrows its msg only for the call (docs/WIRE.md, "The
+	// message's lifetime rule").
 	Send(src, dst int, msg *Msg)
 	// SetTimer runs fn on d's executor after delay of engine time.
 	SetTimer(d int, delay sim.Time, fn func())
@@ -57,11 +60,14 @@ type flusher interface {
 type SimEngine struct {
 	Cluster *lan.Cluster
 	daemons []*Daemon
+	post    *lan.Courier[Msg] // a message in flight is a pooled copy
 }
 
 // NewSimEngine wraps a cluster.
 func NewSimEngine(c *lan.Cluster) *SimEngine {
-	return &SimEngine{Cluster: c}
+	e := &SimEngine{Cluster: c}
+	e.post = lan.NewCourier[Msg](c, e)
+	return e
 }
 
 // Bind attaches the daemon set (called by the System).
@@ -88,10 +94,12 @@ func (e *SimEngine) Send(src, dst int, msg *Msg) {
 		sendCost = cm.CallFixed / 2
 		recvCost = cm.CallFixed / 2
 	}
-	e.Cluster.Send(src, dst, size, sendCost, recvCost, func() {
-		e.daemons[dst].HandleMsg(msg)
-	})
+	e.post.Send(src, dst, size, sendCost, recvCost, msg)
 }
+
+// Receive implements lan.Receiver: the delivery of a message in flight,
+// borrowed by HandleMsg for the call.
+func (e *SimEngine) Receive(dst int, msg *Msg) { e.daemons[dst].HandleMsg(msg) }
 
 // SetTimer implements Engine.
 func (e *SimEngine) SetTimer(d int, delay sim.Time, fn func()) {
@@ -149,10 +157,12 @@ func (e *ChanEngine) Exec(d int, _ sim.Time, fn func()) {
 	e.inboxes[d].Put(LaneLocal, fn)
 }
 
-// Send implements Engine. In-process delivery keeps FIFO order per pair
-// within a lane (see ExecQueue for why cross-lane reordering is safe).
+// Send implements Engine: the closure it queues holds a copy of msg. In-process
+// delivery keeps FIFO order per pair within a lane (see ExecQueue for why
+// cross-lane reordering is safe).
 func (e *ChanEngine) Send(_, dst int, msg *Msg) {
-	e.inboxes[dst].Put(LaneFor(msg.Kind), func() { e.daemons[dst].HandleMsg(msg) })
+	m := *msg
+	e.inboxes[dst].Put(LaneFor(m.Kind), func() { e.daemons[dst].HandleMsg(&m) })
 }
 
 // SetTimer implements Engine using wall-clock time (1 engine ns = 1 ns).

@@ -46,8 +46,19 @@ type gvtInitiator struct {
 	// costs a geometrically thinning trickle of relaunches instead of a
 	// steady storm.
 	wdBackoff sim.Time
-	roundFrom sim.Time     // engine clock at round launch (latency accounting)
-	reports   map[int]*Msg // star: the open round's answers so far
+	roundFrom sim.Time // engine clock at round launch (latency accounting)
+	// reports are the star's answers by daemon, each stamped with the round
+	// it answers, so a new round needs no clearing; got counts the open
+	// round's.
+	reports []gvtReport
+	got     int
+}
+
+// gvtReport is what a star round keeps of one daemon's MsgGVTReport.
+type gvtReport struct {
+	epoch      int64
+	min        float64
+	sent, recv int64
 }
 
 // handleGVT routes a round's inbound traffic: to the initiator on daemon 0,
@@ -77,8 +88,15 @@ func (g *gvtInitiator) handle(msg *Msg) {
 		return
 	}
 	if !g.ring {
-		g.reports[msg.From] = msg
-		if len(g.reports) < g.expect() {
+		if msg.From < 0 || msg.From >= len(g.reports) {
+			return
+		}
+		r := &g.reports[msg.From]
+		if r.epoch != g.epoch {
+			g.got++
+		}
+		*r = gvtReport{epoch: g.epoch, min: msg.GMin, sent: msg.GSent, recv: msg.GRecv}
+		if g.got < g.expect() {
 			return
 		}
 	}
@@ -87,15 +105,16 @@ func (g *gvtInitiator) handle(msg *Msg) {
 	case !g.ring:
 		var sent, recv int64
 		min := math.Inf(1)
-		//lint:maporder two sums and a minimum are order-independent
 		for _, r := range g.reports {
-			sent += r.GSent
-			recv += r.GRecv
-			if r.GMin < min {
-				min = r.GMin
+			if r.epoch != g.epoch {
+				continue
+			}
+			sent += r.sent
+			recv += r.recv
+			if r.min < min {
+				min = r.min
 			}
 		}
-		g.reports = nil
 		// The star's round is over with its reduction, whatever it found: an
 		// advance is sent and forgotten.
 		atomic.AddInt64((*int64)(&g.d.Stats.GVTRoundTime), int64(g.d.eng.Now()-g.roundFrom))
@@ -122,13 +141,13 @@ func (g *gvtInitiator) expect() int {
 	return n
 }
 
-// eachAlive sends one message built by mk to every daemon the initiator
-// does not believe dead, itself first: the star's two fan-outs.
-func (g *gvtInitiator) eachAlive(mk func() *Msg) {
+// eachAlive sends msg to every daemon the initiator does not believe dead,
+// itself first: the star's two fan-outs.
+func (g *gvtInitiator) eachAlive(msg Msg) {
 	d := g.d
 	for i := 0; i < d.eng.NumDaemons(); i++ {
 		if d.rec == nil || i == d.id || !d.rec.peerDead[i] {
-			d.sendGVT(i, mk())
+			d.sendGVT(i, msg)
 		}
 	}
 }
@@ -144,11 +163,11 @@ func (g *gvtInitiator) startRound() {
 		d.tr.Instant(d.id, "gvt", "gvt.round", obs.I("epoch", g.epoch))
 	}
 	if g.ring {
-		d.forwardToken(&Msg{Kind: MsgGVTToken, GPass: 1, GEpoch: g.epoch,
+		d.forwardToken(Msg{Kind: MsgGVTToken, GPass: 1, GEpoch: g.epoch,
 			GMin: d.localMin(), GSent: d.sent, GRecv: d.recv})
 	} else {
-		g.reports = make(map[int]*Msg, d.eng.NumDaemons())
-		g.eachAlive(func() *Msg { return &Msg{Kind: MsgGVTQuery, From: d.id, GEpoch: g.epoch} })
+		g.got = 0
+		g.eachAlive(Msg{Kind: MsgGVTQuery, From: d.id, GEpoch: g.epoch})
 	}
 	g.armWatchdog()
 }
@@ -204,7 +223,7 @@ func (g *gvtInitiator) conclude(min float64, sent, recv int64) {
 			d.om.gvtCommits.Inc()
 		}
 		if !g.ring {
-			g.eachAlive(func() *Msg { return &Msg{Kind: MsgGVTAdvance, From: d.id, GVT: min} })
+			g.eachAlive(Msg{Kind: MsgGVTAdvance, From: d.id, GVT: min})
 			g.roundDone()
 			return
 		}
@@ -212,7 +231,7 @@ func (g *gvtInitiator) conclude(min float64, sent, recv int64) {
 		// open again, and watched, until it is home.
 		d.advanceGVT(min)
 		g.open = true
-		d.forwardToken(&Msg{Kind: MsgGVTToken, GPass: 2, GEpoch: g.epoch, GVT: min})
+		d.forwardToken(Msg{Kind: MsgGVTToken, GPass: 2, GEpoch: g.epoch, GVT: min})
 		g.armWatchdog()
 	default:
 		g.roundDone()
@@ -239,7 +258,7 @@ func (g *gvtInitiator) restart() {
 // crashReset clears the initiator when its daemon crashes: the restarted
 // daemon 0 resumes rounds on the next notify.
 func (g *gvtInitiator) crashReset() {
-	g.polling, g.open, g.wdBackoff, g.reports = false, false, 0, nil
+	g.polling, g.open, g.wdBackoff, g.got = false, false, 0, 0
 }
 
 // --- participants ---
@@ -247,7 +266,7 @@ func (g *gvtInitiator) crashReset() {
 // answerQuery is a star participant's part in a round: report the local
 // minimum and the books.
 func (d *Daemon) answerQuery(q *Msg) {
-	d.sendGVT(q.From, &Msg{
+	d.sendGVT(q.From, Msg{
 		Kind:   MsgGVTReport,
 		From:   d.id,
 		GEpoch: q.GEpoch,
@@ -258,7 +277,7 @@ func (d *Daemon) answerQuery(q *Msg) {
 }
 
 // relayToken is a ring participant's part: fold into the reduction, or
-// install the commit, and pass the token on.
+// install the commit, and pass a copy of the borrowed token on.
 func (d *Daemon) relayToken(tok *Msg) {
 	if d.rec != nil && d.rec.peerDead[0] {
 		// The initiator is (believed) dead: the token has nowhere to
@@ -276,13 +295,13 @@ func (d *Daemon) relayToken(tok *Msg) {
 	case 2:
 		d.advanceGVT(tok.GVT)
 	}
-	d.forwardToken(tok)
+	d.forwardToken(*tok)
 }
 
 // forwardToken ships the token to the next daemon on the index ring,
 // skipping peers this daemon currently believes dead (recovery mode). With
 // every peer dead the ring degenerates to a self-round.
-func (d *Daemon) forwardToken(tok *Msg) {
+func (d *Daemon) forwardToken(tok Msg) {
 	if d.om != nil {
 		d.om.gvtTokenHops.Inc()
 	}

@@ -331,7 +331,7 @@ func (d *Daemon) dedupCheck(msg *Msg) (dup bool) {
 	if !dup && msg.CarriesMessenger() {
 		d.sys.sessionWork(msg.Tenant, msg.Session, 1)
 	}
-	d.netSend(msg.From, &Msg{Kind: MsgHopAck, From: d.id, MsgrID: msg.MsgrID, HopSeq: msg.HopSeq})
+	d.sendOut(msg.From, Msg{Kind: MsgHopAck, From: d.id, MsgrID: msg.MsgrID, HopSeq: msg.HopSeq})
 	return dup
 }
 
@@ -577,7 +577,7 @@ func (d *Daemon) renotifyFire() {
 	if d.waitQ.Len() == 0 {
 		return
 	}
-	d.sendGVT(0, &Msg{Kind: MsgGVTNotify, From: d.id})
+	d.sendGVT(0, Msg{Kind: MsgGVTNotify, From: d.id})
 	d.renotifyOn = true
 	d.safeTimer(2*d.sys.gvtInterval, d.renotifyFire)
 }

@@ -57,6 +57,9 @@ func (t *Topology) AddEdge(a, b int, name string, directed bool) {
 // unnamed undirected link (a LAN where every daemon can reach every other).
 func FullMesh(n int) *Topology {
 	t := NewTopology(n)
+	for i := range t.adj {
+		t.adj[i] = make([]DaemonEdge, 0, n-1) // every other daemon, once
+	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			t.AddEdge(i, j, "", false)

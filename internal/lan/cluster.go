@@ -93,7 +93,7 @@ func (h *Host) ExecScaled(base sim.Time, fn func()) sim.Time {
 // ExecProc blocks the calling simulated process while the host CPU performs
 // cost worth of work (competing with other activity on the same host).
 func (h *Host) ExecProc(p *sim.Proc, cost sim.Time) {
-	h.Exec(cost, func() { p.Unpark() })
+	h.Exec(cost, p.Unparker())
 	p.Park()
 }
 
@@ -109,8 +109,8 @@ type Cluster struct {
 	Bus    *Bus
 	Hosts  []*Host
 
-	// fault, when non-nil, is consulted for every remote transfer (Send
-	// with src != dst) at transmit time, in deterministic event order. Nil
+	// fault, when non-nil, is consulted for every remote transfer (a
+	// Courier's, with src != dst) at transmit time, in deterministic event order. Nil
 	// keeps the lossless-LAN behavior byte-identical.
 	fault faults.Hook
 }
@@ -161,37 +161,141 @@ func (c *Cluster) Observe(tr *obs.Tracer, m *obs.Metrics) {
 // transfer. Pass nil to restore lossless delivery.
 func (c *Cluster) SetFaultHook(h faults.Hook) { c.fault = h }
 
-// Send models a full message transfer from host src to host dst:
+// Receiver takes delivery of the payloads a Courier carries.
+type Receiver[P any] interface {
+	// Receive runs when a transfer's receive CPU completes on host dst. p
+	// is borrowed for the call only: once Receive returns, the record that
+	// holds it is zeroed and reused.
+	Receive(dst int, p *P)
+}
+
+// Courier models full message transfers between the cluster's hosts:
 // sender-side CPU (sendCost), bus occupancy for size bytes, then
-// receiver-side CPU (recvCost), then deliver. Local messages skip the bus
-// but still pay CPU costs. All CPU costs are 110 MHz-calibrated.
-func (c *Cluster) Send(src, dst int, size int, sendCost, recvCost sim.Time, deliver func()) {
-	s, d := c.Hosts[src], c.Hosts[dst]
-	recvThenDeliver := func() { d.ExecScaled(recvCost, deliver) }
-	if src == dst {
-		s.ExecScaled(sendCost, recvThenDeliver)
+// receiver-side CPU (recvCost), then delivery to its Receiver. Local
+// messages skip the bus but still pay both CPU costs. All CPU costs are
+// 110 MHz-calibrated.
+//
+// A message in flight is one pooled record that holds a copy of the
+// payload. Every stage schedules the record's one bound step, so once the
+// pool is warm a transfer allocates nothing.
+type Courier[P any] struct {
+	c    *Cluster
+	r    Receiver[P]
+	free []*transfer[P]
+}
+
+// NewCourier returns a courier on cluster c delivering to r.
+func NewCourier[P any](c *Cluster, r Receiver[P]) *Courier[P] {
+	return &Courier[P]{c: c, r: r}
+}
+
+// stage is where a transfer is: what its next step does.
+type stage uint8
+
+const (
+	sending   stage = iota // send CPU done: onto the bus, or to receive CPU if local
+	onWire                 // last bit arrived: a fault's delay, then receive CPU
+	receiving              // receive CPU done: deliver
+)
+
+// trip is what a transfer carries, copied whole when the network
+// duplicates it.
+type trip[P any] struct {
+	src, dst, size int
+	recvCost       sim.Time
+	delay          sim.Time // a fault's extra delay after the bus, still to run
+	stage          stage
+	p              P
+}
+
+// transfer is one message in flight.
+type transfer[P any] struct {
+	q    *Courier[P]
+	step func() // t.advance, bound once
+	trip[P]
+}
+
+// Send copies *p into a transfer record and starts it from host src to
+// host dst. The caller may reuse *p as soon as Send returns.
+func (q *Courier[P]) Send(src, dst, size int, sendCost, recvCost sim.Time, p *P) {
+	t := q.get()
+	t.src, t.dst, t.size, t.recvCost = src, dst, size, recvCost
+	t.p = *p
+	q.c.Hosts[src].ExecScaled(sendCost, t.step)
+}
+
+func (q *Courier[P]) get() *transfer[P] {
+	if n := len(q.free); n > 0 {
+		t := q.free[n-1]
+		q.free = q.free[:n-1]
+		return t
+	}
+	t := &transfer[P]{q: q}
+	t.step = t.advance
+	return t
+}
+
+// put zeroes t, so the pool pins no payload, and returns it to the pool.
+func (q *Courier[P]) put(t *transfer[P]) {
+	t.trip = trip[P]{}
+	q.free = append(q.free, t)
+}
+
+// advance runs t's next stage.
+func (t *transfer[P]) advance() {
+	q := t.q
+	switch t.stage {
+	case sending:
+		if t.src == t.dst {
+			t.receive()
+			return
+		}
+		q.transmit(t)
+	case onWire:
+		if d := t.delay; d > 0 {
+			t.delay = 0
+			q.c.Kernel.After(d, t.step)
+			return
+		}
+		t.receive()
+	case receiving:
+		q.r.Receive(t.dst, &t.p)
+		q.put(t)
+	}
+}
+
+// receive charges the receiving host's CPU, then delivers.
+func (t *transfer[P]) receive() {
+	t.stage = receiving
+	t.q.c.Hosts[t.dst].ExecScaled(t.recvCost, t.step)
+}
+
+// transmit puts a remote transfer on the bus. The fault hook, if any, is
+// consulted here, in deterministic event order: a dropped or corrupted
+// frame occupies the wire and is never delivered, a delayed one waits
+// after the bus, and a duplicate is a second record holding a copy of the
+// payload as it was sent.
+func (q *Courier[P]) transmit(t *transfer[P]) {
+	c := q.c
+	t.stage = onWire
+	if c.fault == nil {
+		c.Bus.Transmit(t.size, t.step)
 		return
 	}
-	s.ExecScaled(sendCost, func() {
-		if c.fault == nil {
-			c.Bus.Transmit(size, recvThenDeliver)
-			return
-		}
-		v := c.fault(int64(c.Kernel.Now()), src, dst, size)
-		if v.Drop || v.Corrupt {
-			// The frame occupies the wire but is never delivered: lost, or
-			// rejected by the receiver's CRC.
-			c.Bus.Transmit(size, nil)
-			return
-		}
-		receive := recvThenDeliver
-		if v.Delay > 0 {
-			delay := sim.Time(v.Delay)
-			receive = func() { c.Kernel.After(delay, recvThenDeliver) }
-		}
-		c.Bus.Transmit(size, receive)
-		if v.Dup {
-			c.Bus.Transmit(size, receive)
-		}
-	})
+	v := c.fault(int64(c.Kernel.Now()), t.src, t.dst, t.size)
+	if v.Drop || v.Corrupt {
+		// Lost, or rejected by the receiver's CRC.
+		c.Bus.Transmit(t.size, nil)
+		q.put(t)
+		return
+	}
+	if v.Delay > 0 {
+		t.delay = sim.Time(v.Delay)
+	}
+	c.Bus.Transmit(t.size, t.step)
+	if v.Dup {
+		u := q.get()
+		u.trip = t.trip
+		c.Bus.Transmit(u.size, u.step)
+	}
 }

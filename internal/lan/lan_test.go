@@ -3,6 +3,7 @@ package lan
 import (
 	"testing"
 
+	"messengers/internal/faults"
 	"messengers/internal/obs"
 	"messengers/internal/sim"
 )
@@ -163,25 +164,42 @@ func TestHostExecProcBlocksAndContends(t *testing.T) {
 	}
 }
 
+// clock is a Receiver that notes when, where and what each delivery was.
+type clock struct {
+	k    *sim.Kernel
+	at   []sim.Time
+	dst  []int
+	seen []int
+}
+
+func (r *clock) Receive(dst int, p *int) {
+	r.at = append(r.at, r.k.Now())
+	r.dst = append(r.dst, dst)
+	r.seen = append(r.seen, *p)
+}
+
 func TestClusterSendRemoteAndLocal(t *testing.T) {
 	k := sim.New()
 	cm := DefaultCostModel()
 	c := NewCluster(k, cm, 2, SPARC110)
-	var remoteAt, localAt sim.Time
-	c.Send(0, 1, 1000, 10, 20, func() { remoteAt = k.Now() })
+	r := &clock{k: k}
+	msg := 7
+	NewCourier[int](c, r).Send(0, 1, 1000, 10, 20, &msg)
+	msg = 8 // Send copied the payload
 	k.Run()
 	want := sim.Time(10) + cm.WireTime(1000) + cm.PropDelay + 20
-	if remoteAt != want {
-		t.Errorf("remote delivery at %v, want %v", remoteAt, want)
+	if len(r.at) != 1 || r.at[0] != want || r.dst[0] != 1 || r.seen[0] != 7 {
+		t.Errorf("remote deliveries at %v to %v of %v, want one at %v to 1 of 7", r.at, r.dst, r.seen, want)
 	}
 
 	k2 := sim.New()
 	c2 := NewCluster(k2, cm, 2, SPARC110)
 	m2 := obs.NewMetrics()
 	c2.Observe(nil, m2)
-	c2.Send(1, 1, 1000, 10, 20, func() { localAt = k2.Now() })
+	r2 := &clock{k: k2}
+	NewCourier[int](c2, r2).Send(1, 1, 1000, 10, 20, &msg)
 	k2.Run()
-	if localAt != 30 {
+	if localAt := r2.at[0]; localAt != 30 {
 		t.Errorf("local delivery at %v, want 30 (no bus)", localAt)
 	}
 	if m2.CounterValue("bus.msgs") != 0 {
@@ -243,5 +261,61 @@ func TestMandelCost(t *testing.T) {
 	}
 	if cm.ScaleFor(SPARC170, 1700) != 1100 {
 		t.Errorf("ScaleFor = %v", cm.ScaleFor(SPARC170, 1700))
+	}
+}
+
+// TestExecProcAllocatesNothing: a process charging compute to its host is
+// woken by its own Unpark, bound once at Spawn, not by a closure per charge.
+func TestExecProcAllocatesNothing(t *testing.T) {
+	k := sim.New()
+	defer k.Shutdown()
+	h := NewCluster(k, DefaultCostModel(), 1, SPARC110).Hosts[0]
+	charges := 0
+	k.Spawn("worker", func(p *sim.Proc) {
+		for {
+			h.ExecProc(p, 100)
+			charges++
+		}
+	})
+	k.Step() // the start: the first charge
+	charge := func() {
+		k.Step() // the CPU is done: wake the process
+		k.Step() // it resumes and charges again
+	}
+	if n := testing.AllocsPerRun(100, charge); n != 0 {
+		t.Errorf("a compute charge allocates %v times, want 0", n)
+	}
+	if charges != 101 {
+		t.Errorf("%d charges completed, want 101", charges)
+	}
+}
+
+// mutator is a Receiver that notes each payload and then overwrites it, as
+// a handler may overwrite the message it borrows.
+type mutator struct{ seen []int }
+
+func (r *mutator) Receive(_ int, p *int) {
+	r.seen = append(r.seen, *p)
+	*p = -1
+}
+
+// TestDupDeliversACopy: a duplicated transfer is a second record holding
+// the payload as it was sent, so neither delivery sees what the other did
+// to its copy, and each record goes back to the pool once.
+func TestDupDeliversACopy(t *testing.T) {
+	k := sim.New()
+	c := NewCluster(k, DefaultCostModel(), 2, SPARC110)
+	c.SetFaultHook(faults.NewInjector(&faults.Plan{Seed: 1, Dup: 1}, nil, nil).Decide)
+	r := &mutator{}
+	q := NewCourier[int](c, r)
+	for i, msg := range []int{7, 8} {
+		q.Send(0, 1, 100, 10, 20, &msg)
+		k.Run()
+		if want := []int{msg, msg}; len(r.seen) != 2*(i+1) || r.seen[2*i] != msg || r.seen[2*i+1] != msg {
+			t.Fatalf("deliveries %v, want %v last", r.seen, want)
+		}
+		if len(q.free) != 2 || q.free[0] == q.free[1] {
+			t.Fatalf("pool holds %d records after a duplicated transfer, want 2 distinct", len(q.free))
+		}
 	}
 }

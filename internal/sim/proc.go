@@ -15,6 +15,7 @@ type Proc struct {
 	name   string
 	resume func()              // runs the process until it yields or exits
 	yield  func(struct{}) bool // suspends the process, back into resume
+	unpark func()              // p.Unpark, bound once so scheduling it allocates nothing
 	parked bool
 	dead   bool
 	killed bool
@@ -66,6 +67,7 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 		fn(p)
 	})
 	p.resume = func() { next() }
+	p.unpark = p.Unpark
 	k.After(0, p.resume)
 	return p
 }
@@ -113,6 +115,10 @@ func (p *Proc) Unpark() {
 	p.parked = false
 	p.k.After(0, p.resume)
 }
+
+// Unparker returns p.Unpark as a func value bound once at Spawn: an event
+// that wakes the process can be scheduled without a closure per wake-up.
+func (p *Proc) Unparker() func() { return p.unpark }
 
 // Parked reports whether the process is currently parked.
 func (p *Proc) Parked() bool { return p.parked }

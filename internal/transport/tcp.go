@@ -523,7 +523,7 @@ func (e *TCPEngine) conn(src, dst int) (*peerConn, error) {
 	addr := e.addrs[dst]
 	e.mu.Unlock()
 
-	dialer := net.Dialer{Timeout: 5 * time.Second, Control: dialControl}
+	dialer := net.Dialer{Timeout: dialTimeout, Control: dialControl}
 	c, err := dialer.Dial("tcp", addr)
 	if err == nil {
 		// Identify the destination daemon on this listener (one listener
@@ -579,6 +579,13 @@ func (e *TCPEngine) dropConn(src, dst int) {
 	}
 }
 
+// dialTimeout bounds a dial to a peer daemon.
+const dialTimeout = 5 * time.Second
+
+// helloTimeout bounds how long an accepted connection may take to send its
+// hello: as long as a dial may take. Only this package's tests change it.
+var helloTimeout = dialTimeout
+
 // acceptLoop receives frames for daemon d on listener l and dispatches them
 // on its executor. A frame that fails to decode is skipped (the
 // length-prefixed framing keeps the stream aligned), not fatal to the
@@ -606,10 +613,15 @@ func (e *TCPEngine) acceptLoop(d int, l net.Listener) {
 		go func() {
 			defer e.netWG.Done()
 			defer e.untrack(c)
-			r := bufio.NewReader(c)
-			if _, err := ReadFrame(r); err != nil {
-				return // bad hello
+			// A peer that never finishes its hello is dropped when the
+			// dialer would have given up on it; frames after the hello may
+			// take as long as they take.
+			c.SetReadDeadline(time.Now().Add(helloTimeout))
+			if _, err := ReadFrame(c); err != nil {
+				return // bad or missing hello
 			}
+			c.SetReadDeadline(time.Time{})
+			r := bufio.NewReader(c)
 			for {
 				box, err := readPooledFrame(r)
 				if err != nil {

@@ -668,3 +668,43 @@ func TestCloseClosesAcceptedConnections(t *testing.T) {
 		}
 	}
 }
+
+// TestSlowHelloIsDropped: a peer that connects and sends only part of its
+// hello (a slow loris) is dropped once the hello deadline passes, instead
+// of holding a reader goroutine and its buffer until Close.
+func TestSlowHelloIsDropped(t *testing.T) {
+	defer func(d time.Duration) { helloTimeout = d }(helloTimeout)
+	helloTimeout = 50 * time.Millisecond
+	eng, err := NewTCPEngine([]string{"127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	conn, err := net.Dial("tcp", eng.Addrs()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var hello bytes.Buffer
+	if err := WriteFrame(&hello, []byte{7}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(hello.Bytes()[:2]); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); err == nil || os.IsTimeout(err) {
+		t.Fatalf("a peer stuck in its hello reads %v, want its connection closed", err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		eng.mu.Lock()
+		n := len(eng.accepted)
+		eng.mu.Unlock()
+		if n == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the engine still tracks %d accepted connections", n)
+		}
+	}
+}
