@@ -16,17 +16,14 @@ import (
 func TestExecLaneReusesItsArray(t *testing.T) {
 	var l execLane
 	var ran int
-	fn := func() { ran++ }
+	msg := &Msg{Kind: MsgStep}
+	var it queued
 	cycle := func() {
 		for i := 0; i < 8; i++ {
-			l.put(fn)
+			l.put(msg, nil)
 		}
-		for {
-			f, ok := l.pop()
-			if !ok {
-				break
-			}
-			f()
+		for l.pop(&it) {
+			ran++
 		}
 	}
 	cycle()
@@ -40,24 +37,21 @@ func TestExecLaneReusesItsArray(t *testing.T) {
 	// A lane that never empties must not grow without bound either, and
 	// must stay FIFO while its pending tail slides down the array.
 	var steady execLane
-	next, want := 0, 0
+	next, want := uint64(0), uint64(0)
 	put := func() {
-		n := next
+		steady.put(&Msg{Kind: MsgStep, MsgrID: next}, nil)
 		next++
-		steady.put(func() {
-			if n != want {
-				t.Fatalf("popped item %d, want %d", n, want)
-			}
-			want++
-		})
 	}
 	for i := 0; i < 4; i++ {
 		put()
 	}
 	for i := 0; i < 10000; i++ {
 		put()
-		f, _ := steady.pop()
-		f()
+		steady.pop(&it)
+		if it.msg.MsgrID != want {
+			t.Fatalf("popped item %d, want %d", it.msg.MsgrID, want)
+		}
+		want++
 	}
 	if c := cap(steady.items); c > 64 {
 		t.Errorf("a lane holding 4 items grew its array to %d slots", c)
@@ -65,24 +59,21 @@ func TestExecLaneReusesItsArray(t *testing.T) {
 }
 
 // TestExecQueueIdleHook: the hook runs on the executor each time the queue
-// runs dry, again when Wake asks for it, and a last time as Run returns.
+// runs dry, again when Wake asks for it, and a last time as it stops.
 func TestExecQueueIdleHook(t *testing.T) {
-	q := NewExecQueue()
+	x := unstarted()
 	idles := make(chan int, 64) // far more than the handful of idle calls below
 	items, sawClosed := 0, false
-	q.OnIdle(func() {
-		sawClosed = sawClosed || q.closed.Load()
+	x.idle = func(int) {
+		sawClosed = sawClosed || x.execs[0].closed.Load()
 		idles <- items
-	})
-	done := make(chan struct{})
-	go func() {
-		q.Run()
-		close(done)
-	}()
+	}
+	x.wg.Add(1)
+	go x.run(0)
 	if got := <-idles; got != 0 {
 		t.Fatalf("first idle saw %d items", got)
 	}
-	q.Put(LaneLocal, func() { items++ })
+	x.Put(0, LaneLocal, doMsg(func() { items++ }), nil)
 	for got := range idles {
 		if got == 1 {
 			break
@@ -96,16 +87,15 @@ func TestExecQueueIdleHook(t *testing.T) {
 			drained = true
 		}
 	}
-	q.Wake()
+	x.Wake(0)
 	select {
 	case <-idles:
 	case <-time.After(5 * time.Second):
 		t.Fatal("Wake did not bring the idle hook round again")
 	}
-	q.Close()
-	<-done
+	x.Close()
 	if !sawClosed {
-		t.Error("Run returned without a last idle call")
+		t.Error("the executor stopped without a last idle call")
 	}
 }
 

@@ -189,47 +189,56 @@ func TestChanEngineCloseIsIdempotentAndStopsWork(t *testing.T) {
 	_ = sys
 	eng.Close()
 	// Post-close puts are dropped rather than panicking.
-	eng.Exec(0, 0, func() {})
+	eng.Exec(0, 0, &Msg{Kind: MsgDo, do: func(*Daemon) { t.Error("ran after Close") }})
+}
+
+// doMsg is a MsgDo running fn.
+func doMsg(fn func()) *Msg { return &Msg{Kind: MsgDo, do: func(*Daemon) { fn() }} }
+
+// unstarted is one daemon's executors with no goroutine draining them.
+func unstarted() *Executors {
+	x := &Executors{execs: make([]executor, 1)}
+	x.execs[0].ready = make(chan struct{}, 1)
+	x.Bind([]*Daemon{{}})
+	return x
+}
+
+// drain hands every message x holds to its daemon, as run does.
+func drain(x *Executors) {
+	var it queued
+	for q := &x.execs[0]; q.next(&it); {
+		q.d.HandleMsg(&it.msg)
+	}
 }
 
 func TestExecQueueFIFOWithinLane(t *testing.T) {
-	q := NewExecQueue()
+	x := unstarted()
 	var got []int
 	for i := 0; i < 100; i++ {
-		i := i
-		q.Put(LaneNet, func() { got = append(got, i) })
+		x.Put(0, LaneNet, doMsg(func() { got = append(got, i) }), nil)
 	}
-	for i := 0; i < 100; i++ {
-		fn, ok := q.next()
-		if !ok {
-			t.Fatal("queue drained early")
-		}
-		fn()
+	drain(x)
+	if len(got) != 100 {
+		t.Fatalf("drained %d of 100 items", len(got))
 	}
 	for i, v := range got {
 		if v != i {
 			t.Fatalf("order broken at %d: %v", i, v)
 		}
 	}
-	q.Close()
-	if _, ok := q.next(); ok {
+	x.Close()
+	if x.execs[0].next(new(queued)) {
 		t.Error("drained queue should report !ok")
 	}
 }
 
 func TestExecQueueLanePriority(t *testing.T) {
-	q := NewExecQueue()
+	x := unstarted()
 	var got []string
-	q.Put(LaneLocal, func() { got = append(got, "local") })
-	q.Put(LaneNet, func() { got = append(got, "net") })
-	q.Put(LaneControl, func() { got = append(got, "control") })
-	for {
-		fn, ok := q.next()
-		if !ok {
-			break
-		}
-		fn()
-	}
+	x.Put(0, LaneLocal, doMsg(func() { got = append(got, "local") }), nil)
+	x.Put(0, LaneNet, doMsg(func() { got = append(got, "net") }), nil)
+	x.Put(0, LaneControl, doMsg(func() { got = append(got, "control") }), nil)
+	drain(x)
 	want := []string{"control", "net", "local"}
 	for i := range want {
 		if got[i] != want[i] {
@@ -239,28 +248,28 @@ func TestExecQueueLanePriority(t *testing.T) {
 }
 
 func TestExecQueueRunDrainsOnClose(t *testing.T) {
-	q := NewExecQueue()
+	x := unstarted()
 	done := make(chan int, 3)
 	for i := 0; i < 3; i++ {
-		i := i
-		q.Put(LaneLocal, func() { done <- i })
+		x.Put(0, LaneLocal, doMsg(func() { done <- i }), nil)
 	}
-	q.Close()
+	x.Close()
 	finished := make(chan struct{})
+	x.wg.Add(1)
 	go func() {
-		q.Run()
+		x.run(0)
 		close(finished)
 	}()
 	select {
 	case <-finished:
 	case <-time.After(5 * time.Second):
-		t.Fatal("Run did not return after Close")
+		t.Fatal("run did not return after Close")
 	}
 	if len(done) != 3 {
-		t.Errorf("Run drained %d of 3 queued items before exiting", len(done))
+		t.Errorf("run drained %d of 3 queued items before exiting", len(done))
 	}
 	// Post-close puts are dropped rather than panicking.
-	q.Put(LaneNet, func() {})
+	x.Put(0, LaneNet, doMsg(func() {}), nil)
 }
 
 func TestLaneForClassifiesKinds(t *testing.T) {

@@ -1,32 +1,29 @@
 package core
 
 import (
-	"sync"
-	"time"
-
 	"messengers/internal/lan"
 	"messengers/internal/sim"
 )
 
-// Engine abstracts how daemons execute and communicate. The daemon logic is
-// engine-agnostic: it asks the engine to run work on a daemon's serial
-// executor (charging modeled CPU cost where applicable) and to ship
-// messages between daemons.
+// Engine abstracts how daemons execute and communicate. Its one job is to
+// deliver a Msg to a daemon's HandleMsg, on that daemon's serial executor:
+// at once from another daemon (Send), after a CPU cost (Exec) or after a
+// delay (SetTimer). Each copies or encodes msg before it returns, so the
+// caller may reuse it at once, and HandleMsg borrows its msg only for the
+// call (docs/WIRE.md, "The message's lifetime rule").
 type Engine interface {
+	// Bind attaches the daemon set (NewSystem calls it once).
+	Bind(daemons []*Daemon)
 	// NumDaemons returns the daemon count.
 	NumDaemons() int
-	// Exec schedules fn on daemon d's serial executor after charging cost
-	// of CPU time (cost is calibrated at 110 MHz; real engines ignore it —
-	// the work itself takes real time there).
-	Exec(d int, cost sim.Time, fn func())
-	// Send ships msg from src to dst; the destination daemon's HandleMsg
-	// runs on dst's executor after transfer costs. Send copies or encodes
-	// msg before it returns, so the caller may reuse it at once, and
-	// HandleMsg borrows its msg only for the call (docs/WIRE.md, "The
-	// message's lifetime rule").
+	// Exec delivers msg to daemon d after charging cost of its CPU time
+	// (cost is calibrated at 110 MHz; real engines ignore it — the work
+	// itself takes real time there).
+	Exec(d int, cost sim.Time, msg *Msg)
+	// Send delivers msg from src to dst after transfer costs.
 	Send(src, dst int, msg *Msg)
-	// SetTimer runs fn on d's executor after delay of engine time.
-	SetTimer(d int, delay sim.Time, fn func())
+	// SetTimer delivers msg to daemon d after delay of engine time.
+	SetTimer(d int, delay sim.Time, msg *Msg)
 	// Now returns the engine clock: simulated time on the simulated
 	// engine, monotonic wall time since start on real engines. Trace
 	// events are stamped with this clock.
@@ -35,12 +32,6 @@ type Engine interface {
 	Model() *lan.CostModel
 	// HostSpec describes daemon d's host (zero value on real engines).
 	HostSpec(d int) lan.HostSpec
-}
-
-// binder is implemented by engines that need the daemon set after
-// construction.
-type binder interface {
-	Bind(daemons []*Daemon)
 }
 
 // flusher is implemented by engines whose Send buffers frames (the TCP
@@ -60,7 +51,7 @@ type flusher interface {
 type SimEngine struct {
 	Cluster *lan.Cluster
 	daemons []*Daemon
-	post    *lan.Courier[Msg] // a message in flight is a pooled copy
+	post    *lan.Courier[Msg] // a message on its way is a pooled copy
 }
 
 // NewSimEngine wraps a cluster.
@@ -70,16 +61,14 @@ func NewSimEngine(c *lan.Cluster) *SimEngine {
 	return e
 }
 
-// Bind attaches the daemon set (called by the System).
+// Bind implements Engine.
 func (e *SimEngine) Bind(daemons []*Daemon) { e.daemons = daemons }
 
 // NumDaemons implements Engine.
 func (e *SimEngine) NumDaemons() int { return len(e.Cluster.Hosts) }
 
 // Exec implements Engine.
-func (e *SimEngine) Exec(d int, cost sim.Time, fn func()) {
-	e.Cluster.Hosts[d].ExecScaled(cost, fn)
-}
+func (e *SimEngine) Exec(d int, cost sim.Time, msg *Msg) { e.post.Exec(d, cost, msg) }
 
 // Send implements Engine: Messenger-carrying messages pay the paper's
 // single-copy state-transfer costs; control messages pay small fixed costs.
@@ -97,16 +86,12 @@ func (e *SimEngine) Send(src, dst int, msg *Msg) {
 	e.post.Send(src, dst, size, sendCost, recvCost, msg)
 }
 
-// Receive implements lan.Receiver: the delivery of a message in flight,
-// borrowed by HandleMsg for the call.
+// Receive implements lan.Receiver: the delivery of a message sent,
+// executed or timed, borrowed by HandleMsg for the call.
 func (e *SimEngine) Receive(dst int, msg *Msg) { e.daemons[dst].HandleMsg(msg) }
 
 // SetTimer implements Engine.
-func (e *SimEngine) SetTimer(d int, delay sim.Time, fn func()) {
-	e.Cluster.Kernel.After(delay, func() {
-		e.Cluster.Hosts[d].Exec(0, fn)
-	})
-}
+func (e *SimEngine) SetTimer(d int, delay sim.Time, msg *Msg) { e.post.After(d, delay, msg) }
 
 // Now implements Engine with the simulation clock.
 func (e *SimEngine) Now() sim.Time { return e.Cluster.Kernel.Now() }
@@ -120,74 +105,14 @@ func (e *SimEngine) HostSpec(d int) lan.HostSpec { return e.Cluster.Hosts[d].Spe
 // --- Real concurrent engine (in-process) ---
 
 // ChanEngine is the real runtime on one machine: one goroutine per daemon,
-// unbounded sharded inboxes (see ExecQueue), wall-clock timers. Costs are
+// unbounded sharded inboxes, wall-clock timers (Executors). Costs are
 // ignored — work takes however long it takes.
-type ChanEngine struct {
-	daemons []*Daemon
-	inboxes []*ExecQueue
-	start   time.Time
-	wg      sync.WaitGroup
-}
+type ChanEngine struct{ *Executors }
 
 // NewChanEngine starts n daemon executors.
-func NewChanEngine(n int) *ChanEngine {
-	e := &ChanEngine{inboxes: make([]*ExecQueue, n), start: time.Now()} //lint:wallclock real engine: wall time is its virtual time
-	for i := range e.inboxes {
-		e.inboxes[i] = NewExecQueue()
-	}
-	e.wg.Add(n)
-	for i := range e.inboxes {
-		q := e.inboxes[i]
-		go func() {
-			defer e.wg.Done()
-			q.Run()
-		}()
-	}
-	return e
-}
+func NewChanEngine(n int) *ChanEngine { return &ChanEngine{NewExecutors(n, nil)} }
 
-// Bind attaches the daemon set.
-func (e *ChanEngine) Bind(daemons []*Daemon) { e.daemons = daemons }
-
-// NumDaemons implements Engine.
-func (e *ChanEngine) NumDaemons() int { return len(e.inboxes) }
-
-// Exec implements Engine (cost ignored: real work takes real time).
-func (e *ChanEngine) Exec(d int, _ sim.Time, fn func()) {
-	e.inboxes[d].Put(LaneLocal, fn)
-}
-
-// Send implements Engine: the closure it queues holds a copy of msg. In-process
-// delivery keeps FIFO order per pair within a lane (see ExecQueue for why
+// Send implements Engine: the lane holds a copy of msg. In-process delivery
+// keeps FIFO order per pair within a lane (see Executors for why
 // cross-lane reordering is safe).
-func (e *ChanEngine) Send(_, dst int, msg *Msg) {
-	m := *msg
-	e.inboxes[dst].Put(LaneFor(m.Kind), func() { e.daemons[dst].HandleMsg(&m) })
-}
-
-// SetTimer implements Engine using wall-clock time (1 engine ns = 1 ns).
-// Timer callbacks are control work: watchdogs, retransmissions, GVT pacing.
-func (e *ChanEngine) SetTimer(d int, delay sim.Time, fn func()) {
-	//lint:wallclock real engine: timers are real timers by definition
-	time.AfterFunc(time.Duration(delay), func() {
-		e.inboxes[d].Put(LaneControl, fn)
-	})
-}
-
-// Model implements Engine: no cost model on the real engine.
-func (e *ChanEngine) Model() *lan.CostModel { return nil }
-
-// Now implements Engine with monotonic wall time since engine start.
-func (e *ChanEngine) Now() sim.Time { return sim.Time(time.Since(e.start)) } //lint:wallclock real engine clock
-
-// HostSpec implements Engine.
-func (e *ChanEngine) HostSpec(int) lan.HostSpec { return lan.HostSpec{} }
-
-// Close stops all daemon executors and waits for them to exit. Pending
-// work items are discarded.
-func (e *ChanEngine) Close() {
-	for _, q := range e.inboxes {
-		q.Close()
-	}
-	e.wg.Wait()
-}
+func (e *ChanEngine) Send(_, dst int, msg *Msg) { e.Put(dst, LaneFor(msg.Kind), msg, nil) }

@@ -21,7 +21,8 @@ import (
 // of testing/quick the random loop this replaced made (a hundred of them:
 // seeds are also the pool mutations start from, and noise must not crowd
 // out the real frames), the frames both engines emit
-// (testdata/wire_crossengine.txt) and one frame of every kind.
+// (testdata/wire_crossengine.txt), one frame of every kind, and frames
+// that claim a local kind.
 func FuzzDecodeMsg(f *testing.F) {
 	r := rand.New(rand.NewSource(1))
 	for i := 0; i < 100; i++ {
@@ -41,6 +42,9 @@ func FuzzDecodeMsg(f *testing.F) {
 	}
 	for _, m := range oneOfEachKind() {
 		f.Add(m.Encode())
+	}
+	for _, frame := range localFrames(f) {
+		f.Add(frame)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := DecodeMsg(data)

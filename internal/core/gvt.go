@@ -183,12 +183,7 @@ func (g *gvtInitiator) armWatchdog() {
 		return
 	}
 	g.wdBackoff = nextBackoff(g.wdBackoff, g.d.sys.gvtInterval)
-	ep := g.epoch
-	g.d.safeTimer(g.wdBackoff, func() {
-		if g.epoch == ep && g.open {
-			g.startRound()
-		}
-	})
+	g.d.timer(g.wdBackoff, Msg{Kind: MsgGVTWatchdog, GEpoch: g.epoch})
 }
 
 // gvtMaxBackoff caps the stalled-round watchdog at 64× the base delay.
@@ -212,7 +207,7 @@ func (g *gvtInitiator) conclude(min float64, sent, recv int64) {
 	case sent != recv:
 		// Messengers in transit: their virtual times are unobservable, so
 		// the minimum is not yet safe. Retry soon.
-		d.safeTimer(d.sys.gvtInterval/4+1, g.restart)
+		d.timer(d.sys.gvtInterval/4+1, Msg{Kind: MsgGVTRestart})
 	case math.IsInf(min, 1):
 		// Nothing is suspended anywhere: go quiet until the next notify.
 		g.polling = false
@@ -245,14 +240,7 @@ func (g *gvtInitiator) roundDone() {
 	if g.ring {
 		atomic.AddInt64((*int64)(&g.d.Stats.GVTRoundTime), int64(g.d.eng.Now()-g.roundFrom))
 	}
-	g.d.safeTimer(g.d.sys.gvtInterval, g.restart)
-}
-
-// restart begins a new round if polling is still wanted.
-func (g *gvtInitiator) restart() {
-	if g.polling {
-		g.startRound()
-	}
+	g.d.timer(g.d.sys.gvtInterval, Msg{Kind: MsgGVTRestart})
 }
 
 // crashReset clears the initiator when its daemon crashes: the restarted

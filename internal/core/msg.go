@@ -9,7 +9,9 @@ import (
 	"messengers/internal/wire"
 )
 
-// MsgKind discriminates daemon-to-daemon messages.
+// MsgKind discriminates messages: those daemons exchange, and the local
+// ones a daemon's executor runs for itself (its continuations, its timers,
+// fault notices, injections and System.Do), which never go on the wire.
 type MsgKind uint8
 
 // Message kinds.
@@ -21,7 +23,7 @@ const (
 	MsgCreate
 	// MsgCreateAck completes the origin's half-link after a remote create.
 	MsgCreateAck
-	// MsgInject delivers an externally injected Messenger to a daemon.
+	// MsgInject delivers an injected Messenger to a daemon (local).
 	MsgInject
 	// 5 is reserved: it was MsgProgram, a by-name program broadcast nothing
 	// sent. The blank keeps every later kind's wire value.
@@ -47,15 +49,42 @@ const (
 	// the daemon ring accumulating the global minimum and transient counters
 	// (pass 1, GPass=1), then again committing the new GVT (pass 2, GPass=2).
 	MsgGVTToken
+
+	// The local kinds: each is delivered by Exec or SetTimer to the daemon
+	// that scheduled it, or by the System, and has no wire form.
+
+	// MsgStep takes the next step of Messenger MsgrID, resident in
+	// d.active: its next segment, or what its last one paused for (resume).
+	MsgStep
+	// MsgGVTRestart paces the initiator's next round.
+	MsgGVTRestart
+	// MsgGVTWatchdog relaunches round GEpoch if its wave is still out.
+	MsgGVTWatchdog
+	// MsgRenotify repeats a suspended daemon's MsgGVTNotify.
+	MsgRenotify
+	// MsgRetransmit resends reliable transfer HopSeq unless it was acked.
+	MsgRetransmit
+	// MsgCrash and MsgRestart are the executor halves of System.Crash and
+	// System.Restart.
+	MsgCrash
+	MsgRestart
+	// MsgPeerDown and MsgPeerUp report that daemon From died or came back.
+	MsgPeerDown
+	MsgPeerUp
+	// MsgDo runs System.Do's function with the daemon.
+	MsgDo
 )
 
 // kindInfo is everything that depends on a message's kind alone.
 type kindInfo struct {
 	name      string
-	lane      ExecLane // where its delivery runs
+	lane      ExecLane // where its delivery by Send runs
 	reliable  bool     // under recovery: retained until acked, duplicates dropped
 	messenger bool     // transfers computation, so it is a GVT transient
 	body      msgBody  // what follows the header on the wire
+	// scheduled: the daemon schedules it for itself, stamped with its
+	// incarnation, and a crash orphans it (HandleMsg).
+	scheduled bool
 }
 
 // msgBody names what a kind's encoding carries after the header. AppendTo
@@ -63,7 +92,7 @@ type kindInfo struct {
 type msgBody uint8
 
 const (
-	bodyUnknown   msgBody = iota // no such kind: DecodeMsg refuses it
+	bodyUnknown   msgBody = iota // no such kind, or a local one: DecodeMsg refuses it
 	bodyTransfer                 // a Messenger
 	bodyCreate                   // a Messenger and the node it starts at
 	bodyCreateAck                // the far half of a link
@@ -74,19 +103,30 @@ const (
 
 // kinds is the one table of message kinds, with a slot for every byte a
 // kind can be. A slot without an entry (0, the blanks 5 and 10, anything
-// past MsgGVTToken) is the zero kindInfo: an unknown kind.
+// past MsgDo) is the zero kindInfo: an unknown kind. A local kind has a
+// name and no body, so it never goes on the wire either.
 var kinds = [256]kindInfo{
-	MsgMessenger:  {"messenger", LaneNet, true, true, bodyTransfer},
-	MsgCreate:     {"create", LaneNet, true, true, bodyCreate},
-	MsgCreateAck:  {"create-ack", LaneNet, true, false, bodyCreateAck},
-	MsgInject:     {"inject", LaneNet, false, true, bodyCreate},
-	MsgGVTNotify:  {"gvt-notify", LaneControl, false, false, bodyGVT},
-	MsgGVTQuery:   {"gvt-query", LaneControl, false, false, bodyGVT},
-	MsgGVTReport:  {"gvt-report", LaneControl, false, false, bodyGVT},
-	MsgGVTAdvance: {"gvt-advance", LaneControl, false, false, bodyGVT},
-	MsgHopAck:     {"hop-ack", LaneControl, false, false, bodyHopAck},
-	MsgHeartbeat:  {"heartbeat", LaneControl, false, false, bodyNone},
-	MsgGVTToken:   {"gvt-token", LaneControl, false, false, bodyGVT},
+	MsgMessenger:   {"messenger", LaneNet, true, true, bodyTransfer, false},
+	MsgCreate:      {"create", LaneNet, true, true, bodyCreate, false},
+	MsgCreateAck:   {"create-ack", LaneNet, true, false, bodyCreateAck, false},
+	MsgInject:      {"inject", LaneNet, false, true, bodyUnknown, false},
+	MsgGVTNotify:   {"gvt-notify", LaneControl, false, false, bodyGVT, false},
+	MsgGVTQuery:    {"gvt-query", LaneControl, false, false, bodyGVT, false},
+	MsgGVTReport:   {"gvt-report", LaneControl, false, false, bodyGVT, false},
+	MsgGVTAdvance:  {"gvt-advance", LaneControl, false, false, bodyGVT, false},
+	MsgHopAck:      {"hop-ack", LaneControl, false, false, bodyHopAck, false},
+	MsgHeartbeat:   {"heartbeat", LaneControl, false, false, bodyNone, false},
+	MsgGVTToken:    {"gvt-token", LaneControl, false, false, bodyGVT, false},
+	MsgStep:        {"step", LaneLocal, false, false, bodyUnknown, true},
+	MsgGVTRestart:  {"gvt-restart", LaneControl, false, false, bodyUnknown, true},
+	MsgGVTWatchdog: {"gvt-watchdog", LaneControl, false, false, bodyUnknown, true},
+	MsgRenotify:    {"renotify", LaneControl, false, false, bodyUnknown, true},
+	MsgRetransmit:  {"retransmit", LaneControl, false, false, bodyUnknown, true},
+	MsgCrash:       {"crash", LaneLocal, false, false, bodyUnknown, false},
+	MsgRestart:     {"restart", LaneLocal, false, false, bodyUnknown, false},
+	MsgPeerDown:    {"peer-down", LaneControl, false, false, bodyUnknown, false},
+	MsgPeerUp:      {"peer-up", LaneControl, false, false, bodyUnknown, false},
+	MsgDo:          {"do", LaneLocal, false, false, bodyUnknown, false},
 }
 
 // String names the kind.
@@ -97,13 +137,15 @@ func (k MsgKind) String() string {
 	return fmt.Sprintf("msg(%d)", uint8(k))
 }
 
-// Msg is one daemon-to-daemon message. In memory a single struct covers all
-// kinds and the fields a kind does not use stay zero; on the wire a message
-// is a header and its kind's body only (msgBody), encoded by AppendTo for
-// the TCP transport.
+// Msg is one message. In memory a single struct covers all kinds and the
+// fields a kind does not use stay zero; on the wire a message is a header
+// and its kind's body only (msgBody), encoded by AppendTo for the TCP
+// transport. A local kind reuses the fields named at its constant.
 type Msg struct {
 	// The header, which every kind carries.
 	Kind MsgKind
+	// inc is the incarnation a scheduled kind was scheduled in (Daemon.epoch).
+	inc  uint32
 	From int
 	// HopSeq is the sender's per-daemon reliable-transfer sequence number
 	// (recovery mode; zero otherwise). With From it keys duplicate
@@ -153,6 +195,9 @@ type Msg struct {
 	LinkID     logical.LinkID
 	LinkName   string
 	LinkDir    uint8 // 0 undirected, 1 origin->new, 2 new->origin
+	// GPass is the GVT ring token's pass number: 1 accumulates, 2 commits.
+	// It sits here, beside the other byte, so that do fits.
+	GPass      uint8
 	Origin     logical.Addr
 	OriginName string
 
@@ -160,14 +205,15 @@ type Msg struct {
 	AckPeer     logical.Addr
 	AckPeerName string
 
-	// GVT control (MsgGVT*). GPass is the ring token's pass number: 1
-	// accumulates, 2 commits.
+	// GVT control (MsgGVT*, with GPass above).
 	GEpoch int64
 	GMin   float64
 	GSent  int64
 	GRecv  int64
 	GVT    float64
-	GPass  uint8
+
+	// do is MsgDo's function.
+	do func(*Daemon)
 }
 
 // CarriesMessenger reports whether this message transfers computation (and

@@ -9,6 +9,7 @@ import (
 
 	"messengers/internal/bytecode"
 	"messengers/internal/logical"
+	"messengers/internal/wire"
 )
 
 // oneOfEachKind is a message of every kind with every field its body
@@ -28,8 +29,6 @@ func oneOfEachKind() []*Msg {
 	create.CreateName, create.LinkName, create.LinkDir = "worker", "corridor", 2
 	create.LinkID = logical.LinkID{Daemon: 1, Seq: 6}
 	create.Origin, create.OriginName = logical.Addr{Daemon: 1, Node: 8}, "init"
-	inject := transfer(MsgInject)
-	inject.CreateName = "r0"
 	gvt := func(k MsgKind) *Msg {
 		return &Msg{Kind: k, From: 2, GEpoch: 7, GMin: 2.5, GSent: 10, GRecv: 9, GVT: 2, GPass: 1}
 	}
@@ -39,7 +38,6 @@ func oneOfEachKind() []*Msg {
 			Kind: MsgCreateAck, From: 3, HopSeq: 2, LinkID: logical.LinkID{Daemon: 1, Seq: 6},
 			Origin: logical.Addr{Daemon: 1, Node: 8}, AckPeer: logical.Addr{Daemon: 3, Node: 1}, AckPeerName: "worker",
 		},
-		inject,
 		gvt(MsgGVTNotify), gvt(MsgGVTQuery), gvt(MsgGVTReport), gvt(MsgGVTAdvance),
 		{Kind: MsgHopAck, From: 3, MsgrID: 42, HopSeq: 5, AckFloor: 4},
 		{Kind: MsgHeartbeat, From: 3, AckFloor: 4},
@@ -100,6 +98,47 @@ func TestDecodeMsgRefusesWhatAppendToDoesNotWrite(t *testing.T) {
 		frame := append(m.Encode(), 0)
 		if _, err := DecodeMsg(frame); err == nil || !strings.Contains(err.Error(), "trailing") {
 			t.Errorf("%v with a byte after its body: err = %v, want trailing bytes refused", m.Kind, err)
+		}
+	}
+}
+
+// localFrames is, for every local kind, a frame that claims it: a bare
+// header, and a header with a create's body (what MsgInject carried when
+// it had a wire form).
+func localFrames(t testing.TB) [][]byte {
+	beat := (&Msg{Kind: MsgHeartbeat, From: 1}).Encode()
+	create := oneOfEachKind()[1].Encode()
+	var frames [][]byte
+	n := 0
+	for k := range kinds {
+		if kinds[k].name == "" || kinds[k].body != bodyUnknown {
+			continue
+		}
+		n++
+		for _, f := range [][]byte{beat, create} {
+			frames = append(frames, append([]byte{byte(k)}, f[1:]...))
+		}
+	}
+	if n != 11 {
+		t.Fatalf("%d local kinds in the table, want 11 (MsgInject and MsgStep..MsgDo)", n)
+	}
+	return frames
+}
+
+// TestLocalKindsNeverTravel: a local kind has a name and no wire form, so
+// AppendTo fails on it and DecodeMsg refuses any frame that claims it:
+// MsgInject too, which a peer could once send, and whose Messenger then
+// ran without a liveness slot.
+func TestLocalKindsNeverTravel(t *testing.T) {
+	for _, f := range localFrames(t) {
+		k := MsgKind(f[0])
+		if _, err := DecodeMsg(f); err == nil || !strings.Contains(err.Error(), "unknown message kind") {
+			t.Errorf("%v frame of %d bytes: err = %v, want it refused", k, len(f), err)
+		}
+		e := wire.AppendingTo(nil)
+		(&Msg{Kind: k}).AppendTo(e)
+		if e.Err() == nil {
+			t.Errorf("AppendTo encoded a %v", k)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"messengers/internal/faults"
 	"messengers/internal/lan"
@@ -122,4 +123,35 @@ func itoa(n int) string {
 		n /= 10
 	}
 	return string(buf[i:])
+}
+
+// TestFarAckFloorEvictsAtOnce: a reliable message whose AckFloor is far
+// ahead of the receiver's watermark, as a restarted sender's or a forged
+// one can be, costs eviction of the records held, not a walk from the
+// watermark to the floor one sequence at a time (1<<60 of them left the
+// executor spinning).
+func TestFarAckFloorEvictsAtOnce(t *testing.T) {
+	_, sys := simSystem(t, 2, WithRecovery(RecoveryConfig{}))
+	d := sys.Daemon(1)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for seq := uint64(1); seq <= 3; seq++ {
+			d.HandleMsg(&Msg{Kind: MsgCreateAck, From: 0, HopSeq: seq, AckFloor: seq - 1})
+		}
+		d.HandleMsg(&Msg{Kind: MsgCreateAck, From: 0, HopSeq: 1<<60 + 1, AckFloor: 1 << 60})
+	}()
+	select {
+	case <-done:
+	case <-time.After(time.Second):
+		t.Fatal("HandleMsg still evicting after 1 s")
+	}
+	rec := d.rec
+	if rec.evictedTo[0] != 1<<60 || len(rec.seen[0]) != 1 {
+		t.Errorf("watermark %d with %d records held, want 1<<60 with only the last", rec.evictedTo[0], len(rec.seen[0]))
+	}
+	// A duplicate below the new watermark is still recognised.
+	if !d.seenBefore(&Msg{Kind: MsgCreateAck, From: 0, HopSeq: 2}) {
+		t.Error("a straggler below the watermark was taken as new")
+	}
 }

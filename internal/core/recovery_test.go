@@ -402,7 +402,7 @@ func TestRecoveryDisabledUnchanged(t *testing.T) {
 func TestPeerDownFencesLateTraffic(t *testing.T) {
 	_, sys, _ := faultSystem(t, 2, &faults.Plan{Seed: 1})
 	d := sys.Daemon(1)
-	d.PeerDown(0)
+	d.HandleMsg(&Msg{Kind: MsgPeerDown, From: 0})
 
 	late := &Msg{Kind: MsgMessenger, From: 0, MsgrID: 99, HopSeq: 7}
 	d.HandleMsg(late)
@@ -417,7 +417,7 @@ func TestPeerDownFencesLateTraffic(t *testing.T) {
 	// After PeerUp the same traffic flows (and counts) again. The crafted
 	// Msg carries no program, so arrival fails after counting — the GVT
 	// books, not the arrival, are what this test pins down.
-	d.PeerUp(0)
+	d.HandleMsg(&Msg{Kind: MsgPeerUp, From: 0}) // a local notice: the fence does not drop it
 	msg := &Msg{Kind: MsgMessenger, From: 0, MsgrID: 100, HopSeq: 8}
 	d.HandleMsg(msg)
 	if d.recv != 1 {

@@ -212,9 +212,7 @@ func NewSystem(eng Engine, topo *Topology, opts ...Option) *System {
 	if s.metrics != nil {
 		s.registerStats(s.metrics)
 	}
-	if b, ok := eng.(binder); ok {
-		b.Bind(s.daemons)
-	}
+	eng.Bind(s.daemons)
 	s.registerSystemNatives()
 	return s
 }
@@ -290,9 +288,10 @@ func (s *System) Daemon(i int) *Daemon { return s.daemons[i] }
 // NumDaemons returns the daemon count.
 func (s *System) NumDaemons() int { return len(s.daemons) }
 
-// Do runs fn with daemon d on its executor (asynchronously).
+// Do runs fn with daemon d on its executor (asynchronously), crashed or
+// not.
 func (s *System) Do(d int, fn func(*Daemon)) {
-	s.eng.Exec(d, 0, func() { fn(s.daemons[d]) })
+	s.eng.Exec(d, 0, &Msg{Kind: MsgDo, do: fn})
 }
 
 // RegisterNative makes a native-mode function available to all daemons;
@@ -350,7 +349,7 @@ func (s *System) injectProg(d int, prog *bytecode.Program, node string, vars map
 	}
 	fresh := vm.New(prog, value.CloneEnv(vars))
 	seq := s.injectSeq.Add(1)
-	msg := &Msg{
+	msg := Msg{
 		Kind:       MsgInject,
 		From:       d,
 		ProgHash:   prog.Hash(),
@@ -362,8 +361,7 @@ func (s *System) injectProg(d int, prog *bytecode.Program, node string, vars map
 		Session:    session,
 	}
 	s.sessionWork(tenant, session, 1)
-	dae := s.daemons[d]
-	s.eng.Exec(d, 0, func() { dae.HandleMsg(msg) })
+	s.eng.Exec(d, 0, &msg)
 	return nil
 }
 

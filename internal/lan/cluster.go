@@ -173,9 +173,10 @@ type Receiver[P any] interface {
 // sender-side CPU (sendCost), bus occupancy for size bytes, then
 // receiver-side CPU (recvCost), then delivery to its Receiver. Local
 // messages skip the bus but still pay both CPU costs. All CPU costs are
-// 110 MHz-calibrated.
+// 110 MHz-calibrated. It also delivers a host's work to itself, after CPU
+// (Exec) or a delay (After).
 //
-// A message in flight is one pooled record that holds a copy of the
+// A message on its way is one pooled record that holds a copy of the
 // payload. Every stage schedules the record's one bound step, so once the
 // pool is warm a transfer allocates nothing.
 type Courier[P any] struct {
@@ -194,7 +195,7 @@ type stage uint8
 
 const (
 	sending   stage = iota // send CPU done: onto the bus, or to receive CPU if local
-	onWire                 // last bit arrived: a fault's delay, then receive CPU
+	onWire                 // last bit arrived (or After's delay ran): a fault's delay, then receive CPU
 	receiving              // receive CPU done: deliver
 )
 
@@ -222,6 +223,22 @@ func (q *Courier[P]) Send(src, dst, size int, sendCost, recvCost sim.Time, p *P)
 	t.src, t.dst, t.size, t.recvCost = src, dst, size, recvCost
 	t.p = *p
 	q.c.Hosts[src].ExecScaled(sendCost, t.step)
+}
+
+// Exec copies *p into a record delivered on host dst once its CPU has
+// spent cost: one Host.ExecScaled, with no sender and no network.
+func (q *Courier[P]) Exec(dst int, cost sim.Time, p *P) {
+	t := q.get()
+	t.dst, t.recvCost, t.p = dst, cost, *p
+	t.receive()
+}
+
+// After copies *p into a record delivered on host dst once delay has
+// passed and then its CPU is free: Kernel.After, then Host.Exec(0).
+func (q *Courier[P]) After(dst int, delay sim.Time, p *P) {
+	t := q.get()
+	t.dst, t.stage, t.p = dst, onWire, *p
+	q.c.Kernel.After(delay, t.step)
 }
 
 func (q *Courier[P]) get() *transfer[P] {

@@ -54,9 +54,9 @@ func waitCommits(t *testing.T, sys *core.System, k int) {
 // holdExecutor parks daemon d's executor inside an item until the returned
 // release is called, so that everything queued meanwhile runs back to back
 // in one executor run, with no idle flush in between.
-func holdExecutor(eng *TCPEngine, d int) (release func()) {
+func holdExecutor(sys *core.System, d int) (release func()) {
 	gate, held := make(chan struct{}), make(chan struct{})
-	eng.Exec(d, 0, func() {
+	sys.Do(d, func(*core.Daemon) {
 		close(held)
 		<-gate
 	})
@@ -108,7 +108,7 @@ func visits(sys *core.System) (sum int64) {
 func TestBurstLeavesInOneWrite(t *testing.T) {
 	const k = 8
 	sys, eng, met := meteredTCP(t)
-	eng.Exec(1, 0, func() {
+	sys.Do(1, func(*core.Daemon) {
 		for i := 1; i <= k; i++ {
 			eng.Send(1, 0, advance(i))
 		}
@@ -131,7 +131,7 @@ func TestBurstLargerThanTheBuffer(t *testing.T) {
 	// have.
 	big := &core.Msg{Kind: core.MsgCreateAck, From: 1, Origin: logical.Addr{Node: 1 << 40},
 		AckPeerName: string(bytes.Repeat([]byte{0xee}, 64<<10))}
-	eng.Exec(1, 0, func() {
+	sys.Do(1, func(*core.Daemon) {
 		eng.Send(1, 0, advance(1))
 		eng.Send(1, 0, big)
 		eng.Send(1, 0, advance(2))
@@ -169,7 +169,7 @@ func TestMessengersInFlightShareWrites(t *testing.T) {
 	const walkers, hops = 8, 400
 	sys, eng, met := meteredTCP(t)
 	ringOf2(t, sys, scalarWalker)
-	release := []func(){holdExecutor(eng, 0), holdExecutor(eng, 1)}
+	release := []func(){holdExecutor(sys, 0), holdExecutor(sys, 1)}
 	for i := 0; i < walkers; i++ {
 		if err := sys.InjectAt(i%2, "walker", fmt.Sprintf("r%d", i%2), map[string]value.Value{"hops": value.Int(hops)}); err != nil {
 			t.Fatal(err)
@@ -210,8 +210,8 @@ func TestFrameDoesNotWaitBehindComputation(t *testing.T) {
 	}
 	sys.Register(prog)
 
-	release := holdExecutor(eng, 1)
-	eng.Exec(1, 0, func() { eng.Send(1, 0, advance(1)) })
+	release := holdExecutor(sys, 1)
+	sys.Do(1, func(*core.Daemon) { eng.Send(1, 0, advance(1)) })
 	if err := sys.Inject(1, "slow", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -227,10 +227,10 @@ func TestFrameDoesNotWaitBehindComputation(t *testing.T) {
 func TestCloseFlushes(t *testing.T) {
 	sys, eng, met := meteredTCP(t)
 	// The connection first: Close refuses new dials.
-	eng.Exec(1, 0, func() { eng.Send(1, 0, advance(1)) })
+	sys.Do(1, func(*core.Daemon) { eng.Send(1, 0, advance(1)) })
 	waitCommits(t, sys, 1)
-	release := holdExecutor(eng, 1)
-	eng.Exec(1, 0, func() {
+	release := holdExecutor(sys, 1)
+	sys.Do(1, func(*core.Daemon) {
 		eng.Send(1, 0, advance(2))
 		eng.Send(1, 0, advance(3))
 	})
@@ -254,22 +254,22 @@ func TestCloseFlushes(t *testing.T) {
 // without an error, like frames in a dead process's socket queue.
 func TestKillDaemonDropsBufferedFrames(t *testing.T) {
 	sys, eng, met := meteredTCP(t)
-	release := holdExecutor(eng, 1)
+	release := holdExecutor(sys, 1)
 	sent, gate := make(chan struct{}), make(chan struct{})
-	eng.Exec(1, 0, func() {
+	sys.Do(1, func(*core.Daemon) {
 		eng.Send(1, 0, advance(1))
 		close(sent)
 	})
 	// A second hold keeps the executor from running dry, and flushing,
 	// between the send and the kill.
-	eng.Exec(1, 0, func() { <-gate })
+	sys.Do(1, func(*core.Daemon) { <-gate })
 	release()
 	<-sent
 	eng.KillDaemon(0)
 	close(gate)
 	// The executor has run dry, and flushed, by the time a later item runs.
 	ran := make(chan struct{})
-	eng.Exec(1, 0, func() { close(ran) })
+	sys.Do(1, func(*core.Daemon) { close(ran) })
 	<-ran
 	if f, w := met.CounterValue("transport.frames"), met.CounterValue("transport.writes"); f != 1 || w != 0 {
 		t.Errorf("transport.frames = %d, transport.writes = %d, want 1 and 0", f, w)
@@ -288,7 +288,7 @@ func TestKillDaemonDropsBufferedFrames(t *testing.T) {
 // write returns, even while the sending daemon's executor is busy.
 func TestOffExecutorFramesFlushAtOnce(t *testing.T) {
 	sys, eng, met := meteredTCP(t)
-	release := holdExecutor(eng, 1)
+	release := holdExecutor(sys, 1)
 	defer release()
 
 	eng.Send(1, 0, &core.Msg{Kind: core.MsgHeartbeat, From: 1})
