@@ -117,27 +117,25 @@ type Stats struct {
 // Daemon is one MESSENGERS daemon: the interpreter process resident on one
 // host. All daemon state is confined to its executor; the engine guarantees
 // Exec/HandleMsg callbacks for one daemon never run concurrently.
+//
+// Its own fields are what the process's death keeps; what it loses is the
+// embedded volatile part, which a crash replaces whole (docs/FAULTS.md).
 type Daemon struct {
 	// Stats is the first field, so its int64s are 64-bit aligned for atomic
 	// access on 32-bit platforms too.
 	Stats Stats
 
-	id    int
-	eng   Engine
-	cm    *lan.CostModel // the engine's, or noCosts on real engines
-	topo  *Topology
-	store *logical.Store
-	sys   *System
+	id   int
+	eng  Engine
+	cm   *lan.CostModel // the engine's, or noCosts on real engines
+	topo *Topology
+	sys  *System
 
+	// nextMsgrID and nextSeq (recovery's HopSeq) only grow, the stand-in for
+	// a fresh process's unique IDs: a restarted daemon reuses neither.
 	nextMsgrID uint64
-	rr         int // round-robin cursor for create's daemon choice
-
-	// Conservative GVT state.
-	gvt        float64
-	waitQ      wakeQ
-	active     map[uint64]*Messenger // live, runnable Messengers
-	sent, recv int64
-	notified   bool
+	nextSeq    uint64
+	rr         int // create's round-robin cursor: it only spreads placement
 
 	initiator *gvtInitiator // non-nil on daemon 0, which runs the GVT rounds
 
@@ -148,26 +146,60 @@ type Daemon struct {
 
 	// berths are spent VMs kept for their storage: fed where this daemon
 	// has just serialised a departing Messenger, drained by restore. At most
-	// maxBerths, executor-confined like all daemon state.
+	// maxBerths. They survive a crash: a berth holds storage, no Value.
 	berths []*vm.Berth
 	// flush is the engine's Flush when it buffers outbound frames (TCP).
 	flush flusher
 
-	// Fault recovery (nil unless the system was built WithRecovery).
-	// downFlag marks a crashed daemon; epoch counts incarnations so that
-	// continuations and timers scheduled before a crash are orphaned
-	// (HandleMsg); renotifyOn dedups the suspended-Messenger renotification
-	// timer.
-	rec        *recovery
-	downFlag   atomic.Bool
-	epoch      uint32
-	renotifyOn bool
+	// Fault recovery: downFlag marks a crashed daemon; epoch counts
+	// incarnations so that continuations and timers scheduled before a
+	// crash are orphaned (HandleMsg).
+	downFlag atomic.Bool
+	epoch    uint32
 
 	// Observability: tr/om are nil when tracing/metrics are off (one
 	// branch per site); prof is this daemon's interpreter profile.
 	tr   *obs.Tracer
 	om   *sysObs
 	prof *vm.Profile
+
+	volatile
+}
+
+// volatile is what a daemon process loses when it dies: the logical
+// network, the Messengers, the GVT and recovery books and the initiator's
+// open round. A new daemon and a restarted one start from newVolatile.
+type volatile struct {
+	store *logical.Store
+
+	// Conservative GVT state.
+	gvt        float64
+	waitQ      sim.Heap[wakeEntry]   // suspended Messengers
+	active     map[uint64]*Messenger // live, runnable Messengers
+	sent, recv int64
+	notified   bool
+	renotifyOn bool // dedups the suspended-Messenger renotification timer
+
+	rec   *recovery // nil unless the system was built WithRecovery
+	round gvtRound  // daemon 0's open GVT round (gvtInitiator)
+}
+
+// newVolatile is daemon d's state as a fresh process has it.
+func newVolatile(d *Daemon) volatile {
+	v := volatile{store: logical.NewStore(d.id), active: map[uint64]*Messenger{}}
+	if d.sys.recCfg != nil {
+		n := d.eng.NumDaemons()
+		v.rec = &recovery{
+			pending:   map[uint64]*retxEntry{},
+			seen:      make([]map[uint64]struct{}, n),
+			evictedTo: make([]uint64, n),
+			peerDead:  make([]bool, n),
+			adopted:   map[logical.Addr]logical.NodeID{},
+			sentTo:    make([]int64, n),
+			recvFrom:  make([]int64, n),
+		}
+	}
+	return v
 }
 
 // noCosts is the cost model of a real engine, where work takes the time it
@@ -176,28 +208,23 @@ var noCosts lan.CostModel
 
 func newDaemon(id int, eng Engine, topo *Topology, sys *System) *Daemon {
 	d := &Daemon{
-		id:     id,
-		eng:    eng,
-		cm:     eng.Model(),
-		topo:   topo,
-		store:  logical.NewStore(id),
-		sys:    sys,
-		active: map[uint64]*Messenger{},
-		waitQ:  newWakeQ(),
-		tr:     sys.trace,
-		om:     sys.om,
+		id:   id,
+		eng:  eng,
+		cm:   eng.Model(),
+		topo: topo,
+		sys:  sys,
+		tr:   sys.trace,
+		om:   sys.om,
 	}
+	d.volatile = newVolatile(d)
 	if d.cm == nil {
 		d.cm = &noCosts
 	}
 	if sys.metrics != nil {
 		d.prof = &vm.Profile{}
 	}
-	if sys.recCfg != nil {
-		d.rec = newRecovery(eng.NumDaemons(), *sys.recCfg)
-	}
 	if id == 0 {
-		d.initiator = &gvtInitiator{d: d, ring: sys.distGVT}
+		d.initiator = &gvtInitiator{d: d, ring: sys.distGVT, gvtRound: &d.round}
 		if !sys.distGVT {
 			d.initiator.reports = make([]gvtReport, eng.NumDaemons())
 		}
@@ -473,7 +500,7 @@ func (d *Daemon) navigate(m *Messenger) {
 		// the ack lands or the peer is declared dead (either resolves it).
 		for _, match := range matches {
 			if match.Dest.Daemon != d.id && match.Dest.Node == 0 && !d.rec.peerDead[match.Dest.Daemon] {
-				d.timer(d.rec.cfg.AckTimeout/2, Msg{Kind: MsgStep, MsgrID: m.ID})
+				d.timer(d.sys.recCfg.AckTimeout/2, Msg{Kind: MsgStep, MsgrID: m.ID})
 				return
 			}
 		}
@@ -671,7 +698,7 @@ func (d *Daemon) suspend(m *Messenger, wake float64) {
 		d.tr.Instant(d.id, "gvt", "suspend", msgrID(m.ID), obs.F("wake", wake))
 	}
 	delete(d.active, m.ID)
-	d.waitQ.Push(wakeEntry{at: wake, seq: m.ID, m: m})
+	d.waitQ.Push(wakeEntry{at: wake, m: m}, wakeBefore)
 	if !d.notified {
 		d.notified = true
 		d.sendGVT(0, Msg{Kind: MsgGVTNotify, From: d.id})
@@ -698,8 +725,8 @@ func (d *Daemon) sendGVT(dst int, msg Msg) {
 // Messengers.
 func (d *Daemon) localMin() float64 {
 	min := math.Inf(1)
-	if d.waitQ.Len() > 0 {
-		min = d.waitQ.Peek().at
+	if len(d.waitQ) > 0 {
+		min = d.waitQ[0].at
 	}
 	//lint:maporder min over values is order-independent
 	for _, m := range d.active {
@@ -726,8 +753,8 @@ func (d *Daemon) advanceGVT(gvt float64) {
 	if d.rec != nil {
 		d.releaseFossils()
 	}
-	for d.waitQ.Len() > 0 && d.waitQ.Peek().at <= gvt {
-		e := d.waitQ.Pop()
+	for len(d.waitQ) > 0 && d.waitQ[0].at <= gvt {
+		e := d.waitQ.Pop(wakeBefore)
 		m := e.m
 		if e.at > m.LVT {
 			m.LVT = e.at
@@ -736,24 +763,25 @@ func (d *Daemon) advanceGVT(gvt float64) {
 		d.active[m.ID] = m
 		d.next(m, 0)
 	}
-	if d.waitQ.Len() == 0 {
+	if len(d.waitQ) == 0 {
 		d.notified = false
 	}
 }
 
 // HandleMsg acts on one message, from a peer or the daemon's own: the
 // daemon's one entry point. The engine invokes it on this daemon's
-// executor, and it borrows msg for the call.
+// executor, and it borrows msg for the call. A message it drops unread
+// gives back the liveness slot its kind holds, whatever the reason (drop).
 func (d *Daemon) HandleMsg(msg *Msg) {
 	switch k := &kinds[msg.Kind]; {
 	case msg.Kind == MsgCrash || msg.Kind == MsgRestart || msg.Kind == MsgDo:
 		// These run on a crashed daemon too.
 	case d.down():
-		return // a crashed daemon drops everything else on the floor
+		goto drop // a crashed daemon drops everything else on the floor
 	case k.scheduled && msg.inc != d.epoch:
 		// A crash orphans every continuation and timer scheduled before
 		// it: the Messengers they reference died with the incarnation.
-		return
+		goto drop
 	case d.rec == nil || k.body == bodyUnknown:
 		// Below, recovery's gate on traffic from peers.
 	case msg.Kind == MsgHopAck:
@@ -770,9 +798,9 @@ func (d *Daemon) HandleMsg(msg *Msg) {
 		// peer's recovery layer retransmits once peerUp fires (the fence
 		// drops the frame before the hop ack, so the transfer stays
 		// pending at the sender).
-		return
+		goto drop
 	case k.reliable && msg.From != d.id && d.dedupCheck(msg):
-		return
+		goto drop
 	}
 	switch msg.Kind {
 	case MsgMessenger, MsgCreate:
@@ -831,9 +859,9 @@ func (d *Daemon) HandleMsg(msg *Msg) {
 	case MsgRetransmit:
 		d.retxFire(msg.HopSeq)
 	case MsgCrash:
-		d.crashCleanup()
+		d.crash()
 	case MsgRestart:
-		d.restartReset()
+		d.restart()
 	case MsgPeerDown:
 		d.peerDown(msg.From)
 	case MsgPeerUp:
@@ -843,6 +871,11 @@ func (d *Daemon) HandleMsg(msg *Msg) {
 
 	default:
 		d.sys.errs.Add(fmt.Errorf("daemon %d: unknown message kind %v", d.id, msg.Kind))
+	}
+	return
+drop:
+	if kinds[msg.Kind].slot {
+		d.sys.sessionWork(msg.Tenant, msg.Session, -1)
 	}
 }
 
@@ -1016,27 +1049,17 @@ func (h *msgrHost) Print(s string) { h.d.sys.print(h.d.id, s) }
 
 // --- wake queue ---
 
-// wakeEntry is a suspended Messenger.
+// wakeEntry is a suspended Messenger and the virtual time it wakes at.
 type wakeEntry struct {
-	at  float64
-	seq uint64
-	m   *Messenger
+	at float64
+	m  *Messenger
 }
 
 // wakeBefore orders suspended Messengers by (wake time, ID) for
-// determinism.
+// determinism: the wake queue's order.
 func wakeBefore(a, b wakeEntry) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
-	return a.seq < b.seq
+	return a.m.ID < b.m.ID
 }
-
-// wakeQ is the suspended-Messenger queue: the shared generic heap
-// (sim.Heap) under the wakeBefore order. Items exposes the backing slice
-// for recovery's whole-queue drains.
-type wakeQ struct {
-	*sim.Heap[wakeEntry]
-}
-
-func newWakeQ() wakeQ { return wakeQ{sim.NewHeap(wakeBefore)} }

@@ -35,23 +35,28 @@ import (
 // advanceGVT, so a deterministic sim run commits the identical GVT
 // sequence under either, which the differential tests assert.
 type gvtInitiator struct {
-	d    *Daemon
-	ring bool // the waves are ring tokens, not query/report stars
+	d     *Daemon
+	ring  bool  // the waves are ring tokens, not query/report stars
+	epoch int64 // round number; a wave of any other round is stale
+	// reports are the star's answers by daemon, each stamped with the round
+	// it answers, so neither a new round nor a restart needs to clear them.
+	reports []gvtReport
+	// gvtRound is the open round, d.round: part of what a crash loses, so
+	// the restarted daemon 0 resumes rounds on the next notify.
+	*gvtRound
+}
 
-	polling bool  // rounds run until a reduction comes back +Inf
-	epoch   int64 // round number; a wave of any other round is stale
-	open    bool  // a wave of the current round is still out
+// gvtRound is the initiator's state of the round in progress.
+type gvtRound struct {
+	polling bool // rounds run until a reduction comes back +Inf
+	open    bool // a wave of the current round is still out
 	// wdBackoff is the current watchdog delay; it doubles every time a
 	// round stalls and resets when one concludes, so a partitioned daemon
 	// costs a geometrically thinning trickle of relaunches instead of a
 	// steady storm.
 	wdBackoff sim.Time
 	roundFrom sim.Time // engine clock at round launch (latency accounting)
-	// reports are the star's answers by daemon, each stamped with the round
-	// it answers, so a new round needs no clearing; got counts the open
-	// round's.
-	reports []gvtReport
-	got     int
+	got       int      // the star's reports of the open round
 }
 
 // gvtReport is what a star round keeps of one daemon's MsgGVTReport.
@@ -241,12 +246,6 @@ func (g *gvtInitiator) roundDone() {
 		atomic.AddInt64((*int64)(&g.d.Stats.GVTRoundTime), int64(g.d.eng.Now()-g.roundFrom))
 	}
 	g.d.timer(g.d.sys.gvtInterval, Msg{Kind: MsgGVTRestart})
-}
-
-// crashReset clears the initiator when its daemon crashes: the restarted
-// daemon 0 resumes rounds on the next notify.
-func (g *gvtInitiator) crashReset() {
-	g.polling, g.open, g.wdBackoff, g.got = false, false, 0, 0
 }
 
 // --- participants ---

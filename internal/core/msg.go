@@ -85,6 +85,7 @@ type kindInfo struct {
 	// scheduled: the daemon schedules it for itself, stamped with its
 	// incarnation, and a crash orphans it (HandleMsg).
 	scheduled bool
+	slot      bool // holds a liveness slot its sender took: a drop gives it back (HandleMsg)
 }
 
 // msgBody names what a kind's encoding carries after the header. AppendTo
@@ -106,27 +107,27 @@ const (
 // past MsgDo) is the zero kindInfo: an unknown kind. A local kind has a
 // name and no body, so it never goes on the wire either.
 var kinds = [256]kindInfo{
-	MsgMessenger:   {"messenger", LaneNet, true, true, bodyTransfer, false},
-	MsgCreate:      {"create", LaneNet, true, true, bodyCreate, false},
-	MsgCreateAck:   {"create-ack", LaneNet, true, false, bodyCreateAck, false},
-	MsgInject:      {"inject", LaneNet, false, true, bodyUnknown, false},
-	MsgGVTNotify:   {"gvt-notify", LaneControl, false, false, bodyGVT, false},
-	MsgGVTQuery:    {"gvt-query", LaneControl, false, false, bodyGVT, false},
-	MsgGVTReport:   {"gvt-report", LaneControl, false, false, bodyGVT, false},
-	MsgGVTAdvance:  {"gvt-advance", LaneControl, false, false, bodyGVT, false},
-	MsgHopAck:      {"hop-ack", LaneControl, false, false, bodyHopAck, false},
-	MsgHeartbeat:   {"heartbeat", LaneControl, false, false, bodyNone, false},
-	MsgGVTToken:    {"gvt-token", LaneControl, false, false, bodyGVT, false},
-	MsgStep:        {"step", LaneLocal, false, false, bodyUnknown, true},
-	MsgGVTRestart:  {"gvt-restart", LaneControl, false, false, bodyUnknown, true},
-	MsgGVTWatchdog: {"gvt-watchdog", LaneControl, false, false, bodyUnknown, true},
-	MsgRenotify:    {"renotify", LaneControl, false, false, bodyUnknown, true},
-	MsgRetransmit:  {"retransmit", LaneControl, false, false, bodyUnknown, true},
-	MsgCrash:       {"crash", LaneLocal, false, false, bodyUnknown, false},
-	MsgRestart:     {"restart", LaneLocal, false, false, bodyUnknown, false},
-	MsgPeerDown:    {"peer-down", LaneControl, false, false, bodyUnknown, false},
-	MsgPeerUp:      {"peer-up", LaneControl, false, false, bodyUnknown, false},
-	MsgDo:          {"do", LaneLocal, false, false, bodyUnknown, false},
+	MsgMessenger:   {"messenger", LaneNet, true, true, bodyTransfer, false, false},
+	MsgCreate:      {"create", LaneNet, true, true, bodyCreate, false, false},
+	MsgCreateAck:   {"create-ack", LaneNet, true, false, bodyCreateAck, false, false},
+	MsgInject:      {"inject", LaneNet, false, true, bodyUnknown, false, true},
+	MsgGVTNotify:   {"gvt-notify", LaneControl, false, false, bodyGVT, false, false},
+	MsgGVTQuery:    {"gvt-query", LaneControl, false, false, bodyGVT, false, false},
+	MsgGVTReport:   {"gvt-report", LaneControl, false, false, bodyGVT, false, false},
+	MsgGVTAdvance:  {"gvt-advance", LaneControl, false, false, bodyGVT, false, false},
+	MsgHopAck:      {"hop-ack", LaneControl, false, false, bodyHopAck, false, false},
+	MsgHeartbeat:   {"heartbeat", LaneControl, false, false, bodyNone, false, false},
+	MsgGVTToken:    {"gvt-token", LaneControl, false, false, bodyGVT, false, false},
+	MsgStep:        {"step", LaneLocal, false, false, bodyUnknown, true, false},
+	MsgGVTRestart:  {"gvt-restart", LaneControl, false, false, bodyUnknown, true, false},
+	MsgGVTWatchdog: {"gvt-watchdog", LaneControl, false, false, bodyUnknown, true, false},
+	MsgRenotify:    {"renotify", LaneControl, false, false, bodyUnknown, true, false},
+	MsgRetransmit:  {"retransmit", LaneControl, false, false, bodyUnknown, true, false},
+	MsgCrash:       {"crash", LaneLocal, false, false, bodyUnknown, false, false},
+	MsgRestart:     {"restart", LaneLocal, false, false, bodyUnknown, false, false},
+	MsgPeerDown:    {"peer-down", LaneControl, false, false, bodyUnknown, false, false},
+	MsgPeerUp:      {"peer-up", LaneControl, false, false, bodyUnknown, false, false},
+	MsgDo:          {"do", LaneLocal, false, false, bodyUnknown, false, false},
 }
 
 // String names the kind.
@@ -325,15 +326,25 @@ func (m *Msg) WireSize() int {
 	return 64
 }
 
-// DecodeMsg deserializes a message produced by AppendTo, which must be the
-// whole of buf: an unknown kind, or bytes after the kind's body, is an
-// error. The returned Msg aliases buf (Snapshot and ProgBytes are Blob
-// subslices of it), so buf must stay untouched until the message has been
-// consumed: on the TCP engine, until HandleMsg returns (docs/WIRE.md, "The
-// frame's lifetime rule").
+// DecodeMsg decodes buf into a new Msg (Decode).
 func DecodeMsg(buf []byte) (*Msg, error) {
-	d := wire.NewDecoder(buf)
 	m := &Msg{}
+	if err := m.Decode(buf); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// Decode deserializes into m a message produced by AppendTo, which must be
+// the whole of buf: an unknown kind, or bytes after the kind's body, is an
+// error. It clears m first, so no field of an earlier message survives.
+// The message aliases buf (Snapshot and ProgBytes are Blob subslices of
+// it), so buf must stay untouched until the message has been consumed: on
+// the TCP engine, until HandleMsg returns (docs/WIRE.md, "The frame's
+// lifetime rule").
+func (m *Msg) Decode(buf []byte) error {
+	*m = Msg{}
+	d := wire.NewDecoder(buf)
 	m.Kind = MsgKind(d.U8())
 	m.From = int(d.U32())
 	m.HopSeq = d.U64()
@@ -376,9 +387,9 @@ func DecodeMsg(buf []byte) (*Msg, error) {
 		d.Fail(fmt.Errorf("unknown message kind %d", uint8(m.Kind)))
 	}
 	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("core: decode %v message: %w", m.Kind, err)
+		return fmt.Errorf("core: decode %v message: %w", m.Kind, err)
 	}
-	return m, nil
+	return nil
 }
 
 func appendLinkIDTo(e *wire.Encoder, id logical.LinkID) {

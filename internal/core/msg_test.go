@@ -142,3 +142,54 @@ func TestLocalKindsNeverTravel(t *testing.T) {
 		}
 	}
 }
+
+// decoded keeps DecodeMsg's result on the heap, where a caller's would be.
+var decoded *Msg
+
+// TestDecodeIntoReusedMsgAllocatesNothing: a control frame decodes into a
+// Msg the caller owns without allocating (the TCP reader reuses one per
+// connection); DecodeMsg's one allocation is the Msg it returns.
+func TestDecodeIntoReusedMsgAllocatesNothing(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	buf := (&Msg{Kind: MsgGVTToken, From: 2, GEpoch: 7, GMin: 2.5, GSent: 10, GRecv: 9, GVT: 2, GPass: 1}).Encode()
+	var m Msg
+	if n := testing.AllocsPerRun(100, func() {
+		if err := m.Decode(buf); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Decode into a reused Msg allocated %v objects, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		var err error
+		if decoded, err = DecodeMsg(buf); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Errorf("DecodeMsg allocated %v objects, want 1", n)
+	}
+}
+
+// TestDecodeLeavesNothingOfTheLastFrame: a hop frame decoded into the Msg
+// a create frame was decoded into equals a fresh decode of the hop; none of
+// the create's fields survive.
+func TestDecodeLeavesNothingOfTheLastFrame(t *testing.T) {
+	msgs := oneOfEachKind()
+	create, hop := msgs[1], msgs[0]
+	var m Msg
+	if err := m.Decode(create.Encode()); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Decode(hop.Encode()); err != nil {
+		t.Fatal(err)
+	}
+	want, err := DecodeMsg(hop.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(&m, want) {
+		t.Errorf("reused decode = %+v\nwant %+v", m, *want)
+	}
+}

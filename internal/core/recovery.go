@@ -85,17 +85,17 @@ type retxEntry struct {
 	timeout  sim.Time
 }
 
-// recovery is one daemon's reliable-delivery state (nil unless the system
-// was built WithRecovery). Executor-confined, like the rest of the daemon.
+// recovery is one daemon's reliable-delivery books, which a crash loses
+// (its configuration is the System's, its sequence counter the Daemon's).
+// Executor-confined, like the rest of the daemon.
 type recovery struct {
-	cfg     RecoveryConfig
-	nextSeq uint64
 	// pending holds every entry not yet released; releasing one deletes it.
 	pending map[uint64]*retxEntry
 	// floorSeq is the reliable-delivery floor: every sequence at or below
-	// it has been released (acked and freed, or respawned to a dead peer).
-	// Piggybacked on outbound reliable messages as AckFloor so receivers
-	// can evict dedup state; advances amortized O(1) as entries release.
+	// it has been released (acked and freed, respawned to a dead peer, or
+	// lost in a crash). Piggybacked on outbound reliable messages as
+	// AckFloor so receivers can evict dedup state; advances amortized O(1)
+	// as entries release.
 	floorSeq uint64
 	// retained is the FIFO of acked-but-GVT-retained sequence numbers,
 	// maintained only when RetainBudget > 0 (entries released by fossil
@@ -118,23 +118,11 @@ type recovery struct {
 	sentTo, recvFrom []int64
 }
 
-func newRecovery(n int, cfg RecoveryConfig) *recovery {
-	return &recovery{
-		cfg:       cfg,
-		pending:   map[uint64]*retxEntry{},
-		seen:      make([]map[uint64]struct{}, n),
-		evictedTo: make([]uint64, n),
-		peerDead:  make([]bool, n),
-		adopted:   map[logical.Addr]logical.NodeID{},
-		sentTo:    make([]int64, n),
-		recvFrom:  make([]int64, n),
-	}
-}
-
 // advanceFloor pushes the delivery floor past every released sequence.
 // Sequences are allocated densely, so "not pending" means "released".
-func (r *recovery) advanceFloor() {
-	for r.floorSeq < r.nextSeq {
+func (d *Daemon) advanceFloor() {
+	r := d.rec
+	for r.floorSeq < d.nextSeq {
 		if _, ok := r.pending[r.floorSeq+1]; ok {
 			return
 		}
@@ -194,12 +182,15 @@ func (d *Daemon) ship(dst int, msg *Msg) {
 // stays with the retained entry until the ack arrives.
 func (d *Daemon) reliableSend(dst int, msg *Msg) {
 	rec := d.rec
-	rec.nextSeq++
-	msg.HopSeq = rec.nextSeq
+	if len(rec.pending) == 0 {
+		rec.floorSeq = d.nextSeq // all released: a restarted daemon's floor catches up
+	}
+	d.nextSeq++
+	msg.HopSeq = d.nextSeq
 	msg.AckFloor = rec.floorSeq
 	e := &retxEntry{
-		seq: rec.nextSeq, dst: dst, msg: msg, lvt: msg.LVT,
-		attempts: 1, timeout: rec.cfg.AckTimeout,
+		seq: d.nextSeq, dst: dst, msg: msg, lvt: msg.LVT,
+		attempts: 1, timeout: d.sys.recCfg.AckTimeout,
 	}
 	rec.pending[e.seq] = e
 	d.netSend(dst, msg)
@@ -228,7 +219,7 @@ func (d *Daemon) retxFire(seq uint64) {
 	// across entries so a healed partition doesn't trigger a synchronized
 	// retransmit burst from every pending hop at once.
 	e.timeout = sim.Time(backoff.Jittered(
-		time.Duration(rec.cfg.AckTimeout), time.Duration(32*rec.cfg.AckTimeout),
+		time.Duration(d.sys.recCfg.AckTimeout), time.Duration(32*d.sys.recCfg.AckTimeout),
 		e.attempts, backoff.Key(d.id, e.dst, int(e.seq), e.attempts)))
 	if d.om != nil {
 		d.om.retx.Inc()
@@ -257,7 +248,7 @@ func (d *Daemon) handleHopAck(msg *Msg) {
 		d.sys.sessionWork(e.msg.Tenant, e.msg.Session, -1)
 	}
 	d.maybeRelease(e)
-	if _, held := d.rec.pending[e.seq]; held && d.rec.cfg.RetainBudget > 0 {
+	if _, held := d.rec.pending[e.seq]; held && d.sys.recCfg.RetainBudget > 0 {
 		d.rec.retained = append(d.rec.retained, e.seq)
 		d.enforceRetainBudget()
 	}
@@ -269,7 +260,7 @@ func (d *Daemon) handleHopAck(msg *Msg) {
 // for bounded memory in long-running service mode.
 func (d *Daemon) enforceRetainBudget() {
 	rec := d.rec
-	for len(rec.retained) > rec.cfg.RetainBudget {
+	for len(rec.retained) > d.sys.recCfg.RetainBudget {
 		seq := rec.retained[0]
 		rec.retained = rec.retained[1:]
 		if _, ok := rec.pending[seq]; !ok {
@@ -277,7 +268,7 @@ func (d *Daemon) enforceRetainBudget() {
 		}
 		delete(rec.pending, seq)
 	}
-	rec.advanceFloor()
+	d.advanceFloor()
 }
 
 // maybeRelease frees an acknowledged entry once GVT has passed its LVT (the
@@ -291,7 +282,7 @@ func (d *Daemon) maybeRelease(e *retxEntry) {
 		return
 	}
 	delete(d.rec.pending, e.seq)
-	d.rec.advanceFloor()
+	d.advanceFloor()
 }
 
 // releaseFossils frees acknowledged entries whose LVT the new GVT has
@@ -305,7 +296,7 @@ func (d *Daemon) releaseFossils() {
 			delete(d.rec.pending, seq)
 		}
 	}
-	d.rec.advanceFloor()
+	d.advanceFloor()
 }
 
 // dedupCheck runs on every inbound reliable message: report whether this
@@ -474,7 +465,7 @@ func (d *Daemon) peerUp(peer int) {
 // own.
 func (d *Daemon) respawnEntry(e *retxEntry) {
 	delete(d.rec.pending, e.seq)
-	d.rec.advanceFloor()
+	d.advanceFloor()
 	msg := e.msg
 	if msg.Kind == MsgCreateAck {
 		return // the link's origin died with the daemon
@@ -492,21 +483,19 @@ func (d *Daemon) respawnEntry(e *retxEntry) {
 	d.redirectDead(e.dst, msg)
 }
 
-// crashCleanup is the executor half of System.Crash (MsgCrash): every
-// Messenger and logical node on this daemon is lost, the transient books
-// zero, and all held liveness slots are released. Runs with the down flag
-// already set; bumping the epoch orphans every continuation and timer
-// scheduled before the crash.
-func (d *Daemon) crashCleanup() {
+// crash is the executor half of System.Crash (MsgCrash), run with the down
+// flag already set: bumping the epoch orphans everything scheduled before
+// it, the lost state gives back the liveness slots it holds (resident and
+// suspended Messengers, unacknowledged transfers), and the daemon is left
+// holding what a fresh one does.
+func (d *Daemon) crash() {
 	d.epoch++
-	lost := 0
+	lost := len(d.active) + len(d.waitQ)
 	//lint:maporder commutative release of independent slots
 	for _, m := range d.active {
-		lost++
 		d.sys.sessionWork(m.Tenant, m.Session, -1)
 	}
-	for _, e := range d.waitQ.Items() {
-		lost++
+	for _, e := range d.waitQ {
 		d.sys.sessionWork(e.m.Tenant, e.m.Session, -1)
 	}
 	//lint:maporder commutative release of independent slots
@@ -516,27 +505,7 @@ func (d *Daemon) crashCleanup() {
 			d.sys.sessionWork(e.msg.Tenant, e.msg.Session, -1)
 		}
 	}
-	d.rec.pending = map[uint64]*retxEntry{}
-	d.rec.floorSeq = d.rec.nextSeq // everything outstanding was released
-	d.rec.retained = nil
-	for i := range d.rec.seen {
-		d.rec.seen[i] = nil
-		d.rec.evictedTo[i] = 0
-	}
-	for i := range d.rec.peerDead {
-		d.rec.peerDead[i] = false
-		d.rec.sentTo[i] = 0
-		d.rec.recvFrom[i] = 0
-	}
-	d.rec.adopted = map[logical.Addr]logical.NodeID{}
-	d.active = map[uint64]*Messenger{}
-	d.waitQ.Reset()
-	d.notified = false
-	d.sent, d.recv = 0, 0
-	d.store = logical.NewStore(d.id)
-	if d.initiator != nil {
-		d.initiator.crashReset()
-	}
+	d.volatile = newVolatile(d)
 	if d.om != nil {
 		d.om.deaths.Inc()
 	}
@@ -545,14 +514,10 @@ func (d *Daemon) crashCleanup() {
 	}
 }
 
-// restartReset is the executor half of System.Restart (MsgRestart): the
-// daemon comes back as a fresh process — empty logical store, zeroed books —
-// reading the system's program registry as before (a restarted daemon
-// reloads code) and its ID counters monotonic (the stand-in for fresh
-// process-unique IDs).
-func (d *Daemon) restartReset() {
-	d.store = logical.NewStore(d.id)
-	d.gvt = 0
+// restart is the executor half of System.Restart (MsgRestart): the crash
+// left the daemon fresh, so it only comes back up (and reloads code from
+// the system's registry as before).
+func (d *Daemon) restart() {
 	if d.om != nil {
 		d.om.restarts.Inc()
 	}
@@ -574,7 +539,7 @@ func (d *Daemon) armRenotify() {
 
 func (d *Daemon) renotifyFire() {
 	d.renotifyOn = false
-	if d.waitQ.Len() == 0 {
+	if len(d.waitQ) == 0 {
 		return
 	}
 	d.sendGVT(0, Msg{Kind: MsgGVTNotify, From: d.id})
@@ -589,11 +554,10 @@ func (d *Daemon) renotifyFire() {
 // WithRecovery. Survivors learn of the death via NotifyPeerDown (or the
 // transport's failure detector).
 func (s *System) Crash(d int) {
-	dae := s.daemons[d]
-	if dae.rec == nil {
+	if s.recCfg == nil {
 		panic("core: Crash requires WithRecovery")
 	}
-	if !dae.downFlag.CompareAndSwap(false, true) {
+	if !s.daemons[d].downFlag.CompareAndSwap(false, true) {
 		return
 	}
 	s.eng.Exec(d, 0, &Msg{Kind: MsgCrash})
@@ -601,11 +565,10 @@ func (s *System) Crash(d int) {
 
 // Restart revives a crashed daemon as a fresh, empty daemon.
 func (s *System) Restart(d int) {
-	dae := s.daemons[d]
-	if dae.rec == nil {
+	if s.recCfg == nil {
 		panic("core: Restart requires WithRecovery")
 	}
-	if !dae.down() {
+	if !s.daemons[d].down() {
 		return
 	}
 	s.eng.Exec(d, 0, &Msg{Kind: MsgRestart})

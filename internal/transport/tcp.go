@@ -599,12 +599,14 @@ func (e *TCPEngine) acceptLoop(d int, l net.Listener) {
 			}
 			c.SetReadDeadline(time.Time{})
 			r := bufio.NewReader(c)
+			// Every frame decodes into msg; Put copies it into the lane.
+			var msg core.Msg
 			for {
 				box, err := readPooledFrame(r)
 				if err != nil {
 					return // peer closed or stream desynced
 				}
-				msg, err := core.DecodeMsg(*box)
+				err = msg.Decode(*box)
 				if err == nil && msg.From != src {
 					err = fmt.Errorf("a %v frame from daemon %d on daemon %d's connection", msg.Kind, msg.From, src)
 				}
@@ -624,7 +626,7 @@ func (e *TCPEngine) acceptLoop(d int, l net.Listener) {
 				}
 				// The frame goes back to the pool only after HandleMsg has
 				// consumed everything msg aliases (see readPooledFrame).
-				e.Put(d, core.LaneFor(msg.Kind), msg, box)
+				e.Put(d, core.LaneFor(msg.Kind), &msg, box)
 			}
 		}()
 	}
